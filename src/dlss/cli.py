@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -28,7 +26,7 @@ from .errors import (
     SingularJacobian,
     ValidationError,
 )
-from .grid import DiffBackend, Field, FieldKind, make_grid
+from .grid import BACKENDS, DiffBackend, Field, FieldKind, make_grid
 from .inequalities import (
     QuotientKind,
     QuotientSpec,
@@ -42,6 +40,7 @@ from .runio import (
     identity_suite,
     parse_config,
     read_timeseries,
+    write_atomic,
 )
 from .solver import lyapunov_check, solve
 
@@ -67,16 +66,7 @@ def _emit_json(payload: dict, output: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if output:
-        directory = os.path.dirname(os.path.abspath(output))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", newline="\n") as handle:
-                handle.write(text)
-            os.replace(tmp, output)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(output, text)
 
 
 def _cmd_solve(args) -> int:
@@ -86,13 +76,7 @@ def _cmd_solve(args) -> int:
         raise ValidationError("command", f"expected 'solve', got {cfg.command!r}")
     grid = cfg.make_grid()
     u0 = cfg.initial_density(grid)
-    trajectory = solve(
-        u0,
-        cfg.t_final,
-        cfg.solver_config(),
-        record_every=cfg.record_every,
-        snapshot_every=cfg.snapshot_every,
-    )
+    trajectory = solve(u0, cfg.t_final, cfg.solver_config(), record_every=cfg.record_every)
     if cfg.output:
         emit_timeseries(trajectory, cfg.output)
     first, last = trajectory.records[0], trajectory.records[-1]
@@ -271,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--seed", type=int, default=0)
     p_id.add_argument("--L", type=float, default=2.0 * math.pi)
     p_id.add_argument("--N", type=int, default=256)
-    p_id.add_argument("--backend", default="spectral", choices=("spectral", "fd2", "fd4"))
+    p_id.add_argument("--backend", default="spectral", choices=list(BACKENDS))
     p_id.add_argument("--n-modes", type=int, default=None)
     p_id.add_argument("--output", default=None)
     p_id.set_defaults(func=_cmd_identity)

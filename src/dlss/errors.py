@@ -52,8 +52,12 @@ class ParseError(DlssError):
         self.reason = reason
 
 
-class ValidationError(DlssError):
-    """Structurally valid configuration with an inadmissible value."""
+class ValidationError(DlssError, ValueError):
+    """Structurally valid configuration with an inadmissible value.
+
+    ``field`` names the rejected attribute or run-file key.  It is a
+    ``ValueError`` so that the library's validated constructors can raise it.
+    """
 
     def __init__(self, field, reason):
         super().__init__(f"{field}: {reason}")

@@ -31,9 +31,9 @@ from .grid import (
     POSITIVITY_FLOOR,
     DiffBackend,
     Field,
-    FieldKind,
     SPECTRAL,
-    derivative,
+    _derivative,
+    _integrate,
     integrate,
 )
 
@@ -61,28 +61,27 @@ def entropy_relative(u: Field, u_bar: float) -> float:
     vals = _positive_values(u)
     if not np.isfinite(u_bar) or u_bar <= 0.0:
         raise ValueError(f"reference density must be positive, got {u_bar!r}")
-    return integrate(u.with_values(vals * (np.log(vals) - np.log(u_bar)), FieldKind.GENERIC))
+    return _integrate(u.grid, vals * (np.log(vals) - np.log(u_bar)))
 
 
 def entropy_absolute(u: Field) -> float:
     """int u (log u - 1); differs from the relative entropy by an affine
     function of the (conserved) mass."""
     vals = _positive_values(u)
-    return integrate(u.with_values(vals * (np.log(vals) - 1.0), FieldKind.GENERIC))
+    return _integrate(u.grid, vals * (np.log(vals) - 1.0))
 
 
 def lyapunov_u_minus_logu(u: Field) -> float:
     """int (u - log u); convex, bounded below, decays along the flow."""
     vals = _positive_values(u)
-    return integrate(u.with_values(vals - np.log(vals), FieldKind.GENERIC))
+    return _integrate(u.grid, vals - np.log(vals))
 
 
 def entropy_production(u: Field, backend: DiffBackend = SPECTRAL) -> float:
     """int u |(log u)_xx|^2, the dissipation rate of the relative entropy."""
     vals = _positive_values(u)
-    y = u.with_values(np.log(vals), FieldKind.GENERIC)
-    d2y = derivative(y, 2, backend).values
-    return integrate(u.with_values(vals * d2y * d2y, FieldKind.GENERIC))
+    d2y = _derivative(u.grid, np.log(vals), 2, backend)
+    return _integrate(u.grid, vals * d2y * d2y)
 
 
 def production_decomposition(u: Field, backend: DiffBackend = SPECTRAL) -> tuple[float, float]:
@@ -92,13 +91,11 @@ def production_decomposition(u: Field, backend: DiffBackend = SPECTRAL) -> tuple
     with the spectral backend on smooth densities the gap is rounding-level.
     """
     vals = _positive_values(u)
-    s = u.with_values(np.sqrt(vals), FieldKind.GENERIC)
-    d2s = derivative(s, 2, backend).values
-    sqrt_part = 4.0 * integrate(u.with_values(d2s * d2s, FieldKind.GENERIC))
+    d2s = _derivative(u.grid, np.sqrt(vals), 2, backend)
+    sqrt_part = 4.0 * _integrate(u.grid, d2s * d2s)
     # u_x^4/u^3 = u (d/dx log u)^4; differentiating log u avoids 1/u^3
-    y = u.with_values(np.log(vals), FieldKind.GENERIC)
-    dy = derivative(y, 1, backend).values
-    quartic_part = integrate(u.with_values(vals * dy ** 4, FieldKind.GENERIC)) / 12.0
+    dy = _derivative(u.grid, np.log(vals), 1, backend)
+    quartic_part = _integrate(u.grid, vals * dy ** 4) / 12.0
     return sqrt_part, quartic_part
 
 

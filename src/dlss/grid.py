@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import circulant
 
-from .errors import NonPositiveDensity
+from .errors import NonPositiveDensity, ValidationError
 
 __all__ = [
     "POSITIVITY_FLOOR",
@@ -28,6 +28,7 @@ __all__ = [
     "FieldKind",
     "Field",
     "DiffBackend",
+    "BACKENDS",
     "SPECTRAL",
     "FD2",
     "FD4",
@@ -75,14 +76,15 @@ def make_grid(length: float, n_points: int) -> PeriodicGrid:
 
     ``n_points`` must be even (the Fourier backend pairs modes +-k and
     needs an unambiguous Nyquist mode) and at least 8 so that fourth-order
-    operators have room to act.
+    operators have room to act.  A rejected value raises ``ValidationError``
+    naming the argument.
     """
     if not np.isfinite(length) or length <= 0.0:
-        raise ValueError(f"grid length must be positive and finite, got {length!r}")
+        raise ValidationError("length", f"must be positive and finite, got {length!r}")
     if n_points % 2 != 0:
-        raise ValueError(f"n_points must be even, got odd value {n_points}")
+        raise ValidationError("n_points", f"must be even, got odd value {n_points}")
     if n_points < 8:
-        raise ValueError(f"n_points must be at least 8, got {n_points}")
+        raise ValidationError("n_points", f"must be at least 8, got {n_points}")
     return PeriodicGrid(float(length), int(n_points))
 
 
@@ -160,10 +162,10 @@ class DiffBackend:
     @staticmethod
     def from_name(name: str) -> "DiffBackend":
         try:
-            return _BACKENDS_BY_NAME[name.lower()]
+            return BACKENDS[name.lower()]
         except KeyError:
             raise ValueError(
-                f"unknown backend {name!r}; expected one of {sorted(_BACKENDS_BY_NAME)}"
+                f"unknown backend {name!r}; expected one of {sorted(BACKENDS)}"
             ) from None
 
 
@@ -171,7 +173,8 @@ SPECTRAL = DiffBackend(_BackendKind.SPECTRAL)
 FD2 = DiffBackend(_BackendKind.FINITE_DIFFERENCE, 2)
 FD4 = DiffBackend(_BackendKind.FINITE_DIFFERENCE, 4)
 
-_BACKENDS_BY_NAME = {"spectral": SPECTRAL, "fd2": FD2, "fd4": FD4}
+# Backends by name, the one table behind ``from_name`` and the command line.
+BACKENDS = {"spectral": SPECTRAL, "fd2": FD2, "fd4": FD4}
 
 
 def _spectral_derivative(values: np.ndarray, order: int, length: float) -> np.ndarray:
@@ -224,25 +227,27 @@ def _fd_derivative(values: np.ndarray, order: int, spacing: float, fd_order: int
     return out
 
 
+def _derivative(grid: PeriodicGrid, values: np.ndarray, order: int, backend: DiffBackend) -> np.ndarray:
+    """Array core of ``derivative`` for order >= 1; no validation."""
+    if backend.kind is _BackendKind.SPECTRAL:
+        return _spectral_derivative(values, order, grid.length)
+    return _fd_derivative(values, order, grid.spacing, backend.order)
+
+
 def derivative(f: Field, order: int, backend: DiffBackend = SPECTRAL) -> Field:
     """``order``-th periodic derivative of ``f`` as a GENERIC field."""
     if order < 0:
         raise ValueError(f"derivative order must be nonnegative, got {order}")
     if order == 0:
         return Field(f.grid, f.values, FieldKind.GENERIC)
-    if backend.kind is _BackendKind.SPECTRAL:
-        out = _spectral_derivative(f.values, order, f.grid.length)
-    else:
-        out = _fd_derivative(f.values, order, f.grid.spacing, backend.order)
-    return Field(f.grid, out, FieldKind.GENERIC)
+    return Field(f.grid, _derivative(f.grid, f.values, order, backend), FieldKind.GENERIC)
 
 
 @lru_cache(maxsize=None)
 def _diff_matrix_cached(length: float, n_points: int, order: int, backend: DiffBackend) -> np.ndarray:
-    grid = PeriodicGrid(length, n_points)
     delta = np.zeros(n_points)
     delta[0] = 1.0
-    col = derivative(Field(grid, delta), order, backend).values
+    col = _derivative(PeriodicGrid(length, n_points), delta, order, backend)
     # circulant(c)[i, j] = c[(i - j) mod n] = weight tying f_j to (Df)_i
     mat = circulant(col)
     mat.setflags(write=False)
@@ -258,9 +263,14 @@ def diff_matrix(grid: PeriodicGrid, order: int, backend: DiffBackend = SPECTRAL)
     return _diff_matrix_cached(grid.length, grid.n_points, order, backend)
 
 
+def _integrate(grid: PeriodicGrid, values: np.ndarray) -> float:
+    """Array core of ``integrate``."""
+    return float(grid.spacing * values.sum())
+
+
 def integrate(f: Field) -> float:
     """Rectangle rule: spacing times the nodal sum."""
-    return float(f.grid.spacing * f.values.sum())
+    return _integrate(f.grid, f.values)
 
 
 def mean(f: Field) -> float:

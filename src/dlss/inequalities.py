@@ -38,9 +38,8 @@ from .grid import (
     FieldKind,
     PeriodicGrid,
     SPECTRAL,
-    derivative,
-    integrate,
-    mean,
+    _derivative,
+    _integrate,
 )
 from .rng import random_smooth_field
 
@@ -137,35 +136,33 @@ def _xlogx_of_square(u: np.ndarray) -> np.ndarray:
 
 
 def _quotient_parts(
-    spec: QuotientSpec, u: Field, backend: DiffBackend
+    spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid, backend: DiffBackend
 ) -> tuple[float, float]:
-    grid = u.grid
-    vals = u.values
     if spec.kind is QuotientKind.POINCARE:
-        dn = derivative(u, spec.n, backend).values
-        num = integrate(Field(grid, dn * dn))
+        dn = _derivative(grid, vals, spec.n, backend)
+        num = _integrate(grid, dn * dn)
         dev = vals - vals.mean()
-        den = integrate(Field(grid, dev * dev))
+        den = _integrate(grid, dev * dev)
     elif spec.kind is QuotientKind.LOG_SOBOLEV:
-        dn = derivative(u, spec.n, backend).values
-        num = integrate(Field(grid, dn * dn))
-        norm_sq = integrate(Field(grid, vals * vals)) / grid.length
-        den = integrate(Field(grid, _xlogx_of_square(vals)))
+        dn = _derivative(grid, vals, spec.n, backend)
+        num = _integrate(grid, dn * dn)
+        norm_sq = _integrate(grid, vals * vals) / grid.length
+        den = _integrate(grid, _xlogx_of_square(vals))
         if norm_sq > 0.0:
             den -= grid.length * norm_sq * math.log(norm_sq)
     else:
         _require_positive(vals)
         p = spec.p
-        dv = derivative(u, 1, backend).values
-        num = p * integrate(Field(grid, vals ** (p - 2.0) * dv * dv))
-        vbar = mean(u)
-        den = (integrate(Field(grid, vals ** p)) - grid.length * vbar ** p) / (p - 1.0)
+        dv = _derivative(grid, vals, 1, backend)
+        num = p * _integrate(grid, vals ** (p - 2.0) * dv * dv)
+        vbar = float(vals.mean())
+        den = (_integrate(grid, vals ** p) - grid.length * vbar ** p) / (p - 1.0)
     return num, den
 
 
 def quotient_value(spec: QuotientSpec, u: Field, backend: DiffBackend = SPECTRAL) -> float:
     """Evaluate the quotient; degenerate (near-constant) input is an error."""
-    num, den = _quotient_parts(spec, u, backend)
+    num, den = _quotient_parts(spec, u.values, u.grid, backend)
     if abs(den) < _DEGENERACY_FLOOR:
         raise DegenerateDenominator(
             f"denominator {den:.3e} below {_DEGENERACY_FLOOR:.0e}; "
@@ -178,14 +175,13 @@ def _quotient_gradient(
     spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid, q: float, backend: DiffBackend
 ) -> np.ndarray:
     """L2 gradient of the quotient at a point where it equals q."""
-    f = Field(grid, vals)
     if spec.kind is QuotientKind.POINCARE:
         sign = -1.0 if spec.n % 2 else 1.0
-        d_num = 2.0 * sign * derivative(f, 2 * spec.n, backend).values
+        d_num = 2.0 * sign * _derivative(grid, vals, 2 * spec.n, backend)
         d_den = 2.0 * (vals - vals.mean())
     elif spec.kind is QuotientKind.LOG_SOBOLEV:
         sign = -1.0 if spec.n % 2 else 1.0
-        d_num = 2.0 * sign * derivative(f, 2 * spec.n, backend).values
+        d_num = 2.0 * sign * _derivative(grid, vals, 2 * spec.n, backend)
         norm_sq = float(np.mean(vals * vals))
         ratio = vals * vals / norm_sq
         logs = np.zeros_like(vals)
@@ -194,12 +190,12 @@ def _quotient_gradient(
         d_den = 2.0 * vals * logs
     else:
         p = spec.p
-        dv = derivative(f, 1, backend).values
-        flux = derivative(Field(grid, p * vals ** (p - 2.0) * dv), 1, backend).values
+        dv = _derivative(grid, vals, 1, backend)
+        flux = _derivative(grid, p * vals ** (p - 2.0) * dv, 1, backend)
         d_num = p * (p - 2.0) * vals ** (p - 3.0) * dv * dv - 2.0 * flux
         vbar = vals.mean()
         d_den = p * (vals ** (p - 1.0) - vbar ** (p - 1.0)) / (p - 1.0)
-    _, den = _quotient_parts(spec, Field(grid, vals), backend)
+    _, den = _quotient_parts(spec, vals, grid, backend)
     return (d_num - q * d_den) / den
 
 
@@ -233,7 +229,16 @@ def _normalize(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> np.n
     m = vals.mean()
     if m <= 0.0 or vals.min() <= POSITIVITY_FLOOR:
         return None
-    return vals / m
+    out = vals / m
+    if spec.p == 2.0:
+        # p = 2 is also invariant under v - vbar -> c (v - vbar); left free,
+        # descent grows the deviation until the positivity floor stops it
+        dev = out - 1.0
+        sup = float(np.abs(dev).max())
+        if sup <= 0.0:
+            return None
+        out = 1.0 + (0.5 / sup) * dev
+    return out
 
 
 def minimize_quotient(
@@ -247,7 +252,8 @@ def minimize_quotient(
     """Projected gradient descent on the quotient from ``u_init``.
 
     Each iterate is renormalised (mean-zero unit mass for Poincare, unit
-    norm for log-Sobolev, unit mean for convex Sobolev) and steps are
+    norm for log-Sobolev, unit mean for convex Sobolev, and at p = 2 also
+    sup |v / vbar - 1| = 1/2) and steps are
     backtracked until the quotient strictly decreases, so the value is
     monotone along the iteration.  The run stops, converged, as soon as
     one accepted step changes the quotient by less than ``tol`` in
@@ -381,9 +387,8 @@ def _flow_functionals(v: np.ndarray, grid: PeriodicGrid, p: float) -> tuple[floa
     """(f, dissipation, w) for the current flow state v."""
     el = grid.length
     w = v ** (p / 2.0)
-    wf = Field(grid, w)
-    wx = derivative(wf, 1).values
-    wxx = derivative(wf, 2).values
+    wx = _derivative(grid, w, 1, SPECTRAL)
+    wxx = _derivative(grid, w, 2, SPECTRAL)
     f = float(grid.spacing * (wx * wx).sum()) - (2.0 * math.pi ** 2 * p / el ** 2) * _sigma_integral(v, grid, p)
     quart = (2.0 / p - 1.0) * (wx ** 4) / (3.0 * w * w)
     dissipation = 2.0 * float(
@@ -486,9 +491,9 @@ def convex_sobolev_check(
     el = grid.length
     vals = u.values
     lhs = (
-        integrate(Field(grid, vals * vals))
-        - el * (integrate(Field(grid, vals ** (2.0 / p))) / el) ** p
+        _integrate(grid, vals * vals)
+        - el * (_integrate(grid, vals ** (2.0 / p)) / el) ** p
     ) / (p - 1.0)
-    ux = derivative(u, 1, backend).values
-    rhs = (el ** 2 / (2.0 * math.pi ** 2 * p)) * integrate(Field(grid, ux * ux))
+    ux = _derivative(grid, vals, 1, backend)
+    rhs = (el ** 2 / (2.0 * math.pi ** 2 * p)) * _integrate(grid, ux * ux)
     return lhs, rhs, lhs <= rhs + 1e-10

@@ -5,7 +5,10 @@ Config files are flat ``key = value`` lines.  ``#`` starts a comment,
 blank lines and ``[section]`` headers are cosmetic, every key must be
 known and appear at most once.  Structural problems raise ``ParseError``
 with the offending line number; admissibility problems raise
-``ValidationError`` with the offending field.
+``ValidationError`` with the offending key.  The grid and scheme keys are
+checked by the library objects they build (``make_grid``, ``SolverConfig``,
+``DiffBackend.from_name``, ``LinearSolver``), and omitted scheme keys take
+the ``SolverConfig`` defaults.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,11 +26,19 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .grid import DiffBackend, Field, FieldKind, PeriodicGrid, make_grid
+from .grid import (
+    SPECTRAL,
+    DiffBackend,
+    Field,
+    FieldKind,
+    PeriodicGrid,
+    _derivative,
+    _integrate,
+    make_grid,
+)
 from .rng import SplitMix64, random_log_density
 from .solver import LinearSolver, SolverConfig, TimeSeriesRecord, Trajectory
 from . import functionals
-from .grid import SPECTRAL, derivative, integrate
 
 __all__ = [
     "RunConfig",
@@ -38,33 +49,30 @@ __all__ = [
     "fit_decay",
     "default_fit_window",
     "identity_suite",
+    "write_atomic",
     "TIMESERIES_HEADER",
 ]
 
 TIMESERIES_HEADER = "t,mass,entropy_rel,lyap,production,min_u,newton_iters"
 
 _COMMANDS = ("solve", "certify", "heatflow", "fit", "identity")
-_BACKENDS = ("spectral", "fd2", "fd4")
-_LINEAR_SOLVERS = ("dense", "banded")
 _U0_KINDS = ("constant", "cosine", "file")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated contents of one run-configuration file."""
+    """Validated contents of one run-configuration file.
+
+    ``scheme`` holds the ``SolverConfig`` arguments other than tau that the
+    file sets; the rest keep the ``SolverConfig`` defaults.
+    """
 
     command: str
     length: float
     n_points: int
     t_final: float | None = None
     tau: float | None = None
-    epsilon: float = 0.0
-    newton_tol: float = 1e-10
-    max_newton: int = 25
-    damping: float = 0.5
-    backend_name: str = "spectral"
-    linear_solver_name: str = "dense"
-    renormalize_mass: bool = False
+    scheme: dict = field(default_factory=dict)
     u0_kind: str = "cosine"
     u0_value: float = 1.0
     u0_base: float = 1.0
@@ -73,23 +81,12 @@ class RunConfig:
     u0_path: str | None = None
     output: str | None = None
     record_every: int = 1
-    snapshot_every: int = 0
-    seed: int = 0
 
     def make_grid(self) -> PeriodicGrid:
         return make_grid(self.length, self.n_points)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            tau=self.tau,
-            epsilon=self.epsilon,
-            newton_tol=self.newton_tol,
-            max_newton=self.max_newton,
-            damping=self.damping,
-            backend=DiffBackend.from_name(self.backend_name),
-            linear_solver=LinearSolver(self.linear_solver_name),
-            renormalize_mass=self.renormalize_mass,
-        )
+        return SolverConfig(tau=self.tau, **self.scheme)
 
     def initial_density(self, grid: PeriodicGrid) -> Field:
         if self.u0_kind == "constant":
@@ -114,7 +111,7 @@ class RunConfig:
         return Field(grid, vals, FieldKind.DENSITY)
 
 
-# key -> (RunConfig attribute, converter name)
+# key -> (RunConfig attribute or SolverConfig field, converter)
 _SCHEMA = {
     "command": ("command", "str"),
     "L": ("length", "float"),
@@ -125,8 +122,8 @@ _SCHEMA = {
     "newton_tol": ("newton_tol", "float"),
     "max_newton": ("max_newton", "int"),
     "damping": ("damping", "float"),
-    "backend": ("backend_name", "str"),
-    "linear_solver": ("linear_solver_name", "str"),
+    "backend": ("backend", DiffBackend.from_name),
+    "linear_solver": ("linear_solver", LinearSolver),
     "renormalize_mass": ("renormalize_mass", "bool"),
     "u0": ("u0_kind", "str"),
     "u0_value": ("u0_value", "float"),
@@ -136,12 +133,27 @@ _SCHEMA = {
     "u0_path": ("u0_path", "str"),
     "output": ("output", "str"),
     "record_every": ("record_every", "int"),
-    "snapshot_every": ("snapshot_every", "int"),
-    "seed": ("seed", "int"),
 }
+# The library names what it rejects by attribute; these are the run-file keys.
+_KEY_OF = {attr: key for key, (attr, _) in _SCHEMA.items()}
+_SCHEME_FIELDS = tuple(f.name for f in fields(SolverConfig) if f.name != "tau")
 
 
-def _convert(kind: str, raw: str, key: str, line_no: int):
+def _library_check(build) -> None:
+    """Run a library constructor; the attribute it rejects is renamed to
+    its run-file key."""
+    try:
+        build()
+    except ValidationError as exc:
+        raise ValidationError(_KEY_OF[exc.field], exc.reason) from None
+
+
+def _convert(kind, raw: str, key: str, line_no: int):
+    if callable(kind):
+        try:
+            return kind(raw)
+        except ValueError as exc:
+            raise ValidationError(key, str(exc)) from None
     if kind == "str":
         return raw
     if kind == "bool":
@@ -173,75 +185,47 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(line_no, f"unknown key {key!r}")
         if key in seen:
             raise ParseError(line_no, f"duplicate key {key!r}")
-        attr, kind = _SCHEMA[key]
-        seen[attr] = _convert(kind, raw_value, key, line_no)
+        seen[key] = _convert(_SCHEMA[key][1], raw_value, key, line_no)
 
     for key in ("command", "L", "N"):
-        attr, _ = _SCHEMA[key]
-        if attr not in seen:
+        if key not in seen:
             raise ValidationError(key, "required")
-    cfg = RunConfig(**seen)
+    attrs = {_SCHEMA[key][0]: value for key, value in seen.items()}
+    scheme = {attr: attrs.pop(attr) for attr in _SCHEME_FIELDS if attr in attrs}
+    cfg = RunConfig(scheme=scheme, **attrs)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
+    """The checks no library object makes; the library objects make the rest."""
     if cfg.command not in _COMMANDS:
         raise ValidationError("command", f"must be one of {_COMMANDS}, got {cfg.command!r}")
-    if not cfg.length > 0.0 or not math.isfinite(cfg.length):
-        raise ValidationError("L", f"must be positive and finite, got {cfg.length}")
-    if cfg.n_points < 8 or cfg.n_points % 2 != 0:
-        raise ValidationError("N", f"must be even and at least 8, got {cfg.n_points}")
-    if cfg.backend_name not in _BACKENDS:
-        raise ValidationError("backend", f"must be one of {_BACKENDS}, got {cfg.backend_name!r}")
-    if cfg.linear_solver_name not in _LINEAR_SOLVERS:
-        raise ValidationError(
-            "linear_solver", f"must be one of {_LINEAR_SOLVERS}, got {cfg.linear_solver_name!r}"
-        )
-    if cfg.linear_solver_name == "banded" and cfg.backend_name == "spectral":
-        raise ValidationError(
-            "linear_solver", "banded solver requires a finite-difference backend"
-        )
-    if cfg.epsilon < 0.0:
-        raise ValidationError("epsilon", f"must be nonnegative, got {cfg.epsilon}")
-    if not cfg.newton_tol > 0.0:
-        raise ValidationError("newton_tol", f"must be positive, got {cfg.newton_tol}")
-    if cfg.max_newton < 1:
-        raise ValidationError("max_newton", f"must be at least 1, got {cfg.max_newton}")
-    if not 0.0 < cfg.damping <= 1.0:
-        raise ValidationError("damping", f"must lie in (0, 1], got {cfg.damping}")
-    if cfg.record_every < 1:
-        raise ValidationError("record_every", f"must be at least 1, got {cfg.record_every}")
-    if cfg.snapshot_every < 0:
-        raise ValidationError("snapshot_every", f"must be nonnegative, got {cfg.snapshot_every}")
-    if cfg.seed < 0:
-        raise ValidationError("seed", f"must be nonnegative, got {cfg.seed}")
-
-    if cfg.command == "solve":
-        if cfg.t_final is None:
-            raise ValidationError("T", "required")
-        if cfg.tau is None:
-            raise ValidationError("tau", "required")
-        if not cfg.t_final > 0.0:
-            raise ValidationError("T", f"must be positive, got {cfg.t_final}")
-        if not cfg.tau > 0.0:
-            raise ValidationError("tau", f"must be positive, got {cfg.tau}")
-        if cfg.u0_kind not in _U0_KINDS:
-            raise ValidationError("u0", f"must be one of {_U0_KINDS}, got {cfg.u0_kind!r}")
-        if cfg.u0_kind == "constant" and not cfg.u0_value > 0.0:
-            raise ValidationError("u0_value", f"must be positive, got {cfg.u0_value}")
-        if cfg.u0_kind == "cosine":
-            if not cfg.u0_base > 0.0:
-                raise ValidationError("u0_base", f"must be positive, got {cfg.u0_base}")
-            if abs(cfg.u0_amplitude) >= cfg.u0_base:
-                raise ValidationError(
-                    "u0_amplitude",
-                    f"|amplitude| = {abs(cfg.u0_amplitude)} must stay below base = {cfg.u0_base}",
-                )
-            if cfg.u0_mode < 0:
-                raise ValidationError("u0_mode", f"must be nonnegative, got {cfg.u0_mode}")
-        if cfg.u0_kind == "file" and not cfg.u0_path:
-            raise ValidationError("u0_path", "required")
+    _library_check(cfg.make_grid)
+    if cfg.tau is not None:
+        _library_check(cfg.solver_config)
+    if cfg.command != "solve":
+        return
+    if cfg.t_final is None:
+        raise ValidationError("T", "required")
+    if cfg.tau is None:
+        raise ValidationError("tau", "required")
+    if cfg.u0_kind not in _U0_KINDS:
+        raise ValidationError("u0", f"must be one of {_U0_KINDS}, got {cfg.u0_kind!r}")
+    if cfg.u0_kind == "constant" and not cfg.u0_value > 0.0:
+        raise ValidationError("u0_value", f"must be positive, got {cfg.u0_value}")
+    if cfg.u0_kind == "cosine":
+        if not cfg.u0_base > 0.0:
+            raise ValidationError("u0_base", f"must be positive, got {cfg.u0_base}")
+        if abs(cfg.u0_amplitude) >= cfg.u0_base:
+            raise ValidationError(
+                "u0_amplitude",
+                f"|amplitude| = {abs(cfg.u0_amplitude)} must stay below base = {cfg.u0_base}",
+            )
+        if cfg.u0_mode < 0:
+            raise ValidationError("u0_mode", f"must be nonnegative, got {cfg.u0_mode}")
+    if cfg.u0_kind == "file" and not cfg.u0_path:
+        raise ValidationError("u0_path", "required")
 
 
 def _format_float(x: float) -> str:
@@ -267,12 +251,18 @@ def emit_timeseries(trajectory: Trajectory, path: str) -> None:
                 )
             )
         )
-    body = "\n".join(lines) + "\n"
+    write_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` with LF line endings through a temporary file in the
+    target directory and an atomic replace, so readers never see a partial
+    file and a failed write leaves nothing behind."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".timeseries-", suffix=".tmp")
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".dlss-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(body)
+            handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -402,14 +392,14 @@ def identity_suite(
         u = random_log_density(grid, n_modes, trial_seed)
         vals = u.values
 
-        ux = derivative(u, 1, backend).values
-        uxx = derivative(u, 2, backend).values
-        sbp_lhs = integrate(Field(grid, vals * uxx))
-        sbp_rhs = -integrate(Field(grid, ux * ux))
+        ux = _derivative(grid, vals, 1, backend)
+        uxx = _derivative(grid, vals, 2, backend)
+        sbp_lhs = _integrate(grid, vals * uxx)
+        sbp_rhs = -_integrate(grid, ux * ux)
         worst["summation_by_parts"] = max(worst["summation_by_parts"], _rel_err(sbp_lhs, sbp_rhs))
 
-        quart_lhs = integrate(Field(grid, ux * ux * uxx / (vals * vals)))
-        quart_rhs = (2.0 / 3.0) * integrate(Field(grid, ux ** 4 / vals ** 3))
+        quart_lhs = _integrate(grid, ux * ux * uxx / (vals * vals))
+        quart_rhs = (2.0 / 3.0) * _integrate(grid, ux ** 4 / vals ** 3)
         worst["quartic_identity"] = max(worst["quartic_identity"], _rel_err(quart_lhs, quart_rhs))
 
         production = functionals.entropy_production(u, backend)

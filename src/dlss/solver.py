@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NoConvergence, NonPositiveDensity, SingularJacobian
+from .errors import NoConvergence, NonPositiveDensity, SingularJacobian, ValidationError
 from .functionals import report
 from .grid import (
     POSITIVITY_FLOOR,
@@ -40,9 +40,8 @@ from .grid import (
     FieldKind,
     PeriodicGrid,
     SPECTRAL,
-    derivative,
+    _derivative,
     diff_matrix,
-    integrate,
 )
 from .linalg import CyclicBandedLU, DenseLU
 
@@ -82,6 +81,7 @@ class SolverConfig:
     derivatives: about 1e-11 at N = 64 and 3e-9 at N = 256 on the unit
     circle scale.  Tolerances below that floor cannot converge; the
     default 1e-8 is safe up to N = 256, larger grids need a looser value.
+    A rejected value raises ``ValidationError`` naming the field.
     """
 
     tau: float
@@ -95,19 +95,20 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+            raise ValidationError("tau", f"must be positive, got {self.tau}")
         if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+            raise ValidationError("epsilon", f"must be nonnegative, got {self.epsilon}")
         if not self.newton_tol > 0.0:
-            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
+            raise ValidationError("newton_tol", f"must be positive, got {self.newton_tol}")
         if self.max_newton < 1:
-            raise ValueError(f"max_newton must be at least 1, got {self.max_newton}")
+            raise ValidationError("max_newton", f"must be at least 1, got {self.max_newton}")
         if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
+            raise ValidationError("damping", f"must lie in (0, 1], got {self.damping}")
         if self.linear_solver is LinearSolver.BANDED and self.backend is SPECTRAL:
-            raise ValueError(
-                "banded linear solver needs a finite-difference backend; "
-                "the spectral second derivative is dense"
+            raise ValidationError(
+                "linear_solver",
+                "banded needs a finite-difference backend; "
+                "the spectral second derivative is dense",
             )
 
 
@@ -156,9 +157,8 @@ def residual(y: Field, y_prev: Field, config: SolverConfig) -> Field:
 
 def _residual_values(y: Array, eu_prev: Array, grid: PeriodicGrid, config: SolverConfig) -> Array:
     ey = np.exp(y)
-    yf = Field(grid, y, FieldKind.LOG_DENSITY)
-    d2y = derivative(yf, 2, config.backend).values
-    flux = derivative(Field(grid, ey * d2y), 2, config.backend).values
+    d2y = _derivative(grid, y, 2, config.backend)
+    flux = _derivative(grid, ey * d2y, 2, config.backend)
     r = (ey - eu_prev) / config.tau + flux
     if config.epsilon != 0.0:
         r += config.epsilon * (y - d2y)
@@ -206,6 +206,33 @@ class _NewtonWorkspace:
         self.factor = None
 
 
+def _line_search(
+    y: Array,
+    delta: Array,
+    rnorm: float,
+    eu_prev: Array,
+    grid: PeriodicGrid,
+    config: SolverConfig,
+    iterations: int,
+) -> tuple[Array, Array, float]:
+    """Damped backtracking along ``delta``; returns (y, F(y), |F(y)|_inf) at
+    the first step length that lowers the residual or meets the tolerance."""
+    lam = 1.0
+    for _ in range(_MAX_BACKTRACKS + 1):
+        y_trial = y + lam * delta
+        r_trial = _residual_values(y_trial, eu_prev, grid, config)
+        rnorm_trial = float(np.abs(r_trial).max())
+        if rnorm_trial < rnorm or rnorm_trial <= config.newton_tol:
+            return y_trial, r_trial, rnorm_trial
+        lam *= config.damping
+    raise NoConvergence(
+        f"line search failed to reduce the residual after {_MAX_BACKTRACKS} "
+        f"reductions (residual {rnorm:.3e})",
+        iterations=iterations,
+        residual=rnorm,
+    )
+
+
 def _newton_loop(
     y0: Array,
     eu_prev: Array,
@@ -235,26 +262,16 @@ def _newton_loop(
         if not reuse or workspace.factor is None:
             workspace.refresh(y, grid, config)
         delta = workspace.factor.solve(-r)
-
-        lam = 1.0
-        for _ in range(_MAX_BACKTRACKS + 1):
-            y_trial = y + lam * delta
-            r_trial = _residual_values(y_trial, eu_prev, grid, config)
-            rnorm_trial = float(np.abs(r_trial).max())
-            if rnorm_trial < rnorm or rnorm_trial <= config.newton_tol:
-                break
-            lam *= config.damping
-        else:
+        try:
+            y_trial, r_trial, rnorm_trial = _line_search(
+                y, delta, rnorm, eu_prev, grid, config, iters
+            )
+        except NoConvergence:
             if reuse and workspace.stale:
                 # the stale factor pointed uphill; retry iteration with a fresh one
                 workspace.invalidate()
                 continue
-            raise NoConvergence(
-                f"line search failed to reduce the residual after "
-                f"{_MAX_BACKTRACKS} reductions (residual {rnorm:.3e})",
-                iterations=iters,
-                residual=rnorm,
-            )
+            raise
 
         contraction = rnorm_trial / rnorm if rnorm > 0.0 else 0.0
         y, r, rnorm = y_trial, r_trial, rnorm_trial
@@ -284,22 +301,9 @@ def newton_step(y: Field, y_prev: Field, config: SolverConfig) -> tuple[Field, f
     rnorm = float(np.abs(r).max())
     if rnorm <= config.newton_tol:
         return Field(grid, y.values, FieldKind.LOG_DENSITY), rnorm
-    factor = _factorise(jacobian(y, config), config)
-    delta = factor.solve(-r)
-    lam = 1.0
-    for _ in range(_MAX_BACKTRACKS + 1):
-        y_trial = y.values + lam * delta
-        r_trial = _residual_values(y_trial, eu_prev, grid, config)
-        rnorm_trial = float(np.abs(r_trial).max())
-        if rnorm_trial < rnorm or rnorm_trial <= config.newton_tol:
-            return Field(grid, y_trial, FieldKind.LOG_DENSITY), rnorm_trial
-        lam *= config.damping
-    raise NoConvergence(
-        f"line search failed to reduce the residual after {_MAX_BACKTRACKS} "
-        f"reductions (residual {rnorm:.3e})",
-        iterations=1,
-        residual=rnorm,
-    )
+    delta = _factorise(jacobian(y, config), config).solve(-r)
+    y_new, _, rnorm_new = _line_search(y.values, delta, rnorm, eu_prev, grid, config, 1)
+    return Field(grid, y_new, FieldKind.LOG_DENSITY), rnorm_new
 
 
 def step(y_prev: Field, config: SolverConfig) -> tuple[Field, int]:

@@ -59,6 +59,17 @@ class TestSolve:
         assert out_a == out_b
         assert csv_path.read_bytes() == bytes_a
 
+    def test_omitted_newton_tol_converges_at_n256(self, tmp_path, capsys):
+        # the run gets SolverConfig's newton_tol = 1e-8, above the N = 256 floor
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"command = solve\nL = {TWO_PI!r}\nN = 256\nT = 0.0002\ntau = 1e-4\n"
+            "u0_amplitude = 0.1\n"
+        )
+        code, out, err = run_cli(capsys, ["solve", "--config", str(config)])
+        assert code == 0, err
+        assert json.loads(out)["n_records"] == 3
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["solve", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2

@@ -167,6 +167,14 @@ class TestCertifyConstant:
         assert res.converged
         assert res.rel_error < 1e-8
 
+    @pytest.mark.parametrize("seed", [10, 14, 15])
+    def test_convex_p2_single_starts_reach_sharp_constant(self, grid256, seed):
+        # p = 2 is also invariant under scaling of v - vbar; unless that scale
+        # is pinned, descent from these starts stops on the positivity floor
+        res = dlss.certify_constant(convex_sobolev(2.0), grid256, seeds=(seed,))
+        assert res.converged
+        assert res.rel_error < 1e-8
+
     def test_log_sobolev_certificate(self, grid64):
         res = dlss.certify_constant(log_sobolev(1), grid64)
         assert res.converged

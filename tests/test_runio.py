@@ -29,9 +29,11 @@ class TestParseConfig:
         assert cfg.t_final == 0.01
         assert cfg.tau == 0.001
         # defaults
-        assert cfg.backend_name == "spectral"
         assert cfg.u0_kind == "cosine"
         assert cfg.record_every == 1
+
+    def test_omitted_scheme_keys_take_solver_config_defaults(self):
+        assert parse_config(MINIMAL).solver_config() == SolverConfig(tau=0.001)
 
     def test_comments_sections_and_blank_lines_ignored(self):
         text = (
@@ -59,6 +61,9 @@ class TestParseConfig:
             ("N 64", 6),
             ("[unclosed", 6),
             ("renormalize_mass = maybe", 6),
+            ("seed = 1", 6),
+            ("snapshot_every = 5", 6),
+            ("N = 32", 6),  # duplicate of a key whose attribute name differs
         ],
     )
     def test_parse_errors_carry_line_numbers(self, line, line_no):
