@@ -8,7 +8,9 @@ polynomials up to the aliasing limit exactly and is therefore spectrally
 accurate for smooth periodic integrands.
 
 Both derivative backends are linear circulant operators; ``diff_matrix``
-materialises any of them as a dense matrix for Jacobian assembly.
+materialises any of them as a dense matrix for Jacobian assembly, and the
+finite-difference second derivative also comes as a sparse matrix for the
+banded Newton systems.
 """
 
 from __future__ import annotations
@@ -261,6 +263,25 @@ def diff_matrix(grid: PeriodicGrid, order: int, backend: DiffBackend = SPECTRAL)
     Jacobians consistent with the residuals they linearise.
     """
     return _diff_matrix_cached(grid.length, grid.n_points, order, backend)
+
+
+@lru_cache(maxsize=None)
+def _sparse_diff2(grid: PeriodicGrid, backend: DiffBackend):
+    """Finite-difference second derivative as a read-only scipy.sparse
+    CSC array, built from the stencil taps in O(N); entry for entry equal
+    to ``diff_matrix(grid, 2, backend)``."""
+    from scipy.sparse import csc_array
+
+    offsets, weights = _fd_taps(2, backend.order)
+    n = grid.n_points
+    rows = np.tile(np.arange(n), len(offsets))
+    # row i holds w at column i + off, as in diff_matrix
+    cols = (rows + np.repeat(offsets, n)) % n
+    vals = np.repeat(weights, n) * grid.spacing ** (-2)
+    mat = csc_array((vals, (rows, cols)), shape=(n, n))
+    for part in (mat.data, mat.indices, mat.indptr):
+        part.setflags(write=False)
+    return mat
 
 
 def _integrate(grid: PeriodicGrid, values: np.ndarray) -> float:

@@ -403,6 +403,8 @@ def _heat_steps(v0: np.ndarray, grid: PeriodicGrid, t_final: float, dt: float):
     Each step multiplies the spectrum by exp(-k^2 dt): the exact flow on
     the grid, unconditionally stable, no splitting error in t.
     """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     n_steps = int(round(t_final / dt))
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-8 * max(1.0, t_final):
         raise ValueError(f"t_final = {t_final} is not an integer multiple of dt = {dt}")

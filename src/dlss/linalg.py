@@ -1,21 +1,18 @@
 """Direct solvers for the Newton systems.
 
-Periodic finite-difference Jacobians are banded up to two wraparound
-corner blocks.  ``CyclicBandedLU`` factorises the banded core with LAPACK
-``gbtrf`` and folds the corners back in through a rank-2b Woodbury
-correction, so a factor-once / solve-many workflow costs O(N b^2) per
-factorisation and O(N b) per solve instead of O(N^3) / O(N^2) dense.
-
-The splitting A = B + U V^T (B banded, U V^T the corners) requires the
-band and the corners to be disjoint, i.e. n > 4 * halfwidth; tiny grids
-should use the dense path instead.
+``DenseLU`` factorises any Jacobian with LAPACK.  Periodic
+finite-difference Jacobians are sparse: every nonzero lies within a fixed
+cyclic distance of the diagonal, a band plus its two wraparound corners.
+``CyclicBandedLU`` hands such a matrix to SuperLU
+(``scipy.sparse.linalg.splu``), so for a fixed halfwidth its storage and
+its factor-once / solve-many work grow like N instead of N^2 / N^3.
+``scipy.sparse`` is imported only when a banded matrix is factorised.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import SingularJacobian
 
@@ -40,79 +37,40 @@ class DenseLU:
         return out
 
 
-def _band_storage(mat: np.ndarray, halfwidth: int) -> np.ndarray:
-    """LAPACK gbtrf layout: A[i, j] lives at ab[2*hw + i - j, j]."""
-    n = mat.shape[0]
-    hw = halfwidth
-    ab = np.zeros((3 * hw + 1, n))
-    for off in range(-hw, hw + 1):
-        diag = np.diagonal(mat, offset=off)
-        if off >= 0:
-            ab[2 * hw - off, off:] = diag
-        else:
-            ab[2 * hw - off, : n + off] = diag
-    return ab
-
-
 class CyclicBandedLU:
-    """Factorisation of a periodic banded matrix.
+    """Sparse LU of a periodic banded matrix.
 
-    ``mat`` must vanish outside the band |i - j| <= halfwidth and the two
-    halfwidth x halfwidth wraparound corners.  Entries elsewhere are
-    silently ignored, so callers should only hand over matrices with the
-    advertised sparsity.
+    ``mat`` is a square dense ndarray or scipy.sparse matrix whose entry
+    (i, j) vanishes unless the cyclic distance min(|i - j|, n - |i - j|)
+    is at most ``halfwidth``: the band plus the two wraparound corners.
+    A nonzero entry farther out raises ``ValueError``.
     """
 
-    def __init__(self, mat: np.ndarray, halfwidth: int):
-        n = mat.shape[0]
-        hw = halfwidth
-        if hw < 1:
-            raise ValueError(f"halfwidth must be positive, got {hw}")
-        if n <= 4 * hw:
+    def __init__(self, mat, halfwidth: int):
+        from scipy.sparse import csc_array
+        from scipy.sparse.linalg import splu
+
+        if halfwidth < 1:
+            raise ValueError(f"halfwidth must be positive, got {halfwidth}")
+        csc = csc_array(mat)
+        n = csc.shape[0]
+        coo = csc.tocoo()
+        gap = np.abs(coo.row - coo.col)
+        outside = (np.minimum(gap, n - gap) > halfwidth) & (coo.data != 0.0)
+        if outside.any():
             raise ValueError(
-                f"cyclic banded split needs n > 4*halfwidth, got n={n}, halfwidth={hw}"
+                f"{np.count_nonzero(outside)} nonzero entries lie outside the "
+                f"periodic band of halfwidth {halfwidth}"
             )
-        self._n = n
-        self._hw = hw
-
-        ab = _band_storage(mat, hw)
-        lu, ipiv, info = dgbtrf(ab, hw, hw)
-        if info != 0:
-            raise SingularJacobian(f"banded LU failed with LAPACK info={info}")
-        self._lu = lu
-        self._ipiv = ipiv
-
-        # Corners as a rank-2*hw update: A = B + U V^T with
-        # U[:hw, :hw] = top-right block, U[-hw:, hw:] = bottom-left block,
-        # V placing them against the opposite edge's identity.
-        top_right = mat[:hw, n - hw:]
-        bottom_left = mat[n - hw:, :hw]
-        u = np.zeros((n, 2 * hw))
-        u[:hw, :hw] = top_right
-        u[n - hw:, hw:] = bottom_left
-        self._binv_u = self._solve_banded(u)
-        cap = np.eye(2 * hw)
-        cap[:hw, :] += self._binv_u[n - hw:, :]
-        cap[hw:, :] += self._binv_u[:hw, :]
         try:
-            self._cap_lu = lu_factor(cap)
-        except Exception as exc:
-            raise SingularJacobian(f"corner capacitance singular: {exc}") from exc
-
-    def _solve_banded(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = dgbtrs(self._lu, self._hw, self._hw, rhs, self._ipiv)
-        if info != 0:
-            raise SingularJacobian(f"banded back-substitution failed, info={info}")
-        return x
+            # In natural order the fill stays inside the band, widened by
+            # pivoting, plus strips along the last rows and columns: O(N b).
+            self._lu = splu(csc, permc_spec="NATURAL")
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SingularJacobian(f"sparse LU failed: {exc}") from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        n, hw = self._n, self._hw
-        x0 = self._solve_banded(rhs)
-        # V^T x0 stacks the bottom edge (seen by the top-right corner)
-        # over the top edge (seen by the bottom-left corner).
-        vtx = np.concatenate([x0[n - hw:], x0[:hw]])
-        z = lu_solve(self._cap_lu, vtx)
-        out = x0 - self._binv_u @ z
+        out = self._lu.solve(rhs)
         if not np.all(np.isfinite(out)):
             raise SingularJacobian("cyclic banded solve produced non-finite values")
         return out

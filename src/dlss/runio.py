@@ -327,6 +327,8 @@ def default_fit_window(series) -> tuple[float, float]:
 def fit_decay(series, window: tuple[float, float], length: float) -> DecayReport:
     """Fit log E(t) = log E0 - rate * t on the samples inside ``window``
     and compare the rate against the sharp value 32 pi^4 / L^4."""
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValidationError("length", f"must be positive and finite, got {length!r}")
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"series must be an array of (t, E) pairs, got shape {arr.shape}")

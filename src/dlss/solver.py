@@ -41,6 +41,7 @@ from .grid import (
     PeriodicGrid,
     SPECTRAL,
     _derivative,
+    _sparse_diff2,
     diff_matrix,
 )
 from .linalg import CyclicBandedLU, DenseLU
@@ -165,27 +166,38 @@ def _residual_values(y: Array, eu_prev: Array, grid: PeriodicGrid, config: Solve
     return r
 
 
-def jacobian(y: Field, config: SolverConfig) -> np.ndarray:
-    """Exact dense Jacobian of the residual at y."""
-    d2 = diff_matrix(y.grid, 2, config.backend)
+def jacobian(y: Field, config: SolverConfig):
+    """Exact Jacobian of the residual at y, in the form the configured
+    linear solver factorises: a dense ndarray for ``LinearSolver.DENSE``,
+    a scipy.sparse CSC array for ``LinearSolver.BANDED``.  The banded form
+    starts from the sparse stencil of D2, so no N x N array is formed."""
+    if config.linear_solver is LinearSolver.BANDED:
+        d2 = _sparse_diff2(y.grid, config.backend)
+    else:
+        d2 = diff_matrix(y.grid, 2, config.backend)
     ey = np.exp(y.values)
     d2y = d2 @ y.values
     # D2 diag(b) is column scaling; avoids a second matrix product.
     jac = d2 @ (ey[:, None] * d2)
     jac += d2 * (ey * d2y)[None, :]
     if config.epsilon != 0.0:
-        jac = jac - config.epsilon * d2
-        jac[np.diag_indices_from(jac)] += config.epsilon
-    jac[np.diag_indices_from(jac)] += ey / config.tau
-    return jac
+        jac = _add_diagonal(jac - config.epsilon * d2, config.epsilon)
+    return _add_diagonal(jac, ey / config.tau)
 
 
-def _factorise(jac: np.ndarray, config: SolverConfig):
+def _add_diagonal(mat, values):
+    """mat + diag(values); a dense ndarray is updated in place."""
+    if isinstance(mat, np.ndarray):
+        mat[np.diag_indices_from(mat)] += values
+    else:
+        mat.setdiag(mat.diagonal() + values)
+    return mat
+
+
+def _factorise(jac, config: SolverConfig):
     if config.linear_solver is LinearSolver.BANDED:
-        halfwidth = config.backend.order  # two stacked D2 stencils of halfwidth order/2
-        if jac.shape[0] > 4 * halfwidth:
-            return CyclicBandedLU(jac, halfwidth)
-        # tiny grids: the corner split degenerates, dense is exact and cheap
+        # two stacked D2 stencils of halfwidth order/2
+        return CyclicBandedLU(jac, config.backend.order)
     return DenseLU(jac)
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -29,3 +30,14 @@ def grid128():
 @pytest.fixture(scope="session")
 def grid256():
     return dlss.make_grid(TWO_PI, 256)
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """Environment for a Python subprocess that must import the same
+    ``dlss`` as this process, installed or not: ``PYTHONPATH`` starts with
+    the directory holding the imported package."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(dlss.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    return env

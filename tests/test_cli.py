@@ -199,6 +199,17 @@ class TestHeatflow:
         )
         assert code == 2
 
+    def test_zero_dt_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            [
+                "heatflow", "--L", str(TWO_PI), "--N", "64", "--p", "1.0",
+                "--T", "1.0", "--dt", "0",
+            ],
+        )
+        assert code == 2
+        assert "dt" in err
+
 
 class TestFit:
     @pytest.fixture()
@@ -236,6 +247,13 @@ class TestFit:
         assert code == 3
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("length", ["0", str(-TWO_PI), "nan"])
+    def test_rejects_bad_length(self, csv_file, capsys, length):
+        code, out, err = run_cli(capsys, ["fit", "--input", str(csv_file), "--L", length])
+        assert code == 2
+        assert out == ""
+        assert "length" in err
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, ["fit", "--input", str(tmp_path / "no.csv"), "--L", "1"])
         assert code == 2
@@ -269,10 +287,10 @@ class TestParser:
             main([])
         assert excinfo.value.code == 2
 
-    def test_installed_entry_point(self):
+    def test_installed_entry_point(self, package_env):
         out = subprocess.run(
             [sys.executable, "-m", "dlss.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env,
         )
         assert out.returncode == 0
         for name in ("solve", "certify", "heatflow", "fit", "identity"):

@@ -245,6 +245,12 @@ class TestHeatFlow:
     def test_rejects_off_lattice_horizon(self, grid64):
         with pytest.raises(ValueError):
             dlss.heatflow_verify(cosine_density(grid64), 1.0, 0.0105, 1e-3)
+        # a step that is not positive and finite has no lattice at all
+        for dt in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="dt"):
+                dlss.heatflow_verify(cosine_density(grid64), 1.0, 0.01, dt)
+            with pytest.raises(ValueError, match="dt"):
+                dlss.remainder_R(cosine_density(grid64), 1.5, 1.0, dt)
 
     def test_rejects_nonpositive_datum(self, grid64):
         u = Field(grid64, np.cos(grid64.nodes), FieldKind.GENERIC)

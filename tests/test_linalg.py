@@ -1,10 +1,17 @@
+import subprocess
+import sys
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 import dlss
-from dlss import FD2, FD4
+from dlss import FD2, FD4, Field, FieldKind, LinearSolver, SolverConfig
 from dlss.linalg import CyclicBandedLU, DenseLU
 from dlss.rng import SplitMix64
+from dlss.solver import jacobian
 
 
 def _random_cyclic_banded(n, halfwidth, seed):
@@ -50,9 +57,6 @@ class TestCyclicBandedLU:
 
     def test_matches_dense_on_fd_jacobian(self, grid64):
         # Jacobians from the implicit step are the intended workload.
-        from dlss import Field, FieldKind
-        from dlss.solver import SolverConfig, jacobian
-
         u = 1.0 + 0.4 * np.sin(grid64.nodes)
         y = Field(grid64, np.log(u), FieldKind.LOG_DENSITY)
         for backend in (FD2, FD4):
@@ -67,15 +71,50 @@ class TestCyclicBandedLU:
         with pytest.raises(ValueError):
             CyclicBandedLU(np.eye(16), 0)
 
-    def test_rejects_band_too_wide_for_size(self):
-        # Corner correction needs n > 4 * halfwidth.
-        with pytest.raises(ValueError):
-            CyclicBandedLU(np.eye(8), 2)
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_matches_dense_on_tiny_fd4_grids(self, n):
+        # the fd4 Jacobian's band (halfwidth 4) wraps around the whole grid
+        grid = dlss.make_grid(2.0 * np.pi, n)
+        u0 = Field(grid, 1.0 + 0.3 * np.sin(grid.nodes), FieldKind.DENSITY)
+        dense = SolverConfig(tau=1e-3, newton_tol=1e-10, backend=FD4)
+        banded = replace(dense, linear_solver=LinearSolver.BANDED)
+        y = Field(grid, np.log(u0.values), FieldKind.LOG_DENSITY)
+        rhs = np.cos(grid.nodes)
+        x_banded = CyclicBandedLU(jacobian(y, banded), FD4.order).solve(rhs)
+        x_dense = DenseLU(jacobian(y, dense)).solve(rhs)
+        assert np.allclose(x_banded, x_dense, rtol=1e-10, atol=1e-14)
+        ta = dlss.solve(u0, 0.01, dense)
+        tb = dlss.solve(u0, 0.01, banded)
+        assert [r.newton_iters for r in ta.records] == [r.newton_iters for r in tb.records]
+        assert np.allclose(ta.final_y.values, tb.final_y.values, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("to_input", [np.asarray, csc_array])
+    def test_rejects_entry_outside_periodic_band(self, to_input):
+        mat = _random_cyclic_banded(16, 1, seed=3)
+        CyclicBandedLU(to_input(mat), 1)  # the corners (0, 15), (15, 0) are in the band
+        mat[0, 2] = 0.5
+        with pytest.raises(ValueError, match="outside the periodic band"):
+            CyclicBandedLU(to_input(mat), 1)
 
     def test_singular_matrix_raises(self):
         mat = np.zeros((16, 16))
         with pytest.raises(dlss.SingularJacobian):
             CyclicBandedLU(mat, 1).solve(np.ones(16))
+
+    def test_banded_newton_system_stays_below_dense_memory(self):
+        n = 4096
+        grid = dlss.make_grid(2.0 * np.pi, n)
+        u = 1.0 + 0.4 * np.sin(grid.nodes)
+        y = Field(grid, np.log(u), FieldKind.LOG_DENSITY)
+        config = SolverConfig(tau=1e-2, backend=FD4, linear_solver=LinearSolver.BANDED)
+        tracemalloc.start()
+        try:
+            x = CyclicBandedLU(jacobian(y, config), FD4.order).solve(np.cos(grid.nodes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(x))
+        assert peak < n * n * 8
 
     def test_repeated_solves_reuse_factorization(self):
         mat = _random_cyclic_banded(32, 2, seed=5)
@@ -83,3 +122,13 @@ class TestCyclicBandedLU:
         for k in range(4):
             rhs = np.roll(np.eye(32)[0], k).astype(float)
             assert np.allclose(mat @ lu.solve(rhs), rhs, atol=1e-11)
+
+
+def test_import_leaves_scipy_sparse_unloaded(package_env):
+    # only a banded factorisation needs scipy.sparse
+    code = "import sys, dlss; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=package_env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

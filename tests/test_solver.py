@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind, LinearSolver, SolverConfig
@@ -93,6 +94,19 @@ class TestJacobian:
         exact = jac @ direction
         scale = np.abs(exact).max()
         assert np.abs(fd - exact).max() / scale < 1e-4
+
+
+    @pytest.mark.parametrize("backend", [FD2, FD4])
+    def test_banded_form_is_sparse_and_matches_dense(self, grid64, backend):
+        u = np.exp(0.5 * np.sin(grid64.nodes) + 0.2 * np.cos(2 * grid64.nodes))
+        y = log_field(grid64, u)
+        dense = SolverConfig(tau=1e-3, epsilon=1e-5, backend=backend)
+        jac_dense = jacobian(y, dense)
+        jac_banded = jacobian(y, replace(dense, linear_solver=LinearSolver.BANDED))
+        assert isinstance(jac_dense, np.ndarray)
+        assert issparse(jac_banded) and jac_banded.format == "csc"
+        err = np.abs(jac_banded.toarray() - jac_dense).max()
+        assert err <= 1e-14 * np.abs(jac_dense).max()
 
 
 class TestNewtonStep:
