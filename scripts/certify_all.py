@@ -14,7 +14,8 @@ import math
 import time
 
 import dlss
-from dlss.inequalities import convex_sobolev, log_sobolev, poincare
+from dlss.inequalities import DEFAULT_MAX_ITERS, convex_sobolev, log_sobolev, poincare
+from dlss.runio import write_atomic
 
 
 def main(argv=None):
@@ -22,7 +23,7 @@ def main(argv=None):
     parser.add_argument("--L", type=float, default=2.0 * math.pi)
     parser.add_argument("--N", type=int, default=256)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-iters", type=int, default=4000)
+    parser.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     parser.add_argument("--orders", default="1,2,3")
     parser.add_argument("--p-grid", default="1.2,1.5,1.8,2.0")
     parser.add_argument("--output", default=None, help="write results as JSON")
@@ -69,9 +70,7 @@ def main(argv=None):
         )
 
     if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_atomic(args.output, json.dumps(results, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.output}")
     return 0 if all(r["converged"] for r in results) else 3
 

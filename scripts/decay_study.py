@@ -14,17 +14,14 @@ import json
 import math
 import time
 
-import numpy as np
-
 import dlss
-from dlss import Field, FieldKind, SolverConfig
-from dlss.runio import default_fit_window, fit_decay
+from dlss import SolverConfig
+from dlss.runio import cosine_density, default_fit_window, fit_decay, write_atomic
 
 
 def run_once(length, n_points, amplitude, tau, t_final, newton_tol):
     grid = dlss.make_grid(length, n_points)
-    theta = (2.0 * math.pi / length) * grid.nodes
-    u0 = Field(grid, 1.0 + amplitude * np.cos(theta), FieldKind.DENSITY)
+    u0 = cosine_density(grid, 1.0, amplitude, 1)
     config = SolverConfig(tau=tau, newton_tol=newton_tol)
     record_every = max(1, round(1e-3 / tau))  # ~1000 samples per unit time
     t0 = time.perf_counter()
@@ -53,7 +50,7 @@ def main(argv=None):
     parser.add_argument("--N", type=int, default=128)
     parser.add_argument("--tau", type=float, default=2e-4)
     parser.add_argument("--t-final", type=float, default=3.0)
-    parser.add_argument("--newton-tol", type=float, default=1e-8)
+    parser.add_argument("--newton-tol", type=float, default=SolverConfig.newton_tol)
     parser.add_argument(
         "--amplitudes", default="0.05,0.1,0.3,0.6",
         help="comma-separated cosine amplitudes to sweep",
@@ -89,9 +86,7 @@ def main(argv=None):
                 print("  warning: Lyapunov monotonicity violated on this run")
 
     if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_atomic(args.output, json.dumps(results, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.output}")
     return 0
 

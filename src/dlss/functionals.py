@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDensity
 from .grid import (
-    POSITIVITY_FLOOR,
     DiffBackend,
     Field,
     SPECTRAL,
+    _check_positive,
     _derivative,
     _integrate,
     integrate,
@@ -48,17 +47,9 @@ __all__ = [
 ]
 
 
-def _positive_values(u: Field) -> np.ndarray:
-    if u.values.min() <= POSITIVITY_FLOOR:
-        raise NonPositiveDensity(
-            f"density minimum {u.values.min():.3e} is at or below the floor"
-        )
-    return u.values
-
-
 def entropy_relative(u: Field, u_bar: float) -> float:
     """int u log(u / u_bar); nonnegative when u_bar is the mean of u."""
-    vals = _positive_values(u)
+    vals = _check_positive(u.values)
     if not np.isfinite(u_bar) or u_bar <= 0.0:
         raise ValueError(f"reference density must be positive, got {u_bar!r}")
     return _integrate(u.grid, vals * (np.log(vals) - np.log(u_bar)))
@@ -67,19 +58,19 @@ def entropy_relative(u: Field, u_bar: float) -> float:
 def entropy_absolute(u: Field) -> float:
     """int u (log u - 1); differs from the relative entropy by an affine
     function of the (conserved) mass."""
-    vals = _positive_values(u)
+    vals = _check_positive(u.values)
     return _integrate(u.grid, vals * (np.log(vals) - 1.0))
 
 
 def lyapunov_u_minus_logu(u: Field) -> float:
     """int (u - log u); convex, bounded below, decays along the flow."""
-    vals = _positive_values(u)
+    vals = _check_positive(u.values)
     return _integrate(u.grid, vals - np.log(vals))
 
 
 def entropy_production(u: Field, backend: DiffBackend = SPECTRAL) -> float:
     """int u |(log u)_xx|^2, the dissipation rate of the relative entropy."""
-    vals = _positive_values(u)
+    vals = _check_positive(u.values)
     d2y = _derivative(u.grid, np.log(vals), 2, backend)
     return _integrate(u.grid, vals * d2y * d2y)
 
@@ -90,7 +81,7 @@ def production_decomposition(u: Field, backend: DiffBackend = SPECTRAL) -> tuple
     The two parts sum to ``entropy_production`` up to discretisation error;
     with the spectral backend on smooth densities the gap is rounding-level.
     """
-    vals = _positive_values(u)
+    vals = _check_positive(u.values)
     d2s = _derivative(u.grid, np.sqrt(vals), 2, backend)
     sqrt_part = 4.0 * _integrate(u.grid, d2s * d2s)
     # u_x^4/u^3 = u (d/dx log u)^4; differentiating log u avoids 1/u^3

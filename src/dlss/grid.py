@@ -11,11 +11,16 @@ Both derivative backends are linear circulant operators; ``diff_matrix``
 materialises any of them as a dense matrix for Jacobian assembly, and the
 finite-difference second derivative also comes as a sparse matrix for the
 banded Newton systems.
+
+The two admissibility rules that every density and every time integration
+share live here too: ``_check_positive`` (the positivity floor) and
+``_lattice_steps`` (a horizon on the uniform time-step lattice).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -44,6 +49,34 @@ __all__ = [
 
 # Densities at or below this are treated as vacuum; log() is meaningless there.
 POSITIVITY_FLOOR = 1e-300
+
+
+def _check_positive(values: np.ndarray) -> np.ndarray:
+    """``values`` unchanged if all lie above the positivity floor, else
+    ``NonPositiveDensity``."""
+    low = values.min()
+    if low <= POSITIVITY_FLOOR:
+        raise NonPositiveDensity(f"density minimum {low:.3e} is at or below the floor")
+    return values
+
+
+def _lattice_steps(t_final: float, step: float, step_name: str) -> int:
+    """Number of steps of size ``step`` that end exactly at ``t_final``.
+
+    ``step`` must be positive and finite, ``t_final`` positive, finite and
+    an integer multiple of ``step`` to within one part in 1e-8; otherwise
+    ``ValueError`` naming ``step_name``.
+    """
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"{step_name} must be positive and finite, got {step!r}")
+    if not (math.isfinite(t_final) and t_final > 0.0):
+        raise ValueError(f"t_final must be positive and finite, got {t_final!r}")
+    n_steps = int(round(t_final / step))
+    if n_steps < 1 or abs(n_steps * step - t_final) > 1e-8 * max(1.0, t_final):
+        raise ValueError(
+            f"t_final = {t_final} is not an integer multiple of {step_name} = {step}"
+        )
+    return n_steps
 
 
 @dataclass(frozen=True)
@@ -119,10 +152,8 @@ class Field:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
-        if self.kind is FieldKind.DENSITY and vals.min() <= POSITIVITY_FLOOR:
-            raise NonPositiveDensity(
-                f"density minimum {vals.min():.3e} is at or below the floor"
-            )
+        if self.kind is FieldKind.DENSITY:
+            _check_positive(vals)
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

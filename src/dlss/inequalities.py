@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, NonPositiveDensity, PositivityLost
+from .errors import DegenerateDenominator, PositivityLost
 from .grid import (
     POSITIVITY_FLOOR,
     DiffBackend,
@@ -38,12 +38,15 @@ from .grid import (
     FieldKind,
     PeriodicGrid,
     SPECTRAL,
+    _check_positive,
     _derivative,
     _integrate,
+    _lattice_steps,
 )
 from .rng import random_smooth_field
 
 __all__ = [
+    "DEFAULT_MAX_ITERS",
     "QuotientKind",
     "QuotientSpec",
     "QuotientResult",
@@ -57,6 +60,8 @@ __all__ = [
 ]
 
 _DEGENERACY_FLOOR = 1e-14
+# Descent budget of one minimisation; the command line and scripts use it too.
+DEFAULT_MAX_ITERS = 4000
 
 
 class QuotientKind(enum.Enum):
@@ -119,13 +124,6 @@ class QuotientResult:
         return abs(self.value - self.analytic) / abs(self.analytic)
 
 
-def _require_positive(values: np.ndarray) -> None:
-    if values.min() <= POSITIVITY_FLOOR:
-        raise NonPositiveDensity(
-            f"field minimum {values.min():.3e} is at or below the floor"
-        )
-
-
 def _xlogx_of_square(u: np.ndarray) -> np.ndarray:
     """u^2 log(u^2) with the continuous extension 0 at u = 0."""
     u2 = u * u
@@ -151,7 +149,7 @@ def _quotient_parts(
         if norm_sq > 0.0:
             den -= grid.length * norm_sq * math.log(norm_sq)
     else:
-        _require_positive(vals)
+        _check_positive(vals)
         p = spec.p
         dv = _derivative(grid, vals, 1, backend)
         num = p * _integrate(grid, vals ** (p - 2.0) * dv * dv)
@@ -245,7 +243,7 @@ def minimize_quotient(
     spec: QuotientSpec,
     u_init: Field,
     backend: DiffBackend = SPECTRAL,
-    max_iters: int = 4000,
+    max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = 1e-7,
     step0: float = 0.5,
 ) -> QuotientResult:
@@ -342,7 +340,7 @@ def certify_constant(
     grid: PeriodicGrid,
     backend: DiffBackend = SPECTRAL,
     seeds: tuple[int, ...] = (0, 1, 2),
-    max_iters: int = 4000,
+    max_iters: int = DEFAULT_MAX_ITERS,
     tol: float | None = None,
 ) -> QuotientResult:
     """Multi-start minimisation: run ``minimize_quotient`` from one random
@@ -403,11 +401,7 @@ def _heat_steps(v0: np.ndarray, grid: PeriodicGrid, t_final: float, dt: float):
     Each step multiplies the spectrum by exp(-k^2 dt): the exact flow on
     the grid, unconditionally stable, no splitting error in t.
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    n_steps = int(round(t_final / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-8 * max(1.0, t_final):
-        raise ValueError(f"t_final = {t_final} is not an integer multiple of dt = {dt}")
+    n_steps = _lattice_steps(t_final, dt, "dt")
     wave = (2.0 * math.pi / grid.length) * np.arange(grid.n_points // 2 + 1)
     decay = np.exp(-wave * wave * dt)
     v = v0.copy()
@@ -419,6 +413,12 @@ def _heat_steps(v0: np.ndarray, grid: PeriodicGrid, t_final: float, dt: float):
                 f"flow state touched the positivity floor at t = {k * dt:.6g}"
             )
         yield k * dt, v
+
+
+def _check_flow_exponent(p: float) -> None:
+    """The heat-flow certificates cover p in [1, 2], log case included."""
+    if not 1.0 <= p <= 2.0:
+        raise ValueError(f"p must lie in [1, 2], got {p}")
 
 
 def heatflow_verify(
@@ -434,10 +434,8 @@ def heatflow_verify(
     w_t = w_xx + (2/p - 1) w_x^2 / w whose Lyapunov functional f certifies
     the p-family of inequalities; f must be nonincreasing and -> 0.
     """
-    if not 1.0 <= p <= 2.0:
-        raise ValueError(f"p must lie in [1, 2], got {p}")
-    _require_positive(u.values)
-    v0 = u.values ** (2.0 / p)
+    _check_flow_exponent(p)
+    v0 = _check_positive(u.values) ** (2.0 / p)
     records = []
     for i, (t, v) in enumerate(_heat_steps(v0, u.grid, t_final, dt)):
         f, diss, w = _flow_functionals(v, u.grid, p)
@@ -456,9 +454,8 @@ def remainder_R(u0: Field, p: float, t_final: float, dt: float) -> float:
     nonnegative remainder by which the convex Sobolev inequality at u0
     beats its sharp constant.
     """
-    if not 1.0 <= p <= 2.0:
-        raise ValueError(f"p must lie in [1, 2], got {p}")
-    _require_positive(u0.values)
+    _check_flow_exponent(p)
+    _check_positive(u0.values)
     times = []
     diss = []
     for t, v in _heat_steps(u0.values.astype(float), u0.grid, t_final, dt):
@@ -486,12 +483,10 @@ def convex_sobolev_check(
     Returns (lhs, rhs, holds) with lhs and rhs both divided by (p - 1),
     and holds allowing 1e-10 of slack for rounding.
     """
-    if not 1.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (1, 2], got {p}")
-    _require_positive(u.values)
+    convex_sobolev(p)  # the admissible p are those of the quotient
     grid = u.grid
     el = grid.length
-    vals = u.values
+    vals = _check_positive(u.values)
     lhs = (
         _integrate(grid, vals * vals)
         - el * (_integrate(grid, vals ** (2.0 / p)) / el) ** p

@@ -7,8 +7,10 @@ known and appear at most once.  Structural problems raise ``ParseError``
 with the offending line number; admissibility problems raise
 ``ValidationError`` with the offending key.  The grid and scheme keys are
 checked by the library objects they build (``make_grid``, ``SolverConfig``,
-``DiffBackend.from_name``, ``LinearSolver``), and omitted scheme keys take
-the ``SolverConfig`` defaults.
+``DiffBackend.from_name``, ``LinearSolver``), the cosine ``u0_*`` keys by
+``cosine_density``, and omitted scheme keys take the ``SolverConfig``
+defaults.  The time-series CSV has one column per ``TimeSeriesRecord``
+field.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from . import functionals
 
 __all__ = [
     "RunConfig",
+    "cosine_density",
     "DecayReport",
     "parse_config",
     "emit_timeseries",
@@ -53,7 +57,11 @@ __all__ = [
     "TIMESERIES_HEADER",
 ]
 
-TIMESERIES_HEADER = "t,mass,entropy_rel,lyap,production,min_u,newton_iters"
+# One CSV column per TimeSeriesRecord field, in declaration order, with its type.
+_COLUMNS = tuple(
+    (f.name, get_type_hints(TimeSeriesRecord)[f.name]) for f in fields(TimeSeriesRecord)
+)
+TIMESERIES_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 _COMMANDS = ("solve", "certify", "heatflow", "fit", "identity")
 _U0_KINDS = ("constant", "cosine", "file")
@@ -92,8 +100,7 @@ class RunConfig:
         if self.u0_kind == "constant":
             vals = np.full(grid.n_points, self.u0_value)
         elif self.u0_kind == "cosine":
-            theta = (2.0 * math.pi * self.u0_mode / grid.length) * grid.nodes
-            vals = self.u0_base + self.u0_amplitude * np.cos(theta)
+            return cosine_density(grid, self.u0_base, self.u0_amplitude, self.u0_mode)
         else:
             try:
                 vals = np.loadtxt(self.u0_path, dtype=float).ravel()
@@ -109,6 +116,25 @@ class RunConfig:
             if not np.all(np.isfinite(vals)) or vals.min() <= 0.0:
                 raise ValidationError("u0_path", "density values must be finite and positive")
         return Field(grid, vals, FieldKind.DENSITY)
+
+
+def cosine_density(grid: PeriodicGrid, base: float, amplitude: float, mode: int) -> Field:
+    """The density base + amplitude cos(2 pi mode x / L).
+
+    It stays positive only for base > |amplitude|, and mode counts periods
+    on the circle, so it must be nonnegative; a rejected value raises
+    ``ValidationError`` naming the argument.
+    """
+    if not base > 0.0:
+        raise ValidationError("base", f"must be positive, got {base}")
+    if not abs(amplitude) < base:
+        raise ValidationError(
+            "amplitude", f"|amplitude| = {abs(amplitude)} must stay below base = {base}"
+        )
+    if mode < 0:
+        raise ValidationError("mode", f"must be nonnegative, got {mode}")
+    theta = (2.0 * math.pi * mode / grid.length) * grid.nodes
+    return Field(grid, base + amplitude * np.cos(theta), FieldKind.DENSITY)
 
 
 # key -> (RunConfig attribute or SolverConfig field, converter)
@@ -136,6 +162,7 @@ _SCHEMA = {
 }
 # The library names what it rejects by attribute; these are the run-file keys.
 _KEY_OF = {attr: key for key, (attr, _) in _SCHEMA.items()}
+_KEY_OF.update(base="u0_base", amplitude="u0_amplitude", mode="u0_mode")  # cosine_density
 _SCHEME_FIELDS = tuple(f.name for f in fields(SolverConfig) if f.name != "tau")
 
 
@@ -215,42 +242,18 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.u0_kind == "constant" and not cfg.u0_value > 0.0:
         raise ValidationError("u0_value", f"must be positive, got {cfg.u0_value}")
     if cfg.u0_kind == "cosine":
-        if not cfg.u0_base > 0.0:
-            raise ValidationError("u0_base", f"must be positive, got {cfg.u0_base}")
-        if abs(cfg.u0_amplitude) >= cfg.u0_base:
-            raise ValidationError(
-                "u0_amplitude",
-                f"|amplitude| = {abs(cfg.u0_amplitude)} must stay below base = {cfg.u0_base}",
-            )
-        if cfg.u0_mode < 0:
-            raise ValidationError("u0_mode", f"must be nonnegative, got {cfg.u0_mode}")
+        _library_check(lambda: cfg.initial_density(cfg.make_grid()))
     if cfg.u0_kind == "file" and not cfg.u0_path:
         raise ValidationError("u0_path", "required")
-
-
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def emit_timeseries(trajectory: Trajectory, path: str) -> None:
     """Write the trajectory's records as CSV: 17 significant digits, LF
     line endings, atomic replace so readers never see a partial file."""
-    records = trajectory.records
     lines = [TIMESERIES_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                (
-                    _format_float(r.t),
-                    _format_float(r.mass),
-                    _format_float(r.entropy_rel),
-                    _format_float(r.lyap),
-                    _format_float(r.production),
-                    _format_float(r.min_u),
-                    str(r.newton_iters),
-                )
-            )
-        )
+    for r in trajectory.records:
+        cells = (getattr(r, name) for name, _ in _COLUMNS)
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in cells))
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -282,18 +285,12 @@ def read_timeseries(path: str) -> list[TimeSeriesRecord]:
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 7:
-            raise ParseError(line_no, f"expected 7 fields, found {len(parts)}")
+        if len(parts) != len(_COLUMNS):
+            raise ParseError(line_no, f"expected {len(_COLUMNS)} fields, found {len(parts)}")
         try:
             records.append(
                 TimeSeriesRecord(
-                    t=float(parts[0]),
-                    mass=float(parts[1]),
-                    entropy_rel=float(parts[2]),
-                    lyap=float(parts[3]),
-                    production=float(parts[4]),
-                    min_u=float(parts[5]),
-                    newton_iters=int(parts[6]),
+                    **{name: kind(part) for (name, kind), part in zip(_COLUMNS, parts)}
                 )
             )
         except ValueError as exc:

@@ -17,10 +17,11 @@ entropies decay step by step: convexity of s -> s log s plus summation by
 parts transfer the continuum Lyapunov argument verbatim to the grid.
 
 ``newton_step`` always refactorises (textbook damped Newton; its
-quadratic contraction is part of the contract).  ``solve`` reuses one LU
-across iterations and steps, refreshing it whenever contraction degrades;
-the accepted iterate still has to pass the same residual tolerance, so
-recycling changes the iteration count, never the solution quality.
+quadratic contraction is part of the contract).  ``step`` and ``solve``
+run one chord loop that reuses an LU across iterations (``solve`` also
+across steps), refreshing it whenever contraction degrades; the accepted
+iterate still has to pass the same residual tolerance, so recycling
+changes the iteration count, never the solution quality.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NoConvergence, NonPositiveDensity, SingularJacobian, ValidationError
-from .functionals import report
+from .functionals import entropy_production, entropy_relative, lyapunov_u_minus_logu
 from .grid import (
     POSITIVITY_FLOOR,
     DiffBackend,
@@ -41,8 +42,10 @@ from .grid import (
     PeriodicGrid,
     SPECTRAL,
     _derivative,
+    _lattice_steps,
     _sparse_diff2,
     diff_matrix,
+    integrate,
 )
 from .linalg import CyclicBandedLU, DenseLU
 
@@ -251,13 +254,11 @@ def _newton_loop(
     grid: PeriodicGrid,
     config: SolverConfig,
     workspace: _NewtonWorkspace,
-    reuse: bool,
 ) -> tuple[Array, int, float]:
-    """Damped (possibly chord) Newton on one step; returns (y, iters, |F|_inf).
+    """Damped chord Newton on one step; returns (y, iters, |F|_inf).
 
-    With ``reuse`` off the Jacobian is refactorised every iteration.  With
-    it on, the workspace factor is kept until either the line search fails
-    or the contraction factor climbs above _REFRESH_CONTRACTION.
+    The workspace factor is kept until either the line search fails or the
+    contraction factor climbs above _REFRESH_CONTRACTION.
     """
     y = y0.copy()
     r = _residual_values(y, eu_prev, grid, config)
@@ -271,7 +272,7 @@ def _newton_loop(
                 iterations=iters,
                 residual=rnorm,
             )
-        if not reuse or workspace.factor is None:
+        if workspace.factor is None:
             workspace.refresh(y, grid, config)
         delta = workspace.factor.solve(-r)
         try:
@@ -279,7 +280,7 @@ def _newton_loop(
                 y, delta, rnorm, eu_prev, grid, config, iters
             )
         except NoConvergence:
-            if reuse and workspace.stale:
+            if workspace.stale:
                 # the stale factor pointed uphill; retry iteration with a fresh one
                 workspace.invalidate()
                 continue
@@ -288,13 +289,10 @@ def _newton_loop(
         contraction = rnorm_trial / rnorm if rnorm > 0.0 else 0.0
         y, r, rnorm = y_trial, r_trial, rnorm_trial
         iters += 1
-        if reuse:
-            if workspace.stale and contraction > _REFRESH_CONTRACTION:
-                workspace.invalidate()
-            else:
-                workspace.stale = True
-        else:
+        if workspace.stale and contraction > _REFRESH_CONTRACTION:
             workspace.invalidate()
+        else:
+            workspace.stale = True
     return y, iters, rnorm
 
 
@@ -321,9 +319,8 @@ def newton_step(y: Field, y_prev: Field, config: SolverConfig) -> tuple[Field, f
 def step(y_prev: Field, config: SolverConfig) -> tuple[Field, int]:
     """Advance one time level; returns the converged iterate and the number
     of Newton iterations it took."""
-    workspace = _NewtonWorkspace()
     y, iters, _ = _newton_loop(
-        y_prev.values, np.exp(y_prev.values), y_prev.grid, config, workspace, reuse=False
+        y_prev.values, np.exp(y_prev.values), y_prev.grid, config, _NewtonWorkspace()
     )
     return Field(y_prev.grid, y, FieldKind.LOG_DENSITY), iters
 
@@ -340,7 +337,7 @@ def _advance(
     entered_with_factor = workspace.factor is not None
     try:
         try:
-            y_new, iters, _ = _newton_loop(y, np.exp(y), grid, config, workspace, reuse=True)
+            y_new, iters, _ = _newton_loop(y, np.exp(y), grid, config, workspace)
             return y_new, iters
         except (NoConvergence, SingularJacobian):
             if not entered_with_factor:
@@ -348,7 +345,7 @@ def _advance(
             # the factor recycled from the previous step may just be too
             # stale; one clean retry before touching tau
             workspace.invalidate()
-            y_new, iters, _ = _newton_loop(y, np.exp(y), grid, config, workspace, reuse=True)
+            y_new, iters, _ = _newton_loop(y, np.exp(y), grid, config, workspace)
             return y_new, iters
     except (NoConvergence, SingularJacobian) as exc:
         if depth >= _MAX_TAU_HALVINGS:
@@ -385,15 +382,9 @@ def solve(
     that fail to converge are retried with halved tau (recursively, at
     most five halvings) before giving up.
     """
-    if not t_final > 0.0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
+    n_steps = _lattice_steps(t_final, config.tau, "tau")
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
-    n_steps = int(round(t_final / config.tau))
-    if n_steps < 1 or abs(n_steps * config.tau - t_final) > 1e-8 * max(1.0, t_final):
-        raise ValueError(
-            f"t_final = {t_final} is not an integer multiple of tau = {config.tau}"
-        )
 
     grid = u0.grid
     u0_vals = u0.values
@@ -407,13 +398,13 @@ def solve(
 
     def record_at(t: float, iters: int) -> TimeSeriesRecord:
         u = Field(grid, np.exp(y), FieldKind.DENSITY)
-        rep = report(u, config.backend)
+        mass = integrate(u)
         return TimeSeriesRecord(
             t=t,
-            mass=rep.mass,
-            entropy_rel=rep.entropy_rel,
-            lyap=rep.lyap_u_minus_logu,
-            production=rep.production,
+            mass=mass,
+            entropy_rel=entropy_relative(u, mass / grid.length),
+            lyap=lyapunov_u_minus_logu(u),
+            production=entropy_production(u, config.backend),
             min_u=float(u.values.min()),
             newton_iters=iters,
         )

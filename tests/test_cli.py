@@ -178,16 +178,20 @@ class TestHeatflow:
             payload["f_initial"] - payload["f_final"], rel=1e-3
         )
 
-    def test_amplitude_validation(self, capsys):
+    @pytest.mark.parametrize(
+        "flag,value", [("--amplitude", "1.5"), ("--base", "0"), ("--mode", "-1")]
+    )
+    def test_cosine_datum_validation(self, capsys, flag, value):
+        # the same rule as the u0_* keys of a run file
         code, _, err = run_cli(
             capsys,
             [
                 "heatflow", "--L", str(TWO_PI), "--N", "64", "--p", "1.0",
-                "--T", "1.0", "--dt", "0.001", "--amplitude", "1.5",
+                "--T", "1.0", "--dt", "0.001", flag, value,
             ],
         )
         assert code == 2
-        assert "amplitude" in err
+        assert err.startswith(f"error: {flag[2:]}:")
 
     def test_bad_p_is_usage_error(self, capsys):
         code, _, _ = run_cli(

@@ -251,6 +251,12 @@ class TestHeatFlow:
                 dlss.heatflow_verify(cosine_density(grid64), 1.0, 0.01, dt)
             with pytest.raises(ValueError, match="dt"):
                 dlss.remainder_R(cosine_density(grid64), 1.5, 1.0, dt)
+        # nor does a horizon that is not positive and finite
+        for t_final in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="t_final"):
+                dlss.heatflow_verify(cosine_density(grid64), 1.0, t_final, 1e-3)
+            with pytest.raises(ValueError, match="t_final"):
+                dlss.remainder_R(cosine_density(grid64), 1.5, t_final, 1e-3)
 
     def test_rejects_nonpositive_datum(self, grid64):
         u = Field(grid64, np.cos(grid64.nodes), FieldKind.GENERIC)

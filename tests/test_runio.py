@@ -95,6 +95,8 @@ class TestParseConfig:
             (MINIMAL + "linear_solver = banded\n", "linear_solver"),
             (MINIMAL + "damping = 2\n", "damping"),
             (MINIMAL + "u0 = cosine\nu0_amplitude = 1.5\n", "u0_amplitude"),
+            (MINIMAL + "u0_base = 0\n", "u0_base"),
+            (MINIMAL + "u0_mode = -1\n", "u0_mode"),
             (MINIMAL + "u0 = file\n", "u0_path"),
             (MINIMAL.replace("T = 0.01\n", ""), "T"),
             (MINIMAL.replace("tau = 0.001\n", ""), "tau"),
@@ -163,6 +165,10 @@ def short_trajectory(grid64):
 
 
 class TestTimeseriesRoundTrip:
+    def test_header_is_the_documented_format(self):
+        # derived from TimeSeriesRecord's fields; files written before must still read
+        assert TIMESERIES_HEADER == "t,mass,entropy_rel,lyap,production,min_u,newton_iters"
+
     def test_header_and_shape(self, short_trajectory, tmp_path):
         path = tmp_path / "run.csv"
         emit_timeseries(short_trajectory, str(path))

@@ -247,8 +247,10 @@ class TestSolve:
 
     def test_nonpositive_horizon_rejected(self, grid64):
         config = SolverConfig(tau=1e-3)
-        with pytest.raises(ValueError):
-            dlss.solve(cosine_density(grid64), 0.0, config)
+        # an infinite or NaN horizon has no step count either
+        for t_final in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="t_final"):
+                dlss.solve(cosine_density(grid64), t_final, config)
 
     def test_bad_record_every_rejected(self, grid64):
         config = SolverConfig(tau=1e-3)
