@@ -211,13 +211,13 @@ BACKENDS = {"spectral": SPECTRAL, "fd2": FD2, "fd4": FD4}
 
 
 def _spectral_derivative(values: np.ndarray, order: int, length: float) -> np.ndarray:
-    n = values.size
-    fhat = np.fft.rfft(values)
-    wave = (2.0 * np.pi / length) * np.arange(fhat.size)
+    n = values.shape[-1]
+    fhat = np.fft.rfft(values, axis=-1)
+    wave = (2.0 * np.pi / length) * np.arange(fhat.shape[-1])
     fhat *= (1j * wave) ** order
     if order % 2 == 1 and n % 2 == 0:
-        fhat[-1] = 0.0
-    return np.fft.irfft(fhat, n=n)
+        fhat[..., -1] = 0.0
+    return np.fft.irfft(fhat, n=n, axis=-1)
 
 
 # Central periodic stencils on the unit-spacing grid, as {offset: weight}.

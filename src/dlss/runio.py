@@ -8,9 +8,9 @@ with the offending line number; admissibility problems raise
 ``ValidationError`` with the offending key.  The grid and scheme keys are
 checked by the library objects they build (``make_grid``, ``SolverConfig``,
 ``DiffBackend.from_name``, ``LinearSolver``), the cosine ``u0_*`` keys by
-``cosine_density``, and omitted scheme keys take the ``SolverConfig``
-defaults.  The time-series CSV has one column per ``TimeSeriesRecord``
-field.
+``cosine_density``, ``u0_value`` and the ``u0_path`` data by ``Field``, and
+omitted scheme keys take the ``SolverConfig`` defaults.  The time-series
+CSV has one column per ``TimeSeriesRecord`` field.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     InsufficientData,
+    NonPositiveDensity,
     NonPositiveEntropy,
     ParseError,
     ValidationError,
@@ -97,11 +98,12 @@ class RunConfig:
         return SolverConfig(tau=self.tau, **self.scheme)
 
     def initial_density(self, grid: PeriodicGrid) -> Field:
-        if self.u0_kind == "constant":
-            vals = np.full(grid.n_points, self.u0_value)
-        elif self.u0_kind == "cosine":
+        if self.u0_kind == "cosine":
             return cosine_density(grid, self.u0_base, self.u0_amplitude, self.u0_mode)
+        if self.u0_kind == "constant":
+            key, vals = "u0_value", np.full(grid.n_points, self.u0_value)
         else:
+            key = "u0_path"
             try:
                 vals = np.loadtxt(self.u0_path, dtype=float).ravel()
             except OSError as exc:
@@ -109,13 +111,11 @@ class RunConfig:
             except ValueError as exc:
                 raise ValidationError("u0_path", f"malformed data: {exc}")
             if vals.size != grid.n_points:
-                raise ValidationError(
-                    "u0_path",
-                    f"expected {grid.n_points} values, found {vals.size}",
-                )
-            if not np.all(np.isfinite(vals)) or vals.min() <= 0.0:
-                raise ValidationError("u0_path", "density values must be finite and positive")
-        return Field(grid, vals, FieldKind.DENSITY)
+                raise ValidationError("u0_path", f"expected {grid.n_points} values, found {vals.size}")
+        try:  # Field holds the finiteness and positivity-floor rules
+            return Field(grid, vals, FieldKind.DENSITY)
+        except (ValueError, NonPositiveDensity) as exc:
+            raise ValidationError(key, str(exc)) from None
 
 
 def cosine_density(grid: PeriodicGrid, base: float, amplitude: float, mode: int) -> Field:
@@ -239,9 +239,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ValidationError("tau", "required")
     if cfg.u0_kind not in _U0_KINDS:
         raise ValidationError("u0", f"must be one of {_U0_KINDS}, got {cfg.u0_kind!r}")
-    if cfg.u0_kind == "constant" and not cfg.u0_value > 0.0:
-        raise ValidationError("u0_value", f"must be positive, got {cfg.u0_value}")
-    if cfg.u0_kind == "cosine":
+    if cfg.u0_kind in ("constant", "cosine"):
         _library_check(lambda: cfg.initial_density(cfg.make_grid()))
     if cfg.u0_kind == "file" and not cfg.u0_path:
         raise ValidationError("u0_path", "required")

@@ -70,6 +70,23 @@ class TestSolve:
         assert code == 0, err
         assert json.loads(out)["n_records"] == 3
 
+    @pytest.mark.parametrize("kind", ["file", "constant"])
+    def test_datum_below_floor_is_usage_error(self, tmp_path, capsys, kind):
+        # 1e-310 is positive but below the positivity floor: the run file is
+        # rejected (exit 2), not left to fail as a numerical error (exit 3)
+        if kind == "file":
+            vals = np.ones(64)
+            vals[17] = 1e-310
+            np.savetxt(tmp_path / "u0.txt", vals)
+            key, extra = "u0_path", f"u0 = file\nu0_path = {tmp_path / 'u0.txt'}\n"
+        else:
+            key, extra = "u0_value", "u0 = constant\nu0_value = 1e-310\n"
+        config = tmp_path / "run.cfg"
+        write_solve_config(config, tmp_path / "out.csv", extra)
+        code, _, err = run_cli(capsys, ["solve", "--config", str(config)])
+        assert code == 2
+        assert err.startswith(f"error: {key}: ")
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["solve", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2

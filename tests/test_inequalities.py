@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 import dlss
 from dlss import Field, FieldKind, QuotientKind, QuotientSpec, SPECTRAL
-from dlss.inequalities import convex_sobolev, log_sobolev, poincare
+from dlss.grid import POSITIVITY_FLOOR
+from dlss.inequalities import _BLOCK_VALUES, convex_sobolev, log_sobolev, poincare
 from dlss.rng import random_log_density, random_smooth_field
 
 TWO_PI = 2.0 * math.pi
@@ -17,6 +18,12 @@ F0_COS05 = 0.03640845417842942
 
 def cosine_density(grid, amplitude=0.5, mode=1):
     return Field(grid, 1.0 + amplitude * np.cos(mode * grid.nodes), FieldKind.DENSITY)
+
+
+def heat_state(v0, grid, t):
+    """Exact grid heat semigroup at time t, one state at a time."""
+    wave = (2.0 * math.pi / grid.length) * np.arange(grid.n_points // 2 + 1)
+    return np.fft.irfft(np.fft.rfft(v0) * np.exp(-wave * wave * t), n=grid.n_points)
 
 
 class TestQuotientSpec:
@@ -232,6 +239,67 @@ class TestHeatFlow:
             rhs = -4.0 * dlss.integrate(Field(grid64, wx * wx, FieldKind.GENERIC))
             assert lhs == pytest.approx(rhs, rel=0.02)
 
+    def test_single_mode_closed_form(self, grid256):
+        # p = 2, v = 1 + a cos 2x e^{-4t}: f = 3 pi a^2 e^{-8t} and the
+        # dissipation is 8 f; 1001 states are many blocks and a ragged last one
+        a, dt = 0.3, 1e-3
+        u = Field(grid256, 1.0 + a * np.cos(2.0 * grid256.nodes), FieldKind.DENSITY)
+        records = dlss.heatflow_verify(u, 2.0, 1.0, dt)
+        assert 1001 % (_BLOCK_VALUES // 256) != 0
+        assert [r.t for r in records] == [k * dt for k in range(1001)]
+        f0 = 3.0 * math.pi * a * a
+        for r in records:
+            exact = f0 * math.exp(-8.0 * r.t)
+            assert abs(r.f_value - exact) <= 1e-13 * f0
+            assert abs(r.dissipation - 8.0 * exact) <= 1e-13 * f0
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_matches_per_step_reference(self, grid256, p):
+        # the functionals of each state, one numpy step after another
+        u = random_log_density(grid256, 4, 7, amplitude=0.5)
+        dt, n, h, el = 1e-3, 256, grid256.spacing, grid256.length
+        records = dlss.heatflow_verify(u, p, 0.3, dt)
+        wave = (2.0 * math.pi / el) * np.arange(n // 2 + 1)
+        decay = np.exp(-wave * wave * dt)
+        v = u.values ** (2.0 / p)
+        expected = []
+        for k in range(301):
+            if k:
+                v = np.fft.irfft(np.fft.rfft(v) * decay, n=n)
+            w = v ** (p / 2.0)
+            w_hat = np.fft.rfft(w)
+            wx_hat = 1j * wave * w_hat
+            wx_hat[-1] = 0.0
+            wx = np.fft.irfft(wx_hat, n=n)
+            wxx = np.fft.irfft(-wave * wave * w_hat, n=n)
+            vbar = v.mean()
+            if p == 1.0:
+                sigma = h * np.sum(v * np.log(v / vbar))
+            else:
+                sigma = h * (np.sum(v ** p) - n * vbar ** p) / (p - 1.0)
+            f = h * np.sum(wx ** 2) - 2.0 * math.pi ** 2 * p / el ** 2 * sigma
+            quart = (2.0 / p - 1.0) * wx ** 4 / (3.0 * w * w)
+            diss = 2.0 * h * np.sum(wxx ** 2 - 4.0 * math.pi ** 2 / el ** 2 * wx ** 2 + quart)
+            expected.append((f, diss))
+        assert len(records) == len(expected)
+        f0, d0 = expected[0]
+        for r, (f, diss) in zip(records, expected):
+            assert abs(r.f_value - f) <= 1e-13 * abs(f0)
+            assert abs(r.dissipation - diss) <= 1e-13 * abs(d0)
+
+    def test_snapshots_across_block_boundary(self, grid256):
+        rows = _BLOCK_VALUES // 256
+        u = cosine_density(grid256)
+        dt, n_steps = 1e-3, 2 * rows + 10
+        records = dlss.heatflow_verify(u, 1.5, n_steps * dt, dt, snapshot_every=7)
+        have = [r.w_snapshot is not None for r in records]
+        assert have == [i % 7 == 0 for i in range(n_steps + 1)]
+        v0 = u.values ** (2.0 / 1.5)
+        for r in records[::7]:
+            expected = heat_state(v0, grid256, r.t) ** 0.75
+            assert np.max(np.abs(r.w_snapshot.values - expected)) <= 1e-13
+            assert r.w_snapshot.kind is FieldKind.DENSITY
+
     def test_snapshot_cadence(self, grid64):
         records = dlss.heatflow_verify(cosine_density(grid64), 1.5, 0.01, 1e-3, snapshot_every=5)
         have = [r.w_snapshot is not None for r in records]
@@ -271,6 +339,28 @@ class TestHeatFlow:
         with pytest.raises(dlss.PositivityLost):
             dlss.heatflow_verify(u, 2.0, 1e-4, 1e-5)
 
+    def test_positivity_loss_at_start(self, grid64):
+        # u = 1e-200 is above the floor, but v = u^{2/p} = u^2 at p = 1 is not
+        vals = np.ones(64)
+        vals[5] = 1e-200
+        u = Field(grid64, vals, FieldKind.DENSITY)
+        with pytest.raises(dlss.PositivityLost, match="at t = 0$"):
+            dlss.heatflow_verify(u, 1.0, 0.01, 1e-3)
+
+    def test_positivity_loss_named_beyond_first_block(self, grid256):
+        # the spectral ringing of a spike on a 8e-3 background reaches the
+        # floor after about a hundred steps of 1e-7
+        vals = np.full(256, 8e-3)
+        vals[128] = 1.0
+        dt = 1e-7
+        k = 1
+        while heat_state(vals, grid256, k * dt).min() > POSITIVITY_FLOOR:
+            k += 1
+        assert k > _BLOCK_VALUES // 256
+        u = Field(grid256, vals, FieldKind.DENSITY)
+        with pytest.raises(dlss.PositivityLost, match=f"at t = {k * dt:.6g}$"):
+            dlss.heatflow_verify(u, 2.0, 1e-4, dt)
+
 
 class TestRemainder:
     def test_constant_datum_gives_zero(self, grid64):
@@ -306,6 +396,15 @@ class TestRemainder:
         )
         rhs = (2.0 * math.pi ** 2 * p / grid64.length ** 2) * sig
         assert lhs + r >= rhs - 1e-10
+
+    def test_one_step_horizon(self, grid64):
+        # one step leaves two dissipation samples, and the tail fit uses both
+        r = dlss.remainder_R(cosine_density(grid64), 1.5, 1e-3, 1e-3)
+        assert math.isfinite(r) and r > 0.0
+        # a single mode at p = 2 decays like e^{-8t}, which the fit recovers
+        a = 0.3
+        u0 = Field(grid64, 1.0 + a * np.cos(2.0 * grid64.nodes), FieldKind.DENSITY)
+        assert dlss.remainder_R(u0, 2.0, 1e-3, 1e-3) == pytest.approx(3.0 * math.pi * a * a, rel=1e-6)
 
     def test_pure_cosine_is_extremal_at_p2(self, grid64):
         # single-mode data at p = 2: the integrand vanishes identically

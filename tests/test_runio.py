@@ -98,6 +98,7 @@ class TestParseConfig:
             (MINIMAL + "u0_base = 0\n", "u0_base"),
             (MINIMAL + "u0_mode = -1\n", "u0_mode"),
             (MINIMAL + "u0 = file\n", "u0_path"),
+            (MINIMAL + "u0 = constant\nu0_value = 1e-310\n", "u0_value"),
             (MINIMAL.replace("T = 0.01\n", ""), "T"),
             (MINIMAL.replace("tau = 0.001\n", ""), "tau"),
         ],
