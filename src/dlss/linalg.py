@@ -12,7 +12,7 @@ its factor-once / solve-many work grow like N instead of N^2 / N^3.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lapack, lu_factor
 
 from .errors import SingularJacobian
 
@@ -31,9 +31,10 @@ class DenseLU:
             raise SingularJacobian("dense LU produced non-finite factors")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        out = lu_solve(self._lu, rhs)
-        if not np.all(np.isfinite(out)):
-            raise SingularJacobian("dense solve produced non-finite values")
+        # getrs straight on the factors skips lu_solve's input checks
+        out, info = lapack.dgetrs(*self._lu, rhs)
+        if info != 0 or not np.all(np.isfinite(out)):
+            raise SingularJacobian(f"dense solve failed (getrs info {info}) or was non-finite")
         return out
 
 

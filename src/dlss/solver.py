@@ -16,12 +16,15 @@ symmetric, and the same two facts make h * sum(e^y (log-mean shifted))
 entropies decay step by step: convexity of s -> s log s plus summation by
 parts transfer the continuum Lyapunov argument verbatim to the grid.
 
-``newton_step`` always refactorises (textbook damped Newton; its
-quadratic contraction is part of the contract).  ``step`` and ``solve``
-run one chord loop that reuses an LU across iterations (``solve`` also
-across steps), refreshing it whenever contraction degrades; the accepted
-iterate still has to pass the same residual tolerance, so recycling
-changes the iteration count, never the solution quality.
+``step`` and ``solve`` run one damped chord loop that reuses an LU across
+iterations (``solve`` also across steps), refreshing it whenever
+contraction degrades.  ``solve`` starts each step at the secant
+2 y_k - y_{k-1} if its residual is below that of y_k, which is free:
+F(y_k; y_k) is the previous step's accepted residual minus
+(e^{y_k} - e^{y_{k-1}}) / tau.  The first step, the step after a retry,
+a tau halving or a mass renormalisation, and the retry and halving paths
+start at y_k, as ``step`` does.  Records reuse the accepted D2 y for the
+production.  Every accepted iterate passes the same residual tolerance.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NoConvergence, NonPositiveDensity, SingularJacobian, ValidationError
-from .functionals import entropy_production, entropy_relative, lyapunov_u_minus_logu
+from .functionals import entropy_relative, lyapunov_u_minus_logu
 from .grid import (
     POSITIVITY_FLOOR,
     DiffBackend,
@@ -42,6 +45,7 @@ from .grid import (
     PeriodicGrid,
     SPECTRAL,
     _derivative,
+    _integrate,
     _lattice_steps,
     _sparse_diff2,
     diff_matrix,
@@ -56,7 +60,6 @@ __all__ = [
     "Trajectory",
     "residual",
     "jacobian",
-    "newton_step",
     "step",
     "solve",
     "lyapunov_check",
@@ -147,26 +150,25 @@ class Trajectory:
     clamped_nodes: int = 0
 
 
-def _check_same_grid(a: Field, b: Field) -> None:
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-
-
 def residual(y: Field, y_prev: Field, config: SolverConfig) -> Field:
     """Backward Euler residual F(y) given the previous log-density."""
-    _check_same_grid(y, y_prev)
-    r = _residual_values(y.values, np.exp(y_prev.values), y.grid, config)
+    if y.grid != y_prev.grid:
+        raise ValueError("fields live on different grids")
+    r, _ = _residual_values(y.values, np.exp(y_prev.values), y.grid, config)
     return Field(y.grid, r, FieldKind.GENERIC)
 
 
-def _residual_values(y: Array, eu_prev: Array, grid: PeriodicGrid, config: SolverConfig) -> Array:
+def _residual_values(
+    y: Array, eu_prev: Array, grid: PeriodicGrid, config: SolverConfig
+) -> tuple[Array, Array]:
+    """(F(y), D2 y); the second derivative is returned for reuse."""
     ey = np.exp(y)
     d2y = _derivative(grid, y, 2, config.backend)
     flux = _derivative(grid, ey * d2y, 2, config.backend)
     r = (ey - eu_prev) / config.tau + flux
     if config.epsilon != 0.0:
         r += config.epsilon * (y - d2y)
-    return r
+    return r, d2y
 
 
 def jacobian(y: Field, config: SolverConfig):
@@ -229,16 +231,17 @@ def _line_search(
     grid: PeriodicGrid,
     config: SolverConfig,
     iterations: int,
-) -> tuple[Array, Array, float]:
-    """Damped backtracking along ``delta``; returns (y, F(y), |F(y)|_inf) at
-    the first step length that lowers the residual or meets the tolerance."""
+) -> tuple[Array, Array, Array, float]:
+    """Damped backtracking along ``delta``; returns (y, F(y), D2 y,
+    |F(y)|_inf) at the first step length that lowers the residual or meets
+    the tolerance."""
     lam = 1.0
     for _ in range(_MAX_BACKTRACKS + 1):
         y_trial = y + lam * delta
-        r_trial = _residual_values(y_trial, eu_prev, grid, config)
+        r_trial, d2y_trial = _residual_values(y_trial, eu_prev, grid, config)
         rnorm_trial = float(np.abs(r_trial).max())
         if rnorm_trial < rnorm or rnorm_trial <= config.newton_tol:
-            return y_trial, r_trial, rnorm_trial
+            return y_trial, r_trial, d2y_trial, rnorm_trial
         lam *= config.damping
     raise NoConvergence(
         f"line search failed to reduce the residual after {_MAX_BACKTRACKS} "
@@ -249,19 +252,13 @@ def _line_search(
 
 
 def _newton_loop(
-    y0: Array,
-    eu_prev: Array,
-    grid: PeriodicGrid,
-    config: SolverConfig,
-    workspace: _NewtonWorkspace,
-) -> tuple[Array, int, float]:
-    """Damped chord Newton on one step; returns (y, iters, |F|_inf).
-
-    The workspace factor is kept until either the line search fails or the
-    contraction factor climbs above _REFRESH_CONTRACTION.
-    """
-    y = y0.copy()
-    r = _residual_values(y, eu_prev, grid, config)
+    y: Array, r: Array, d2y: Array, eu_prev: Array,
+    grid: PeriodicGrid, config: SolverConfig, workspace: _NewtonWorkspace,
+) -> tuple[Array, Array, Array, int]:
+    """Damped chord Newton on one step from y, given r = F(y) and D2 y;
+    returns the accepted (y, F(y), D2 y, iters).  The workspace factor is
+    kept until either the line search fails or the contraction factor
+    climbs above _REFRESH_CONTRACTION."""
     rnorm = float(np.abs(r).max())
     iters = 0
     while rnorm > config.newton_tol:
@@ -276,7 +273,7 @@ def _newton_loop(
             workspace.refresh(y, grid, config)
         delta = workspace.factor.solve(-r)
         try:
-            y_trial, r_trial, rnorm_trial = _line_search(
+            y_trial, r_trial, d2y_trial, rnorm_trial = _line_search(
                 y, delta, rnorm, eu_prev, grid, config, iters
             )
         except NoConvergence:
@@ -287,66 +284,46 @@ def _newton_loop(
             raise
 
         contraction = rnorm_trial / rnorm if rnorm > 0.0 else 0.0
-        y, r, rnorm = y_trial, r_trial, rnorm_trial
+        y, r, d2y, rnorm = y_trial, r_trial, d2y_trial, rnorm_trial
         iters += 1
         if workspace.stale and contraction > _REFRESH_CONTRACTION:
             workspace.invalidate()
         else:
             workspace.stale = True
-    return y, iters, rnorm
-
-
-def newton_step(y: Field, y_prev: Field, config: SolverConfig) -> tuple[Field, float]:
-    """One damped Newton iteration from ``y`` toward F = 0; returns the new
-    iterate and its residual sup norm.
-
-    The direction solves J delta = -F exactly; backtracking shrinks the
-    step by ``damping`` until the residual norm decreases.  Already
-    converged input is returned unchanged.
-    """
-    _check_same_grid(y, y_prev)
-    grid = y.grid
-    eu_prev = np.exp(y_prev.values)
-    r = _residual_values(y.values, eu_prev, grid, config)
-    rnorm = float(np.abs(r).max())
-    if rnorm <= config.newton_tol:
-        return Field(grid, y.values, FieldKind.LOG_DENSITY), rnorm
-    delta = _factorise(jacobian(y, config), config).solve(-r)
-    y_new, _, rnorm_new = _line_search(y.values, delta, rnorm, eu_prev, grid, config, 1)
-    return Field(grid, y_new, FieldKind.LOG_DENSITY), rnorm_new
+    return y, r, d2y, iters
 
 
 def step(y_prev: Field, config: SolverConfig) -> tuple[Field, int]:
     """Advance one time level; returns the converged iterate and the number
     of Newton iterations it took."""
-    y, iters, _ = _newton_loop(
-        y_prev.values, np.exp(y_prev.values), y_prev.grid, config, _NewtonWorkspace()
+    y, grid = y_prev.values, y_prev.grid
+    eu = np.exp(y)
+    y_new, _, _, iters = _newton_loop(
+        y, *_residual_values(y, eu, grid, config), eu, grid, config, _NewtonWorkspace()
     )
-    return Field(y_prev.grid, y, FieldKind.LOG_DENSITY), iters
+    return Field(grid, y_new, FieldKind.LOG_DENSITY), iters
 
 
 def _advance(
-    y: Array,
-    grid: PeriodicGrid,
-    config: SolverConfig,
-    workspace: _NewtonWorkspace,
-    depth: int,
-    step_index: int,
-) -> tuple[Array, int]:
-    """One macro step of size config.tau, recursively halving on failure."""
+    y: Array, eu: Array, start: tuple[Array, Array, Array], grid: PeriodicGrid,
+    config: SolverConfig, workspace: _NewtonWorkspace, depth: int, step_index: int,
+) -> tuple[Array, Array, Array, int, bool]:
+    """One macro step of size config.tau from level y (eu = e^y), Newton
+    entering at ``start`` = (y0, F(y0), D2 y0), recursively halving tau on
+    failure.  Returns the accepted (y, F(y), D2 y, iters, clean); ``clean``
+    is False when the step needed a retry or a halving."""
     entered_with_factor = workspace.factor is not None
     try:
         try:
-            y_new, iters, _ = _newton_loop(y, np.exp(y), grid, config, workspace)
-            return y_new, iters
+            return (*_newton_loop(*start, eu, grid, config, workspace), True)
         except (NoConvergence, SingularJacobian):
             if not entered_with_factor:
                 raise
             # the factor recycled from the previous step may just be too
-            # stale; one clean retry before touching tau
+            # stale; one clean retry from y before touching tau
             workspace.invalidate()
-            y_new, iters, _ = _newton_loop(y, np.exp(y), grid, config, workspace)
-            return y_new, iters
+            plain = (y, *_residual_values(y, eu, grid, config))
+            return (*_newton_loop(*plain, eu, grid, config, workspace), False)
     except (NoConvergence, SingularJacobian) as exc:
         if depth >= _MAX_TAU_HALVINGS:
             raise NoConvergence(
@@ -360,10 +337,14 @@ def _advance(
         sub_workspace = _NewtonWorkspace()  # factor depends on tau
         total = 0
         for _ in range(2):
-            y, iters = _advance(y, grid, half, sub_workspace, depth + 1, step_index)
+            eu = np.exp(y)
+            start = (y, *_residual_values(y, eu, grid, half))
+            y, r, d2y, iters, _ = _advance(
+                y, eu, start, grid, half, sub_workspace, depth + 1, step_index
+            )
             total += iters
         workspace.invalidate()
-        return y, total
+        return y, r, d2y, total, False
 
 
 def solve(
@@ -396,7 +377,7 @@ def solve(
 
     mass0 = float(grid.spacing * np.exp(y).sum())
 
-    def record_at(t: float, iters: int) -> TimeSeriesRecord:
+    def record_at(t: float, iters: int, d2y: Array) -> TimeSeriesRecord:
         u = Field(grid, np.exp(y), FieldKind.DENSITY)
         mass = integrate(u)
         return TimeSeriesRecord(
@@ -404,27 +385,45 @@ def solve(
             mass=mass,
             entropy_rel=entropy_relative(u, mass / grid.length),
             lyap=lyapunov_u_minus_logu(u),
-            production=entropy_production(u, config.backend),
+            production=_integrate(grid, u.values * d2y * d2y),
             min_u=float(u.values.min()),
             newton_iters=iters,
         )
 
-    records = [record_at(0.0, 0)]
+    records = [record_at(0.0, 0, _derivative(grid, y, 2, config.backend))]
     snapshots: list[tuple[float, Field]] = []
     if snapshot_every > 0:
         snapshots.append((0.0, Field(grid, np.exp(y), FieldKind.DENSITY)))
 
     workspace = _NewtonWorkspace()
+    # the level before y, with e^y_old; None while no secant is valid
+    y_old = eu_old = None
     for k in range(1, n_steps + 1):
-        y, iters = _advance(y, grid, config, workspace, depth=0, step_index=k)
+        eu = np.exp(y)
+        if y_old is None:
+            start = (y, *_residual_values(y, eu, grid, config))
+        else:
+            # F(y; y) from the accepted residual r = F(y; y_old), FFT-free
+            r_plain = r - (eu - eu_old) / config.tau
+            y_pred = 2.0 * y - y_old
+            r_pred, d2y_pred = _residual_values(y_pred, eu, grid, config)
+            if np.abs(r_pred).max() < np.abs(r_plain).max():
+                start = (y_pred, r_pred, d2y_pred)
+            else:
+                start = (y, r_plain, d2y)
+        y_new, r, d2y, iters, clean = _advance(
+            y, eu, start, grid, config, workspace, depth=0, step_index=k
+        )
         if config.renormalize_mass and config.epsilon != 0.0:
             # eps terms break conservation; shift log u to restore the mass
-            mass_k = float(grid.spacing * np.exp(y).sum())
-            y += math.log(mass0 / mass_k)
+            y_new = y_new + math.log(mass0 / _integrate(grid, np.exp(y_new)))
             workspace.invalidate()
+            clean = False
+        y_old, eu_old = (y, eu) if clean else (None, None)
+        y = y_new
         t = k * config.tau
         if k % record_every == 0 or k == n_steps:
-            records.append(record_at(t, iters))
+            records.append(record_at(t, iters, d2y))
         if snapshot_every > 0 and (k % snapshot_every == 0 or k == n_steps):
             snapshots.append((t, Field(grid, np.exp(y), FieldKind.DENSITY)))
 

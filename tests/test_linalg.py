@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse import csc_array
 
 import dlss
@@ -38,6 +39,14 @@ class TestDenseLU:
         for k in range(3):
             rhs = np.sin(np.arange(16) + k)
             assert np.allclose(mat @ lu.solve(rhs), rhs, atol=1e-12)
+
+    def test_solve_bit_identical_to_lu_solve(self):
+        # a full random matrix, so that the factorisation pivots
+        rng = np.random.default_rng(11)
+        mat = rng.standard_normal((64, 64))
+        rhs = rng.standard_normal(64)
+        expected = lu_solve(lu_factor(mat), rhs)
+        assert np.array_equal(DenseLU(mat).solve(rhs), expected)
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_matrix_raises(self):

@@ -109,32 +109,6 @@ class TestJacobian:
         assert err <= 1e-14 * np.abs(jac_dense).max()
 
 
-class TestNewtonStep:
-    def test_converged_input_returned_unchanged(self, grid64):
-        y = log_field(grid64, np.full(64, 1.5))
-        y_new, rnorm = dlss.newton_step(y, y, SolverConfig(tau=1e-2))
-        assert rnorm < 1e-13
-        assert np.array_equal(y_new.values, y.values)
-
-    def test_quadratic_contraction(self, grid64):
-        config = SolverConfig(tau=1e-3, newton_tol=1e-30, max_newton=50)
-        y_prev = log_field(grid64, 1.0 + 0.1 * np.cos(grid64.nodes))
-        y = y_prev
-        norms = []
-        for _ in range(4):
-            y, rnorm = dlss.newton_step(y, y_prev, config)
-            norms.append(rnorm)
-        # successive residuals fall superlinearly until the roundoff floor
-        assert norms[1] < 0.3 * norms[0]
-        assert norms[2] < 0.3 * norms[1] or norms[2] < 1e-10
-
-    def test_rejects_mismatched_grids(self, grid64, grid128):
-        ya = log_field(grid64, np.ones(64))
-        yb = log_field(grid128, np.ones(128))
-        with pytest.raises(ValueError):
-            dlss.newton_step(ya, yb, SolverConfig(tau=1e-3))
-
-
 class TestStep:
     def test_single_step_converges(self, grid64):
         config = SolverConfig(tau=1e-3, newton_tol=1e-10)
@@ -277,6 +251,56 @@ class TestSolve:
         traj = dlss.solve(cosine_density(grid64), 0.01, config, snapshot_every=5)
         assert [round(t, 6) for t, _ in traj.snapshots] == [0.0, 0.005, 0.01]
         assert all(f.kind is FieldKind.DENSITY for _, f in traj.snapshots)
+
+    def test_secant_start_saves_newton_iterations(self, grid64):
+        # the plain start y_k took 671 iterations here
+        u0 = Field(
+            grid64, 1.0 + 0.1 * np.cos(grid64.nodes) + 0.02 * np.sin(3 * grid64.nodes),
+            FieldKind.DENSITY,
+        )
+        traj = dlss.solve(u0, 0.1, SolverConfig(tau=1e-3, newton_tol=1e-10))
+        assert sum(r.newton_iters for r in traj.records) < 671
+
+    @pytest.mark.parametrize(
+        "backend,solver,tau,tol,amplitude",
+        [
+            (SPECTRAL, LinearSolver.DENSE, 1e-3, 1e-10, 0.1),
+            (FD2, LinearSolver.BANDED, 1e-3, 1e-10, 0.1),
+            # fast transient: the guard rejects the secant on some steps
+            (FD4, LinearSolver.BANDED, 1e-2, 1e-6, 0.5),
+        ],
+    )
+    def test_matches_repeated_step(self, grid64, backend, solver, tau, tol, amplitude):
+        config = SolverConfig(tau=tau, newton_tol=tol, backend=backend, linear_solver=solver)
+        u0 = dlss.random_log_density(grid64, 4, 7, amplitude=amplitude)
+        n_steps = 20
+        traj = dlss.solve(u0, n_steps * tau, config)
+        y = log_field(grid64, u0.values)
+        for _ in range(n_steps):
+            y, _ = dlss.step(y, config)
+        u_step = np.exp(y.values)
+        u_solve = np.exp(traj.final_y.values)
+        assert np.abs(u_solve - u_step).max() <= 1e-8 * np.abs(u_step).max()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SolverConfig(tau=1e-3, newton_tol=1e-10),
+            SolverConfig(tau=1e-3, newton_tol=1e-10, backend=FD2),
+            SolverConfig(tau=1e-3, newton_tol=1e-10, backend=FD4),
+            SolverConfig(tau=1e-3, newton_tol=1e-10, epsilon=1e-6, renormalize_mass=True),
+        ],
+        ids=["spectral", "fd2", "fd4", "renormalized"],
+    )
+    def test_record_production_matches_functional(self, grid64, config):
+        # records take D2 y from the accepted residual instead of
+        # differentiating log u again
+        traj = dlss.solve(cosine_density(grid64, 0.3), 0.02, config, snapshot_every=1)
+        assert len(traj.snapshots) == len(traj.records)
+        for record, (t, u) in zip(traj.records, traj.snapshots):
+            assert record.t == t
+            expected = dlss.entropy_production(u, config.backend)
+            assert record.production == pytest.approx(expected, rel=1e-12)
 
     def test_banded_linear_solver_agrees_with_dense(self, grid128):
         dense = SolverConfig(tau=1e-3, newton_tol=1e-9, backend=FD4)
