@@ -44,7 +44,6 @@ __all__ = [
     "diff_matrix",
     "integrate",
     "mean",
-    "project_mean_zero",
 ]
 
 # Densities at or below this are treated as vacuum; log() is meaningless there.
@@ -157,9 +156,6 @@ class Field:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def with_values(self, values: np.ndarray, kind: FieldKind | None = None) -> "Field":
-        return Field(self.grid, values, self.kind if kind is None else kind)
 
 
 class _BackendKind(enum.Enum):
@@ -327,8 +323,3 @@ def integrate(f: Field) -> float:
 
 def mean(f: Field) -> float:
     return float(f.values.mean())
-
-
-def project_mean_zero(f: Field) -> Field:
-    """Subtract the mean; the result is GENERIC (it may change sign)."""
-    return Field(f.grid, f.values - f.values.mean(), FieldKind.GENERIC)

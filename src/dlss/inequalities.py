@@ -35,7 +35,6 @@ import numpy as np
 from .errors import DegenerateDenominator, PositivityLost
 from .grid import (
     POSITIVITY_FLOOR,
-    DiffBackend,
     Field,
     FieldKind,
     PeriodicGrid,
@@ -121,7 +120,6 @@ class QuotientResult:
     residual: float
     analytic: float
     converged: bool
-    remainder: float | None = None
 
     @property
     def rel_error(self) -> float:
@@ -137,16 +135,14 @@ def _xlogx_of_square(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quotient_parts(
-    spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid, backend: DiffBackend
-) -> tuple[float, float]:
+def _quotient_parts(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple[float, float]:
     if spec.kind is QuotientKind.POINCARE:
-        dn = _derivative(grid, vals, spec.n, backend)
+        dn = _derivative(grid, vals, spec.n, SPECTRAL)
         num = _integrate(grid, dn * dn)
         dev = vals - vals.mean()
         den = _integrate(grid, dev * dev)
     elif spec.kind is QuotientKind.LOG_SOBOLEV:
-        dn = _derivative(grid, vals, spec.n, backend)
+        dn = _derivative(grid, vals, spec.n, SPECTRAL)
         num = _integrate(grid, dn * dn)
         norm_sq = _integrate(grid, vals * vals) / grid.length
         den = _integrate(grid, _xlogx_of_square(vals))
@@ -155,16 +151,17 @@ def _quotient_parts(
     else:
         _check_positive(vals)
         p = spec.p
-        dv = _derivative(grid, vals, 1, backend)
+        dv = _derivative(grid, vals, 1, SPECTRAL)
         num = p * _integrate(grid, vals ** (p - 2.0) * dv * dv)
         vbar = float(vals.mean())
         den = (_integrate(grid, vals ** p) - grid.length * vbar ** p) / (p - 1.0)
     return num, den
 
 
-def quotient_value(spec: QuotientSpec, u: Field, backend: DiffBackend = SPECTRAL) -> float:
-    """Evaluate the quotient; degenerate (near-constant) input is an error."""
-    num, den = _quotient_parts(spec, u.values, u.grid, backend)
+def quotient_value(spec: QuotientSpec, u: Field) -> float:
+    """Evaluate the quotient with spectral derivatives; degenerate
+    (near-constant) input is an error."""
+    num, den = _quotient_parts(spec, u.values, u.grid)
     if abs(den) < _DEGENERACY_FLOOR:
         raise DegenerateDenominator(
             f"denominator {den:.3e} below {_DEGENERACY_FLOOR:.0e}; "
@@ -173,17 +170,15 @@ def quotient_value(spec: QuotientSpec, u: Field, backend: DiffBackend = SPECTRAL
     return num / den
 
 
-def _quotient_gradient(
-    spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid, q: float, backend: DiffBackend
-) -> np.ndarray:
+def _quotient_gradient(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid, q: float) -> np.ndarray:
     """L2 gradient of the quotient at a point where it equals q."""
     if spec.kind is QuotientKind.POINCARE:
         sign = -1.0 if spec.n % 2 else 1.0
-        d_num = 2.0 * sign * _derivative(grid, vals, 2 * spec.n, backend)
+        d_num = 2.0 * sign * _derivative(grid, vals, 2 * spec.n, SPECTRAL)
         d_den = 2.0 * (vals - vals.mean())
     elif spec.kind is QuotientKind.LOG_SOBOLEV:
         sign = -1.0 if spec.n % 2 else 1.0
-        d_num = 2.0 * sign * _derivative(grid, vals, 2 * spec.n, backend)
+        d_num = 2.0 * sign * _derivative(grid, vals, 2 * spec.n, SPECTRAL)
         norm_sq = float(np.mean(vals * vals))
         ratio = vals * vals / norm_sq
         logs = np.zeros_like(vals)
@@ -192,17 +187,26 @@ def _quotient_gradient(
         d_den = 2.0 * vals * logs
     else:
         p = spec.p
-        dv = _derivative(grid, vals, 1, backend)
-        flux = _derivative(grid, p * vals ** (p - 2.0) * dv, 1, backend)
+        dv = _derivative(grid, vals, 1, SPECTRAL)
+        flux = _derivative(grid, p * vals ** (p - 2.0) * dv, 1, SPECTRAL)
         d_num = p * (p - 2.0) * vals ** (p - 3.0) * dv * dv - 2.0 * flux
         vbar = vals.mean()
         d_den = p * (vals ** (p - 1.0) - vbar ** (p - 1.0)) / (p - 1.0)
-    _, den = _quotient_parts(spec, vals, grid, backend)
+    _, den = _quotient_parts(spec, vals, grid)
     return (d_num - q * d_den) / den
 
 
+def _without_nyquist(hat: np.ndarray, n: int) -> np.ndarray:
+    """Inverse real FFT of ``hat`` with the Nyquist coefficient of an even
+    grid zeroed."""
+    if n % 2 == 0:
+        hat[-1] = 0.0
+    return np.fft.irfft(hat, n=n)
+
+
 def _precondition(g: np.ndarray, spec: QuotientSpec) -> np.ndarray:
-    """Damp mode m of the gradient by 1/(1 + m^{2n}).
+    """Damp mode m of the gradient by 1/(1 + m^{2n}) and drop its
+    Nyquist mode.
 
     The raw quotient gradient is dominated by the highest-derivative term,
     whose symbol grows like m^{2n}; undamped descent would be limited by
@@ -212,7 +216,7 @@ def _precondition(g: np.ndarray, spec: QuotientSpec) -> np.ndarray:
     ghat = np.fft.rfft(g)
     m = np.arange(ghat.size, dtype=float)
     ghat /= 1.0 + m ** (2 * n)
-    return np.fft.irfft(ghat, n=g.size)
+    return _without_nyquist(ghat, g.size)
 
 
 def _normalize(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray | None:
@@ -246,18 +250,21 @@ def _normalize(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> np.n
 def minimize_quotient(
     spec: QuotientSpec,
     u_init: Field,
-    backend: DiffBackend = SPECTRAL,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = 1e-7,
-    step0: float = 0.5,
 ) -> QuotientResult:
     """Projected gradient descent on the quotient from ``u_init``.
 
-    Each iterate is renormalised (mean-zero unit mass for Poincare, unit
-    norm for log-Sobolev, unit mean for convex Sobolev, and at p = 2 also
-    sup |v / vbar - 1| = 1/2) and steps are
-    backtracked until the quotient strictly decreases, so the value is
-    monotone along the iteration.  The run stops, converged, as soon as
+    The search runs over Nyquist-free fields: the start loses its Nyquist
+    coefficient and every step is Nyquist-free.  The sawtooth (-1)^j has
+    zero odd spectral derivatives, so it drives the Poincare and
+    log-Sobolev quotients of odd order and the convex quotients to 0, and
+    on coarse grids an unrestricted descent drifts into it.  Each iterate
+    is renormalised (mean-zero unit mass for Poincare, unit norm for
+    log-Sobolev, unit mean for convex Sobolev, and at p = 2 also
+    sup |v / vbar - 1| = 1/2) and steps are backtracked until the
+    quotient strictly decreases, so the value is monotone along the
+    iteration.  The run stops, converged, as soon as
     one accepted step changes the quotient by less than ``tol`` in
     relative terms, or when no descent step exists at all (a stationary
     point to machine precision).  Hitting ``max_iters`` first returns the
@@ -270,16 +277,16 @@ def minimize_quotient(
     exactly quadratic and converge to rounding error regardless of tol.
     """
     grid = u_init.grid
-    vals = _normalize(spec, np.asarray(u_init.values, dtype=float), grid)
+    vals = _normalize(spec, _without_nyquist(np.fft.rfft(u_init.values), grid.n_points), grid)
     if vals is None:
         raise DegenerateDenominator("initial field cannot be normalised")
-    q = quotient_value(spec, Field(grid, vals), backend)
+    q = quotient_value(spec, Field(grid, vals))
 
-    step = step0
+    step = 0.5
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        g = _quotient_gradient(spec, vals, grid, q, backend)
+        g = _quotient_gradient(spec, vals, grid, q)
         gp = _precondition(g, spec)
 
         accepted = False
@@ -288,7 +295,7 @@ def minimize_quotient(
             cand = _normalize(spec, vals - s * gp, grid)
             if cand is not None:
                 try:
-                    q_cand = quotient_value(spec, Field(grid, cand), backend)
+                    q_cand = quotient_value(spec, Field(grid, cand))
                 except DegenerateDenominator:
                     q_cand = None
                 if q_cand is not None and q_cand < q:
@@ -306,7 +313,7 @@ def minimize_quotient(
             converged = True
             break
 
-    g = _quotient_gradient(spec, vals, grid, q, backend)
+    g = _quotient_gradient(spec, vals, grid, q)
     residual = float(np.abs(_precondition(g, spec)).max())
     kind = FieldKind.DENSITY if spec.kind is QuotientKind.CONVEX_SOBOLEV else FieldKind.GENERIC
     return QuotientResult(
@@ -342,21 +349,20 @@ def _default_tol(spec: QuotientSpec) -> float:
 def certify_constant(
     spec: QuotientSpec,
     grid: PeriodicGrid,
-    backend: DiffBackend = SPECTRAL,
     seeds: tuple[int, ...] = (0, 1, 2),
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float | None = None,
 ) -> QuotientResult:
     """Multi-start minimisation: run ``minimize_quotient`` from one random
-    admissible field per seed and keep the lowest converged value."""
+    admissible field per seed and keep the lowest converged value.  At
+    least one seed is required."""
+    if not seeds:
+        raise ValueError("seeds must name at least one start")
     if tol is None:
         tol = _default_tol(spec)
     best = None
     for seed in seeds:
-        res = minimize_quotient(
-            spec, _initial_guess(spec, grid, seed), backend=backend,
-            max_iters=max_iters, tol=tol,
-        )
+        res = minimize_quotient(spec, _initial_guess(spec, grid, seed), max_iters=max_iters, tol=tol)
         if best is None or (res.converged, -res.value) > (best.converged, -best.value):
             best = res
     return best
@@ -373,7 +379,6 @@ class HeatFlowRecord:
     t: float
     f_value: float
     dissipation: float
-    w_snapshot: Field | None = None
 
 
 def _sigma_integral(v: np.ndarray, grid: PeriodicGrid, p: float) -> np.ndarray:
@@ -387,8 +392,8 @@ def _sigma_integral(v: np.ndarray, grid: PeriodicGrid, p: float) -> np.ndarray:
     return grid.spacing * ((v ** p).sum(axis=-1) - v.shape[-1] * vbar_p) / (p - 1.0)
 
 
-def _flow_functionals(v: np.ndarray, grid: PeriodicGrid, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, dissipation, w) for each flow state, one per row of v."""
+def _flow_functionals(v: np.ndarray, grid: PeriodicGrid, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(f, dissipation) for each flow state, one per row of v."""
     el = grid.length
     w = v ** (p / 2.0)
     wx = _derivative(grid, w, 1, SPECTRAL)
@@ -397,7 +402,7 @@ def _flow_functionals(v: np.ndarray, grid: PeriodicGrid, p: float) -> tuple[np.n
     f = grid.spacing * wx2.sum(axis=-1) - (2.0 * math.pi ** 2 * p / el ** 2) * _sigma_integral(v, grid, p)
     quart = (2.0 / p - 1.0) * (wx2 * wx2) / (3.0 * w * w)
     dissipation = 2.0 * grid.spacing * (wxx * wxx - (4.0 * math.pi ** 2 / el ** 2) * wx2 + quart).sum(axis=-1)
-    return f, dissipation, w
+    return f, dissipation
 
 
 def _heat_steps(v0: np.ndarray, grid: PeriodicGrid, t_final: float, dt: float):
@@ -435,9 +440,9 @@ def heatflow_verify(
     p: float,
     t_final: float,
     dt: float,
-    snapshot_every: int = 0,
 ) -> list[HeatFlowRecord]:
-    """Flow v_t = v_xx from v(0) = u^{2/p} and record f and its production.
+    """Flow v_t = v_xx from v(0) = u^{2/p} and record f and its production
+    at every lattice time k dt, t = 0 included.
 
     In the w = v^{p/2} variable this is exactly the nonlinear flow
     w_t = w_xx + (2/p - 1) w_x^2 / w whose Lyapunov functional f certifies
@@ -447,12 +452,8 @@ def heatflow_verify(
     v0 = _check_positive(u.values) ** (2.0 / p)
     records = []
     for t, v in _heat_steps(v0, u.grid, t_final, dt):
-        f, diss, w = _flow_functionals(v, u.grid, p)
-        for j, (tj, fj, dj) in enumerate(zip(t.tolist(), f.tolist(), diss.tolist())):
-            snap = None
-            if snapshot_every > 0 and len(records) % snapshot_every == 0:
-                snap = Field(u.grid, w[j], FieldKind.DENSITY)  # Field copies the row
-            records.append(HeatFlowRecord(t=tj, f_value=fj, dissipation=dj, w_snapshot=snap))
+        f, diss = _flow_functionals(v, u.grid, p)
+        records += map(HeatFlowRecord, t.tolist(), f.tolist(), diss.tolist())
     return records
 
 
@@ -484,9 +485,7 @@ def remainder_R(u0: Field, p: float, t_final: float, dt: float) -> float:
     return total + tail
 
 
-def convex_sobolev_check(
-    u: Field, p: float, backend: DiffBackend = SPECTRAL
-) -> tuple[float, float, bool]:
+def convex_sobolev_check(u: Field, p: float) -> tuple[float, float, bool]:
     """Test int u^2 - L ((1/L) int u^{2/p})^p <= (p-1) L^2 / (2 pi^2 p) int u_x^2.
 
     Returns (lhs, rhs, holds) with lhs and rhs both divided by (p - 1),
@@ -500,6 +499,6 @@ def convex_sobolev_check(
         _integrate(grid, vals * vals)
         - el * (_integrate(grid, vals ** (2.0 / p)) / el) ** p
     ) / (p - 1.0)
-    ux = _derivative(grid, vals, 1, backend)
+    ux = _derivative(grid, vals, 1, SPECTRAL)
     rhs = (el ** 2 / (2.0 * math.pi ** 2 * p)) * _integrate(grid, ux * ux)
     return lhs, rhs, lhs <= rhs + 1e-10

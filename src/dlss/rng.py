@@ -24,6 +24,8 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
+# Weight ratio between consecutive Fourier modes of a random smooth field.
+_DECAY = 0.8
 
 
 class SplitMix64:
@@ -47,9 +49,9 @@ class SplitMix64:
         return np.array([self.uniform() for _ in range(n)])
 
 
-def _fourier_coefficients(seed: int, n_modes: int, decay: float) -> tuple[np.ndarray, np.ndarray]:
+def _fourier_coefficients(seed: int, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     rng = SplitMix64(seed)
-    amp = decay ** np.arange(1, n_modes + 1)
+    amp = _DECAY ** np.arange(1, n_modes + 1)
     a = amp * (2.0 * rng.uniforms(n_modes) - 1.0)
     b = amp * (2.0 * rng.uniforms(n_modes) - 1.0)
     return a, b
@@ -60,20 +62,17 @@ def random_smooth_field(
     n_modes: int,
     seed: int,
     amplitude: float = 0.8,
-    decay: float = 0.8,
     mean_zero: bool = False,
 ) -> Field:
     """Random real trigonometric polynomial, sup-norm scaled to ``amplitude``.
 
-    Coefficients of mode m carry weight ``decay**m``, so the field is
+    Coefficients of mode m carry weight 0.8**m, so the field is
     analytic-in-practice and its discrete derivatives converge fast.  The
-    draw is a pure function of (seed, n_modes, amplitude, decay).
+    draw is a pure function of (seed, n_modes, amplitude, mean_zero).
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be positive, got {n_modes}")
-    if not 0.0 < decay <= 1.0:
-        raise ValueError(f"decay must lie in (0, 1], got {decay}")
-    a, b = _fourier_coefficients(seed, n_modes, decay)
+    a, b = _fourier_coefficients(seed, n_modes)
     theta = (2.0 * np.pi / grid.length) * grid.nodes
     m = np.arange(1, n_modes + 1)
     phases = np.outer(m, theta)
@@ -91,8 +90,7 @@ def random_log_density(
     n_modes: int,
     seed: int,
     amplitude: float = 0.8,
-    decay: float = 0.8,
 ) -> Field:
     """Strictly positive random density exp(g) with g a random smooth field."""
-    g = random_smooth_field(grid, n_modes, seed, amplitude=amplitude, decay=decay)
+    g = random_smooth_field(grid, n_modes, seed, amplitude=amplitude)
     return Field(grid, np.exp(g.values), FieldKind.DENSITY)

@@ -147,7 +147,6 @@ _SCHEMA = {
     "epsilon": ("epsilon", "float"),
     "newton_tol": ("newton_tol", "float"),
     "max_newton": ("max_newton", "int"),
-    "damping": ("damping", "float"),
     "backend": ("backend", DiffBackend.from_name),
     "linear_solver": ("linear_solver", LinearSolver),
     "renormalize_mass": ("renormalize_mass", "bool"),

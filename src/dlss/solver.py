@@ -66,6 +66,8 @@ __all__ = [
 ]
 
 _MAX_BACKTRACKS = 40
+# Each backtrack halves the Newton step.
+_DAMPING = 0.5
 _MAX_TAU_HALVINGS = 5
 # Chord iterations whose contraction factor exceeds this trigger a fresh LU.
 _REFRESH_CONTRACTION = 0.25
@@ -88,6 +90,7 @@ class SolverConfig:
     derivatives: about 1e-11 at N = 64 and 3e-9 at N = 256 on the unit
     circle scale.  Tolerances below that floor cannot converge; the
     default 1e-8 is safe up to N = 256, larger grids need a looser value.
+    Line-search backtracks always halve the Newton step.
     A rejected value raises ``ValidationError`` naming the field.
     """
 
@@ -95,7 +98,6 @@ class SolverConfig:
     epsilon: float = 0.0
     newton_tol: float = 1e-8
     max_newton: int = 25
-    damping: float = 0.5
     backend: DiffBackend = SPECTRAL
     linear_solver: LinearSolver = LinearSolver.DENSE
     renormalize_mass: bool = False
@@ -109,8 +111,6 @@ class SolverConfig:
             raise ValidationError("newton_tol", f"must be positive, got {self.newton_tol}")
         if self.max_newton < 1:
             raise ValidationError("max_newton", f"must be at least 1, got {self.max_newton}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValidationError("damping", f"must lie in (0, 1], got {self.damping}")
         if self.linear_solver is LinearSolver.BANDED and self.backend is SPECTRAL:
             raise ValidationError(
                 "linear_solver",
@@ -137,8 +137,8 @@ class Trajectory:
     """Result of a full run.
 
     ``records`` are strictly increasing in t (the time stepper only ever
-    appends accepted levels).  ``snapshots`` is empty unless requested.
-    ``clamped_nodes`` counts initial values lifted to the positivity
+    appends accepted levels); ``final_y`` is the log-density at the last
+    one.  ``clamped_nodes`` counts initial values lifted to the positivity
     clamp before taking logs.
     """
 
@@ -146,7 +146,6 @@ class Trajectory:
     config: SolverConfig
     records: tuple[TimeSeriesRecord, ...]
     final_y: Field
-    snapshots: tuple[tuple[float, Field], ...] = ()
     clamped_nodes: int = 0
 
 
@@ -242,7 +241,7 @@ def _line_search(
         rnorm_trial = float(np.abs(r_trial).max())
         if rnorm_trial < rnorm or rnorm_trial <= config.newton_tol:
             return y_trial, r_trial, d2y_trial, rnorm_trial
-        lam *= config.damping
+        lam *= _DAMPING
     raise NoConvergence(
         f"line search failed to reduce the residual after {_MAX_BACKTRACKS} "
         f"reductions (residual {rnorm:.3e})",
@@ -352,7 +351,6 @@ def solve(
     t_final: float,
     config: SolverConfig,
     record_every: int = 1,
-    snapshot_every: int = 0,
 ) -> Trajectory:
     """Run the scheme from density ``u0`` to time ``t_final``.
 
@@ -391,9 +389,6 @@ def solve(
         )
 
     records = [record_at(0.0, 0, _derivative(grid, y, 2, config.backend))]
-    snapshots: list[tuple[float, Field]] = []
-    if snapshot_every > 0:
-        snapshots.append((0.0, Field(grid, np.exp(y), FieldKind.DENSITY)))
 
     workspace = _NewtonWorkspace()
     # the level before y, with e^y_old; None while no secant is valid
@@ -421,18 +416,14 @@ def solve(
             clean = False
         y_old, eu_old = (y, eu) if clean else (None, None)
         y = y_new
-        t = k * config.tau
         if k % record_every == 0 or k == n_steps:
-            records.append(record_at(t, iters, d2y))
-        if snapshot_every > 0 and (k % snapshot_every == 0 or k == n_steps):
-            snapshots.append((t, Field(grid, np.exp(y), FieldKind.DENSITY)))
+            records.append(record_at(k * config.tau, iters, d2y))
 
     return Trajectory(
         grid=grid,
         config=config,
         records=tuple(records),
         final_y=Field(grid, y, FieldKind.LOG_DENSITY),
-        snapshots=tuple(snapshots),
         clamped_nodes=clamped_nodes,
     )
 

@@ -189,14 +189,9 @@ class TestQuadrature:
         f = Field(grid64, np.cos(k * grid64.nodes))
         assert abs(dlss.integrate(f)) < 1e-12
 
-    def test_mean_and_projection(self, grid64):
+    def test_mean(self, grid64):
         f = Field(grid64, 3.0 + np.sin(2 * grid64.nodes))
         assert dlss.mean(f) == pytest.approx(3.0, rel=1e-13)
-        p = dlss.project_mean_zero(f)
-        assert abs(dlss.mean(p)) < 1e-14
-        assert np.allclose(p.values, np.sin(2 * grid64.nodes), atol=1e-12)
-        again = dlss.project_mean_zero(p)
-        assert np.allclose(again.values, p.values, atol=1e-15)
 
 
 class TestStructure:

@@ -187,6 +187,30 @@ class TestCertifyConstant:
         assert res.converged
         assert res.rel_error < 1e-2
 
+    @pytest.mark.parametrize("n_points", [16, 32, 48])
+    @pytest.mark.parametrize(
+        "spec,bound",
+        [
+            (poincare(1), 1e-8),
+            (log_sobolev(1), 1e-2),
+            (convex_sobolev(1.2), 1e-2),
+            (convex_sobolev(1.5), 1e-2),
+            (convex_sobolev(2.0), 1e-8),
+        ],
+        ids=["poincare1", "logsob1", "convex1.2", "convex1.5", "convex2"],
+    )
+    def test_coarse_grids_certify(self, n_points, spec, bound):
+        # the sawtooth (-1)^j has zero odd spectral derivatives, so a descent
+        # that drifts into it drives these quotients to 0
+        res = dlss.certify_constant(spec, dlss.make_grid(TWO_PI, n_points))
+        assert res.converged
+        assert res.rel_error < bound
+        assert res.value >= res.analytic * (1.0 - 1e-12)
+
+    def test_rejects_empty_seeds(self, grid64):
+        with pytest.raises(ValueError, match="seed"):
+            dlss.certify_constant(poincare(1), grid64, seeds=())
+
     def test_deterministic(self, grid64):
         a = dlss.certify_constant(poincare(1), grid64)
         b = dlss.certify_constant(poincare(1), grid64)
@@ -226,8 +250,7 @@ class TestHeatFlow:
         # along the p = 1 flow, d/dt int v log v = -4 int (sqrt v)_x^2
         u = cosine_density(grid64, 0.4)
         dt = 1e-5
-        records = dlss.heatflow_verify(u, 1.0, 10 * dt, dt, snapshot_every=1)
-        v = [r.w_snapshot.values ** 2 for r in records]  # p = 1: w = sqrt v
+        v = [heat_state(u.values ** 2, grid64, k * dt) for k in range(11)]  # p = 1: v = u^2
 
         def v_entropy(vals):
             return dlss.integrate(Field(grid64, vals * np.log(vals), FieldKind.GENERIC))
@@ -286,24 +309,6 @@ class TestHeatFlow:
         for r, (f, diss) in zip(records, expected):
             assert abs(r.f_value - f) <= 1e-13 * abs(f0)
             assert abs(r.dissipation - diss) <= 1e-13 * abs(d0)
-
-    def test_snapshots_across_block_boundary(self, grid256):
-        rows = _BLOCK_VALUES // 256
-        u = cosine_density(grid256)
-        dt, n_steps = 1e-3, 2 * rows + 10
-        records = dlss.heatflow_verify(u, 1.5, n_steps * dt, dt, snapshot_every=7)
-        have = [r.w_snapshot is not None for r in records]
-        assert have == [i % 7 == 0 for i in range(n_steps + 1)]
-        v0 = u.values ** (2.0 / 1.5)
-        for r in records[::7]:
-            expected = heat_state(v0, grid256, r.t) ** 0.75
-            assert np.max(np.abs(r.w_snapshot.values - expected)) <= 1e-13
-            assert r.w_snapshot.kind is FieldKind.DENSITY
-
-    def test_snapshot_cadence(self, grid64):
-        records = dlss.heatflow_verify(cosine_density(grid64), 1.5, 0.01, 1e-3, snapshot_every=5)
-        have = [r.w_snapshot is not None for r in records]
-        assert have == [i % 5 == 0 for i in range(11)]
 
     @pytest.mark.parametrize("p", [0.5, 2.5])
     def test_rejects_p_outside_interval(self, grid64, p):

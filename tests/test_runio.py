@@ -63,6 +63,7 @@ class TestParseConfig:
             ("renormalize_mass = maybe", 6),
             ("seed = 1", 6),
             ("snapshot_every = 5", 6),
+            ("damping = 0.5", 6),
             ("N = 32", 6),  # duplicate of a key whose attribute name differs
         ],
     )
@@ -93,7 +94,6 @@ class TestParseConfig:
             (MINIMAL.replace("L = 6.283185307179586", "L = -1"), "L"),
             (MINIMAL + "backend = fd8\n", "backend"),
             (MINIMAL + "linear_solver = banded\n", "linear_solver"),
-            (MINIMAL + "damping = 2\n", "damping"),
             (MINIMAL + "u0 = cosine\nu0_amplitude = 1.5\n", "u0_amplitude"),
             (MINIMAL + "u0_base = 0\n", "u0_base"),
             (MINIMAL + "u0_mode = -1\n", "u0_mode"),

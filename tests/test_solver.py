@@ -37,8 +37,6 @@ class TestSolverConfig:
             {"tau": 1e-3, "epsilon": -1e-6},
             {"tau": 1e-3, "newton_tol": 0.0},
             {"tau": 1e-3, "max_newton": 0},
-            {"tau": 1e-3, "damping": 0.0},
-            {"tau": 1e-3, "damping": 1.5},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -88,8 +86,8 @@ class TestJacobian:
         direction = rng.standard_normal(64)
         direction /= np.abs(direction).max()
         h = 1e-6
-        r_plus = residual(y.with_values(y.values + h * direction), y_prev, config)
-        r_minus = residual(y.with_values(y.values - h * direction), y_prev, config)
+        r_plus = residual(Field(grid64, y.values + h * direction, FieldKind.LOG_DENSITY), y_prev, config)
+        r_minus = residual(Field(grid64, y.values - h * direction, FieldKind.LOG_DENSITY), y_prev, config)
         fd = (r_plus.values - r_minus.values) / (2.0 * h)
         exact = jac @ direction
         scale = np.abs(exact).max()
@@ -246,12 +244,6 @@ class TestSolve:
         assert a.records == b.records
         assert np.array_equal(a.final_y.values, b.final_y.values)
 
-    def test_snapshots_on_request(self, grid64):
-        config = SolverConfig(tau=1e-3, newton_tol=1e-10)
-        traj = dlss.solve(cosine_density(grid64), 0.01, config, snapshot_every=5)
-        assert [round(t, 6) for t, _ in traj.snapshots] == [0.0, 0.005, 0.01]
-        assert all(f.kind is FieldKind.DENSITY for _, f in traj.snapshots)
-
     def test_secant_start_saves_newton_iterations(self, grid64):
         # the plain start y_k took 671 iterations here
         u0 = Field(
@@ -294,11 +286,17 @@ class TestSolve:
     )
     def test_record_production_matches_functional(self, grid64, config):
         # records take D2 y from the accepted residual instead of
-        # differentiating log u again
-        traj = dlss.solve(cosine_density(grid64, 0.3), 0.02, config, snapshot_every=1)
-        assert len(traj.snapshots) == len(traj.records)
-        for record, (t, u) in zip(traj.records, traj.snapshots):
-            assert record.t == t
+        # differentiating log u again; a run to k tau retraces level k bit
+        # for bit, so its final state is the state of record k
+        u0 = cosine_density(grid64, 0.3)
+        traj = dlss.solve(u0, 0.02, config)
+        assert len(traj.records) == 21
+        for k, record in enumerate(traj.records):
+            if k == 0:
+                u = u0
+            else:
+                y_k = dlss.solve(u0, k * config.tau, config).final_y.values
+                u = Field(grid64, np.exp(y_k), FieldKind.DENSITY)
             expected = dlss.entropy_production(u, config.backend)
             assert record.production == pytest.approx(expected, rel=1e-12)
 
