@@ -3,7 +3,7 @@
 Subcommands: solve, certify, heatflow, fit, identity.  Reports go to
 stdout as JSON with sorted keys so identical inputs give byte-identical
 output.  Exit codes: 0 success, 2 configuration or usage error,
-3 numerical failure.
+3 numerical failure (for certify, also a value below the sharp constant).
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ _NUMERICAL_ERRORS = (
     InsufficientData,
     NonPositiveEntropy,
 )
+
+# A certified value below the sharp constant contradicts the inequality;
+# this much relative slack is left for rounding.
+_BELOW_CONSTANT_SLACK = 1e-12
 
 _CERTIFY_KINDS = {
     "poincare": QuotientKind.POINCARE,
@@ -132,7 +136,8 @@ def _cmd_certify(args) -> int:
     else:
         payload["n"] = args.n
     _emit_json(payload, args.output)
-    return 0 if result.converged else 3
+    sound = result.value >= result.analytic * (1.0 - _BELOW_CONSTANT_SLACK)
+    return 0 if result.converged and sound else 3
 
 
 def _cmd_heatflow(args) -> int:

@@ -206,13 +206,22 @@ FD4 = DiffBackend(_BackendKind.FINITE_DIFFERENCE, 4)
 BACKENDS = {"spectral": SPECTRAL, "fd2": FD2, "fd4": FD4}
 
 
+@lru_cache(maxsize=None)
+def _spectral_symbol(n: int, order: int, length: float) -> np.ndarray:
+    """Read-only multiplier (i k)^order on the rfft modes of an n-point
+    grid of circumference ``length``; odd orders zero the Nyquist mode."""
+    wave = (2.0 * np.pi / length) * np.arange(n // 2 + 1)
+    symbol = (1j * wave) ** order
+    if order % 2 == 1 and n % 2 == 0:
+        symbol[-1] = 0.0
+    symbol.setflags(write=False)
+    return symbol
+
+
 def _spectral_derivative(values: np.ndarray, order: int, length: float) -> np.ndarray:
     n = values.shape[-1]
     fhat = np.fft.rfft(values, axis=-1)
-    wave = (2.0 * np.pi / length) * np.arange(fhat.shape[-1])
-    fhat *= (1j * wave) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        fhat[..., -1] = 0.0
+    fhat *= _spectral_symbol(n, order, length)
     return np.fft.irfft(fhat, n=n, axis=-1)
 
 

@@ -17,14 +17,18 @@ entropies decay step by step: convexity of s -> s log s plus summation by
 parts transfer the continuum Lyapunov argument verbatim to the grid.
 
 ``step`` and ``solve`` run one damped chord loop that reuses an LU across
-iterations (``solve`` also across steps), refreshing it whenever
-contraction degrades.  ``solve`` starts each step at the secant
-2 y_k - y_{k-1} if its residual is below that of y_k, which is free:
-F(y_k; y_k) is the previous step's accepted residual minus
-(e^{y_k} - e^{y_{k-1}}) / tau.  The first step, the step after a retry,
-a tau halving or a mass renormalisation, and the retry and halving paths
-start at y_k, as ``step`` does.  Records reuse the accepted D2 y for the
-production.  Every accepted iterate passes the same residual tolerance.
+iterations (``solve`` also across steps), refreshing it when an iteration
+that is still above the tolerance contracts too little; the iteration
+that meets the tolerance may land on the residual floor, so its ratio is
+not judged.  ``solve`` starts each step at the quadratic extrapolation
+3 y_k - 3 y_{k-1} + y_{k-2} through the last three levels, or at the
+secant 2 y_k - y_{k-1} while only two are known, if its residual is below
+that of y_k, which is free: F(y_k; y_k) is the previous step's accepted
+residual minus (e^{y_k} - e^{y_{k-1}}) / tau.  A retry, a tau halving or
+a mass renormalisation drops the older levels, so the step after it
+starts at y_k, as the first step, the retry and halving paths and
+``step`` do.  Records reuse the accepted D2 y for the production.  Every
+accepted iterate passes the same residual tolerance.
 """
 
 from __future__ import annotations
@@ -69,7 +73,8 @@ _MAX_BACKTRACKS = 40
 # Each backtrack halves the Newton step.
 _DAMPING = 0.5
 _MAX_TAU_HALVINGS = 5
-# Chord iterations whose contraction factor exceeds this trigger a fresh LU.
+# A chord iteration that ends above newton_tol with a contraction factor
+# above this triggers a fresh LU.
 _REFRESH_CONTRACTION = 0.25
 
 Array = np.ndarray
@@ -256,8 +261,9 @@ def _newton_loop(
 ) -> tuple[Array, Array, Array, int]:
     """Damped chord Newton on one step from y, given r = F(y) and D2 y;
     returns the accepted (y, F(y), D2 y, iters).  The workspace factor is
-    kept until either the line search fails or the contraction factor
-    climbs above _REFRESH_CONTRACTION."""
+    kept until either the line search fails or an iteration that stays
+    above the tolerance has a contraction factor |F_new| / |F_old| above
+    _REFRESH_CONTRACTION."""
     rnorm = float(np.abs(r).max())
     iters = 0
     while rnorm > config.newton_tol:
@@ -285,7 +291,9 @@ def _newton_loop(
         contraction = rnorm_trial / rnorm if rnorm > 0.0 else 0.0
         y, r, d2y, rnorm = y_trial, r_trial, d2y_trial, rnorm_trial
         iters += 1
-        if workspace.stale and contraction > _REFRESH_CONTRACTION:
+        # a trial that meets the tolerance ends the loop; its ratio may be
+        # residual-floor noise and says nothing about the factor
+        if workspace.stale and contraction > _REFRESH_CONTRACTION and rnorm > config.newton_tol:
             workspace.invalidate()
         else:
             workspace.stale = True
@@ -391,8 +399,9 @@ def solve(
     records = [record_at(0.0, 0, _derivative(grid, y, 2, config.backend))]
 
     workspace = _NewtonWorkspace()
-    # the level before y, with e^y_old; None while no secant is valid
-    y_old = eu_old = None
+    # the level before y (with e^y_old) and the one before that; None
+    # while no clean step links them to y
+    y_old = eu_old = y_older = None
     for k in range(1, n_steps + 1):
         eu = np.exp(y)
         if y_old is None:
@@ -400,7 +409,10 @@ def solve(
         else:
             # F(y; y) from the accepted residual r = F(y; y_old), FFT-free
             r_plain = r - (eu - eu_old) / config.tau
-            y_pred = 2.0 * y - y_old
+            if y_older is None:
+                y_pred = 2.0 * y - y_old
+            else:
+                y_pred = 3.0 * (y - y_old) + y_older
             r_pred, d2y_pred = _residual_values(y_pred, eu, grid, config)
             if np.abs(r_pred).max() < np.abs(r_plain).max():
                 start = (y_pred, r_pred, d2y_pred)
@@ -414,7 +426,10 @@ def solve(
             y_new = y_new + math.log(mass0 / _integrate(grid, np.exp(y_new)))
             workspace.invalidate()
             clean = False
-        y_old, eu_old = (y, eu) if clean else (None, None)
+        if clean:
+            y_older, y_old, eu_old = y_old, y, eu
+        else:
+            y_older = y_old = eu_old = None
         y = y_new
         if k % record_every == 0 or k == n_steps:
             records.append(record_at(k * config.tau, iters, d2y))

@@ -2,10 +2,12 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dlss import cli
 from dlss.cli import main
 from dlss.runio import TIMESERIES_HEADER, read_timeseries
 
@@ -163,6 +165,25 @@ class TestCertify:
         )
         assert code == 3
         assert json.loads(out)["converged"] is False
+
+    def test_value_below_constant_exits_3(self, capsys, monkeypatch):
+        # a converged descent that lands below the sharp constant has
+        # certified a value the inequality forbids
+        certify = cli.certify_constant
+
+        def below(*args, **kwargs):
+            result = certify(*args, **kwargs)
+            return replace(result, value=result.analytic * (1.0 - 1e-9))
+
+        monkeypatch.setattr(cli, "certify_constant", below)
+        code, out, _ = run_cli(
+            capsys,
+            ["certify", "--kind", "poincare", "--n", "1", "--L", str(TWO_PI), "--N", "64"],
+        )
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["converged"] is True
+        assert payload["value"] < payload["analytic"]
 
     def test_output_file(self, tmp_path, capsys):
         report = tmp_path / "cert.json"

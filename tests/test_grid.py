@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind
-from dlss.grid import diff_matrix
+from dlss.grid import _spectral_symbol, diff_matrix
 from dlss.rng import random_smooth_field
 
 TWO_PI = 2.0 * math.pi
@@ -110,6 +110,20 @@ class TestSpectralDerivative:
         assert np.abs(d1).max() < 1e-12
         d2 = dlss.derivative(f, 2, SPECTRAL).values
         assert np.abs(d2 + 32 ** 2 * np.cos(32 * x)).max() < 1e-9
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_cached_symbol_gives_direct_result(self, grid64, order):
+        # the multiplier (i k)^order is cached per grid and order; the
+        # derivative equals, bit for bit, one that builds it on the spot
+        values = smooth_field(grid64, 5).values
+        fhat = np.fft.rfft(values)
+        wave = (2.0 * np.pi / grid64.length) * np.arange(fhat.size)
+        fhat *= (1j * wave) ** order
+        if order % 2 == 1:
+            fhat[-1] = 0.0
+        want = np.fft.irfft(fhat, n=grid64.n_points)
+        assert np.array_equal(dlss.derivative(Field(grid64, values), order).values, want)
+        assert not _spectral_symbol(grid64.n_points, order, grid64.length).flags.writeable
 
     def test_order_zero_is_identity(self, grid64):
         f = smooth_field(grid64, 3)
