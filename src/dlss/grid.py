@@ -59,6 +59,13 @@ def _check_positive(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _check_finite(values: np.ndarray) -> np.ndarray:
+    """``values`` unchanged if all are finite, else ``ValueError``."""
+    if not np.isfinite(values).all():
+        raise ValueError("field values must be finite")
+    return values
+
+
 def _lattice_steps(t_final: float, step: float, step_name: str) -> int:
     """Number of steps of size ``step`` that end exactly at ``t_final``.
 
@@ -149,8 +156,7 @@ class Field:
                 f"values shape {vals.shape} does not match grid with "
                 f"{self.grid.n_points} nodes"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
+        _check_finite(vals)
         if self.kind is FieldKind.DENSITY:
             _check_positive(vals)
         vals = vals.copy()
@@ -218,11 +224,12 @@ def _spectral_symbol(n: int, order: int, length: float) -> np.ndarray:
     return symbol
 
 
-def _spectral_derivative(values: np.ndarray, order: int, length: float) -> np.ndarray:
-    n = values.shape[-1]
-    fhat = np.fft.rfft(values, axis=-1)
-    fhat *= _spectral_symbol(n, order, length)
-    return np.fft.irfft(fhat, n=n, axis=-1)
+def _spectrum_derivative(grid: PeriodicGrid, fhat: np.ndarray, order: int) -> np.ndarray:
+    """``order``-th spectral derivative of the grid values whose rfft along
+    the last axis is ``fhat``; ``fhat`` is left unchanged, so one transform
+    serves several orders."""
+    n = grid.n_points
+    return np.fft.irfft(fhat * _spectral_symbol(n, order, grid.length), n=n, axis=-1)
 
 
 # Central periodic stencils on the unit-spacing grid, as {offset: weight}.
@@ -268,7 +275,7 @@ def _fd_derivative(values: np.ndarray, order: int, spacing: float, fd_order: int
 def _derivative(grid: PeriodicGrid, values: np.ndarray, order: int, backend: DiffBackend) -> np.ndarray:
     """Array core of ``derivative`` for order >= 1; no validation."""
     if backend.kind is _BackendKind.SPECTRAL:
-        return _spectral_derivative(values, order, grid.length)
+        return _spectrum_derivative(grid, np.fft.rfft(values, axis=-1), order)
     return _fd_derivative(values, order, grid.spacing, backend.order)
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,10 +40,12 @@ from .grid import (
     FieldKind,
     PeriodicGrid,
     SPECTRAL,
+    _check_finite,
     _check_positive,
     _derivative,
     _integrate,
     _lattice_steps,
+    _spectrum_derivative,
 )
 from .rng import random_smooth_field
 
@@ -135,64 +138,70 @@ def _xlogx_of_square(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quotient_parts(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple[float, float]:
-    if spec.kind is QuotientKind.POINCARE:
-        dn = _derivative(grid, vals, spec.n, SPECTRAL)
-        num = _integrate(grid, dn * dn)
-        dev = vals - vals.mean()
-        den = _integrate(grid, dev * dev)
-    elif spec.kind is QuotientKind.LOG_SOBOLEV:
-        dn = _derivative(grid, vals, spec.n, SPECTRAL)
-        num = _integrate(grid, dn * dn)
-        norm_sq = _integrate(grid, vals * vals) / grid.length
-        den = _integrate(grid, _xlogx_of_square(vals))
-        if norm_sq > 0.0:
-            den -= grid.length * norm_sq * math.log(norm_sq)
-    else:
+def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple[float, float, tuple]:
+    """(q, den, saved): the quotient at ``vals``, its denominator, and the
+    arrays its gradient reuses, namely rfft(vals) and vals - vbar
+    (Poincare), rfft(vals) (log-Sobolev), or v_x, vals^(p-2) and vbar
+    (convex Sobolev).  A degenerate denominator raises
+    ``DegenerateDenominator``."""
+    if spec.kind is QuotientKind.CONVEX_SOBOLEV:
         _check_positive(vals)
         p = spec.p
         dv = _derivative(grid, vals, 1, SPECTRAL)
-        num = p * _integrate(grid, vals ** (p - 2.0) * dv * dv)
+        weight = vals ** (p - 2.0)
+        num = p * _integrate(grid, weight * dv * dv)
         vbar = float(vals.mean())
         den = (_integrate(grid, vals ** p) - grid.length * vbar ** p) / (p - 1.0)
-    return num, den
-
-
-def quotient_value(spec: QuotientSpec, u: Field) -> float:
-    """Evaluate the quotient with spectral derivatives; degenerate
-    (near-constant) input is an error."""
-    num, den = _quotient_parts(spec, u.values, u.grid)
+        saved = (dv, weight, vbar)
+    else:
+        vhat = np.fft.rfft(vals)
+        dn = _spectrum_derivative(grid, vhat, spec.n)
+        num = _integrate(grid, dn * dn)
+        if spec.kind is QuotientKind.POINCARE:
+            dev = vals - vals.mean()
+            den = _integrate(grid, dev * dev)
+            saved = (vhat, dev)
+        else:
+            norm_sq = _integrate(grid, vals * vals) / grid.length
+            den = _integrate(grid, _xlogx_of_square(vals))
+            if norm_sq > 0.0:
+                den -= grid.length * norm_sq * math.log(norm_sq)
+            saved = (vhat,)
     if abs(den) < _DEGENERACY_FLOOR:
         raise DegenerateDenominator(
             f"denominator {den:.3e} below {_DEGENERACY_FLOOR:.0e}; "
             "field is too close to constant"
         )
-    return num / den
+    return num / den, den, saved
 
 
-def _quotient_gradient(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid, q: float) -> np.ndarray:
-    """L2 gradient of the quotient at a point where it equals q."""
-    if spec.kind is QuotientKind.POINCARE:
-        sign = -1.0 if spec.n % 2 else 1.0
-        d_num = 2.0 * sign * _derivative(grid, vals, 2 * spec.n, SPECTRAL)
-        d_den = 2.0 * (vals - vals.mean())
-    elif spec.kind is QuotientKind.LOG_SOBOLEV:
-        sign = -1.0 if spec.n % 2 else 1.0
-        d_num = 2.0 * sign * _derivative(grid, vals, 2 * spec.n, SPECTRAL)
-        norm_sq = float(np.mean(vals * vals))
-        ratio = vals * vals / norm_sq
-        logs = np.zeros_like(vals)
-        pos = ratio > 0.0
-        logs[pos] = np.log(ratio[pos])
-        d_den = 2.0 * vals * logs
-    else:
+def quotient_value(spec: QuotientSpec, u: Field) -> float:
+    """Evaluate the quotient with spectral derivatives; degenerate
+    (near-constant) input is an error."""
+    return _evaluate(spec, u.values, u.grid)[0]
+
+
+def _gradient(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid, evaluation: tuple) -> np.ndarray:
+    """L2 gradient of the quotient at ``vals`` from ``_evaluate`` there."""
+    q, den, saved = evaluation
+    if spec.kind is QuotientKind.CONVEX_SOBOLEV:
         p = spec.p
-        dv = _derivative(grid, vals, 1, SPECTRAL)
-        flux = _derivative(grid, p * vals ** (p - 2.0) * dv, 1, SPECTRAL)
+        dv, weight, vbar = saved
+        flux = _derivative(grid, p * weight * dv, 1, SPECTRAL)
         d_num = p * (p - 2.0) * vals ** (p - 3.0) * dv * dv - 2.0 * flux
-        vbar = vals.mean()
         d_den = p * (vals ** (p - 1.0) - vbar ** (p - 1.0)) / (p - 1.0)
-    _, den = _quotient_parts(spec, vals, grid)
+    else:
+        sign = -1.0 if spec.n % 2 else 1.0
+        d_num = 2.0 * sign * _spectrum_derivative(grid, saved[0], 2 * spec.n)
+        if spec.kind is QuotientKind.POINCARE:
+            d_den = 2.0 * saved[1]
+        else:
+            norm_sq = float(np.mean(vals * vals))
+            ratio = vals * vals / norm_sq
+            logs = np.zeros_like(vals)
+            pos = ratio > 0.0
+            logs[pos] = np.log(ratio[pos])
+            d_den = 2.0 * vals * logs
     return (d_num - q * d_den) / den
 
 
@@ -202,6 +211,15 @@ def _without_nyquist(hat: np.ndarray, n: int) -> np.ndarray:
     if n % 2 == 0:
         hat[-1] = 0.0
     return np.fft.irfft(hat, n=n)
+
+
+@lru_cache(maxsize=None)
+def _precondition_divisor(modes: int, n: int) -> np.ndarray:
+    """Read-only 1 + m^{2n} on the rfft modes m = 0 .. modes - 1."""
+    m = np.arange(modes, dtype=float)
+    divisor = 1.0 + m ** (2 * n)
+    divisor.setflags(write=False)
+    return divisor
 
 
 def _precondition(g: np.ndarray, spec: QuotientSpec) -> np.ndarray:
@@ -214,8 +232,7 @@ def _precondition(g: np.ndarray, spec: QuotientSpec) -> np.ndarray:
     """
     n = spec.n if spec.kind is not QuotientKind.CONVEX_SOBOLEV else 1
     ghat = np.fft.rfft(g)
-    m = np.arange(ghat.size, dtype=float)
-    ghat /= 1.0 + m ** (2 * n)
+    ghat /= _precondition_divisor(ghat.size, n)
     return _without_nyquist(ghat, g.size)
 
 
@@ -270,6 +287,11 @@ def minimize_quotient(
     point to machine precision).  Hitting ``max_iters`` first returns the
     best iterate with ``converged`` set to False.
 
+    Iterates and candidates are plain arrays, each checked finite (and,
+    for convex Sobolev, positive) and evaluated once; the gradient at an
+    accepted candidate reuses that evaluation's spectrum and denominator.
+    Only the returned minimizer is built as a ``Field``.
+
     The log-Sobolev and p < 2 convex landscapes are curved valleys along
     which plain descent gains only O(1/iters); their value error at the
     stopping point scales like sqrt(tol), so the default 1e-7 certifies
@@ -280,14 +302,14 @@ def minimize_quotient(
     vals = _normalize(spec, _without_nyquist(np.fft.rfft(u_init.values), grid.n_points), grid)
     if vals is None:
         raise DegenerateDenominator("initial field cannot be normalised")
-    q = quotient_value(spec, Field(grid, vals))
+    evaluation = _evaluate(spec, _check_finite(vals), grid)
+    q = evaluation[0]
 
     step = 0.5
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        g = _quotient_gradient(spec, vals, grid, q)
-        gp = _precondition(g, spec)
+        gp = _precondition(_gradient(spec, vals, grid, evaluation), spec)
 
         accepted = False
         s = step
@@ -295,10 +317,10 @@ def minimize_quotient(
             cand = _normalize(spec, vals - s * gp, grid)
             if cand is not None:
                 try:
-                    q_cand = quotient_value(spec, Field(grid, cand))
+                    cand_evaluation = _evaluate(spec, _check_finite(cand), grid)
                 except DegenerateDenominator:
-                    q_cand = None
-                if q_cand is not None and q_cand < q:
+                    cand_evaluation = None
+                if cand_evaluation is not None and cand_evaluation[0] < q:
                     accepted = True
                     break
             s *= 0.5
@@ -306,14 +328,14 @@ def minimize_quotient(
             converged = True
             break
 
-        dq = q - q_cand
-        vals, q = cand, q_cand
+        dq = q - cand_evaluation[0]
+        vals, evaluation, q = cand, cand_evaluation, cand_evaluation[0]
         step = min(s * 1.3, 1e6)
         if dq <= tol * max(abs(q), 1.0):
             converged = True
             break
 
-    g = _quotient_gradient(spec, vals, grid, q)
+    g = _gradient(spec, vals, grid, evaluation)
     residual = float(np.abs(_precondition(g, spec)).max())
     kind = FieldKind.DENSITY if spec.kind is QuotientKind.CONVEX_SOBOLEV else FieldKind.GENERIC
     return QuotientResult(
@@ -392,16 +414,23 @@ def _sigma_integral(v: np.ndarray, grid: PeriodicGrid, p: float) -> np.ndarray:
     return grid.spacing * ((v ** p).sum(axis=-1) - v.shape[-1] * vbar_p) / (p - 1.0)
 
 
+def _flow_dissipation(v: np.ndarray, grid: PeriodicGrid, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(w_x^2, dissipation) for each flow state, one per row of v; w_x and
+    w_xx come from one transform of w = v^{p/2}."""
+    w = v ** (p / 2.0)
+    w_hat = np.fft.rfft(w, axis=-1)
+    wx = _spectrum_derivative(grid, w_hat, 1)
+    wxx = _spectrum_derivative(grid, w_hat, 2)
+    wx2 = wx * wx
+    quart = (2.0 / p - 1.0) * (wx2 * wx2) / (3.0 * w * w)
+    dissipation = 2.0 * grid.spacing * (wxx * wxx - (4.0 * math.pi ** 2 / grid.length ** 2) * wx2 + quart).sum(axis=-1)
+    return wx2, dissipation
+
+
 def _flow_functionals(v: np.ndarray, grid: PeriodicGrid, p: float) -> tuple[np.ndarray, np.ndarray]:
     """(f, dissipation) for each flow state, one per row of v."""
-    el = grid.length
-    w = v ** (p / 2.0)
-    wx = _derivative(grid, w, 1, SPECTRAL)
-    wxx = _derivative(grid, w, 2, SPECTRAL)
-    wx2 = wx * wx
-    f = grid.spacing * wx2.sum(axis=-1) - (2.0 * math.pi ** 2 * p / el ** 2) * _sigma_integral(v, grid, p)
-    quart = (2.0 / p - 1.0) * (wx2 * wx2) / (3.0 * w * w)
-    dissipation = 2.0 * grid.spacing * (wxx * wxx - (4.0 * math.pi ** 2 / el ** 2) * wx2 + quart).sum(axis=-1)
+    wx2, dissipation = _flow_dissipation(v, grid, p)
+    f = grid.spacing * wx2.sum(axis=-1) - (2.0 * math.pi ** 2 * p / grid.length ** 2) * _sigma_integral(v, grid, p)
     return f, dissipation
 
 
@@ -471,7 +500,7 @@ def remainder_R(u0: Field, p: float, t_final: float, dt: float) -> float:
     diss = []
     for t, v in _heat_steps(u0.values.astype(float), u0.grid, t_final, dt):
         times.append(t)
-        diss.append(_flow_functionals(v, u0.grid, p)[1])
+        diss.append(_flow_dissipation(v, u0.grid, p)[1])
     times = np.concatenate(times)
     diss = np.concatenate(diss)
     total = float(np.trapezoid(diss, times))

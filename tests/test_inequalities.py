@@ -7,10 +7,35 @@ from hypothesis import given, strategies as st
 import dlss
 from dlss import Field, FieldKind, QuotientKind, QuotientSpec, SPECTRAL
 from dlss.grid import POSITIVITY_FLOOR
-from dlss.inequalities import _BLOCK_VALUES, convex_sobolev, log_sobolev, poincare
+from dlss.inequalities import (
+    _BLOCK_VALUES,
+    _evaluate,
+    _gradient,
+    _initial_guess,
+    convex_sobolev,
+    log_sobolev,
+    poincare,
+)
 from dlss.rng import random_log_density, random_smooth_field
 
 TWO_PI = 2.0 * math.pi
+
+ALL_KINDS = [
+    poincare(1),
+    poincare(2),
+    log_sobolev(1),
+    log_sobolev(2),
+    convex_sobolev(1.2),
+    convex_sobolev(1.5),
+    convex_sobolev(2.0),
+]
+
+
+def spec_id(spec):
+    if spec.kind is QuotientKind.CONVEX_SOBOLEV:
+        return f"convex-p{spec.p:g}"
+    return f"{spec.kind.value}-n{spec.n}"
+
 
 # u = 1 + 0.5 cos x, p = 1, L = 2 pi: f(0) = int u_x^2 - (1/2) int u^2 log(u^2 / mean)
 F0_COS05 = 0.03640845417842942
@@ -161,6 +186,36 @@ class TestMinimizeQuotient:
         u = Field(grid64, np.full(64, 2.0), FieldKind.DENSITY)
         with pytest.raises(dlss.DegenerateDenominator):
             dlss.minimize_quotient(poincare(1), u)
+
+    @pytest.mark.parametrize("spec", ALL_KINDS, ids=spec_id)
+    @pytest.mark.parametrize("n_points", [32, 64])
+    def test_value_is_that_of_the_returned_minimizer(self, spec, n_points):
+        # the descent evaluates each candidate once and reuses the arrays;
+        # a stale evaluation would show as a value of some other iterate
+        grid = dlss.make_grid(TWO_PI, n_points)
+        res = dlss.minimize_quotient(spec, _initial_guess(spec, grid, seed=4))
+        assert res.value == dlss.quotient_value(spec, res.minimizer)
+
+
+class TestQuotientGradient:
+    @pytest.mark.parametrize("spec", ALL_KINDS, ids=spec_id)
+    def test_matches_central_difference(self, grid64, spec):
+        # a start shifted off the descent's normalisation (mean zero for
+        # Poincare), in directions with a mean, so every term of the
+        # gradient shows
+        u = _initial_guess(spec, grid64, seed=2).values + 0.25
+        grad = _gradient(spec, u, grid64, _evaluate(spec, u, grid64))
+        # truncation error ~eps^2 against rounding amplified by the
+        # cancellation in the convex denominator
+        eps = 1e-4
+        for seed in (5, 6, 7):
+            # at most 8 modes on 64 points: smooth and Nyquist-free
+            h = 0.1 + random_smooth_field(grid64, 8, seed, amplitude=0.2).values
+            q_plus = dlss.quotient_value(spec, Field(grid64, u + eps * h))
+            q_minus = dlss.quotient_value(spec, Field(grid64, u - eps * h))
+            fd = (q_plus - q_minus) / (2.0 * eps)
+            exact = grid64.spacing * float((grad * h).sum())
+            assert exact == pytest.approx(fd, rel=1e-6)
 
 
 class TestCertifyConstant:
