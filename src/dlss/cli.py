@@ -79,8 +79,6 @@ def _emit_json(payload: dict, output: str | None) -> None:
 def _cmd_solve(args) -> int:
     with open(args.config, "r") as handle:
         cfg = parse_config(handle.read())
-    if cfg.command != "solve":
-        raise ValidationError("command", f"expected 'solve', got {cfg.command!r}")
     grid = cfg.make_grid()
     u0 = cfg.initial_density(grid)
     trajectory = solve(u0, cfg.t_final, cfg.solver_config(), record_every=cfg.record_every)

@@ -164,35 +164,28 @@ class Field:
         object.__setattr__(self, "values", vals)
 
 
-class _BackendKind(enum.Enum):
-    SPECTRAL = "spectral"
-    FINITE_DIFFERENCE = "finite_difference"
-
-
 @dataclass(frozen=True)
 class DiffBackend:
     """Choice of discrete differentiation rule.
 
     ``SPECTRAL`` differentiates in Fourier space; odd derivatives zero the
     Nyquist mode (its sawtooth has no well-defined odd derivative on the
-    collocation grid).  ``FiniteDifference(order)`` composes the classical
-    periodic central stencils of the given consistency order; higher
-    derivatives are built by stencil convolution, so D^(4) = D^(2) o D^(2)
-    holds exactly, matching the operator products used by the time stepper.
+    collocation grid).  ``DiffBackend(order)`` with order 2 or 4 composes
+    the classical periodic central stencils of that consistency order;
+    higher derivatives are built by stencil convolution, so
+    D^(4) = D^(2) o D^(2) holds exactly, matching the operator products
+    used by the time stepper.
     """
 
-    kind: _BackendKind
-    order: int = 0  # consistency order; 0 for spectral (exact)
+    order: int  # consistency order; 0 for spectral (exact)
 
     def __post_init__(self):
-        if self.kind is _BackendKind.FINITE_DIFFERENCE and self.order not in (2, 4):
-            raise ValueError(f"finite difference order must be 2 or 4, got {self.order}")
+        if self.order not in (0, 2, 4):
+            raise ValueError(f"backend order must be 0 (spectral), 2 or 4, got {self.order}")
 
     @property
     def name(self) -> str:
-        if self.kind is _BackendKind.SPECTRAL:
-            return "spectral"
-        return f"fd{self.order}"
+        return f"fd{self.order}" if self.order else "spectral"
 
     @staticmethod
     def from_name(name: str) -> "DiffBackend":
@@ -204,9 +197,9 @@ class DiffBackend:
             ) from None
 
 
-SPECTRAL = DiffBackend(_BackendKind.SPECTRAL)
-FD2 = DiffBackend(_BackendKind.FINITE_DIFFERENCE, 2)
-FD4 = DiffBackend(_BackendKind.FINITE_DIFFERENCE, 4)
+SPECTRAL = DiffBackend(0)
+FD2 = DiffBackend(2)
+FD4 = DiffBackend(4)
 
 # Backends by name, the one table behind ``from_name`` and the command line.
 BACKENDS = {"spectral": SPECTRAL, "fd2": FD2, "fd4": FD4}
@@ -274,7 +267,7 @@ def _fd_derivative(values: np.ndarray, order: int, spacing: float, fd_order: int
 
 def _derivative(grid: PeriodicGrid, values: np.ndarray, order: int, backend: DiffBackend) -> np.ndarray:
     """Array core of ``derivative`` for order >= 1; no validation."""
-    if backend.kind is _BackendKind.SPECTRAL:
+    if backend.order == 0:
         return _spectrum_derivative(grid, np.fft.rfft(values, axis=-1), order)
     return _fd_derivative(values, order, grid.spacing, backend.order)
 

@@ -490,9 +490,12 @@ def remainder_R(u0: Field, p: float, t_final: float, dt: float) -> float:
     """Integrated production of f along the heat flow started at v = u0.
 
     Equals f(0) up to the time-truncation tail, which is estimated from
-    the terminal exponential decay rate and added on.  The value is the
-    nonnegative remainder by which the convex Sobolev inequality at u0
-    beats its sharp constant.
+    the terminal exponential decay rate and added on.  ``u0`` is the flow
+    datum v itself, not a density u: ``heatflow_verify(u, p)`` and
+    ``convex_sobolev_check(u, p)`` flow from v = u^{2/p}, so the
+    nonnegative remainder by which the convex Sobolev inequality at a
+    density u beats its sharp constant is ``remainder_R(u^{2/p}, p)``,
+    which is (2 pi^2 p / L^2) (rhs - lhs) of ``convex_sobolev_check(u, p)``.
     """
     _check_flow_exponent(p)
     _check_positive(u0.values)

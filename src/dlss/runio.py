@@ -3,9 +3,11 @@ and the randomised identity test suite.
 
 Config files are flat ``key = value`` lines.  ``#`` starts a comment,
 blank lines and ``[section]`` headers are cosmetic, every key must be
-known and appear at most once.  Structural problems raise ``ParseError``
-with the offending line number; admissibility problems raise
-``ValidationError`` with the offending key.  The grid and scheme keys are
+known and appear at most once.  A run file describes one ``dlss solve``
+run: ``command`` must be ``solve``, and ``L``, ``N``, ``T`` and ``tau``
+are required.  Structural problems raise ``ParseError`` with the
+offending line number; admissibility problems raise ``ValidationError``
+with the offending key.  The grid and scheme keys are
 checked by the library objects they build (``make_grid``, ``SolverConfig``,
 ``DiffBackend.from_name``, ``LinearSolver``), the cosine ``u0_*`` keys by
 ``cosine_density``, ``u0_value`` and the ``u0_path`` data by ``Field``, and
@@ -64,7 +66,6 @@ _COLUMNS = tuple(
 )
 TIMESERIES_HEADER = ",".join(name for name, _ in _COLUMNS)
 
-_COMMANDS = ("solve", "certify", "heatflow", "fit", "identity")
 _U0_KINDS = ("constant", "cosine", "file")
 
 
@@ -79,8 +80,8 @@ class RunConfig:
     command: str
     length: float
     n_points: int
-    t_final: float | None = None
-    tau: float | None = None
+    t_final: float
+    tau: float
     scheme: dict = field(default_factory=dict)
     u0_kind: str = "cosine"
     u0_value: float = 1.0
@@ -144,12 +145,9 @@ _SCHEMA = {
     "N": ("n_points", "int"),
     "T": ("t_final", "float"),
     "tau": ("tau", "float"),
-    "epsilon": ("epsilon", "float"),
     "newton_tol": ("newton_tol", "float"),
-    "max_newton": ("max_newton", "int"),
     "backend": ("backend", DiffBackend.from_name),
     "linear_solver": ("linear_solver", LinearSolver),
-    "renormalize_mass": ("renormalize_mass", "bool"),
     "u0": ("u0_kind", "str"),
     "u0_value": ("u0_value", "float"),
     "u0_base": ("u0_base", "float"),
@@ -182,11 +180,6 @@ def _convert(kind, raw: str, key: str, line_no: int):
             raise ValidationError(key, str(exc)) from None
     if kind == "str":
         return raw
-    if kind == "bool":
-        low = raw.lower()
-        if low in ("true", "false"):
-            return low == "true"
-        raise ParseError(line_no, f"value for {key!r} must be true or false, got {raw!r}")
     try:
         return float(raw) if kind == "float" else int(raw)
     except ValueError:
@@ -213,7 +206,10 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(line_no, f"duplicate key {key!r}")
         seen[key] = _convert(_SCHEMA[key][1], raw_value, key, line_no)
 
-    for key in ("command", "L", "N"):
+    # checked before the required keys: a file for another tool lacks T and tau
+    if seen.get("command", "solve") != "solve":
+        raise ValidationError("command", f"must be 'solve', got {seen['command']!r}")
+    for key in ("command", "L", "N", "T", "tau"):
         if key not in seen:
             raise ValidationError(key, "required")
     attrs = {_SCHEMA[key][0]: value for key, value in seen.items()}
@@ -225,17 +221,8 @@ def parse_config(text: str) -> RunConfig:
 
 def _validate(cfg: RunConfig) -> None:
     """The checks no library object makes; the library objects make the rest."""
-    if cfg.command not in _COMMANDS:
-        raise ValidationError("command", f"must be one of {_COMMANDS}, got {cfg.command!r}")
     _library_check(cfg.make_grid)
-    if cfg.tau is not None:
-        _library_check(cfg.solver_config)
-    if cfg.command != "solve":
-        return
-    if cfg.t_final is None:
-        raise ValidationError("T", "required")
-    if cfg.tau is None:
-        raise ValidationError("tau", "required")
+    _library_check(cfg.solver_config)
     if cfg.u0_kind not in _U0_KINDS:
         raise ValidationError("u0", f"must be one of {_U0_KINDS}, got {cfg.u0_kind!r}")
     if cfg.u0_kind in ("constant", "cosine"):

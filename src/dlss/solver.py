@@ -3,37 +3,36 @@
 The unknown is the log-density y = log u, so positivity of u = e^y is
 automatic.  One backward Euler step solves
 
-    F(y) = (e^y - e^{y_prev}) / tau + D2 (e^y D2 y) - eps D2 y + eps y = 0
+    F(y) = (e^y - e^{y_prev}) / tau + D2 (e^y D2 y) = 0
 
 by damped Newton with the exact Jacobian
 
-    J(y) = diag(e^y)/tau + D2 (diag(e^y) D2 + diag(e^y D2 y)) - eps D2 + eps I.
+    J(y) = diag(e^y)/tau + D2 (diag(e^y) D2 + diag(e^y D2 y)).
 
-The eps terms are the optional lower-order regularisation; eps = 0 is the
-plain equation.  Discrete mass h * sum(e^y) is conserved by the eps = 0
-scheme up to the Newton residual because D2 annihilates constants and is
-symmetric, and the same two facts make h * sum(e^y (log-mean shifted))
-entropies decay step by step: convexity of s -> s log s plus summation by
-parts transfer the continuum Lyapunov argument verbatim to the grid.
+Discrete mass h * sum(e^y) is conserved up to the Newton residual because
+D2 annihilates constants and is symmetric, and the same two facts make
+h * sum(e^y (log-mean shifted)) entropies decay step by step: convexity
+of s -> s log s plus summation by parts transfer the continuum Lyapunov
+argument verbatim to the grid.
 
 ``step`` and ``solve`` run one damped chord loop that reuses an LU across
 iterations (``solve`` also across steps), refreshing it when an iteration
 that is still above the tolerance contracts too little; the iteration
 that meets the tolerance may land on the residual floor, so its ratio is
-not judged.  ``solve`` starts each step at the quadratic extrapolation
-3 y_k - 3 y_{k-1} + y_{k-2} through the last three levels, or at the
-secant 2 y_k - y_{k-1} while only two are known, if its residual is below
-that of y_k, which is free: F(y_k; y_k) is the previous step's accepted
-residual minus (e^{y_k} - e^{y_{k-1}}) / tau.  A retry, a tau halving or
-a mass renormalisation drops the older levels, so the step after it
-starts at y_k, as the first step, the retry and halving paths and
-``step`` do.  Records reuse the accepted D2 y for the production.  Every
-accepted iterate passes the same residual tolerance.
+not judged.  A step gets at most 25 Newton iterations.  ``solve`` starts
+each step at the quadratic extrapolation 3 y_k - 3 y_{k-1} + y_{k-2}
+through the last three levels, or at the secant 2 y_k - y_{k-1} while
+only two are known, if its residual is below that of y_k, which is free:
+F(y_k; y_k) is the previous step's accepted residual minus
+(e^{y_k} - e^{y_{k-1}}) / tau.  A retry or a tau halving drops the older
+levels, so the step after it starts at y_k, as the first step, the retry
+and halving paths and ``step`` do.  Records reuse the accepted D2 y for
+the production.  Every accepted iterate passes the same residual
+tolerance.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -69,6 +68,7 @@ __all__ = [
     "lyapunov_check",
 ]
 
+_MAX_NEWTON = 25
 _MAX_BACKTRACKS = 40
 # Each backtrack halves the Newton step.
 _DAMPING = 0.5
@@ -87,7 +87,7 @@ class LinearSolver(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time step, regularisation and Newton parameters for one run.
+    """Time step, Newton tolerance and discretisation for one run.
 
     ``newton_tol`` bounds the sup norm of the residual F.  Evaluating F in
     double precision has a noise floor of roughly eps * (pi N / L)^4 *
@@ -100,23 +100,16 @@ class SolverConfig:
     """
 
     tau: float
-    epsilon: float = 0.0
     newton_tol: float = 1e-8
-    max_newton: int = 25
     backend: DiffBackend = SPECTRAL
     linear_solver: LinearSolver = LinearSolver.DENSE
-    renormalize_mass: bool = False
 
     def __post_init__(self):
         if not self.tau > 0.0:
             raise ValidationError("tau", f"must be positive, got {self.tau}")
-        if self.epsilon < 0.0:
-            raise ValidationError("epsilon", f"must be nonnegative, got {self.epsilon}")
         if not self.newton_tol > 0.0:
             raise ValidationError("newton_tol", f"must be positive, got {self.newton_tol}")
-        if self.max_newton < 1:
-            raise ValidationError("max_newton", f"must be at least 1, got {self.max_newton}")
-        if self.linear_solver is LinearSolver.BANDED and self.backend is SPECTRAL:
+        if self.linear_solver is LinearSolver.BANDED and self.backend.order == 0:
             raise ValidationError(
                 "linear_solver",
                 "banded needs a finite-difference backend; "
@@ -169,10 +162,7 @@ def _residual_values(
     ey = np.exp(y)
     d2y = _derivative(grid, y, 2, config.backend)
     flux = _derivative(grid, ey * d2y, 2, config.backend)
-    r = (ey - eu_prev) / config.tau + flux
-    if config.epsilon != 0.0:
-        r += config.epsilon * (y - d2y)
-    return r, d2y
+    return (ey - eu_prev) / config.tau + flux, d2y
 
 
 def jacobian(y: Field, config: SolverConfig):
@@ -189,8 +179,6 @@ def jacobian(y: Field, config: SolverConfig):
     # D2 diag(b) is column scaling; avoids a second matrix product.
     jac = d2 @ (ey[:, None] * d2)
     jac += d2 * (ey * d2y)[None, :]
-    if config.epsilon != 0.0:
-        jac = _add_diagonal(jac - config.epsilon * d2, config.epsilon)
     return _add_diagonal(jac, ey / config.tau)
 
 
@@ -267,9 +255,9 @@ def _newton_loop(
     rnorm = float(np.abs(r).max())
     iters = 0
     while rnorm > config.newton_tol:
-        if iters >= config.max_newton:
+        if iters >= _MAX_NEWTON:
             raise NoConvergence(
-                f"Newton did not reach {config.newton_tol:.1e} in {config.max_newton} "
+                f"Newton did not reach {config.newton_tol:.1e} in {_MAX_NEWTON} "
                 f"iterations (residual {rnorm:.3e})",
                 iterations=iters,
                 residual=rnorm,
@@ -381,8 +369,6 @@ def solve(
     clamped_nodes = int(np.count_nonzero(u0_vals < clamp))
     y = np.log(np.maximum(u0_vals, clamp))
 
-    mass0 = float(grid.spacing * np.exp(y).sum())
-
     def record_at(t: float, iters: int, d2y: Array) -> TimeSeriesRecord:
         u = Field(grid, np.exp(y), FieldKind.DENSITY)
         mass = integrate(u)
@@ -421,11 +407,6 @@ def solve(
         y_new, r, d2y, iters, clean = _advance(
             y, eu, start, grid, config, workspace, depth=0, step_index=k
         )
-        if config.renormalize_mass and config.epsilon != 0.0:
-            # eps terms break conservation; shift log u to restore the mass
-            y_new = y_new + math.log(mass0 / _integrate(grid, np.exp(y_new)))
-            workspace.invalidate()
-            clean = False
         if clean:
             y_older, y_old, eu_old = y_old, y, eu
         else:

@@ -106,8 +106,21 @@ class TestSolve:
         config.write_text("command = identity\nL = 6.28\nN = 64\n")
         code, _, err = run_cli(capsys, ["solve", "--config", str(config)])
         assert code == 2
+        assert err.startswith("error: command: ")
 
-    def test_diverging_run_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "line", ["epsilon = 0", "renormalize_mass = true", "max_newton = 5"]
+    )
+    def test_removed_scheme_key_exits_2(self, tmp_path, capsys, line):
+        config = tmp_path / "run.cfg"
+        write_solve_config(config, tmp_path / "out.csv", line + "\n")
+        code, _, err = run_cli(capsys, ["solve", "--config", str(config)])
+        assert code == 2
+        assert "line 9" in err and "unknown key" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_diverging_run_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("dlss.solver._MAX_NEWTON", 1)
         config = tmp_path / "run.cfg"
         config.write_text(
             "command = solve\n"
@@ -116,7 +129,6 @@ class TestSolve:
             "T = 0.05\n"
             "tau = 0.05\n"
             "newton_tol = 1e-9\n"
-            "max_newton = 1\n"
             "u0_amplitude = 0.8\n"
         )
         code, _, err = run_cli(capsys, ["solve", "--config", str(config)])

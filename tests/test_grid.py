@@ -86,10 +86,8 @@ class TestBackends:
             dlss.DiffBackend.from_name("fd6")
 
     def test_fd_order_validated(self):
-        from dlss.grid import _BackendKind
-
         with pytest.raises(ValueError):
-            dlss.DiffBackend(_BackendKind.FINITE_DIFFERENCE, 3)
+            dlss.DiffBackend(3)
 
 
 class TestSpectralDerivative:

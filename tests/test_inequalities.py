@@ -457,6 +457,23 @@ class TestRemainder:
         rhs = (2.0 * math.pi ** 2 * p / grid64.length ** 2) * sig
         assert lhs + r >= rhs - 1e-10
 
+    def test_datum_convention_ties_the_three_apis(self, grid256):
+        # convex_sobolev_check and heatflow_verify take a density u and
+        # flow from v = u^{2/p}; remainder_R flows from its argument, so
+        # the remainder at u is remainder_R(u^{2/p}), and it equals f(0),
+        # the gap of the check in the units of f
+        p = 1.5
+        u = cosine_density(grid256, 0.1)
+        lhs, rhs, holds = dlss.convex_sobolev_check(u, p)
+        gap = (2.0 * math.pi ** 2 * p / grid256.length ** 2) * (rhs - lhs)
+        f0 = dlss.heatflow_verify(u, p, 1e-3, 1e-3)[0].f_value
+        v = Field(grid256, u.values ** (2.0 / p), FieldKind.DENSITY)
+        assert holds
+        assert f0 == pytest.approx(gap, rel=1e-4)
+        assert dlss.remainder_R(v, p, 10.0, 1e-3) == pytest.approx(gap, rel=1e-4)
+        # u passed as the flow datum itself gives a different number
+        assert dlss.remainder_R(u, p, 10.0, 1e-3) < 0.6 * gap
+
     def test_one_step_horizon(self, grid64):
         # one step leaves two dissipation samples, and the tail fit uses both
         r = dlss.remainder_R(cosine_density(grid64), 1.5, 1e-3, 1e-3)

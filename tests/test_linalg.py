@@ -69,7 +69,7 @@ class TestCyclicBandedLU:
         u = 1.0 + 0.4 * np.sin(grid64.nodes)
         y = Field(grid64, np.log(u), FieldKind.LOG_DENSITY)
         for backend in (FD2, FD4):
-            config = SolverConfig(tau=1e-3, epsilon=1e-6, backend=backend)
+            config = SolverConfig(tau=1e-3, backend=backend)
             jac = jacobian(y, config)
             rhs = np.exp(-grid64.nodes / 3.0)
             x_banded = CyclicBandedLU(jac, backend.order).solve(rhs)

@@ -1,8 +1,13 @@
 import importlib
+import math
 import re
 from pathlib import Path
 
+import pytest
+
 import dlss
+from dlss import LinearSolver, SolverConfig
+from dlss.runio import parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +22,17 @@ def test_readme_example_names_exist():
             mod = importlib.import_module(module)
             for name in names.split(","):
                 assert hasattr(mod, name.strip()), f"README imports {name.strip()} from {module}"
+
+
+def test_readme_run_file_parses():
+    # the documented run file must be one that `dlss solve --config` accepts
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert len(blocks) == 1, "README should hold exactly one run file"
+    cfg = parse_config(blocks[0])
+    grid = cfg.make_grid()
+    assert (grid.length, grid.n_points) == (2 * math.pi, 256)
+    assert cfg.solver_config() == SolverConfig(
+        tau=1e-4, newton_tol=1e-8, backend=dlss.SPECTRAL, linear_solver=LinearSolver.DENSE
+    )
+    u0 = cfg.initial_density(grid)
+    assert u0.values.max() == pytest.approx(1.1)

@@ -39,15 +39,18 @@ class TestParseConfig:
         text = (
             "# run setup\n"
             "[problem]\n"
-            "command = identity   # which tool\n"
+            "command = solve   # which tool\n"
             "\n"
             "L = 6.28\n"
             "[discretization]\n"
             "N = 32\n"
+            "T = 1\n"
+            "tau = 0.5\n"
         )
         cfg = parse_config(text)
-        assert cfg.command == "identity"
+        assert cfg.command == "solve"
         assert cfg.n_points == 32
+        assert cfg.tau == 0.5
 
     def test_values_may_contain_equals_sign(self):
         text = MINIMAL + "output = runs/a=b.csv\n"
@@ -60,10 +63,12 @@ class TestParseConfig:
             ("tau = quick", 6),
             ("N 64", 6),
             ("[unclosed", 6),
-            ("renormalize_mass = maybe", 6),
             ("seed = 1", 6),
             ("snapshot_every = 5", 6),
             ("damping = 0.5", 6),
+            ("epsilon = 0", 6),
+            ("renormalize_mass = true", 6),
+            ("max_newton = 5", 6),
             ("N = 32", 6),  # duplicate of a key whose attribute name differs
         ],
     )
@@ -88,7 +93,9 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "extra,field",
         [
+            # named before the T and tau the file lacks
             ("command = warp\nL = 1\nN = 8", "command"),
+            (MINIMAL.replace("command = solve", "command = identity"), "command"),
             (MINIMAL.replace("N = 64", "N = 63"), "N"),
             (MINIMAL.replace("N = 64", "N = 4"), "N"),
             (MINIMAL.replace("L = 6.283185307179586", "L = -1"), "L"),

@@ -7,7 +7,7 @@ from scipy.sparse import issparse
 
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind, LinearSolver, SolverConfig
-from dlss.solver import TimeSeriesRecord, Trajectory, jacobian, residual
+from dlss.solver import _MAX_NEWTON, TimeSeriesRecord, Trajectory, jacobian, residual
 
 TWO_PI = 2.0 * math.pi
 
@@ -23,7 +23,6 @@ def log_field(grid, u_values):
 class TestSolverConfig:
     def test_defaults(self):
         config = SolverConfig(tau=1e-3)
-        assert config.epsilon == 0.0
         assert config.newton_tol == 1e-8
         assert config.backend is SPECTRAL
         assert config.linear_solver is LinearSolver.DENSE
@@ -34,9 +33,7 @@ class TestSolverConfig:
             {"tau": 0.0},
             {"tau": -1e-3},
             {"tau": math.nan},
-            {"tau": 1e-3, "epsilon": -1e-6},
             {"tau": 1e-3, "newton_tol": 0.0},
-            {"tau": 1e-3, "max_newton": 0},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -45,8 +42,9 @@ class TestSolverConfig:
 
     def test_rejects_banded_with_spectral_backend(self):
         # spectral differentiation gives a dense Jacobian; no band to exploit
-        with pytest.raises(ValueError):
-            SolverConfig(tau=1e-3, linear_solver=LinearSolver.BANDED)
+        for backend in (SPECTRAL, dlss.DiffBackend(0)):
+            with pytest.raises(ValueError):
+                SolverConfig(tau=1e-3, backend=backend, linear_solver=LinearSolver.BANDED)
 
     def test_banded_with_fd_backend_allowed(self):
         config = SolverConfig(tau=1e-3, backend=FD2, linear_solver=LinearSolver.BANDED)
@@ -58,12 +56,6 @@ class TestResidual:
         y = log_field(grid64, np.full(64, 2.0))
         r = residual(y, y, SolverConfig(tau=1e-2))
         assert np.abs(r.values).max() < 1e-13
-
-    def test_regularization_anchors_log_density(self, grid64):
-        # with epsilon > 0 the constant state picks up an epsilon * y term
-        y = log_field(grid64, np.full(64, 2.0))
-        r = residual(y, y, SolverConfig(tau=1e-2, epsilon=1e-3))
-        assert np.allclose(r.values, 1e-3 * math.log(2.0), atol=1e-15)
 
     def test_time_derivative_term(self, grid64):
         y_prev = log_field(grid64, np.full(64, 1.0))
@@ -81,7 +73,7 @@ class TestJacobian:
         u = np.exp(0.5 * np.sin(grid64.nodes) + 0.2 * np.cos(2 * grid64.nodes))
         y = log_field(grid64, u)
         y_prev = log_field(grid64, np.roll(u, 1))
-        config = SolverConfig(tau=1e-3, epsilon=1e-5, backend=backend)
+        config = SolverConfig(tau=1e-3, backend=backend)
         jac = jacobian(y, config)
         direction = rng.standard_normal(64)
         direction /= np.abs(direction).max()
@@ -98,7 +90,7 @@ class TestJacobian:
     def test_banded_form_is_sparse_and_matches_dense(self, grid64, backend):
         u = np.exp(0.5 * np.sin(grid64.nodes) + 0.2 * np.cos(2 * grid64.nodes))
         y = log_field(grid64, u)
-        dense = SolverConfig(tau=1e-3, epsilon=1e-5, backend=backend)
+        dense = SolverConfig(tau=1e-3, backend=backend)
         jac_dense = jacobian(y, dense)
         jac_banded = jacobian(y, replace(dense, linear_solver=LinearSolver.BANDED))
         assert isinstance(jac_dense, np.ndarray)
@@ -114,7 +106,7 @@ class TestStep:
         y, iters = dlss.step(y_prev, config)
         r = residual(y, y_prev, config)
         assert np.abs(r.values).max() <= config.newton_tol
-        assert 1 <= iters <= config.max_newton
+        assert 1 <= iters <= _MAX_NEWTON
 
     def test_step_preserves_mass_to_newton_tolerance(self, grid64):
         config = SolverConfig(tau=1e-3, newton_tol=1e-10)
@@ -125,8 +117,9 @@ class TestStep:
         # mass defect per step is bounded by tau * L * ||F||_inf
         assert abs(m_new - m_prev) <= 2.0 * config.tau * grid64.length * config.newton_tol
 
-    def test_exhausted_iterations_raise(self, grid64):
-        config = SolverConfig(tau=0.05, newton_tol=1e-9, max_newton=1)
+    def test_exhausted_iterations_raise(self, grid64, monkeypatch):
+        monkeypatch.setattr("dlss.solver._MAX_NEWTON", 1)
+        config = SolverConfig(tau=0.05, newton_tol=1e-9)
         y_prev = log_field(grid64, np.exp(1.5 * np.cos(grid64.nodes)))
         with pytest.raises(dlss.NoConvergence) as excinfo:
             dlss.step(y_prev, config)
@@ -173,41 +166,22 @@ class TestSolve:
         eT = traj.records[-1].entropy_rel
         assert eT <= e0 * math.exp(-2.0 * 1.0) * 1.05
 
-    def test_regularized_run_close_to_unregularized(self, grid64):
-        base = SolverConfig(tau=1e-3, newton_tol=1e-10)
-        traj0 = dlss.solve(cosine_density(grid64), 0.1, base)
-        traj1 = dlss.solve(cosine_density(grid64), 0.1, replace(base, epsilon=1e-8))
-        diff = np.abs(
-            np.exp(traj0.final_y.values) - np.exp(traj1.final_y.values)
-        ).max()
-        assert diff < 1e-5
-
-    def test_mass_renormalization_compensates_regularization_leak(self, grid64):
-        # the epsilon terms inject mass at rate -eps * int y; the flag
-        # shifts log u after each step to restore the initial mass
-        u0 = cosine_density(grid64, 0.3)
-        leaky = SolverConfig(tau=1e-3, epsilon=1e-6, newton_tol=1e-10)
-        pinned = replace(leaky, renormalize_mass=True)
-        drift = lambda traj: max(
-            abs(r.mass - traj.records[0].mass) / traj.records[0].mass
-            for r in traj.records
-        )
-        assert drift(dlss.solve(u0, 0.2, leaky, record_every=20)) > 1e-10
-        assert drift(dlss.solve(u0, 0.2, pinned, record_every=20)) < 1e-13
-
-    def test_tau_halving_rescues_oversized_step(self, grid64):
-        # tau = 0.05 with max_newton = 5 cannot converge directly; the
-        # stepper must subdivide.  Total iteration count proves it did.
+    def test_tau_halving_rescues_oversized_step(self, grid64, monkeypatch):
+        # tau = 0.05 with a budget of 5 Newton iterations cannot converge
+        # directly; the stepper must subdivide.  Total iteration count
+        # proves it did.
+        monkeypatch.setattr("dlss.solver._MAX_NEWTON", 5)
         u0 = Field(grid64, np.exp(1.5 * np.cos(grid64.nodes)), FieldKind.DENSITY)
-        config = SolverConfig(tau=0.05, newton_tol=1e-9, max_newton=5)
+        config = SolverConfig(tau=0.05, newton_tol=1e-9)
         traj = dlss.solve(u0, 0.05, config)
         assert traj.records[-1].t == pytest.approx(0.05)
-        assert traj.records[-1].newton_iters > config.max_newton
+        assert traj.records[-1].newton_iters > 5
         assert dlss.lyapunov_check(traj)
 
-    def test_tau_halving_gives_up_eventually(self, grid64):
+    def test_tau_halving_gives_up_eventually(self, grid64, monkeypatch):
+        monkeypatch.setattr("dlss.solver._MAX_NEWTON", 1)
         u0 = Field(grid64, np.exp(1.5 * np.cos(grid64.nodes)), FieldKind.DENSITY)
-        config = SolverConfig(tau=0.05, newton_tol=1e-9, max_newton=1)
+        config = SolverConfig(tau=0.05, newton_tol=1e-9)
         with pytest.raises(dlss.NoConvergence) as excinfo:
             dlss.solve(u0, 0.05, config)
         assert excinfo.value.step_index == 1
@@ -295,9 +269,8 @@ class TestSolve:
             SolverConfig(tau=1e-3, newton_tol=1e-10),
             SolverConfig(tau=1e-3, newton_tol=1e-10, backend=FD2),
             SolverConfig(tau=1e-3, newton_tol=1e-10, backend=FD4),
-            SolverConfig(tau=1e-3, newton_tol=1e-10, epsilon=1e-6, renormalize_mass=True),
         ],
-        ids=["spectral", "fd2", "fd4", "renormalized"],
+        ids=["spectral", "fd2", "fd4"],
     )
     def test_record_production_matches_functional(self, grid64, config):
         # records take D2 y from the accepted residual instead of
