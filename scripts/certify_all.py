@@ -3,9 +3,10 @@
 
 Minimises each quotient (Poincare and log-Sobolev of orders 1..3, convex
 Sobolev over a p-grid) from multiple random starts on one grid and prints
-the certified value next to its closed form.  The quadratic landscapes
-(Poincare, convex p = 2) certify to ~1e-14; the curved ones carry the
-sqrt(tol) plateau of plain projected descent, good to ~0.1%.
+the certified value next to its closed form.  Poincare and convex p = 2
+certify to rounding (~1e-13); log-Sobolev and convex p < 2 certify the
+infimum over fields of amplitude 1e-3, which lies 1e-8 to 2e-7 above the
+constant.
 """
 
 import argparse

@@ -116,7 +116,6 @@ def _cmd_certify(args) -> int:
         grid,
         seeds=tuple(args.seed + i for i in range(3)),
         max_iters=args.max_iters,
-        tol=args.tol,
     )
     payload = {
         "kind": args.kind,
@@ -223,10 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--N", type=int, required=True)
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
-    p_cert.add_argument(
-        "--tol", type=float, default=None,
-        help="stationarity tolerance; default picked per kind",
-    )
     p_cert.add_argument("--output", default=None, help="also write the JSON report here")
     p_cert.set_defaults(func=_cmd_certify)
 

@@ -288,6 +288,13 @@ def _newton_loop(
     return y, r, d2y, iters
 
 
+# A line-search trial may overflow e^y and fill its residual with NaN;
+# such a trial is rejected (nan < rnorm is False), so its floating-point
+# warnings are noise.  One context per call, not one per trial.
+_QUIET_TRIALS = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET_TRIALS
 def step(y_prev: Field, config: SolverConfig) -> tuple[Field, int]:
     """Advance one time level; returns the converged iterate and the number
     of Newton iterations it took."""
@@ -342,6 +349,7 @@ def _advance(
         return y, r, d2y, total, False
 
 
+@_QUIET_TRIALS
 def solve(
     u0: Field,
     t_final: float,

@@ -16,13 +16,14 @@ def load_script(name):
 
 def test_certify_all(tmp_path):
     out = tmp_path / "certs.json"
-    argv = ["--N", "32", "--orders", "1", "--p-grid", "1.5,2.0", "--output", str(out)]
+    # the default catalogue: orders 1, 2, 3 and p = 1.2, 1.5, 1.8, 2.0
+    argv = ["--N", "32", "--output", str(out)]
     assert load_script("certify_all").main(argv) == 0
     rows = json.loads(out.read_text())
-    assert [row["quotient"] for row in rows] == ["poincare", "logsob", "convex", "convex"]
+    assert [row["quotient"] for row in rows] == ["poincare"] * 3 + ["logsob"] * 3 + ["convex"] * 4
     for row in rows:
         assert row["converged"]
-        assert row["rel_error"] < 2e-2, row
+        assert row["rel_error"] < 1e-6, row
 
 
 def test_decay_study(tmp_path):

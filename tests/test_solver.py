@@ -125,6 +125,14 @@ class TestStep:
             dlss.step(y_prev, config)
         assert excinfo.value.iterations == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_trials_stay_silent(self, grid64):
+        # from 1 + 0.999 cos x the full Newton step overflows e^y; the
+        # failure is the step's own, not a floating-point warning
+        y_prev = log_field(grid64, 1.0 + 0.999 * np.cos(grid64.nodes))
+        with pytest.raises(dlss.NoConvergence):
+            dlss.step(y_prev, SolverConfig(tau=1e-3))
+
 
 class TestSolve:
     def test_records_cover_requested_horizon(self, grid64):
@@ -210,6 +218,15 @@ class TestSolve:
         config = SolverConfig(tau=1e-5, newton_tol=1e-6)
         traj = dlss.solve(u0, 1e-4, config)
         assert traj.clamped_nodes >= 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_trials_stay_silent(self, grid64):
+        # line-search trials of this run overflow e^y and give NaN
+        # residuals; they are rejected, and the run converges without
+        # printing floating-point warnings
+        traj = dlss.solve(cosine_density(grid64, 0.999), 0.01, SolverConfig(tau=1e-3))
+        assert dlss.lyapunov_check(traj)
+        assert np.isfinite(traj.final_y.values).all()
 
     def test_deterministic(self, grid64):
         config = SolverConfig(tau=1e-3, newton_tol=1e-10)
