@@ -43,7 +43,6 @@ __all__ = [
     "derivative",
     "diff_matrix",
     "integrate",
-    "mean",
 ]
 
 # Densities at or below this are treated as vacuum; log() is meaningless there.
@@ -328,7 +327,3 @@ def _integrate(grid: PeriodicGrid, values: np.ndarray) -> float:
 def integrate(f: Field) -> float:
     """Rectangle rule: spacing times the nodal sum."""
     return _integrate(f.grid, f.values)
-
-
-def mean(f: Field) -> float:
-    return float(f.values.mean())

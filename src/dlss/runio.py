@@ -77,7 +77,6 @@ class RunConfig:
     file sets; the rest keep the ``SolverConfig`` defaults.
     """
 
-    command: str
     length: float
     n_points: int
     t_final: float
@@ -138,7 +137,8 @@ def cosine_density(grid: PeriodicGrid, base: float, amplitude: float, mode: int)
     return Field(grid, base + amplitude * np.cos(theta), FieldKind.DENSITY)
 
 
-# key -> (RunConfig attribute or SolverConfig field, converter)
+# key -> (RunConfig attribute or SolverConfig field, converter); ``command``
+# only names the tool, so parse_config checks it and keeps no attribute
 _SCHEMA = {
     "command": ("command", "str"),
     "L": ("length", "float"),
@@ -212,6 +212,7 @@ def parse_config(text: str) -> RunConfig:
     for key in ("command", "L", "N", "T", "tau"):
         if key not in seen:
             raise ValidationError(key, "required")
+    del seen["command"]
     attrs = {_SCHEMA[key][0]: value for key, value in seen.items()}
     scheme = {attr: attrs.pop(attr) for attr in _SCHEME_FIELDS if attr in attrs}
     cfg = RunConfig(scheme=scheme, **attrs)

@@ -26,9 +26,9 @@ only two are known, if its residual is below that of y_k, which is free:
 F(y_k; y_k) is the previous step's accepted residual minus
 (e^{y_k} - e^{y_{k-1}}) / tau.  A retry or a tau halving drops the older
 levels, so the step after it starts at y_k, as the first step, the retry
-and halving paths and ``step`` do.  Records reuse the accepted D2 y for
-the production.  Every accepted iterate passes the same residual
-tolerance.
+and halving paths and ``step`` do.  Records read e^y, y and D2 y from
+the accepted level, so they take no logarithm of u, no exponential and no
+derivative.  Every accepted iterate passes the same residual tolerance.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import NoConvergence, NonPositiveDensity, SingularJacobian, ValidationError
-from .functionals import entropy_relative, lyapunov_u_minus_logu
 from .grid import (
     POSITIVITY_FLOOR,
     DiffBackend,
@@ -48,11 +47,9 @@ from .grid import (
     PeriodicGrid,
     SPECTRAL,
     _derivative,
-    _integrate,
     _lattice_steps,
     _sparse_diff2,
     diff_matrix,
-    integrate,
 )
 from .linalg import CyclicBandedLU, DenseLU
 
@@ -151,18 +148,28 @@ def residual(y: Field, y_prev: Field, config: SolverConfig) -> Field:
     """Backward Euler residual F(y) given the previous log-density."""
     if y.grid != y_prev.grid:
         raise ValueError("fields live on different grids")
-    r, _ = _residual_values(y.values, np.exp(y_prev.values), y.grid, config)
-    return Field(y.grid, r, FieldKind.GENERIC)
+    level = _evaluate(y.values, np.exp(y_prev.values), y.grid, config)
+    return Field(y.grid, level.r, FieldKind.GENERIC)
 
 
-def _residual_values(
-    y: Array, eu_prev: Array, grid: PeriodicGrid, config: SolverConfig
-) -> tuple[Array, Array]:
-    """(F(y), D2 y); the second derivative is returned for reuse."""
+class _Level:
+    """One iterate y with e^y, F(y), D2 y and |F(y)|_inf, all from one
+    residual evaluation; Newton, the next step's start and the records
+    read them."""
+
+    __slots__ = ("y", "ey", "r", "d2y", "rnorm")
+
+    def __init__(self, y: Array, ey: Array, r: Array, d2y: Array):
+        self.y, self.ey, self.r, self.d2y = y, ey, r, d2y
+        self.rnorm = float(np.abs(r).max())
+
+
+def _evaluate(y: Array, ey_prev: Array, grid: PeriodicGrid, config: SolverConfig) -> _Level:
+    """The level at y of the step from the level whose e^y is ey_prev."""
     ey = np.exp(y)
     d2y = _derivative(grid, y, 2, config.backend)
     flux = _derivative(grid, ey * d2y, 2, config.backend)
-    return (ey - eu_prev) / config.tau + flux, d2y
+    return _Level(y, ey, (ey - ey_prev) / config.tau + flux, d2y)
 
 
 def jacobian(y: Field, config: SolverConfig):
@@ -216,59 +223,48 @@ class _NewtonWorkspace:
 
 
 def _line_search(
-    y: Array,
-    delta: Array,
-    rnorm: float,
-    eu_prev: Array,
-    grid: PeriodicGrid,
-    config: SolverConfig,
-    iterations: int,
-) -> tuple[Array, Array, Array, float]:
-    """Damped backtracking along ``delta``; returns (y, F(y), D2 y,
-    |F(y)|_inf) at the first step length that lowers the residual or meets
-    the tolerance."""
+    level: _Level, delta: Array, ey_prev: Array,
+    grid: PeriodicGrid, config: SolverConfig, iterations: int,
+) -> _Level:
+    """Damped backtracking from ``level`` along ``delta``; returns the first
+    trial level that lowers the residual or meets the tolerance."""
     lam = 1.0
     for _ in range(_MAX_BACKTRACKS + 1):
-        y_trial = y + lam * delta
-        r_trial, d2y_trial = _residual_values(y_trial, eu_prev, grid, config)
-        rnorm_trial = float(np.abs(r_trial).max())
-        if rnorm_trial < rnorm or rnorm_trial <= config.newton_tol:
-            return y_trial, r_trial, d2y_trial, rnorm_trial
+        trial = _evaluate(level.y + lam * delta, ey_prev, grid, config)
+        if trial.rnorm < level.rnorm or trial.rnorm <= config.newton_tol:
+            return trial
         lam *= _DAMPING
     raise NoConvergence(
         f"line search failed to reduce the residual after {_MAX_BACKTRACKS} "
-        f"reductions (residual {rnorm:.3e})",
+        f"reductions (residual {level.rnorm:.3e})",
         iterations=iterations,
-        residual=rnorm,
+        residual=level.rnorm,
     )
 
 
 def _newton_loop(
-    y: Array, r: Array, d2y: Array, eu_prev: Array,
+    level: _Level, ey_prev: Array,
     grid: PeriodicGrid, config: SolverConfig, workspace: _NewtonWorkspace,
-) -> tuple[Array, Array, Array, int]:
-    """Damped chord Newton on one step from y, given r = F(y) and D2 y;
-    returns the accepted (y, F(y), D2 y, iters).  The workspace factor is
-    kept until either the line search fails or an iteration that stays
-    above the tolerance has a contraction factor |F_new| / |F_old| above
+) -> tuple[_Level, int]:
+    """Damped chord Newton on one step from ``level``; returns the accepted
+    level and the iteration count.  The workspace factor is kept until
+    either the line search fails or an iteration that stays above the
+    tolerance has a contraction factor |F_new| / |F_old| above
     _REFRESH_CONTRACTION."""
-    rnorm = float(np.abs(r).max())
     iters = 0
-    while rnorm > config.newton_tol:
+    while level.rnorm > config.newton_tol:
         if iters >= _MAX_NEWTON:
             raise NoConvergence(
                 f"Newton did not reach {config.newton_tol:.1e} in {_MAX_NEWTON} "
-                f"iterations (residual {rnorm:.3e})",
+                f"iterations (residual {level.rnorm:.3e})",
                 iterations=iters,
-                residual=rnorm,
+                residual=level.rnorm,
             )
         if workspace.factor is None:
-            workspace.refresh(y, grid, config)
-        delta = workspace.factor.solve(-r)
+            workspace.refresh(level.y, grid, config)
+        delta = workspace.factor.solve(-level.r)
         try:
-            y_trial, r_trial, d2y_trial, rnorm_trial = _line_search(
-                y, delta, rnorm, eu_prev, grid, config, iters
-            )
+            trial = _line_search(level, delta, ey_prev, grid, config, iters)
         except NoConvergence:
             if workspace.stale:
                 # the stale factor pointed uphill; retry iteration with a fresh one
@@ -276,16 +272,16 @@ def _newton_loop(
                 continue
             raise
 
-        contraction = rnorm_trial / rnorm if rnorm > 0.0 else 0.0
-        y, r, d2y, rnorm = y_trial, r_trial, d2y_trial, rnorm_trial
+        contraction = trial.rnorm / level.rnorm if level.rnorm > 0.0 else 0.0
+        level = trial
         iters += 1
         # a trial that meets the tolerance ends the loop; its ratio may be
         # residual-floor noise and says nothing about the factor
-        if workspace.stale and contraction > _REFRESH_CONTRACTION and rnorm > config.newton_tol:
+        if workspace.stale and contraction > _REFRESH_CONTRACTION and level.rnorm > config.newton_tol:
             workspace.invalidate()
         else:
             workspace.stale = True
-    return y, r, d2y, iters
+    return level, iters
 
 
 # A line-search trial may overflow e^y and fill its residual with NaN;
@@ -299,33 +295,33 @@ def step(y_prev: Field, config: SolverConfig) -> tuple[Field, int]:
     """Advance one time level; returns the converged iterate and the number
     of Newton iterations it took."""
     y, grid = y_prev.values, y_prev.grid
-    eu = np.exp(y)
-    y_new, _, _, iters = _newton_loop(
-        y, *_residual_values(y, eu, grid, config), eu, grid, config, _NewtonWorkspace()
+    ey = np.exp(y)
+    level, iters = _newton_loop(
+        _evaluate(y, ey, grid, config), ey, grid, config, _NewtonWorkspace()
     )
-    return Field(grid, y_new, FieldKind.LOG_DENSITY), iters
+    return Field(grid, level.y, FieldKind.LOG_DENSITY), iters
 
 
 def _advance(
-    y: Array, eu: Array, start: tuple[Array, Array, Array], grid: PeriodicGrid,
-    config: SolverConfig, workspace: _NewtonWorkspace, depth: int, step_index: int,
-) -> tuple[Array, Array, Array, int, bool]:
-    """One macro step of size config.tau from level y (eu = e^y), Newton
-    entering at ``start`` = (y0, F(y0), D2 y0), recursively halving tau on
-    failure.  Returns the accepted (y, F(y), D2 y, iters, clean); ``clean``
-    is False when the step needed a retry or a halving."""
+    base: _Level, start: _Level, grid: PeriodicGrid, config: SolverConfig,
+    workspace: _NewtonWorkspace, depth: int, step_index: int,
+) -> tuple[_Level, int, bool]:
+    """One macro step of size config.tau from the accepted level ``base``,
+    Newton entering at ``start``, recursively halving tau on failure.
+    Returns the accepted level, the iterations and ``clean``, which is
+    False when the step needed a retry or a halving."""
     entered_with_factor = workspace.factor is not None
     try:
         try:
-            return (*_newton_loop(*start, eu, grid, config, workspace), True)
+            return (*_newton_loop(start, base.ey, grid, config, workspace), True)
         except (NoConvergence, SingularJacobian):
             if not entered_with_factor:
                 raise
             # the factor recycled from the previous step may just be too
             # stale; one clean retry from y before touching tau
             workspace.invalidate()
-            plain = (y, *_residual_values(y, eu, grid, config))
-            return (*_newton_loop(*plain, eu, grid, config, workspace), False)
+            plain = _evaluate(base.y, base.ey, grid, config)
+            return (*_newton_loop(plain, base.ey, grid, config, workspace), False)
     except (NoConvergence, SingularJacobian) as exc:
         if depth >= _MAX_TAU_HALVINGS:
             raise NoConvergence(
@@ -337,16 +333,32 @@ def _advance(
             ) from exc
         half = replace(config, tau=0.5 * config.tau)
         sub_workspace = _NewtonWorkspace()  # factor depends on tau
-        total = 0
+        level, total = base, 0
         for _ in range(2):
-            eu = np.exp(y)
-            start = (y, *_residual_values(y, eu, grid, half))
-            y, r, d2y, iters, _ = _advance(
-                y, eu, start, grid, half, sub_workspace, depth + 1, step_index
+            start = _evaluate(level.y, level.ey, grid, half)
+            level, iters, _ = _advance(
+                level, start, grid, half, sub_workspace, depth + 1, step_index
             )
             total += iters
         workspace.invalidate()
-        return y, r, d2y, total, False
+        return level, total, False
+
+
+def _record(t: float, level: _Level, iters: int, grid: PeriodicGrid) -> TimeSeriesRecord:
+    """Monitored quantities of an accepted level, read from its arrays:
+    y = log u, so neither the entropy nor lyap takes a logarithm of u."""
+    h, ey = grid.spacing, level.ey
+    mass = float(h * ey.sum())
+    log_u_bar = np.log(mass / grid.length)
+    return TimeSeriesRecord(
+        t=t,
+        mass=mass,
+        entropy_rel=float(h * (ey * (level.y - log_u_bar)).sum()),
+        lyap=float(h * (ey - level.y).sum()),
+        production=float(h * (ey * level.d2y * level.d2y).sum()),
+        min_u=float(ey.min()),
+        newton_iters=iters,
+    )
 
 
 @_QUIET_TRIALS
@@ -376,58 +388,45 @@ def solve(
     clamp = 1e-12 * u0_vals.max()
     clamped_nodes = int(np.count_nonzero(u0_vals < clamp))
     y = np.log(np.maximum(u0_vals, clamp))
-
-    def record_at(t: float, iters: int, d2y: Array) -> TimeSeriesRecord:
-        u = Field(grid, np.exp(y), FieldKind.DENSITY)
-        mass = integrate(u)
-        return TimeSeriesRecord(
-            t=t,
-            mass=mass,
-            entropy_rel=entropy_relative(u, mass / grid.length),
-            lyap=lyapunov_u_minus_logu(u),
-            production=_integrate(grid, u.values * d2y * d2y),
-            min_u=float(u.values.min()),
-            newton_iters=iters,
-        )
-
-    records = [record_at(0.0, 0, _derivative(grid, y, 2, config.backend))]
+    level = _evaluate(y, np.exp(y), grid, config)
+    records = [_record(0.0, level, 0, grid)]
 
     workspace = _NewtonWorkspace()
-    # the level before y (with e^y_old) and the one before that; None
-    # while no clean step links them to y
-    y_old = eu_old = y_older = None
+    # the two accepted levels before ``level``; None while no clean step
+    # links them to it, and then level.r is F(y_k; y_k)
+    old = older = None
     for k in range(1, n_steps + 1):
-        eu = np.exp(y)
-        if y_old is None:
-            start = (y, *_residual_values(y, eu, grid, config))
-        else:
-            # F(y; y) from the accepted residual r = F(y; y_old), FFT-free
-            r_plain = r - (eu - eu_old) / config.tau
-            if y_older is None:
-                y_pred = 2.0 * y - y_old
+        start = level
+        if old is not None:
+            # F(y_k; y_k) from the accepted F(y_k; y_{k-1}), FFT-free
+            start = _Level(
+                level.y, level.ey, level.r - (level.ey - old.ey) / config.tau, level.d2y
+            )
+            if older is None:
+                y_pred = 2.0 * level.y - old.y
             else:
-                y_pred = 3.0 * (y - y_old) + y_older
-            r_pred, d2y_pred = _residual_values(y_pred, eu, grid, config)
-            if np.abs(r_pred).max() < np.abs(r_plain).max():
-                start = (y_pred, r_pred, d2y_pred)
-            else:
-                start = (y, r_plain, d2y)
-        y_new, r, d2y, iters, clean = _advance(
-            y, eu, start, grid, config, workspace, depth=0, step_index=k
+                y_pred = 3.0 * (level.y - old.y) + older.y
+            pred = _evaluate(y_pred, level.ey, grid, config)
+            if pred.rnorm < start.rnorm:
+                start = pred
+        new, iters, clean = _advance(
+            level, start, grid, config, workspace, depth=0, step_index=k
         )
         if clean:
-            y_older, y_old, eu_old = y_old, y, eu
+            older, old, level = old, level, new
         else:
-            y_older = y_old = eu_old = None
-        y = y_new
+            # a retry or a halving drops the older levels; the next step
+            # starts at F(y_k; y_k)
+            older = old = None
+            level = _evaluate(new.y, new.ey, grid, config)
         if k % record_every == 0 or k == n_steps:
-            records.append(record_at(k * config.tau, iters, d2y))
+            records.append(_record(k * config.tau, level, iters, grid))
 
     return Trajectory(
         grid=grid,
         config=config,
         records=tuple(records),
-        final_y=Field(grid, y, FieldKind.LOG_DENSITY),
+        final_y=Field(grid, level.y, FieldKind.LOG_DENSITY),
         clamped_nodes=clamped_nodes,
     )
 

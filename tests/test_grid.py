@@ -201,10 +201,6 @@ class TestQuadrature:
         f = Field(grid64, np.cos(k * grid64.nodes))
         assert abs(dlss.integrate(f)) < 1e-12
 
-    def test_mean(self, grid64):
-        f = Field(grid64, 3.0 + np.sin(2 * grid64.nodes))
-        assert dlss.mean(f) == pytest.approx(3.0, rel=1e-13)
-
 
 class TestStructure:
     """Discrete analogues of the integration-by-parts toolbox."""

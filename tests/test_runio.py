@@ -24,7 +24,6 @@ MINIMAL = "command = solve\nL = 6.283185307179586\nN = 64\nT = 0.01\ntau = 0.001
 class TestParseConfig:
     def test_minimal_solve_config(self):
         cfg = parse_config(MINIMAL)
-        assert cfg.command == "solve"
         assert cfg.n_points == 64
         assert cfg.t_final == 0.01
         assert cfg.tau == 0.001
@@ -48,7 +47,6 @@ class TestParseConfig:
             "tau = 0.5\n"
         )
         cfg = parse_config(text)
-        assert cfg.command == "solve"
         assert cfg.n_points == 32
         assert cfg.tau == 0.5
 

@@ -289,21 +289,36 @@ class TestSolve:
         ],
         ids=["spectral", "fd2", "fd4"],
     )
-    def test_record_production_matches_functional(self, grid64, config):
-        # records take D2 y from the accepted residual instead of
-        # differentiating log u again; a run to k tau retraces level k bit
-        # for bit, so its final state is the state of record k
+    def test_records_match_functionals(self, grid64, config):
+        # records read y, e^y and D2 y from the accepted level instead of
+        # taking log u of a Field; a run to k tau retraces level k bit for
+        # bit, so its final state is the state of record k
         u0 = cosine_density(grid64, 0.3)
         traj = dlss.solve(u0, 0.02, config)
         assert len(traj.records) == 21
         for k, record in enumerate(traj.records):
             if k == 0:
-                u = u0
+                y_k = np.log(u0.values)
             else:
                 y_k = dlss.solve(u0, k * config.tau, config).final_y.values
-                u = Field(grid64, np.exp(y_k), FieldKind.DENSITY)
+            u = Field(grid64, np.exp(y_k), FieldKind.DENSITY)
+            assert record.mass == dlss.integrate(u)
+            u_bar = record.mass / grid64.length
+            assert record.entropy_rel == pytest.approx(dlss.entropy_relative(u, u_bar), rel=1e-12)
+            assert record.lyap == pytest.approx(dlss.lyapunov_u_minus_logu(u), rel=1e-12)
             expected = dlss.entropy_production(u, config.backend)
             assert record.production == pytest.approx(expected, rel=1e-12)
+            assert record.min_u == u.values.min()
+
+    def test_record_every_shares_levels(self, grid64):
+        # records read the arrays of the Newton levels; one that changed a
+        # level in place would change the run it records
+        config = SolverConfig(tau=1e-3, newton_tol=1e-10)
+        u0 = dlss.random_log_density(grid64, 4, 11, amplitude=0.3)
+        every = dlss.solve(u0, 20 * config.tau, config, record_every=1)
+        fifth = dlss.solve(u0, 20 * config.tau, config, record_every=5)
+        assert np.array_equal(every.final_y.values, fifth.final_y.values)
+        assert fifth.records == every.records[::5]
 
     def test_banded_linear_solver_agrees_with_dense(self, grid128):
         dense = SolverConfig(tau=1e-3, newton_tol=1e-9, backend=FD4)
