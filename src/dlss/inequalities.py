@@ -73,8 +73,10 @@ DEFAULT_MAX_ITERS = 4000
 # iterate: their constants are reached only as it goes to 0, and the
 # quotient there is the constant times 1 + O(_PIN^2).
 _PIN = 1e-3
-# Values per block of heat-flow states: 64 states at N = 256.
-_BLOCK_VALUES = 2 ** 14
+# Heat-flow values per block (32 states at N = 256); the size never changes a bit.
+# At 2**14 freed block temporaries made glibc trim and re-fault the heap top: 46k
+# minor faults per N = 256, T = 10 heatflow_verify + remainder_R pair, 6.7k here.
+_BLOCK_VALUES = 2 ** 13
 
 
 class QuotientKind(enum.Enum):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import circulant
 
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind
@@ -182,6 +183,16 @@ class TestDiffMatrix:
     def test_second_derivative_symmetric(self, grid64, backend):
         mat = diff_matrix(grid64, 2, backend)
         assert np.abs(mat - mat.T).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_equals_scipy_circulant(self, n, backend, order):
+        # the first column is the derivative of the unit impulse at node 0
+        grid = dlss.make_grid(TWO_PI, n)
+        impulse = Field(grid, np.eye(n)[0])
+        column = dlss.derivative(impulse, order, backend).values
+        assert np.array_equal(diff_matrix(grid, order, backend), circulant(column))
 
     def test_cached_and_read_only(self, grid64):
         a = diff_matrix(grid64, 2, SPECTRAL)

@@ -469,6 +469,20 @@ class TestHeatFlow:
         with pytest.raises(dlss.PositivityLost, match=f"at t = {k * dt:.6g}$"):
             dlss.heatflow_verify(u, 2.0, 1e-4, dt)
 
+    @pytest.mark.parametrize("block_values", [256, 2 ** 14, 2 ** 16])
+    def test_block_size_leaves_results_unchanged(self, grid256, monkeypatch, block_values):
+        # 1, 64 and 256 states per block give the same bits as the default;
+        # 1001 states leave a ragged last block at every size
+        u = random_log_density(grid256, 4, 3, amplitude=0.5)
+
+        def results():
+            flows = [dlss.heatflow_verify(u, p, 1.0, 1e-3) for p in (1.0, 2.0)]
+            return flows, dlss.remainder_R(u, 1.5, 1.0, 1e-3)
+
+        default = results()
+        monkeypatch.setattr(dlss.inequalities, "_BLOCK_VALUES", block_values)
+        assert results() == default
+
 
 class TestRemainder:
     def test_constant_datum_gives_zero(self, grid64):

@@ -134,10 +134,20 @@ class TestCyclicBandedLU:
 
 
 def test_import_leaves_scipy_sparse_unloaded(package_env):
-    # only a banded factorisation needs scipy.sparse
-    code = "import sys, dlss; print('scipy.sparse' in sys.modules)"
+    # import dlss loads numpy only; scipy.linalg loads with the first dense
+    # factorisation, which must still work in the same process
+    code = (
+        "import sys, numpy as np, dlss, dlss.cli\n"
+        "def scipy_parts():\n"
+        "    return sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse')))\n"
+        "print(scipy_parts())\n"
+        "grid = dlss.make_grid(2.0 * np.pi, 16)\n"
+        "y = dlss.Field(grid, 0.3 * np.sin(grid.nodes), dlss.FieldKind.LOG_DENSITY)\n"
+        "y1, iters = dlss.step(y, dlss.SolverConfig(tau=1e-3))\n"
+        "print(iters > 0, np.isfinite(y1.values).all(), 'scipy.linalg' in scipy_parts())"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=package_env
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]", "True True True"]
