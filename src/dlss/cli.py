@@ -15,17 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    InsufficientData,
-    NoConvergence,
-    NonPositiveDensity,
-    NonPositiveEntropy,
-    ParseError,
-    PositivityLost,
-    SingularJacobian,
-    ValidationError,
-)
+from .errors import DlssError, ParseError, ValidationError
 from .grid import BACKENDS, DiffBackend, make_grid
 from .inequalities import (
     DEFAULT_MAX_ITERS,
@@ -46,17 +36,9 @@ from .runio import (
 )
 from .solver import lyapunov_check, solve
 
-# ValidationError is a ValueError, like the library's other argument checks.
+# ValidationError is a ValueError, like the library's other argument checks;
+# every other DlssError is a numerical failure.
 _USAGE_ERRORS = (ParseError, ValueError, OSError)
-_NUMERICAL_ERRORS = (
-    NoConvergence,
-    SingularJacobian,
-    PositivityLost,
-    DegenerateDenominator,
-    NonPositiveDensity,
-    InsufficientData,
-    NonPositiveEntropy,
-)
 
 # A certified value below the sharp constant contradicts the inequality;
 # this much relative slack is left for rounding.
@@ -79,9 +61,7 @@ def _emit_json(payload: dict, output: str | None) -> None:
 def _cmd_solve(args) -> int:
     with open(args.config, "r") as handle:
         cfg = parse_config(handle.read())
-    grid = cfg.make_grid()
-    u0 = cfg.initial_density(grid)
-    trajectory = solve(u0, cfg.t_final, cfg.solver_config(), record_every=cfg.record_every)
+    trajectory = solve(cfg.u0, cfg.t_final, cfg.solver_config, record_every=cfg.record_every)
     if cfg.output:
         emit_timeseries(trajectory, cfg.output)
     first, last = trajectory.records[0], trajectory.records[-1]
@@ -266,7 +246,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except DlssError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -69,6 +69,8 @@ __all__ = [
 _DEGENERACY_FLOOR = 1e-14
 # Descent budget of one minimisation; the command line and scripts use it too.
 DEFAULT_MAX_ITERS = 4000
+# Relative change of the quotient under which one accepted step ends a descent.
+_DESCENT_TOL = 1e-14
 # Amplitude sup |v / vbar - 1| of every log-Sobolev and convex Sobolev
 # iterate: their constants are reached only as it goes to 0, and the
 # quotient there is the constant times 1 + O(_PIN^2).
@@ -274,7 +276,7 @@ def minimize_quotient(
     spec: QuotientSpec,
     u_init: Field,
     max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = 1e-14,
+    tol: float = _DESCENT_TOL,
 ) -> QuotientResult:
     """Projected gradient descent on the quotient from ``u_init``.
 
@@ -371,7 +373,7 @@ def certify_constant(
     grid: PeriodicGrid,
     seeds: tuple[int, ...] = (0, 1, 2),
     max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = 1e-14,
+    tol: float = _DESCENT_TOL,
 ) -> QuotientResult:
     """Multi-start minimisation: run ``minimize_quotient`` from one random
     admissible field per seed and keep the lowest converged value.  At

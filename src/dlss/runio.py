@@ -5,14 +5,14 @@ Config files are flat ``key = value`` lines.  ``#`` starts a comment,
 blank lines and ``[section]`` headers are cosmetic, every key must be
 known and appear at most once.  A run file describes one ``dlss solve``
 run: ``command`` must be ``solve``, and ``L``, ``N``, ``T`` and ``tau``
-are required.  Structural problems raise ``ParseError`` with the
-offending line number; admissibility problems raise ``ValidationError``
-with the offending key.  The grid and scheme keys are
-checked by the library objects they build (``make_grid``, ``SolverConfig``,
-``DiffBackend.from_name``, ``LinearSolver``), the cosine ``u0_*`` keys by
-``cosine_density``, ``u0_value`` and the ``u0_path`` data by ``Field``, and
-omitted scheme keys take the ``SolverConfig`` defaults.  The time-series
-CSV has one column per ``TimeSeriesRecord`` field.
+are required.  ``parse_config`` builds what the file describes, each
+object once: the grid (``make_grid``), the ``SolverConfig`` (an omitted
+key takes its default) and the initial density (``cosine_density``, or
+a ``Field`` of the ``u0_value`` constant or of the ``u0_path`` data).
+Structural problems raise ``ParseError`` with the offending line
+number; admissibility problems raise ``ValidationError`` with the
+offending key, and the objects built make those checks themselves.
+The time-series CSV has one column per ``TimeSeriesRecord`` field.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -71,51 +71,16 @@ _U0_KINDS = ("constant", "cosine", "file")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated contents of one run-configuration file.
+    """One run file, built: the grid, the solver configuration and the
+    initial density it describes, the horizon, the CSV path (None for no
+    CSV) and the record stride."""
 
-    ``scheme`` holds the ``SolverConfig`` arguments other than tau that the
-    file sets; the rest keep the ``SolverConfig`` defaults.
-    """
-
-    length: float
-    n_points: int
+    grid: PeriodicGrid
+    solver_config: SolverConfig
     t_final: float
-    tau: float
-    scheme: dict = field(default_factory=dict)
-    u0_kind: str = "cosine"
-    u0_value: float = 1.0
-    u0_base: float = 1.0
-    u0_amplitude: float = 0.1
-    u0_mode: int = 1
-    u0_path: str | None = None
-    output: str | None = None
-    record_every: int = 1
-
-    def make_grid(self) -> PeriodicGrid:
-        return make_grid(self.length, self.n_points)
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(tau=self.tau, **self.scheme)
-
-    def initial_density(self, grid: PeriodicGrid) -> Field:
-        if self.u0_kind == "cosine":
-            return cosine_density(grid, self.u0_base, self.u0_amplitude, self.u0_mode)
-        if self.u0_kind == "constant":
-            key, vals = "u0_value", np.full(grid.n_points, self.u0_value)
-        else:
-            key = "u0_path"
-            try:
-                vals = np.loadtxt(self.u0_path, dtype=float).ravel()
-            except OSError as exc:
-                raise ValidationError("u0_path", f"cannot read {self.u0_path!r}: {exc}")
-            except ValueError as exc:
-                raise ValidationError("u0_path", f"malformed data: {exc}")
-            if vals.size != grid.n_points:
-                raise ValidationError("u0_path", f"expected {grid.n_points} values, found {vals.size}")
-        try:  # Field holds the finiteness and positivity-floor rules
-            return Field(grid, vals, FieldKind.DENSITY)
-        except (ValueError, NonPositiveDensity) as exc:
-            raise ValidationError(key, str(exc)) from None
+    u0: Field
+    output: str | None
+    record_every: int
 
 
 def cosine_density(grid: PeriodicGrid, base: float, amplitude: float, mode: int) -> Field:
@@ -137,57 +102,64 @@ def cosine_density(grid: PeriodicGrid, base: float, amplitude: float, mode: int)
     return Field(grid, base + amplitude * np.cos(theta), FieldKind.DENSITY)
 
 
-# key -> (RunConfig attribute or SolverConfig field, converter); ``command``
-# only names the tool, so parse_config checks it and keeps no attribute
+# key -> converter; a bad int or float is a parse error with its line number,
+# a bad name is rejected under its key.  ``command`` only names the tool.
 _SCHEMA = {
-    "command": ("command", "str"),
-    "L": ("length", "float"),
-    "N": ("n_points", "int"),
-    "T": ("t_final", "float"),
-    "tau": ("tau", "float"),
-    "newton_tol": ("newton_tol", "float"),
-    "backend": ("backend", DiffBackend.from_name),
-    "linear_solver": ("linear_solver", LinearSolver),
-    "u0": ("u0_kind", "str"),
-    "u0_value": ("u0_value", "float"),
-    "u0_base": ("u0_base", "float"),
-    "u0_amplitude": ("u0_amplitude", "float"),
-    "u0_mode": ("u0_mode", "int"),
-    "u0_path": ("u0_path", "str"),
-    "output": ("output", "str"),
-    "record_every": ("record_every", "int"),
+    "command": str,
+    "L": float,
+    "N": int,
+    "T": float,
+    "tau": float,
+    "newton_tol": float,
+    "backend": DiffBackend.from_name,
+    "linear_solver": LinearSolver,
+    "u0": str,
+    "u0_value": float,
+    "u0_base": float,
+    "u0_amplitude": float,
+    "u0_mode": int,
+    "u0_path": str,
+    "output": str,
+    "record_every": int,
 }
-# The library names what it rejects by attribute; these are the run-file keys.
-_KEY_OF = {attr: key for key, (attr, _) in _SCHEMA.items()}
-_KEY_OF.update(base="u0_base", amplitude="u0_amplitude", mode="u0_mode")  # cosine_density
-_SCHEME_FIELDS = tuple(f.name for f in fields(SolverConfig) if f.name != "tau")
+# What an omitted key means; omitted SolverConfig keys take its defaults.
+_DEFAULTS = dict(
+    u0="cosine", u0_value=1.0, u0_base=1.0, u0_amplitude=0.1, u0_mode=1,
+    u0_path=None, output=None, record_every=1,
+)
+# Each SolverConfig field is the run-file key of the same name.
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
+# The library names what it rejects by argument; these are the run-file keys.
+_KEY_OF = dict(length="L", n_points="N", base="u0_base", amplitude="u0_amplitude", mode="u0_mode")
 
 
-def _library_check(build) -> None:
-    """Run a library constructor; the attribute it rejects is renamed to
-    its run-file key."""
+def _built(build, *args, key: str | None = None, **kwargs):
+    """``build(*args, **kwargs)``: the grid, solver configuration and
+    density of a run file are each made here once.  The argument a
+    ``ValidationError`` names is renamed to its run-file key; given
+    ``key``, a value rejected without a name (``ValueError``,
+    ``NonPositiveDensity``) is reported under ``key``."""
     try:
-        build()
+        return build(*args, **kwargs)
     except ValidationError as exc:
-        raise ValidationError(_KEY_OF[exc.field], exc.reason) from None
+        raise ValidationError(_KEY_OF.get(exc.field, exc.field), exc.reason) from None
+    except (ValueError, NonPositiveDensity) as exc:
+        if key is None:
+            raise
+        raise ValidationError(key, str(exc)) from None
 
 
 def _convert(kind, raw: str, key: str, line_no: int):
-    if callable(kind):
-        try:
-            return kind(raw)
-        except ValueError as exc:
-            raise ValidationError(key, str(exc)) from None
-    if kind == "str":
-        return raw
     try:
-        return float(raw) if kind == "float" else int(raw)
-    except ValueError:
-        raise ParseError(line_no, f"invalid {kind} for {key!r}: {raw!r}") from None
+        return kind(raw)
+    except ValueError as exc:
+        if kind in (float, int):
+            raise ParseError(line_no, f"invalid {kind.__name__} for {key!r}: {raw!r}") from None
+        raise ValidationError(key, str(exc)) from None
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a configuration file body."""
+    """Parse a run-file body and build the run it describes."""
     seen: dict[str, object] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -204,7 +176,7 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(line_no, f"unknown key {key!r}")
         if key in seen:
             raise ParseError(line_no, f"duplicate key {key!r}")
-        seen[key] = _convert(_SCHEMA[key][1], raw_value, key, line_no)
+        seen[key] = _convert(_SCHEMA[key], raw_value, key, line_no)
 
     # checked before the required keys: a file for another tool lacks T and tau
     if seen.get("command", "solve") != "solve":
@@ -212,24 +184,41 @@ def parse_config(text: str) -> RunConfig:
     for key in ("command", "L", "N", "T", "tau"):
         if key not in seen:
             raise ValidationError(key, "required")
-    del seen["command"]
-    attrs = {_SCHEMA[key][0]: value for key, value in seen.items()}
-    scheme = {attr: attrs.pop(attr) for attr in _SCHEME_FIELDS if attr in attrs}
-    cfg = RunConfig(scheme=scheme, **attrs)
-    _validate(cfg)
-    return cfg
+    seen = {**_DEFAULTS, **seen}
+    grid = _built(make_grid, seen["L"], seen["N"])
+    solver_config = _built(SolverConfig, **{k: seen[k] for k in _SOLVER_KEYS if k in seen})
+    return RunConfig(
+        grid, solver_config, seen["T"], _initial_density(grid, seen),
+        seen["output"], seen["record_every"],
+    )
 
 
-def _validate(cfg: RunConfig) -> None:
-    """The checks no library object makes; the library objects make the rest."""
-    _library_check(cfg.make_grid)
-    _library_check(cfg.solver_config)
-    if cfg.u0_kind not in _U0_KINDS:
-        raise ValidationError("u0", f"must be one of {_U0_KINDS}, got {cfg.u0_kind!r}")
-    if cfg.u0_kind in ("constant", "cosine"):
-        _library_check(lambda: cfg.initial_density(cfg.make_grid()))
-    if cfg.u0_kind == "file" and not cfg.u0_path:
-        raise ValidationError("u0_path", "required")
+def _initial_density(grid: PeriodicGrid, seen: dict) -> Field:
+    """The ``u0`` datum; a ``file`` path is read relative to the working
+    directory."""
+    kind = seen["u0"]
+    if kind == "cosine":
+        return _built(
+            cosine_density, grid, seen["u0_base"], seen["u0_amplitude"], seen["u0_mode"]
+        )
+    if kind == "constant":
+        key, vals = "u0_value", np.full(grid.n_points, seen["u0_value"])
+    elif kind == "file":
+        key, path = "u0_path", seen["u0_path"]
+        if not path:
+            raise ValidationError(key, "required")
+        try:
+            vals = np.loadtxt(path, dtype=float).ravel()
+        except OSError as exc:
+            raise ValidationError(key, f"cannot read {path!r}: {exc}") from None
+        except ValueError as exc:
+            raise ValidationError(key, f"malformed data: {exc}") from None
+        if vals.size != grid.n_points:
+            raise ValidationError(key, f"expected {grid.n_points} values, found {vals.size}")
+    else:
+        raise ValidationError("u0", f"must be one of {_U0_KINDS}, got {kind!r}")
+    # Field holds the finiteness and positivity-floor rules
+    return _built(Field, grid, vals, FieldKind.DENSITY, key=key)
 
 
 def emit_timeseries(trajectory: Trajectory, path: str) -> None:

@@ -92,8 +92,9 @@ class SolverConfig:
     derivatives: about 1e-11 at N = 64 and 3e-9 at N = 256 on the unit
     circle scale.  Tolerances below that floor cannot converge; the
     default 1e-8 is safe up to N = 256, larger grids need a looser value.
-    Line-search backtracks always halve the Newton step.
-    A rejected value raises ``ValidationError`` naming the field.
+    Line-search backtracks always halve the Newton step.  ``tau`` and
+    ``newton_tol`` must be positive and finite; a rejected value raises
+    ``ValidationError`` naming the field.
     """
 
     tau: float
@@ -102,10 +103,12 @@ class SolverConfig:
     linear_solver: LinearSolver = LinearSolver.DENSE
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValidationError("tau", f"must be positive, got {self.tau}")
-        if not self.newton_tol > 0.0:
-            raise ValidationError("newton_tol", f"must be positive, got {self.newton_tol}")
+        for name in ("tau", "newton_tol"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValidationError(name, f"must be positive, got {value}")
+            if value == np.inf:
+                raise ValidationError(name, f"must be finite, got {value}")
         if self.linear_solver is LinearSolver.BANDED and self.backend.order == 0:
             raise ValidationError(
                 "linear_solver",

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dlss import cli
+from dlss import cli, errors
 from dlss.cli import main
 from dlss.runio import TIMESERIES_HEADER, read_timeseries
 
@@ -88,6 +88,26 @@ class TestSolve:
         code, _, err = run_cli(capsys, ["solve", "--config", str(config)])
         assert code == 2
         assert err.startswith(f"error: {key}: ")
+
+    def test_infinite_newton_tol_is_usage_error(self, tmp_path, capsys):
+        # Newton would never iterate, and the datum would be reported as the solution
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"command = solve\nL = {TWO_PI!r}\nN = 64\nT = 0.01\ntau = 1e-3\nnewton_tol = inf\n"
+        )
+        code, out, err = run_cli(capsys, ["solve", "--config", str(config)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: newton_tol: ")
+
+    def test_missing_datum_file_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        extra = f"u0 = file\nu0_path = {tmp_path / 'absent.txt'}\n"
+        write_solve_config(config, tmp_path / "out.csv", extra)
+        code, _, err = run_cli(capsys, ["solve", "--config", str(config)])
+        assert code == 2
+        assert err.startswith("error: u0_path: cannot read ")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["solve", "--config", str(tmp_path / "nope.cfg")])
@@ -340,6 +360,24 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "cls",
+        [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.DlssError)],
+    )
+    def test_every_package_error_has_an_exit_code(self, capsys, monkeypatch, cls):
+        # a new error class must not fall through main as a traceback
+        def raise_it(args):
+            try:
+                raise cls("boom")
+            except TypeError:  # ParseError and ValidationError take two arguments
+                raise cls(1, "boom") from None
+
+        monkeypatch.setattr(cli, "_cmd_identity", raise_it)
+        code, _, err = run_cli(capsys, ["identity"])
+        usage = issubclass(cls, (errors.ParseError, errors.ValidationError))
+        assert code == (2 if usage else 3)
+        assert err.startswith("error: " if usage else "numerical failure: ")
 
     def test_installed_entry_point(self, package_env):
         out = subprocess.run(

@@ -29,10 +29,8 @@ def test_readme_run_file_parses():
     blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), flags=re.DOTALL)
     assert len(blocks) == 1, "README should hold exactly one run file"
     cfg = parse_config(blocks[0])
-    grid = cfg.make_grid()
-    assert (grid.length, grid.n_points) == (2 * math.pi, 256)
-    assert cfg.solver_config() == SolverConfig(
+    assert (cfg.grid.length, cfg.grid.n_points) == (2 * math.pi, 256)
+    assert cfg.solver_config == SolverConfig(
         tau=1e-4, newton_tol=1e-8, backend=dlss.SPECTRAL, linear_solver=LinearSolver.DENSE
     )
-    u0 = cfg.initial_density(grid)
-    assert u0.values.max() == pytest.approx(1.1)
+    assert cfg.u0.values.max() == pytest.approx(1.1)

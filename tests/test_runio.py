@@ -8,6 +8,7 @@ import dlss
 from dlss import Field, FieldKind, SolverConfig
 from dlss.runio import (
     TIMESERIES_HEADER,
+    cosine_density,
     default_fit_window,
     emit_timeseries,
     fit_decay,
@@ -24,15 +25,16 @@ MINIMAL = "command = solve\nL = 6.283185307179586\nN = 64\nT = 0.01\ntau = 0.001
 class TestParseConfig:
     def test_minimal_solve_config(self):
         cfg = parse_config(MINIMAL)
-        assert cfg.n_points == 64
+        assert (cfg.grid.length, cfg.grid.n_points) == (TWO_PI, 64)
         assert cfg.t_final == 0.01
-        assert cfg.tau == 0.001
+        assert cfg.solver_config.tau == 0.001
         # defaults
-        assert cfg.u0_kind == "cosine"
+        assert np.array_equal(cfg.u0.values, cosine_density(cfg.grid, 1.0, 0.1, 1).values)
+        assert cfg.output is None
         assert cfg.record_every == 1
 
     def test_omitted_scheme_keys_take_solver_config_defaults(self):
-        assert parse_config(MINIMAL).solver_config() == SolverConfig(tau=0.001)
+        assert parse_config(MINIMAL).solver_config == SolverConfig(tau=0.001)
 
     def test_comments_sections_and_blank_lines_ignored(self):
         text = (
@@ -47,8 +49,8 @@ class TestParseConfig:
             "tau = 0.5\n"
         )
         cfg = parse_config(text)
-        assert cfg.n_points == 32
-        assert cfg.tau == 0.5
+        assert cfg.grid.n_points == 32
+        assert cfg.solver_config.tau == 0.5
 
     def test_values_may_contain_equals_sign(self):
         text = MINIMAL + "output = runs/a=b.csv\n"
@@ -99,6 +101,8 @@ class TestParseConfig:
             (MINIMAL.replace("L = 6.283185307179586", "L = -1"), "L"),
             (MINIMAL + "backend = fd8\n", "backend"),
             (MINIMAL + "linear_solver = banded\n", "linear_solver"),
+            (MINIMAL + "newton_tol = inf\n", "newton_tol"),
+            (MINIMAL.replace("tau = 0.001", "tau = inf"), "tau"),
             (MINIMAL + "u0 = cosine\nu0_amplitude = 1.5\n", "u0_amplitude"),
             (MINIMAL + "u0_base = 0\n", "u0_base"),
             (MINIMAL + "u0_mode = -1\n", "u0_mode"),
@@ -115,53 +119,62 @@ class TestParseConfig:
 
     def test_banded_solver_with_fd_backend_accepted(self):
         cfg = parse_config(MINIMAL + "backend = fd4\nlinear_solver = banded\n")
-        assert cfg.solver_config().backend is dlss.FD4
+        assert cfg.solver_config.backend is dlss.FD4
+        assert cfg.solver_config.linear_solver is dlss.LinearSolver.BANDED
 
 
 class TestInitialDensity:
     def test_constant(self):
         cfg = parse_config("command = solve\nL = 6.28\nN = 16\nT = 1\ntau = 1\nu0 = constant\nu0_value = 2.5\n")
-        u = cfg.initial_density(cfg.make_grid())
-        assert np.allclose(u.values, 2.5)
-        assert u.kind is FieldKind.DENSITY
+        assert cfg.u0.grid is cfg.grid
+        assert np.allclose(cfg.u0.values, 2.5)
+        assert cfg.u0.kind is FieldKind.DENSITY
 
     def test_cosine_uses_base_amplitude_mode(self):
         cfg = parse_config(MINIMAL + "u0_base = 2\nu0_amplitude = 0.5\nu0_mode = 3\n")
-        grid = cfg.make_grid()
-        u = cfg.initial_density(grid)
-        assert np.allclose(u.values, 2.0 + 0.5 * np.cos(3 * grid.nodes))
+        assert np.allclose(cfg.u0.values, 2.0 + 0.5 * np.cos(3 * cfg.grid.nodes))
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "u0.txt"
         vals = 1.0 + 0.25 * np.sin(np.arange(64) / 7.0)
         np.savetxt(path, vals)
         cfg = parse_config(MINIMAL + f"u0 = file\nu0_path = {path}\n")
-        u = cfg.initial_density(cfg.make_grid())
-        assert np.allclose(u.values, vals, atol=1e-15)
+        assert np.allclose(cfg.u0.values, vals, atol=1e-15)
+
+    def test_file_path_is_relative_to_working_directory(self, tmp_path, monkeypatch):
+        np.savetxt(tmp_path / "u0.txt", np.full(64, 1.5))
+        monkeypatch.chdir(tmp_path)
+        cfg = parse_config(MINIMAL + "u0 = file\nu0_path = u0.txt\n")
+        assert np.array_equal(cfg.u0.values, np.full(64, 1.5))
 
     def test_file_errors(self, tmp_path):
-        grid = dlss.make_grid(TWO_PI, 64)
+        # the datum is read when the run file is parsed
         base = MINIMAL + "u0 = file\nu0_path = {}\n"
 
-        cfg = parse_config(base.format(tmp_path / "absent.txt"))
-        with pytest.raises(dlss.ValidationError):
-            cfg.initial_density(grid)
+        with pytest.raises(dlss.ValidationError) as excinfo:
+            parse_config(base.format(tmp_path / "absent.txt"))
+        assert excinfo.value.field == "u0_path"
+        assert "cannot read" in str(excinfo.value)
 
         short = tmp_path / "short.txt"
         np.savetxt(short, np.ones(10))
         with pytest.raises(dlss.ValidationError) as excinfo:
-            parse_config(base.format(short)).initial_density(grid)
-        assert "64" in str(excinfo.value)
+            parse_config(base.format(short))
+        assert excinfo.value.field == "u0_path"
+        assert "expected 64 values, found 10" in str(excinfo.value)
 
         negative = tmp_path / "negative.txt"
         np.savetxt(negative, -np.ones(64))
-        with pytest.raises(dlss.ValidationError):
-            parse_config(base.format(negative)).initial_density(grid)
+        with pytest.raises(dlss.ValidationError) as excinfo:
+            parse_config(base.format(negative))
+        assert excinfo.value.field == "u0_path"
 
         garbled = tmp_path / "garbled.txt"
         garbled.write_text("1.0\ntwo\n3.0\n")
-        with pytest.raises(dlss.ValidationError):
-            parse_config(base.format(garbled)).initial_density(grid)
+        with pytest.raises(dlss.ValidationError) as excinfo:
+            parse_config(base.format(garbled))
+        assert excinfo.value.field == "u0_path"
+        assert "malformed data" in str(excinfo.value)
 
 
 @pytest.fixture(scope="module")

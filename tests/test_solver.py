@@ -33,12 +33,16 @@ class TestSolverConfig:
             {"tau": 0.0},
             {"tau": -1e-3},
             {"tau": math.nan},
+            {"tau": math.inf},
             {"tau": 1e-3, "newton_tol": 0.0},
+            {"tau": 1e-3, "newton_tol": math.nan},
+            {"tau": 1e-3, "newton_tol": math.inf},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(dlss.ValidationError) as excinfo:
             SolverConfig(**kwargs)
+        assert excinfo.value.field == list(kwargs)[-1]
 
     def test_rejects_banded_with_spectral_backend(self):
         # spectral differentiation gives a dense Jacobian; no band to exploit
