@@ -48,6 +48,7 @@ from .grid import (
     _derivative,
     _integrate,
     _lattice_steps,
+    _spectral_symbol,
     _spectrum_derivative,
 )
 from .rng import random_smooth_field
@@ -75,10 +76,13 @@ _DESCENT_TOL = 1e-14
 # iterate: their constants are reached only as it goes to 0, and the
 # quotient there is the constant times 1 + O(_PIN^2).
 _PIN = 1e-3
-# Heat-flow values per block (32 states at N = 256); the size never changes a bit.
-# At 2**14 freed block temporaries made glibc trim and re-fault the heap top: 46k
-# minor faults per N = 256, T = 10 heatflow_verify + remainder_R pair, 6.7k here.
-_BLOCK_VALUES = 2 ** 13
+# Heat-flow values per block (64 states at N = 256); the size never changes a bit.
+# A call allocates its work arrays once, about 1 MB here.  One N = 256, T = 10
+# heatflow_verify + remainder_R pair took a median 247 / 213 / 210 ms of CPU at
+# 2**13 / 2**14 / 2**15 (30 interleaved rounds, 2-core Xeon).
+_BLOCK_VALUES = 2 ** 14
+# exp(-x) is exactly 0.0 for every x >= 746: it falls below half the least subnormal.
+_EXP_UNDERFLOW = 746.0
 
 
 class QuotientKind(enum.Enum):
@@ -401,59 +405,100 @@ class HeatFlowRecord:
     dissipation: float
 
 
-def _sigma_integral(v: np.ndarray, grid: PeriodicGrid, p: float) -> np.ndarray:
-    """int sigma(v) of each flow state, one per row of v."""
+def _sigma_integral(v: np.ndarray, grid: PeriodicGrid, p: float, scratch: np.ndarray) -> np.ndarray:
+    """int sigma(v) of each flow state, one per row of v; ``scratch`` is
+    overwritten."""
     # scalar log and pow of the row means: numpy's vectorised ones differ by an ulp
     vbar = v.mean(axis=-1).tolist()
     if p == 1.0:
         log_vbar = np.array([math.log(m) for m in vbar])
-        return grid.spacing * (v * (np.log(v) - log_vbar[:, None])).sum(axis=-1)
+        np.log(v, out=scratch)
+        scratch -= log_vbar[:, None]
+        scratch *= v
+        return grid.spacing * scratch.sum(axis=-1)
     vbar_p = np.array([m ** p for m in vbar])
-    return grid.spacing * ((v ** p).sum(axis=-1) - v.shape[-1] * vbar_p) / (p - 1.0)
+    np.copyto(scratch, v)
+    scratch **= p  # in place, so numpy picks the same kernel as for v ** p
+    return grid.spacing * (scratch.sum(axis=-1) - v.shape[-1] * vbar_p) / (p - 1.0)
 
 
-def _flow_dissipation(v: np.ndarray, grid: PeriodicGrid, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(w_x^2, dissipation) for each flow state, one per row of v; w_x and
-    w_xx come from one transform of w = v^{p/2}."""
-    w = v ** (p / 2.0)
-    w_hat = np.fft.rfft(w, axis=-1)
-    wx = _spectrum_derivative(grid, w_hat, 1)
-    wxx = _spectrum_derivative(grid, w_hat, 2)
-    wx2 = wx * wx
-    quart = (2.0 / p - 1.0) * (wx2 * wx2) / (3.0 * w * w)
-    dissipation = 2.0 * grid.spacing * (wxx * wxx - (4.0 * math.pi ** 2 / grid.length ** 2) * wx2 + quart).sum(axis=-1)
-    return wx2, dissipation
+def _flow_dissipation(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(sum of w_x^2, dissipation) for each flow state, one per row of v;
+    w_x and w_xx come from one transform of w = v^{p/2}.  Every
+    intermediate is written into ``work``, the arrays _heat_steps yields."""
+    spectrum, w_hat, w, wx, wxx, scratch = work
+    n = grid.n_points
+    np.copyto(w, v)
+    w **= p / 2.0  # as v ** (p / 2), a square root at p = 1
+    np.fft.rfft(w, axis=-1, out=w_hat)
+    for order, out in ((1, wx), (2, wxx)):
+        np.multiply(w_hat, _spectral_symbol(n, order, grid.length), out=spectrum)
+        np.fft.irfft(spectrum, n=n, axis=-1, out=out)
+    wx2 = np.multiply(wx, wx, out=wx)
+    wx2_sum = wx2.sum(axis=-1)
+    # wxx^2 - c wx^2 + (2/p - 1) (wx^2 wx^2) / ((3 w) w), associated as written
+    quart = np.multiply(wx2, wx2, out=scratch)
+    quart *= 2.0 / p - 1.0
+    np.multiply(wxx, wxx, out=wxx)
+    wxx -= np.multiply(4.0 * math.pi ** 2 / grid.length ** 2, wx2, out=wx)
+    denominator = np.multiply(3.0, w, out=wx)
+    denominator *= w
+    quart /= denominator
+    wxx += quart
+    return wx2_sum, 2.0 * grid.spacing * wxx.sum(axis=-1)
 
 
-def _flow_functionals(v: np.ndarray, grid: PeriodicGrid, p: float) -> tuple[np.ndarray, np.ndarray]:
+def _flow_functionals(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(f, dissipation) for each flow state, one per row of v."""
-    wx2, dissipation = _flow_dissipation(v, grid, p)
-    f = grid.spacing * wx2.sum(axis=-1) - (2.0 * math.pi ** 2 * p / grid.length ** 2) * _sigma_integral(v, grid, p)
+    wx2_sum, dissipation = _flow_dissipation(v, grid, p, work)
+    f = grid.spacing * wx2_sum - (2.0 * math.pi ** 2 * p / grid.length ** 2) * _sigma_integral(v, grid, p, work[-1])
     return f, dissipation
 
 
+def _heat_decay(t: np.ndarray, wave2: np.ndarray, out: np.ndarray) -> int:
+    """Write exp(-t wave^2) for the block times t into the leading columns
+    of ``out`` and return how many there are.  The later columns are left
+    alone: t[0] wave^2 >= _EXP_UNDERFLOW there, so exp gives exactly 0.0
+    on every row."""
+    live = int(np.searchsorted(t[0] * wave2, _EXP_UNDERFLOW))
+    table = out[:, :live]
+    np.multiply.outer(-t, wave2[:live], out=table)  # -(t wave^2), bit for bit
+    np.exp(table, out=table)
+    return live
+
+
 def _heat_steps(v0: np.ndarray, grid: PeriodicGrid, t_final: float, dt: float):
-    """Yield (t, V) blocks of the periodic heat semigroup, v0 the first row.
+    """Yield (t, V, work) blocks of the periodic heat semigroup, v0 the first row.
 
     Row j of V is the exact state on the grid at t[j] = k dt, the spectrum
     of v0 times exp(-wave^2 k dt), so each block is one batched inverse
     FFT; every state, v0 included, is checked against the positivity floor.
+    V and the ``work`` arrays for _flow_dissipation are allocated once and
+    rewritten by the next block (a short last block uses their leading
+    rows), so a block is reduced before the next one is asked for.
     """
     n_steps = _lattice_steps(t_final, dt, "dt")
     n = grid.n_points
     wave = (2.0 * math.pi / grid.length) * np.arange(n // 2 + 1)
+    wave2 = wave * wave
     v0_hat = np.fft.rfft(v0)
-    rows = max(1, _BLOCK_VALUES // n)
+    rows = min(max(1, _BLOCK_VALUES // n), n_steps + 1)
+    decay = np.empty((rows, wave.size))
+    spectrum, w_hat = np.empty((2, rows, wave.size), dtype=complex)
+    states, w, wx, wxx, scratch = np.empty((5, rows, n))
     for start in range(0, n_steps + 1, rows):
-        k = np.arange(start, min(start + rows, n_steps + 1))
-        t = k * dt
-        states = np.fft.irfft(v0_hat * np.exp(-np.outer(t, wave * wave)), n=n, axis=-1)
+        t = np.arange(start, min(start + rows, n_steps + 1)) * dt
+        r = t.size
+        live = _heat_decay(t, wave2, decay[:r])
+        np.multiply(v0_hat[:live], decay[:r, :live], out=spectrum[:r, :live])
+        spectrum[:r, live:] = 0.0
+        v = np.fft.irfft(spectrum[:r], n=n, axis=-1, out=states[:r])
         if start == 0:
-            states[0] = v0
-        low = np.flatnonzero(states.min(axis=-1) <= POSITIVITY_FLOOR)
+            v[0] = v0
+        low = np.flatnonzero(v.min(axis=-1) <= POSITIVITY_FLOOR)
         if low.size:
             raise PositivityLost(f"flow state touched the positivity floor at t = {t[low[0]]:.6g}")
-        yield t, states
+        yield t, v, tuple(a[:r] for a in (spectrum, w_hat, w, wx, wxx, scratch))
 
 
 def _check_flow_exponent(p: float) -> None:
@@ -478,8 +523,8 @@ def heatflow_verify(
     _check_flow_exponent(p)
     v0 = _check_positive(u.values) ** (2.0 / p)
     records = []
-    for t, v in _heat_steps(v0, u.grid, t_final, dt):
-        f, diss = _flow_functionals(v, u.grid, p)
+    for t, v, work in _heat_steps(v0, u.grid, t_final, dt):
+        f, diss = _flow_functionals(v, u.grid, p, work)
         records += map(HeatFlowRecord, t.tolist(), f.tolist(), diss.tolist())
     return records
 
@@ -499,9 +544,9 @@ def remainder_R(u0: Field, p: float, t_final: float, dt: float) -> float:
     _check_positive(u0.values)
     times = []
     diss = []
-    for t, v in _heat_steps(u0.values.astype(float), u0.grid, t_final, dt):
+    for t, v, work in _heat_steps(u0.values.astype(float), u0.grid, t_final, dt):
         times.append(t)
-        diss.append(_flow_dissipation(v, u0.grid, p)[1])
+        diss.append(_flow_dissipation(v, u0.grid, p, work)[1])
     times = np.concatenate(times)
     diss = np.concatenate(diss)
     total = float(np.trapezoid(diss, times))

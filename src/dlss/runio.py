@@ -185,6 +185,10 @@ def parse_config(text: str) -> RunConfig:
         if key not in seen:
             raise ValidationError(key, "required")
     seen = {**_DEFAULTS, **seen}
+    # checked before the run, which would otherwise fail only once it is over
+    output = seen["output"]
+    if output and not os.path.isdir(os.path.dirname(os.path.abspath(output))):
+        raise ValidationError("output", f"the directory of {output!r} does not exist")
     grid = _built(make_grid, seen["L"], seen["N"])
     solver_config = _built(SolverConfig, **{k: seen[k] for k in _SOLVER_KEYS if k in seen})
     return RunConfig(
@@ -199,7 +203,8 @@ def _initial_density(grid: PeriodicGrid, seen: dict) -> Field:
     kind = seen["u0"]
     if kind == "cosine":
         return _built(
-            cosine_density, grid, seen["u0_base"], seen["u0_amplitude"], seen["u0_mode"]
+            cosine_density, grid, seen["u0_base"], seen["u0_amplitude"], seen["u0_mode"],
+            key="u0_base",
         )
     if kind == "constant":
         key, vals = "u0_value", np.full(grid.n_points, seen["u0_value"])
@@ -234,16 +239,20 @@ def emit_timeseries(trajectory: Trajectory, path: str) -> None:
 def write_atomic(path: str, text: str) -> None:
     """Write ``text`` with LF line endings through a temporary file in the
     target directory and an atomic replace, so readers never see a partial
-    file and a failed write leaves nothing behind."""
+    file and a failed write leaves nothing behind.  An ``OSError`` names
+    ``path``, not the temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".dlss-", suffix=".tmp")
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".dlss-", suffix=".tmp")
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except BaseException as exc:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

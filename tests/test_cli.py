@@ -109,6 +109,20 @@ class TestSolve:
         assert err.startswith("error: u0_path: cannot read ")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_missing_output_directory_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        config = tmp_path / "run.cfg"
+        write_solve_config(config, tmp_path / "absent" / "out.csv")
+        code, out, err = run_cli(capsys, ["solve", "--config", str(config)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: output: ")
+        assert str(tmp_path / "absent" / "out.csv") in err
+        assert not (tmp_path / "absent").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["solve", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2
@@ -348,6 +362,15 @@ class TestIdentity:
         _, out, _ = run_cli(capsys, ["identity", "--trials", "2", "--N", "32", "--n-modes", "2"])
         keys = list(json.loads(out))
         assert keys == sorted(keys)
+
+    def test_unwritable_output_names_the_target(self, tmp_path, capsys):
+        # the report is written through a temporary file; the error names the target
+        target = tmp_path / "absent" / "report.json"
+        code, _, err = run_cli(
+            capsys, ["identity", "--trials", "1", "--N", "16", "--output", str(target)]
+        )
+        assert code == 2
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
 
 
 class TestParser:

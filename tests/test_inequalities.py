@@ -12,6 +12,7 @@ from dlss.inequalities import (
     _PIN,
     _evaluate,
     _gradient,
+    _heat_decay,
     _initial_guess,
     convex_sobolev,
     log_sobolev,
@@ -57,6 +58,36 @@ def heat_state(v0, grid, t):
     """Exact grid heat semigroup at time t, one state at a time."""
     wave = (2.0 * math.pi / grid.length) * np.arange(grid.n_points // 2 + 1)
     return np.fft.irfft(np.fft.rfft(v0) * np.exp(-wave * wave * t), n=grid.n_points)
+
+
+def flow_functionals_oracle(v0, grid, p, t_final, dt):
+    """(t, f, dissipation) of every flow state from v0, one state at a time:
+    each from the full spectrum times the unmasked exp(-t k^2), and its
+    functionals in the association the library promises."""
+    n, h, el = grid.n_points, grid.spacing, grid.length
+    wave = (2.0 * math.pi / el) * np.arange(n // 2 + 1)
+    ik = 1j * wave
+    ik[-1] = 0.0  # odd derivatives drop the Nyquist mode
+    v0_hat = np.fft.rfft(v0)
+    out = []
+    for k in range(round(t_final / dt) + 1):
+        t = k * dt
+        v = v0 if k == 0 else np.fft.irfft(v0_hat * np.exp(-wave * wave * t), n=n)
+        w = v ** (p / 2.0)
+        w_hat = np.fft.rfft(w)
+        wx = np.fft.irfft(w_hat * ik, n=n)
+        wxx = np.fft.irfft(w_hat * (1j * wave) ** 2, n=n)
+        wx2 = wx * wx
+        vbar = float(v.mean())
+        if p == 1.0:
+            sigma = h * np.sum(v * (np.log(v) - math.log(vbar)))
+        else:
+            sigma = h * (np.sum(v ** p) - n * vbar ** p) / (p - 1.0)
+        f = h * np.sum(wx2) - (2.0 * math.pi ** 2 * p / el ** 2) * sigma
+        quart = (2.0 / p - 1.0) * (wx2 * wx2) / (3.0 * w * w)
+        diss = 2.0 * h * np.sum(wxx * wxx - (4.0 * math.pi ** 2 / el ** 2) * wx2 + quart)
+        out.append((t, float(f), float(diss)))
+    return out
 
 
 class TestQuotientSpec:
@@ -469,10 +500,46 @@ class TestHeatFlow:
         with pytest.raises(dlss.PositivityLost, match=f"at t = {k * dt:.6g}$"):
             dlss.heatflow_verify(u, 2.0, 1e-4, dt)
 
-    @pytest.mark.parametrize("block_values", [256, 2 ** 14, 2 ** 16])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("n_points, t_final, dt", [(16, 14.4, 1.2e-2), (256, 1.0, 1e-3)])
+    def test_matches_state_by_state_oracle(self, n_points, t_final, dt, p):
+        # bit for bit, with the work arrays reused, a short last block that
+        # slices them, and the top modes skipped from a later block on
+        grid = dlss.make_grid(TWO_PI, n_points)
+        u = random_log_density(grid, 4, 11, amplitude=0.5)
+        rows = _BLOCK_VALUES // n_points
+        n_states = round(t_final / dt) + 1
+        assert n_states % rows != 0
+        assert (n_states - 1) // rows * rows * dt * (n_points // 2) ** 2 >= 746.0
+        records = dlss.heatflow_verify(u, p, t_final, dt)
+        expected = flow_functionals_oracle(u.values ** (2.0 / p), grid, p, t_final, dt)
+        assert [(r.t, r.f_value, r.dissipation) for r in records] == expected
+        # remainder_R flows from its argument: the same trapezoid and tail fit
+        times, _, diss = map(np.array, zip(*flow_functionals_oracle(u.values, grid, p, t_final, dt)))
+        total = float(np.trapezoid(diss, times))
+        k = max(2, len(diss) // 10)
+        if diss[-1 - k] > diss[-1] > 0.0:
+            total += diss[-1] / (math.log(diss[-1 - k] / diss[-1]) / (times[-1] - times[-1 - k]))
+        assert dlss.remainder_R(u, p, t_final, dt) == total
+
+    def test_decay_table_skips_only_underflowed_modes(self, grid256):
+        wave = (TWO_PI / grid256.length) * np.arange(129)
+        wave2 = wave * wave
+        t = np.arange(100, 164) * 1e-3
+        table = np.full((t.size, wave.size), np.nan)
+        live = _heat_decay(t, wave2, table)
+        expected = np.exp(-np.outer(t, wave2))
+        # 0.1 k^2 >= 746 from k = 87 on: those columns are left untouched
+        assert live == 87
+        assert np.array_equal(table[:, :live], expected[:, :live])
+        assert np.isnan(table[:, live:]).all()
+        assert not expected[:, live:].any()
+
+    @pytest.mark.parametrize("block_values", [256, 2 ** 13, 2 ** 14, 2 ** 16, 2 ** 20])
     def test_block_size_leaves_results_unchanged(self, grid256, monkeypatch, block_values):
-        # 1, 64 and 256 states per block give the same bits as the default;
-        # 1001 states leave a ragged last block at every size
+        # 1, 32, 64, 256 and all 1001 states per block give the same bits as
+        # the default; 32, 64 and 256 leave a short last block, which reads
+        # leading rows of the reused work arrays
         u = random_log_density(grid256, 4, 3, amplitude=0.5)
 
         def results():

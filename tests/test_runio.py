@@ -52,7 +52,10 @@ class TestParseConfig:
         assert cfg.grid.n_points == 32
         assert cfg.solver_config.tau == 0.5
 
-    def test_values_may_contain_equals_sign(self):
+    def test_values_may_contain_equals_sign(self, tmp_path, monkeypatch):
+        # the output's directory must exist when the run file is parsed
+        (tmp_path / "runs").mkdir()
+        monkeypatch.chdir(tmp_path)
         text = MINIMAL + "output = runs/a=b.csv\n"
         assert parse_config(text).output == "runs/a=b.csv"
 
@@ -105,6 +108,10 @@ class TestParseConfig:
             (MINIMAL.replace("tau = 0.001", "tau = inf"), "tau"),
             (MINIMAL + "u0 = cosine\nu0_amplitude = 1.5\n", "u0_amplitude"),
             (MINIMAL + "u0_base = 0\n", "u0_base"),
+            # a cosine datum below the positivity floor or not finite
+            (MINIMAL + "u0_base = 1e-301\nu0_amplitude = 0\n", "u0_base"),
+            (MINIMAL + "u0_base = inf\nu0_amplitude = 0\n", "u0_base"),
+            (MINIMAL + "output = no-such-directory/out.csv\n", "output"),
             (MINIMAL + "u0_mode = -1\n", "u0_mode"),
             (MINIMAL + "u0 = file\n", "u0_path"),
             (MINIMAL + "u0 = constant\nu0_value = 1e-310\n", "u0_value"),
