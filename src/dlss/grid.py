@@ -2,7 +2,8 @@
 
 Derivatives come in two interchangeable flavours: Fourier collocation
 (exact for every resolvable trigonometric polynomial) and periodic central
-finite differences of consistency order 2 or 4.  Quadrature is the
+finite differences of consistency order 2 or 4, applied as shifted slices
+of one periodically padded copy of the values.  Quadrature is the
 rectangle rule, which on a uniform periodic grid integrates trigonometric
 polynomials up to the aliasing limit exactly and is therefore spectrally
 accurate for smooth periodic integrands.
@@ -257,10 +258,12 @@ def _fd_taps(order: int, fd_order: int) -> tuple[tuple[int, ...], tuple[float, .
 
 def _fd_derivative(values: np.ndarray, order: int, spacing: float, fd_order: int) -> np.ndarray:
     offsets, weights = _fd_taps(order, fd_order)
+    n, reach = values.shape[0], -offsets[0]
+    padded = values.take(np.arange(-reach, n + reach), mode="wrap")
     out = np.zeros_like(values)
     for off, w in zip(offsets, weights):
-        # (D f)_j includes w * f_{j+off}; roll(-off) aligns f_{j+off} with slot j
-        out += w * np.roll(values, -off)
+        # (D f)_j includes w * f_{j+off}, which sits at padded[j + off + reach]
+        out += w * padded[off + reach : off + reach + n]
     out *= spacing ** (-order)
     return out
 

@@ -7,7 +7,7 @@ from scipy.linalg import circulant
 
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind
-from dlss.grid import _spectral_symbol, diff_matrix
+from dlss.grid import _fd_taps, _spectral_symbol, diff_matrix
 from dlss.rng import random_smooth_field
 
 TWO_PI = 2.0 * math.pi
@@ -153,6 +153,32 @@ class TestFiniteDifferences:
         d2 = diff_matrix(grid64, 2, backend)
         d4 = diff_matrix(grid64, 4, backend)
         assert np.allclose(d4, d2 @ d2, rtol=0.0, atol=1e-8)
+
+    @staticmethod
+    def _rolled_derivative(values, order, spacing, fd_order):
+        """The stencil applied one np.roll copy per tap, in tap order."""
+        offsets, weights = _fd_taps(order, fd_order)
+        out = np.zeros_like(values)
+        for off, w in zip(offsets, weights):
+            out += w * np.roll(values, -off)
+        out *= spacing ** (-order)
+        return out
+
+    @pytest.mark.parametrize("n", [8, 10, 64, 2048])
+    @pytest.mark.parametrize("backend", [FD2, FD4])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_bit_identical_to_rolled_stencil(self, n, backend, order):
+        g = dlss.make_grid(TWO_PI, n)
+        values = np.random.default_rng(n + 10 * order + backend.order).standard_normal(n)
+        got = dlss.derivative(Field(g, values), order, backend).values
+        assert np.array_equal(got, self._rolled_derivative(values, order, g.spacing, backend.order))
+
+    def test_stencil_wider_than_grid_wraps_around(self):
+        # the order-10 fd4 stencil reaches 10 nodes out on an 8-node grid
+        g = dlss.make_grid(TWO_PI, 8)
+        values = np.random.default_rng(3).standard_normal(8)
+        got = dlss.derivative(Field(g, values), 10, FD4).values
+        assert np.array_equal(got, self._rolled_derivative(values, 10, g.spacing, 4))
 
     def test_fd2_second_derivative_stencil(self):
         g = dlss.make_grid(1.0, 8)

@@ -10,7 +10,7 @@ from scipy.sparse import csc_array
 
 import dlss
 from dlss import FD2, FD4, Field, FieldKind, LinearSolver, SolverConfig
-from dlss.linalg import CyclicBandedLU, DenseLU
+from dlss.linalg import CyclicBandedLU, DenseLU, _fold
 from dlss.rng import SplitMix64
 from dlss.solver import jacobian
 
@@ -105,10 +105,46 @@ class TestCyclicBandedLU:
         with pytest.raises(ValueError, match="outside the periodic band"):
             CyclicBandedLU(to_input(mat), 1)
 
+    def test_explicit_zero_outside_band_is_ignored(self):
+        dense = _random_cyclic_banded(16, 1, seed=4)
+        rows, cols = np.nonzero(dense)
+        # (0, 2) is stored, but zero
+        mat = csc_array(
+            (np.append(dense[rows, cols], 0.0), (np.append(rows, 0), np.append(cols, 2))),
+            shape=(16, 16),
+        )
+        assert mat.nnz == 16 * 3 + 1
+        rhs = np.sin(np.arange(16.0))
+        assert np.allclose(mat @ CyclicBandedLU(mat, 1).solve(rhs), rhs, atol=1e-12)
+
     def test_singular_matrix_raises(self):
         mat = np.zeros((16, 16))
         with pytest.raises(dlss.SingularJacobian):
             CyclicBandedLU(mat, 1).solve(np.ones(16))
+
+    def test_fold_keeps_band_within_twice_the_halfwidth(self):
+        # an entry farther out than kl = ku = 2 halfwidth would land in a
+        # band row that numpy wraps to silently, so check every in-band pair
+        for n in range(3, 65):
+            order, place = _fold(n)
+            assert np.array_equal(order[place], np.arange(n))
+            gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+            cyclic = np.minimum(gap, n - gap)
+            folded = np.abs(np.subtract.outer(place, place))
+            for halfwidth in range(1, 5):
+                assert folded[cyclic <= halfwidth].max() <= 2 * halfwidth, (n, halfwidth)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_matches_dense_solve_when_band_covers_grid(self, n):
+        # with halfwidth 4 the folded band is (nearly) the whole matrix; a
+        # full random matrix there makes the factorisation pivot
+        rng = np.random.default_rng(n)
+        mat = rng.standard_normal((n, n))
+        gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        mat[np.minimum(gap, n - gap) > 4] = 0.0
+        rhs = rng.standard_normal(n)
+        x = CyclicBandedLU(mat, 4).solve(rhs)
+        assert np.allclose(x, np.linalg.solve(mat, rhs), rtol=1e-10, atol=1e-12)
 
     def test_banded_newton_system_stays_below_dense_memory(self):
         n = 4096
@@ -151,3 +187,21 @@ def test_import_leaves_scipy_sparse_unloaded(package_env):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["[]", "True True True"]
+
+
+def test_banded_solve_leaves_scipy_sparse_linalg_unloaded(package_env):
+    code = (
+        "import sys, numpy as np, dlss\n"
+        "grid = dlss.make_grid(2.0 * np.pi, 64)\n"
+        "u0 = dlss.Field(grid, 1.0 + 0.3 * np.sin(grid.nodes), dlss.FieldKind.DENSITY)\n"
+        "config = dlss.SolverConfig(tau=1e-3, backend=dlss.FD4, "
+        "linear_solver=dlss.LinearSolver.BANDED)\n"
+        "traj = dlss.solve(u0, 0.005, config)\n"
+        "print(len(traj.records), 'scipy.linalg' in sys.modules, "
+        "'scipy.sparse.linalg' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=package_env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["6", "True", "False"]
