@@ -25,6 +25,7 @@ from .inequalities import (
     heatflow_verify,
 )
 from .runio import (
+    _fit_pairs,
     cosine_density,
     default_fit_window,
     emit_timeseries,
@@ -146,10 +147,10 @@ def _cmd_heatflow(args) -> int:
 
 def _cmd_fit(args) -> int:
     records = read_timeseries(args.input)
-    series = [(r.t, r.entropy_rel) for r in records]
+    series = _fit_pairs([(r.t, r.entropy_rel) for r in records])  # none: InsufficientData
     if args.t_lo is not None or args.t_hi is not None:
-        lo = args.t_lo if args.t_lo is not None else series[0][0]
-        hi = args.t_hi if args.t_hi is not None else series[-1][0]
+        lo = args.t_lo if args.t_lo is not None else series[0, 0]
+        hi = args.t_hi if args.t_hi is not None else series[-1, 0]
         window = (lo, hi)
     else:
         window = default_fit_window(series)

@@ -9,10 +9,9 @@ polynomials up to the aliasing limit exactly and is therefore spectrally
 accurate for smooth periodic integrands.
 
 Both derivative backends are linear circulant operators; ``diff_matrix``
-materialises any of them as a dense matrix for Jacobian assembly, and the
-finite-difference second derivative also comes as a sparse matrix for the
-banded Newton systems.  The dense one is built with numpy, so ``import
-dlss`` loads no scipy (0.17 s, not 0.43 s); the sparse one loads scipy.sparse.
+materialises any of them as a dense matrix for dense Jacobians, and banded
+ones are filled from the same taps and shifted slices.  All of it is
+numpy, so ``import dlss`` loads no scipy (0.17 s, not 0.43 s).
 
 The two admissibility rules that every density and every time integration
 share live here too: ``_check_positive`` (the positivity floor) and
@@ -256,14 +255,20 @@ def _fd_taps(order: int, fd_order: int) -> tuple[tuple[int, ...], tuple[float, .
     return offsets, tuple(taps[o] for o in offsets)
 
 
-def _fd_derivative(values: np.ndarray, order: int, spacing: float, fd_order: int) -> np.ndarray:
-    offsets, weights = _fd_taps(order, fd_order)
+def _shifted(values: np.ndarray, offsets: tuple[int, ...]) -> list[np.ndarray]:
+    """f_{j+off} over all nodes j for each of the symmetric ``offsets``, as
+    slices of one periodically padded copy of ``values``."""
     n, reach = values.shape[0], -offsets[0]
     padded = values.take(np.arange(-reach, n + reach), mode="wrap")
+    return [padded[off + reach : off + reach + n] for off in offsets]
+
+
+def _fd_derivative(values: np.ndarray, order: int, spacing: float, fd_order: int) -> np.ndarray:
+    offsets, weights = _fd_taps(order, fd_order)
     out = np.zeros_like(values)
-    for off, w in zip(offsets, weights):
-        # (D f)_j includes w * f_{j+off}, which sits at padded[j + off + reach]
-        out += w * padded[off + reach : off + reach + n]
+    # (D f)_j includes w * f_{j+off}
+    for w, shifted in zip(weights, _shifted(values, offsets)):
+        out += w * shifted
     out *= spacing ** (-order)
     return out
 
@@ -302,25 +307,6 @@ def diff_matrix(grid: PeriodicGrid, order: int, backend: DiffBackend = SPECTRAL)
     Jacobians consistent with the residuals they linearise.
     """
     return _diff_matrix_cached(grid.length, grid.n_points, order, backend)
-
-
-@lru_cache(maxsize=None)
-def _sparse_diff2(grid: PeriodicGrid, backend: DiffBackend):
-    """Finite-difference second derivative as a read-only scipy.sparse
-    CSC array, built from the stencil taps in O(N); entry for entry equal
-    to ``diff_matrix(grid, 2, backend)``."""
-    from scipy.sparse import csc_array
-
-    offsets, weights = _fd_taps(2, backend.order)
-    n = grid.n_points
-    rows = np.tile(np.arange(n), len(offsets))
-    # row i holds w at column i + off, as in diff_matrix
-    cols = (rows + np.repeat(offsets, n)) % n
-    vals = np.repeat(weights, n) * grid.spacing ** (-2)
-    mat = csc_array((vals, (rows, cols)), shape=(n, n))
-    for part in (mat.data, mat.indices, mat.indptr):
-        part.setflags(write=False)
-    return mat
 
 
 def _integrate(grid: PeriodicGrid, values: np.ndarray) -> float:

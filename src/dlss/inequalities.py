@@ -310,8 +310,11 @@ def minimize_quotient(
     Iterates and candidates are plain arrays, each checked finite (and,
     for convex Sobolev, positive) and evaluated once; the gradient at an
     accepted candidate reuses that evaluation's spectrum and denominator.
-    Only the returned minimizer is built as a ``Field``.
+    Only the returned minimizer is built as a ``Field``.  A negative
+    ``max_iters`` raises ``ValueError``.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     grid = u_init.grid
     vals = _normalize(spec, _without_nyquist(np.fft.rfft(u_init.values), grid.n_points), grid)
     if vals is None:
@@ -381,7 +384,7 @@ def certify_constant(
 ) -> QuotientResult:
     """Multi-start minimisation: run ``minimize_quotient`` from one random
     admissible field per seed and keep the lowest converged value.  At
-    least one seed is required."""
+    least one seed is required, and ``max_iters`` must be nonnegative."""
     if not seeds:
         raise ValueError("seeds must name at least one start")
     best = None

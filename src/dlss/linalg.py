@@ -1,15 +1,14 @@
 """Direct solvers for the Newton systems.
 
 ``DenseLU`` factorises any Jacobian with LAPACK.  Periodic
-finite-difference Jacobians are sparse: every nonzero lies within a fixed
-cyclic distance of the diagonal, a band plus its two wraparound corners.
-``CyclicBandedLU`` numbers the nodes 0, n-1, 1, n-2, ..., which makes that
-an ordinary band of twice the halfwidth, and factorises it with LAPACK's
-band LU (``dgbtrf``), so for a fixed halfwidth its storage and its
-factor-once / solve-many work grow like N instead of N^2 / N^3.
+finite-difference Jacobians have nonzeros only on a few cyclic diagonals:
+a band plus its two wraparound corners.  ``CyclicBandedLU`` takes those
+diagonals as an array, numbers the nodes 0, n-1, 1, n-2, ..., which makes
+them an ordinary band of twice the halfwidth, and factorises it with
+LAPACK's band LU (``dgbtrf``), so for a fixed halfwidth its storage and
+its factor-once / solve-many work grow like N instead of N^2 / N^3.
 ``import dlss`` loads no scipy (0.17 s, not 0.43 s): ``scipy.linalg``
-loads with the first factorisation, ``scipy.sparse`` with the first
-banded one.
+loads with the first factorisation.
 """
 
 from __future__ import annotations
@@ -57,45 +56,45 @@ def _fold(n: int) -> tuple[np.ndarray, np.ndarray]:
     return order, place
 
 
-class CyclicBandedLU:
-    """Band LU of a periodic banded matrix.
+@lru_cache(maxsize=None)
+def _band_slots(n: int, halfwidth: int) -> np.ndarray:
+    """Flat column-major index, in the ``dgbtrf`` band storage of the
+    folded matrix, of each entry of the (2 halfwidth + 1, n) diagonals
+    array, read-only.  Diagonals c and c +- n of a tiny grid share a slot."""
+    place = _fold(n)[1]
+    width = min(2 * halfwidth, n - 1)
+    j = place[(np.arange(n) + np.arange(-halfwidth, halfwidth + 1)[:, None]) % n]
+    # gbtrf keeps entry (i, j) of the folded band matrix, kl = ku = width,
+    # at ab[2 width + i - j, j]: flat index 2 width + i - j + j ldab
+    slots = (place - j + 2 * width + j * (3 * width + 1)).ravel()
+    slots.setflags(write=False)
+    return slots
 
-    ``mat`` is a square dense ndarray or scipy.sparse matrix whose entry
-    (i, j) vanishes unless the cyclic distance min(|i - j|, n - |i - j|)
-    is at most ``halfwidth``: the band plus the two wraparound corners.
-    A nonzero entry farther out raises ``ValueError``.
+
+class CyclicBandedLU:
+    """Band LU of a periodic banded matrix given by its cyclic diagonals.
+
+    Row c + halfwidth of ``diagonals``, shape (2 halfwidth + 1, n), holds
+    the entries (i, (i + c) mod n), i = 0..n-1: not the matrix, which the
+    shape check only tells apart when n != 2 halfwidth + 1.  Diagonals that
+    land on one entry (n <= 2 halfwidth) add up.  Other shapes: ValueError.
     """
 
-    def __init__(self, mat, halfwidth: int):
+    def __init__(self, diagonals: np.ndarray, halfwidth: int):
         from scipy.linalg.lapack import dgbtrf, dgbtrs
-        from scipy.sparse import csc_array
 
         if halfwidth < 1:
             raise ValueError(f"halfwidth must be positive, got {halfwidth}")
-        csc = csc_array(mat)
-        csc.sum_duplicates()
-        n = csc.shape[0]
-        rows, data = csc.indices, csc.data
-        cols = np.repeat(np.arange(n), np.diff(csc.indptr))
-        gap = np.abs(rows - cols)
-        outside = np.minimum(gap, n - gap) > halfwidth
-        if outside.any():
-            count = np.count_nonzero(data[outside])
-            if count:
-                raise ValueError(
-                    f"{count} nonzero entries lie outside the "
-                    f"periodic band of halfwidth {halfwidth}"
-                )
-            rows, cols, data = rows[~outside], cols[~outside], data[~outside]
-        # gbtrf keeps entry (i, j) of the folded band matrix, kl = ku = width,
-        # at ab[2 width + i - j, j]: flat index 2 width + i - j + j ldab
+        if diagonals.ndim != 2 or diagonals.shape[0] != 2 * halfwidth + 1:
+            raise ValueError(
+                f"diagonals need shape ({2 * halfwidth + 1}, n), got {diagonals.shape}"
+            )
+        n = diagonals.shape[1]
         self._order, self._place = _fold(n)
         width = min(2 * halfwidth, n - 1)
-        ab = np.zeros((3 * width + 1, n), order="F")
-        j = self._place[cols]
-        slot = self._place[rows] - j
-        slot += 2 * width + j * ab.shape[0]
-        ab.reshape(-1, order="F")[slot] = data
+        ab = np.bincount(
+            _band_slots(n, halfwidth), diagonals.ravel(), minlength=(3 * width + 1) * n
+        ).reshape((3 * width + 1, n), order="F")
         self._lu, self._piv, info = dgbtrf(ab, width, width, overwrite_ab=True)
         if info != 0 or not np.all(np.isfinite(self._lu)):
             raise SingularJacobian(f"banded LU failed (gbtrf info {info}) or was non-finite")

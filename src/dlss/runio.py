@@ -292,10 +292,20 @@ class DecayReport:
     r_squared: float
 
 
+def _fit_pairs(series) -> np.ndarray:
+    """``series`` as a (k, 2) float array of (t, E) pairs; none is too few."""
+    arr = np.asarray(series, dtype=float)
+    if arr.size == 0:
+        raise InsufficientData("decay fit needs at least 10 samples in the window, found 0")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"series must be an array of (t, E) pairs, got shape {arr.shape}")
+    return arr
+
+
 def default_fit_window(series) -> tuple[float, float]:
     """Skip the initial transient (first 20% of the time span) and stop
     once the entropy falls below 1e-12 of its starting value."""
-    arr = np.asarray(series, dtype=float)
+    arr = _fit_pairs(series)
     t, e = arr[:, 0], arr[:, 1]
     t_lo = t[0] + 0.2 * (t[-1] - t[0])
     floor = 1e-12 * e[0]
@@ -309,9 +319,7 @@ def fit_decay(series, window: tuple[float, float], length: float) -> DecayReport
     and compare the rate against the sharp value 32 pi^4 / L^4."""
     if not (math.isfinite(length) and length > 0.0):
         raise ValidationError("length", f"must be positive and finite, got {length!r}")
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"series must be an array of (t, E) pairs, got shape {arr.shape}")
+    arr = _fit_pairs(series)
     t_lo, t_hi = window
     mask = (arr[:, 0] >= t_lo) & (arr[:, 0] <= t_hi)
     t = arr[mask, 0]

@@ -47,8 +47,9 @@ from .grid import (
     PeriodicGrid,
     SPECTRAL,
     _derivative,
+    _fd_taps,
     _lattice_steps,
-    _sparse_diff2,
+    _shifted,
     diff_matrix,
 )
 from .linalg import CyclicBandedLU, DenseLU
@@ -175,37 +176,32 @@ def _evaluate(y: Array, ey_prev: Array, grid: PeriodicGrid, config: SolverConfig
     return _Level(y, ey, (ey - ey_prev) / config.tau + flux, d2y)
 
 
-def jacobian(y: Field, config: SolverConfig):
+def jacobian(y: Field, config: SolverConfig) -> Array:
     """Exact Jacobian of the residual at y, in the form the configured
-    linear solver factorises: a dense ndarray for ``LinearSolver.DENSE``,
-    a scipy.sparse CSC array for ``LinearSolver.BANDED``.  The banded form
-    starts from the sparse stencil of D2, so no N x N array is formed."""
-    if config.linear_solver is LinearSolver.BANDED:
-        d2 = _sparse_diff2(y.grid, config.backend)
-    else:
-        d2 = diff_matrix(y.grid, 2, config.backend)
+    linear solver factorises: the N x N matrix for ``LinearSolver.DENSE``;
+    for ``LinearSolver.BANDED`` its (2 order + 1, N) cyclic diagonals, row
+    c + order holding the entries (i, (i + c) mod N), filled straight from
+    the D2 taps w_a: J(i, i+a+b) gets w_a w_b e^y at i + a, J(i, i+a) gets
+    w_a (e^y D2 y) at i + a and J(i, i) gets e^y / tau."""
+    grid, order = y.grid, config.backend.order
     ey = np.exp(y.values)
-    d2y = d2 @ y.values
-    # D2 diag(b) is column scaling; avoids a second matrix product.
-    jac = d2 @ (ey[:, None] * d2)
-    jac += d2 * (ey * d2y)[None, :]
-    return _add_diagonal(jac, ey / config.tau)
-
-
-def _add_diagonal(mat, values):
-    """mat + diag(values); a dense ndarray is updated in place."""
-    if isinstance(mat, np.ndarray):
-        mat[np.diag_indices_from(mat)] += values
-    else:
-        mat.setdiag(mat.diagonal() + values)
-    return mat
-
-
-def _factorise(jac, config: SolverConfig):
-    if config.linear_solver is LinearSolver.BANDED:
-        # two stacked D2 stencils of halfwidth order/2
-        return CyclicBandedLU(jac, config.backend.order)
-    return DenseLU(jac)
+    if config.linear_solver is LinearSolver.DENSE:
+        d2 = diff_matrix(grid, 2, config.backend)
+        # D2 diag(b) is column scaling; avoids a second matrix product.
+        jac = d2 @ (ey[:, None] * d2)
+        jac += d2 * (ey * (d2 @ y.values))[None, :]
+        jac[np.diag_indices_from(jac)] += ey / config.tau
+        return jac
+    offsets, weights = _fd_taps(2, order)
+    taps = [w * grid.spacing ** (-2) for w in weights]
+    g = ey * _derivative(grid, y.values, 2, config.backend)
+    jac = np.zeros((2 * order + 1, grid.n_points))
+    jac[order] = ey / config.tau
+    for a, w_a, ey_a, g_a in zip(offsets, taps, _shifted(ey, offsets), _shifted(g, offsets)):
+        jac[order + a] += w_a * g_a
+        for b, w_b in zip(offsets, taps):
+            jac[order + a + b] += (w_a * w_b) * ey_a
+    return jac
 
 
 class _NewtonWorkspace:
@@ -218,7 +214,12 @@ class _NewtonWorkspace:
         self.stale = False
 
     def refresh(self, y: Array, grid: PeriodicGrid, config: SolverConfig) -> None:
-        self.factor = _factorise(jacobian(Field(grid, y, FieldKind.LOG_DENSITY), config), config)
+        jac = jacobian(Field(grid, y, FieldKind.LOG_DENSITY), config)
+        if config.linear_solver is LinearSolver.BANDED:
+            # two stacked D2 stencils of halfwidth order/2
+            self.factor = CyclicBandedLU(jac, config.backend.order)
+        else:
+            self.factor = DenseLU(jac)
         self.stale = False
 
     def invalidate(self) -> None:

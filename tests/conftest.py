@@ -1,6 +1,7 @@
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -15,6 +16,17 @@ settings.register_profile(
 settings.load_profile("suite")
 
 TWO_PI = 2.0 * math.pi
+
+
+def cyclic_dense(diagonals):
+    """Dense matrix of the cyclic diagonals: row c + h gives (i, (i + c) mod n);
+    diagonals that land on one entry of a tiny grid add up."""
+    halfwidth, n = diagonals.shape[0] // 2, diagonals.shape[1]
+    mat = np.zeros((n, n))
+    rows = np.arange(n)
+    for c in range(-halfwidth, halfwidth + 1):
+        np.add.at(mat, (rows, (rows + c) % n), diagonals[c + halfwidth])
+    return mat
 
 
 @pytest.fixture(scope="session")

@@ -212,6 +212,18 @@ class TestCertify:
         assert code == 3
         assert json.loads(out)["converged"] is False
 
+    def test_negative_budget_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            [
+                "certify", "--kind", "logsob", "--n", "1",
+                "--L", str(TWO_PI), "--N", "64", "--max-iters", "-1",
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert "max_iters" in err and "-1" in err
+
     def test_value_below_constant_exits_3(self, capsys, monkeypatch):
         # a converged descent that lands below the sharp constant has
         # certified a value the inequality forbids
@@ -327,13 +339,26 @@ class TestFit:
         assert code == 0
         assert json.loads(out)["fit_window"] == [1.0, 4.0]
 
-    def test_empty_window_exits_3(self, csv_file, capsys):
+    @pytest.mark.parametrize(
+        "header_only,window",
+        [
+            (False, ["--t-lo", "4.99", "--t-hi", "5"]),
+            (True, []),
+            (True, ["--t-lo", "0"]),
+            (True, ["--t-hi", "5"]),
+            (True, ["--t-lo", "0", "--t-hi", "5"]),
+        ],
+    )
+    def test_empty_window_exits_3(self, csv_file, capsys, header_only, window):
+        if header_only:
+            csv_file.write_text(TIMESERIES_HEADER + "\n")
         code, _, err = run_cli(
-            capsys,
-            ["fit", "--input", str(csv_file), "--L", str(TWO_PI), "--t-lo", "4.99", "--t-hi", "5"],
+            capsys, ["fit", "--input", str(csv_file), "--L", str(TWO_PI), *window]
         )
         assert code == 3
         assert "numerical failure" in err
+        if header_only:
+            assert "found 0" in err
 
     @pytest.mark.parametrize("length", ["0", str(-TWO_PI), "nan"])
     def test_rejects_bad_length(self, csv_file, capsys, length):

@@ -221,6 +221,12 @@ class TestMinimizeQuotient:
         assert not res.converged
         assert res.iterations == 3
 
+    def test_negative_budget_rejected(self, grid64):
+        with pytest.raises(ValueError, match="max_iters"):
+            dlss.minimize_quotient(log_sobolev(1), cosine_density(grid64, 0.5), max_iters=-1)
+        with pytest.raises(ValueError, match="max_iters"):
+            dlss.certify_constant(log_sobolev(1), grid64, max_iters=-1)
+
     def test_constant_init_degenerates(self, grid64):
         u = Field(grid64, np.full(64, 2.0), FieldKind.DENSITY)
         with pytest.raises(dlss.DegenerateDenominator):

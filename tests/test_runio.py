@@ -268,6 +268,12 @@ class TestFitDecay:
         with pytest.raises(dlss.InsufficientData):
             fit_decay(self.synthetic(n=30), (0.0, 0.5), length=TWO_PI)
 
+    def test_empty_series_has_too_few_samples(self):
+        with pytest.raises(dlss.InsufficientData, match="found 0"):
+            fit_decay([], (0.0, 5.0), length=TWO_PI)
+        with pytest.raises(dlss.InsufficientData, match="found 0"):
+            default_fit_window([])
+
     def test_nonpositive_entropy(self):
         series = self.synthetic()
         series[40, 1] = 0.0
