@@ -58,7 +58,6 @@ from .solver import (
     step,
 )
 from .inequalities import (
-    HeatFlowRecord,
     QuotientKind,
     QuotientResult,
     QuotientSpec,
@@ -121,7 +120,6 @@ __all__ = [
     "residual",
     "solve",
     "step",
-    "HeatFlowRecord",
     "QuotientKind",
     "QuotientResult",
     "QuotientSpec",

@@ -11,7 +11,10 @@ watch the Bakry-Emery quantity
 
 decay monotonically to zero; its production integrated over all time is
 the remainder term R that strengthens the bare inequality.  No state
-depends on the one before it, so states are computed in blocks.
+depends on the one before it, so states are computed in blocks, and
+each block fills its slice of the result columns: heatflow_verify
+returns a record array of t, f and the production, one row per lattice
+time, and remainder_R integrates the production column.
 
 Quotient kinds and their sharp constants on a circle of length L:
 
@@ -58,7 +61,6 @@ __all__ = [
     "QuotientKind",
     "QuotientSpec",
     "QuotientResult",
-    "HeatFlowRecord",
     "quotient_value",
     "minimize_quotient",
     "certify_constant",
@@ -399,15 +401,6 @@ def certify_constant(
 # Heat-flow certification
 
 
-@dataclass(frozen=True)
-class HeatFlowRecord:
-    """State of the Bakry-Emery functional at one flow time."""
-
-    t: float
-    f_value: float
-    dissipation: float
-
-
 def _sigma_integral(v: np.ndarray, grid: PeriodicGrid, p: float, scratch: np.ndarray) -> np.ndarray:
     """int sigma(v) of each flow state, one per row of v; ``scratch`` is
     overwritten."""
@@ -428,7 +421,7 @@ def _sigma_integral(v: np.ndarray, grid: PeriodicGrid, p: float, scratch: np.nda
 def _flow_dissipation(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(sum of w_x^2, dissipation) for each flow state, one per row of v;
     w_x and w_xx come from one transform of w = v^{p/2}.  Every
-    intermediate is written into ``work``, the arrays _heat_steps yields."""
+    intermediate is written into ``work``, block arrays of _heat_flow."""
     spectrum, w_hat, w, wx, wxx, scratch = work
     n = grid.n_points
     np.copyto(w, v)
@@ -451,13 +444,6 @@ def _flow_dissipation(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple) 
     return wx2_sum, 2.0 * grid.spacing * wxx.sum(axis=-1)
 
 
-def _flow_functionals(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(f, dissipation) for each flow state, one per row of v."""
-    wx2_sum, dissipation = _flow_dissipation(v, grid, p, work)
-    f = grid.spacing * wx2_sum - (2.0 * math.pi ** 2 * p / grid.length ** 2) * _sigma_integral(v, grid, p, work[-1])
-    return f, dissipation
-
-
 def _heat_decay(t: np.ndarray, wave2: np.ndarray, out: np.ndarray) -> int:
     """Write exp(-t wave^2) for the block times t into the leading columns
     of ``out`` and return how many there are.  The later columns are left
@@ -470,27 +456,32 @@ def _heat_decay(t: np.ndarray, wave2: np.ndarray, out: np.ndarray) -> int:
     return live
 
 
-def _heat_steps(v0: np.ndarray, grid: PeriodicGrid, t_final: float, dt: float):
-    """Yield (t, V, work) blocks of the periodic heat semigroup, v0 the first row.
+def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt: float, with_f: bool):
+    """Columns (t, f, dissipation) of the periodic heat flow from v0, one
+    entry per lattice time t = k dt, t = 0 included; f is None unless
+    ``with_f``.
 
-    Row j of V is the exact state on the grid at t[j] = k dt, the spectrum
-    of v0 times exp(-wave^2 k dt), so each block is one batched inverse
-    FFT; every state, v0 included, is checked against the positivity floor.
-    V and the ``work`` arrays for _flow_dissipation are allocated once and
-    rewritten by the next block (a short last block uses their leading
-    rows), so a block is reduced before the next one is asked for.
+    The state at k dt is the spectrum of v0 times exp(-wave^2 k dt), so a
+    block of states is one batched inverse FFT; every state, v0 included,
+    is checked against the positivity floor.  The columns and the block
+    work arrays are allocated once, and each block fills its slice of the
+    columns (a short last block uses leading rows of the work arrays).
     """
     n_steps = _lattice_steps(t_final, dt, "dt")
     n = grid.n_points
     wave = (2.0 * math.pi / grid.length) * np.arange(n // 2 + 1)
     wave2 = wave * wave
     v0_hat = np.fft.rfft(v0)
+    times = np.arange(n_steps + 1) * float(dt)  # float64 even for an int dt
+    f = np.empty(n_steps + 1) if with_f else None
+    dissipation = np.empty(n_steps + 1)
     rows = min(max(1, _BLOCK_VALUES // n), n_steps + 1)
     decay = np.empty((rows, wave.size))
     spectrum, w_hat = np.empty((2, rows, wave.size), dtype=complex)
     states, w, wx, wxx, scratch = np.empty((5, rows, n))
     for start in range(0, n_steps + 1, rows):
-        t = np.arange(start, min(start + rows, n_steps + 1)) * dt
+        block = slice(start, start + rows)
+        t = times[block]
         r = t.size
         live = _heat_decay(t, wave2, decay[:r])
         np.multiply(v0_hat[:live], decay[:r, :live], out=spectrum[:r, :live])
@@ -501,7 +492,12 @@ def _heat_steps(v0: np.ndarray, grid: PeriodicGrid, t_final: float, dt: float):
         low = np.flatnonzero(v.min(axis=-1) <= POSITIVITY_FLOOR)
         if low.size:
             raise PositivityLost(f"flow state touched the positivity floor at t = {t[low[0]]:.6g}")
-        yield t, v, tuple(a[:r] for a in (spectrum, w_hat, w, wx, wxx, scratch))
+        work = tuple(a[:r] for a in (spectrum, w_hat, w, wx, wxx, scratch))
+        wx2_sum, dissipation[block] = _flow_dissipation(v, grid, p, work)
+        if with_f:
+            sigma = _sigma_integral(v, grid, p, scratch[:r])
+            f[block] = grid.spacing * wx2_sum - (2.0 * math.pi ** 2 * p / grid.length ** 2) * sigma
+    return times, f, dissipation
 
 
 def _check_flow_exponent(p: float) -> None:
@@ -515,9 +511,13 @@ def heatflow_verify(
     p: float,
     t_final: float,
     dt: float,
-) -> list[HeatFlowRecord]:
-    """Flow v_t = v_xx from v(0) = u^{2/p} and record f and its production
+) -> np.recarray:
+    """Flow v_t = v_xx from v(0) = u^{2/p} and return f and its production
     at every lattice time k dt, t = 0 included.
+
+    The result is a record array with one row per time and the float64
+    columns ``t``, ``f_value`` and ``dissipation``: ``flow.f_value`` is
+    the whole f column and ``flow[k].f_value`` its value at k dt.
 
     In the w = v^{p/2} variable this is exactly the nonlinear flow
     w_t = w_xx + (2/p - 1) w_x^2 / w whose Lyapunov functional f certifies
@@ -525,11 +525,8 @@ def heatflow_verify(
     """
     _check_flow_exponent(p)
     v0 = _check_positive(u.values) ** (2.0 / p)
-    records = []
-    for t, v, work in _heat_steps(v0, u.grid, t_final, dt):
-        f, diss = _flow_functionals(v, u.grid, p, work)
-        records += map(HeatFlowRecord, t.tolist(), f.tolist(), diss.tolist())
-    return records
+    columns = _heat_flow(v0, u.grid, p, t_final, dt, with_f=True)
+    return np.rec.fromarrays(columns, names=("t", "f_value", "dissipation"))
 
 
 def remainder_R(u0: Field, p: float, t_final: float, dt: float) -> float:
@@ -544,14 +541,7 @@ def remainder_R(u0: Field, p: float, t_final: float, dt: float) -> float:
     which is (2 pi^2 p / L^2) (rhs - lhs) of ``convex_sobolev_check(u, p)``.
     """
     _check_flow_exponent(p)
-    _check_positive(u0.values)
-    times = []
-    diss = []
-    for t, v, work in _heat_steps(u0.values.astype(float), u0.grid, t_final, dt):
-        times.append(t)
-        diss.append(_flow_dissipation(v, u0.grid, p, work)[1])
-    times = np.concatenate(times)
-    diss = np.concatenate(diss)
+    times, _, diss = _heat_flow(_check_positive(u0.values), u0.grid, p, t_final, dt, with_f=False)
     total = float(np.trapezoid(diss, times))
     # exponential tail: fit the decay rate over the last tenth of the run (one step at least)
     tail = 0.0

@@ -87,8 +87,9 @@ def cosine_density(grid: PeriodicGrid, base: float, amplitude: float, mode: int)
     """The density base + amplitude cos(2 pi mode x / L).
 
     It stays positive only for base > |amplitude|, and mode counts periods
-    on the circle, so it must be nonnegative; a rejected value raises
-    ``ValidationError`` naming the argument.
+    on the circle, so it must be nonnegative and at most the Nyquist mode
+    N/2 (a higher one aliases onto a lower mode of the grid); a rejected
+    value raises ``ValidationError`` naming the argument.
     """
     if not base > 0.0:
         raise ValidationError("base", f"must be positive, got {base}")
@@ -98,6 +99,8 @@ def cosine_density(grid: PeriodicGrid, base: float, amplitude: float, mode: int)
         )
     if mode < 0:
         raise ValidationError("mode", f"must be nonnegative, got {mode}")
+    if 2 * mode > grid.n_points:
+        raise ValidationError("mode", f"must not exceed N/2 = {grid.n_points / 2:g}, got {mode}")
     theta = (2.0 * math.pi * mode / grid.length) * grid.nodes
     return Field(grid, base + amplitude * np.cos(theta), FieldKind.DENSITY)
 

@@ -275,7 +275,8 @@ class TestHeatflow:
         )
 
     @pytest.mark.parametrize(
-        "flag,value", [("--amplitude", "1.5"), ("--base", "0"), ("--mode", "-1")]
+        "flag,value",
+        [("--amplitude", "1.5"), ("--base", "0"), ("--mode", "-1"), ("--mode", "33")],
     )
     def test_cosine_datum_validation(self, capsys, flag, value):
         # the same rule as the u0_* keys of a run file

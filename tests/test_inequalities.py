@@ -375,6 +375,17 @@ class TestHeatFlow:
         )
         assert worst_rise <= 1e-10
 
+    def test_results_are_float64_columns(self, grid64):
+        # t, f and the dissipation are whole columns, one entry per lattice
+        # time, and the times are k dt exactly
+        dt, n_steps = 1e-3, 250
+        flow = dlss.heatflow_verify(cosine_density(grid64), 1.5, n_steps * dt, dt)
+        for column in (flow.t, flow.f_value, flow.dissipation):
+            assert type(column) is np.ndarray
+            assert column.dtype == np.float64 and column.shape == (n_steps + 1,)
+        assert np.array_equal(flow.t, np.arange(n_steps + 1) * dt)
+        assert flow[7].f_value == flow.f_value[7]
+
     def test_f0_matches_direct_quadrature(self, grid64):
         u = cosine_density(grid64)
         records = dlss.heatflow_verify(u, 1.0, 1e-3, 1e-3)
@@ -552,9 +563,13 @@ class TestHeatFlow:
             flows = [dlss.heatflow_verify(u, p, 1.0, 1e-3) for p in (1.0, 2.0)]
             return flows, dlss.remainder_R(u, 1.5, 1.0, 1e-3)
 
-        default = results()
+        def rows(flows, remainder):
+            # a record array's == is elementwise, so compare its rows as tuples
+            return [flow.tolist() for flow in flows], remainder
+
+        default = rows(*results())
         monkeypatch.setattr(dlss.inequalities, "_BLOCK_VALUES", block_values)
-        assert results() == default
+        assert rows(*results()) == default
 
 
 class TestRemainder:

@@ -113,6 +113,8 @@ class TestParseConfig:
             (MINIMAL + "u0_base = inf\nu0_amplitude = 0\n", "u0_base"),
             (MINIMAL + "output = no-such-directory/out.csv\n", "output"),
             (MINIMAL + "u0_mode = -1\n", "u0_mode"),
+            # above the Nyquist mode N/2 = 32 a cosine aliases onto a lower one
+            (MINIMAL + "u0_mode = 33\n", "u0_mode"),
             (MINIMAL + "u0 = file\n", "u0_path"),
             (MINIMAL + "u0 = constant\nu0_value = 1e-310\n", "u0_value"),
             (MINIMAL.replace("T = 0.01\n", ""), "T"),
@@ -140,6 +142,9 @@ class TestInitialDensity:
     def test_cosine_uses_base_amplitude_mode(self):
         cfg = parse_config(MINIMAL + "u0_base = 2\nu0_amplitude = 0.5\nu0_mode = 3\n")
         assert np.allclose(cfg.u0.values, 2.0 + 0.5 * np.cos(3 * cfg.grid.nodes))
+        # the Nyquist mode N/2 = 32 is the highest one allowed: (-1)^j on the nodes
+        cfg = parse_config(MINIMAL + "u0_mode = 32\n")
+        assert np.allclose(cfg.u0.values, 1.0 + 0.1 * (-1.0) ** np.arange(64))
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "u0.txt"
