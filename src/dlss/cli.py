@@ -121,6 +121,12 @@ def _cmd_certify(args) -> int:
 def _cmd_heatflow(args) -> int:
     grid = make_grid(args.L, args.N)
     u = cosine_density(grid, args.base, args.amplitude, args.mode)
+    if 2 * args.mode == grid.n_points:
+        # the spectral first derivative zeroes the Nyquist coefficient, so
+        # this datum has w_x = 0 and f(0) < 0: there is no decay to certify
+        raise ValidationError(
+            "mode", f"the heat-flow route excludes the Nyquist mode N/2 = {args.mode}"
+        )
     flow = heatflow_verify(u, args.p, args.T, args.dt)
     f = flow.f_value
     max_increase = float(np.diff(f).max())  # a lattice has one step at least

@@ -13,6 +13,15 @@ materialises any of them as a dense matrix for dense Jacobians, and banded
 ones are filled from the same taps and shifted slices.  All of it is
 numpy, so ``import dlss`` loads no scipy (0.17 s, not 0.43 s).
 
+Every library FFT goes through one private pair, ``_rfft`` and
+``_irfft``: real transforms along the last axis that call numpy's
+pocketfft kernels directly, with the normalisation factors ``numpy.fft``
+passes on numpy >= 2.0, and write into a given or freshly allocated
+output.  The results are the same bits as ``numpy.fft.rfft`` / ``irfft``;
+what the pair skips is the Python wrapper (dtype resolution, axis
+normalisation, output allocation), which costs more than an N = 256
+transform and was paid four times per Newton residual.
+
 The two admissibility rules that every density and every time integration
 share live here too: ``_check_positive`` (the positivity floor) and
 ``_lattice_steps`` (a horizon on the uniform time-step lattice).
@@ -26,6 +35,9 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
+# numpy.fft's private kernel module, because its Python wrapper costs more
+# than an N = 256 transform (see _rfft, _irfft and the module docstring)
+from numpy.fft import _pocketfft_umath as _pocketfft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonPositiveDensity, ValidationError
@@ -217,12 +229,30 @@ def _spectral_symbol(n: int, order: int, length: float) -> np.ndarray:
     return symbol
 
 
+def _rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``numpy.fft.rfft(values, axis=-1)``, bit for bit, written into ``out``
+    (allocated when None)."""
+    n = values.shape[-1]
+    if out is None:
+        out = np.empty(values.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    kernel = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
+    return kernel(values, 1.0, out=out)
+
+
+def _irfft(hat: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``numpy.fft.irfft(hat, n=n, axis=-1)``, bit for bit, written into ``out``
+    (allocated when None)."""
+    if out is None:
+        out = np.empty(hat.shape[:-1] + (n,))
+    return _pocketfft.irfft(hat, 1.0 / n, out=out)
+
+
 def _spectrum_derivative(grid: PeriodicGrid, fhat: np.ndarray, order: int) -> np.ndarray:
     """``order``-th spectral derivative of the grid values whose rfft along
     the last axis is ``fhat``; ``fhat`` is left unchanged, so one transform
     serves several orders."""
     n = grid.n_points
-    return np.fft.irfft(fhat * _spectral_symbol(n, order, grid.length), n=n, axis=-1)
+    return _irfft(fhat * _spectral_symbol(n, order, grid.length), n)
 
 
 # Central periodic stencils on the unit-spacing grid, as {offset: weight}.
@@ -276,7 +306,7 @@ def _fd_derivative(values: np.ndarray, order: int, spacing: float, fd_order: int
 def _derivative(grid: PeriodicGrid, values: np.ndarray, order: int, backend: DiffBackend) -> np.ndarray:
     """Array core of ``derivative`` for order >= 1; no validation."""
     if backend.order == 0:
-        return _spectrum_derivative(grid, np.fft.rfft(values, axis=-1), order)
+        return _spectrum_derivative(grid, _rfft(values), order)
     return _fd_derivative(values, order, grid.spacing, backend.order)
 
 

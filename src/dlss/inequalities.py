@@ -50,7 +50,9 @@ from .grid import (
     _check_positive,
     _derivative,
     _integrate,
+    _irfft,
     _lattice_steps,
+    _rfft,
     _spectral_symbol,
     _spectrum_derivative,
 )
@@ -174,7 +176,7 @@ def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple
         den = vbar ** p * _integrate(grid, np.expm1(p * np.log1p(d)) - p * d) / (p - 1.0)
         saved = (dv, weight, vbar)
     else:
-        vhat = np.fft.rfft(vals)
+        vhat = _rfft(vals)
         dn = _spectrum_derivative(grid, vhat, spec.n)
         num = _integrate(grid, dn * dn)
         if spec.kind is QuotientKind.POINCARE:
@@ -230,7 +232,7 @@ def _without_nyquist(hat: np.ndarray, n: int) -> np.ndarray:
     grid zeroed."""
     if n % 2 == 0:
         hat[-1] = 0.0
-    return np.fft.irfft(hat, n=n)
+    return _irfft(hat, n)
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +253,7 @@ def _precondition(g: np.ndarray, spec: QuotientSpec) -> np.ndarray:
     the grid's largest wavenumber and could not reach tight tolerances.
     """
     n = spec.n if spec.kind is not QuotientKind.CONVEX_SOBOLEV else 1
-    ghat = np.fft.rfft(g)
+    ghat = _rfft(g)
     ghat /= _precondition_divisor(ghat.size, n)
     return _without_nyquist(ghat, g.size)
 
@@ -318,7 +320,7 @@ def minimize_quotient(
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     grid = u_init.grid
-    vals = _normalize(spec, _without_nyquist(np.fft.rfft(u_init.values), grid.n_points), grid)
+    vals = _normalize(spec, _without_nyquist(_rfft(u_init.values), grid.n_points), grid)
     if vals is None:
         raise DegenerateDenominator("initial field cannot be normalised")
     evaluation = _evaluate(spec, _check_finite(vals), grid)
@@ -426,10 +428,10 @@ def _flow_dissipation(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple) 
     n = grid.n_points
     np.copyto(w, v)
     w **= p / 2.0  # as v ** (p / 2), a square root at p = 1
-    np.fft.rfft(w, axis=-1, out=w_hat)
+    _rfft(w, out=w_hat)
     for order, out in ((1, wx), (2, wxx)):
         np.multiply(w_hat, _spectral_symbol(n, order, grid.length), out=spectrum)
-        np.fft.irfft(spectrum, n=n, axis=-1, out=out)
+        _irfft(spectrum, n, out=out)
     wx2 = np.multiply(wx, wx, out=wx)
     wx2_sum = wx2.sum(axis=-1)
     # wxx^2 - c wx^2 + (2/p - 1) (wx^2 wx^2) / ((3 w) w), associated as written
@@ -471,7 +473,7 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
     n = grid.n_points
     wave = (2.0 * math.pi / grid.length) * np.arange(n // 2 + 1)
     wave2 = wave * wave
-    v0_hat = np.fft.rfft(v0)
+    v0_hat = _rfft(v0)
     times = np.arange(n_steps + 1) * float(dt)  # float64 even for an int dt
     f = np.empty(n_steps + 1) if with_f else None
     dissipation = np.empty(n_steps + 1)
@@ -486,7 +488,7 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
         live = _heat_decay(t, wave2, decay[:r])
         np.multiply(v0_hat[:live], decay[:r, :live], out=spectrum[:r, :live])
         spectrum[:r, live:] = 0.0
-        v = np.fft.irfft(spectrum[:r], n=n, axis=-1, out=states[:r])
+        v = _irfft(spectrum[:r], n, out=states[:r])
         if start == 0:
             v[0] = v0
         low = np.flatnonzero(v.min(axis=-1) <= POSITIVITY_FLOOR)

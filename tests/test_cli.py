@@ -276,10 +276,14 @@ class TestHeatflow:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--amplitude", "1.5"), ("--base", "0"), ("--mode", "-1"), ("--mode", "33")],
+        [
+            ("--amplitude", "1.5"), ("--base", "0"), ("--mode", "-1"), ("--mode", "33"),
+            ("--mode", "32"),
+        ],
     )
     def test_cosine_datum_validation(self, capsys, flag, value):
-        # the same rule as the u0_* keys of a run file
+        # the rules of a run file's u0_* keys, and no Nyquist mode N/2: the
+        # heat-flow route cannot certify it
         code, _, err = run_cli(
             capsys,
             [

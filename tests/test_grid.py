@@ -7,7 +7,7 @@ from scipy.linalg import circulant
 
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind
-from dlss.grid import _fd_taps, _spectral_symbol, diff_matrix
+from dlss.grid import PeriodicGrid, _derivative, _fd_taps, _irfft, _rfft, _spectral_symbol, diff_matrix
 from dlss.rng import random_smooth_field
 
 TWO_PI = 2.0 * math.pi
@@ -110,19 +110,60 @@ class TestSpectralDerivative:
         d2 = dlss.derivative(f, 2, SPECTRAL).values
         assert np.abs(d2 + 32 ** 2 * np.cos(32 * x)).max() < 1e-9
 
+    @pytest.mark.parametrize("n", [8, 64, 256, 2048])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_cached_symbol_gives_direct_result(self, grid64, order):
+    def test_cached_symbol_gives_direct_result(self, n, order):
         # the multiplier (i k)^order is cached per grid and order; the
         # derivative equals, bit for bit, one that builds it on the spot
-        values = smooth_field(grid64, 5).values
+        # and transforms through numpy.fft
+        grid = dlss.make_grid(TWO_PI, n)
+        values = smooth_field(grid, 5).values
         fhat = np.fft.rfft(values)
-        wave = (2.0 * np.pi / grid64.length) * np.arange(fhat.size)
+        wave = (2.0 * np.pi / grid.length) * np.arange(fhat.size)
         fhat *= (1j * wave) ** order
         if order % 2 == 1:
             fhat[-1] = 0.0
-        want = np.fft.irfft(fhat, n=grid64.n_points)
-        assert np.array_equal(dlss.derivative(Field(grid64, values), order).values, want)
-        assert not _spectral_symbol(grid64.n_points, order, grid64.length).flags.writeable
+        want = np.fft.irfft(fhat, n=n)
+        assert np.array_equal(dlss.derivative(Field(grid, values), order).values, want)
+        assert not _spectral_symbol(n, order, grid.length).flags.writeable
+
+    @pytest.mark.parametrize("n", [9, 16, 256])
+    def test_transform_pair_matches_numpy_fft(self, n):
+        # _rfft and _irfft call numpy's pocketfft kernels without its
+        # wrapper; they must give its bits on rows, blocks and out= slices
+        grid = PeriodicGrid(TWO_PI, n)  # make_grid rejects the odd n = 9
+        rng = np.random.default_rng(n)
+        block = 1.0 + 0.3 * np.sin(grid.nodes) + 0.1 * rng.standard_normal((5, n))
+        row = block[0]
+        assert np.array_equal(_rfft(row), np.fft.rfft(row))
+        assert np.array_equal(_rfft(block), np.fft.rfft(block, axis=-1))
+        hat = np.fft.rfft(block, axis=-1) * np.exp(-0.01 * np.arange(n // 2 + 1) ** 2)
+        assert np.array_equal(_irfft(hat[0], n), np.fft.irfft(hat[0], n=n))
+        assert np.array_equal(_irfft(hat, n), np.fft.irfft(hat, n=n, axis=-1))
+        # a short last heat-flow block writes the leading rows of its buffers
+        spectrum = np.empty((8, n // 2 + 1), dtype=complex)[:5]
+        states = np.empty((8, n))[:5]
+        assert _rfft(block, out=spectrum) is spectrum
+        assert np.array_equal(spectrum, np.fft.rfft(block, axis=-1))
+        assert _irfft(hat, n, out=states) is states
+        assert np.array_equal(states, np.fft.irfft(hat, n=n, axis=-1))
+        for order in (1, 2):
+            want = np.fft.irfft(np.fft.rfft(row) * _spectral_symbol(n, order, TWO_PI), n=n)
+            assert np.array_equal(_derivative(grid, row, order, SPECTRAL), want)
+
+    def test_library_transforms_skip_numpy_fft_wrapper(self, grid64, monkeypatch):
+        # the solver, the certificates and the heat flow transform through
+        # _rfft / _irfft; the wrapper on their hot paths would cost more
+        # than an N = 256 transform, and a traced benchmark cannot see it
+        def wrapper_called(*args, **kwargs):
+            raise AssertionError("numpy.fft wrapper called")
+
+        monkeypatch.setattr(np.fft, "rfft", wrapper_called)
+        monkeypatch.setattr(np.fft, "irfft", wrapper_called)
+        u = Field(grid64, 1.0 + 0.1 * np.cos(grid64.nodes), FieldKind.DENSITY)
+        dlss.solve(u, 2e-3, dlss.SolverConfig(tau=1e-3))
+        dlss.certify_constant(dlss.QuotientSpec(dlss.QuotientKind.POINCARE), grid64, seeds=(0,))
+        dlss.heatflow_verify(u, 1.5, 0.01, 1e-3)
 
     def test_order_zero_is_identity(self, grid64):
         f = smooth_field(grid64, 3)
