@@ -139,6 +139,7 @@ class QuotientResult:
     value: float
     minimizer: Field
     iterations: int
+    evaluations: int
     residual: float
     analytic: float
     converged: bool
@@ -148,28 +149,19 @@ class QuotientResult:
         return abs(self.value - self.analytic) / abs(self.analytic)
 
 
-def _xlogx_of_square(u: np.ndarray) -> np.ndarray:
-    """u^2 log(u^2) with the continuous extension 0 at u = 0."""
-    u2 = u * u
-    out = np.zeros_like(u2)
-    pos = u2 > 0.0
-    out[pos] = u2[pos] * np.log(u2[pos])
-    return out
-
-
 def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple[float, float, tuple]:
     """(q, den, saved): the quotient at ``vals``, its denominator, and the
     arrays its gradient reuses, namely rfft(vals) and vals - vbar
-    (Poincare), rfft(vals) (log-Sobolev), or v_x, vals^(p-2) and vbar
-    (convex Sobolev).  A degenerate denominator raises
-    ``DegenerateDenominator``."""
+    (Poincare), rfft(vals) and log(vals^2 / m) with m the mean of vals^2
+    (log-Sobolev), or v_x, vals^(p-2) and vbar (convex Sobolev).  A
+    degenerate denominator raises ``DegenerateDenominator``."""
     if spec.kind is QuotientKind.CONVEX_SOBOLEV:
         _check_positive(vals)
         p = spec.p
         dv = _derivative(grid, vals, 1, SPECTRAL)
         weight = vals ** (p - 2.0)
         num = p * _integrate(grid, weight * dv * dv)
-        vbar = float(vals.mean())
+        vbar = float(vals.sum()) / vals.size
         # int v^p - L vbar^p with its p sum(d) = 0 term dropped, d = v/vbar - 1:
         # free of the cancellation that costs ~1e-10 at amplitude _PIN
         d = vals / vbar - 1.0
@@ -180,15 +172,22 @@ def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple
         dn = _spectrum_derivative(grid, vhat, spec.n)
         num = _integrate(grid, dn * dn)
         if spec.kind is QuotientKind.POINCARE:
-            dev = vals - vals.mean()
+            dev = vals - vals.sum() / vals.size
             den = _integrate(grid, dev * dev)
             saved = (vhat, dev)
         else:
-            norm_sq = _integrate(grid, vals * vals) / grid.length
-            den = _integrate(grid, _xlogx_of_square(vals))
-            if norm_sq > 0.0:
-                den -= grid.length * norm_sq * math.log(norm_sq)
-            saved = (vhat,)
+            sq = vals * vals
+            m = float(sq.sum()) / vals.size
+            den = 0.0
+            if m > 0.0:
+                # int v^2 log v^2 - L m log m as m h sum[(1 + e) log1p(e) - e],
+                # e = v^2/m - 1 and sum(e) = 0: free of the cancellation that
+                # costs ~3e-10 at amplitude _PIN; a zero node (e = -1) adds 0
+                ratio = sq / m
+                e = ratio - 1.0
+                log_ratio = np.log1p(e, out=np.zeros(e.size), where=e > -1.0)
+                den = m * _integrate(grid, ratio * log_ratio - e)
+                saved = (vhat, log_ratio)
     if abs(den) < _DEGENERACY_FLOOR:
         raise DegenerateDenominator(
             f"denominator {den:.3e} below {_DEGENERACY_FLOOR:.0e}; "
@@ -218,12 +217,7 @@ def _gradient(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid, evaluati
         if spec.kind is QuotientKind.POINCARE:
             d_den = 2.0 * saved[1]
         else:
-            norm_sq = float(np.mean(vals * vals))
-            ratio = vals * vals / norm_sq
-            logs = np.zeros_like(vals)
-            pos = ratio > 0.0
-            logs[pos] = np.log(ratio[pos])
-            d_den = 2.0 * vals * logs
+            d_den = 2.0 * vals * saved[1]
     return (d_num - q * d_den) / den
 
 
@@ -265,7 +259,7 @@ def _normalize(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> np.n
     convex fields become 1 + _PIN (v - vbar) / sup |v - vbar|, that is
     v / vbar pinned to amplitude _PIN, and log-Sobolev ones then unit norm.
     """
-    dev = vals - vals.mean()
+    dev = vals - vals.sum() / vals.size
     if spec.kind is QuotientKind.POINCARE:
         scale = math.sqrt(float(grid.spacing * (dev * dev).sum()))
         if scale <= 0.0:
@@ -276,7 +270,7 @@ def _normalize(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> np.n
         return None  # constant up to rounding: no direction to pin
     out = 1.0 + (_PIN / sup) * dev
     if spec.kind is QuotientKind.LOG_SOBOLEV:
-        return out / math.sqrt(float(np.mean(out * out)))
+        return out / math.sqrt(float((out * out).sum()) / out.size)
     return out
 
 
@@ -296,12 +290,14 @@ def minimize_quotient(
     is renormalised (mean-zero unit mass for Poincare; amplitude
     sup |v / vbar - 1| = _PIN = 1e-3 and then unit norm for log-Sobolev;
     amplitude _PIN and unit mean for convex Sobolev) and steps are
-    backtracked until the quotient strictly decreases, so the value is
-    monotone along the iteration.  The run stops, converged, as soon as
-    one accepted step changes the quotient by less than ``tol`` in
-    relative terms, or when no descent step exists at all (a stationary
-    point to machine precision).  Hitting ``max_iters`` first returns the
-    best iterate with ``converged`` set to False.
+    backtracked, halving, until the quotient strictly decreases, so the
+    value is monotone along the iteration.  With floor = tol max(|q|, 1),
+    the run stops, converged, as soon as one accepted step lowers the
+    quotient q by at most floor, or when backtracking reaches a step s
+    whose first-order decrease s h sum(g gp) is at most floor (g the
+    gradient, gp its preconditioned form): no step that still counts
+    decreases q.  Hitting ``max_iters`` first returns the best iterate
+    with ``converged`` set to False.
 
     The log-Sobolev and convex constants are reached only in the linear
     limit v -> vbar (1 + eps phi), so the value is the infimum over fields
@@ -314,11 +310,15 @@ def minimize_quotient(
     Iterates and candidates are plain arrays, each checked finite (and,
     for convex Sobolev, positive) and evaluated once; the gradient at an
     accepted candidate reuses that evaluation's spectrum and denominator.
-    Only the returned minimizer is built as a ``Field``.  A negative
-    ``max_iters`` raises ``ValueError``.
+    Only the returned minimizer is built as a ``Field``, and
+    ``evaluations`` counts the quotient evaluations, the start's and every
+    candidate's.  A negative ``max_iters`` or a negative, infinite or NaN
+    ``tol`` raises ``ValueError``.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     grid = u_init.grid
     vals = _normalize(spec, _without_nyquist(_rfft(u_init.values), grid.n_points), grid)
     if vals is None:
@@ -326,17 +326,22 @@ def minimize_quotient(
     evaluation = _evaluate(spec, _check_finite(vals), grid)
     q = evaluation[0]
 
+    evaluations = 1
     step = 0.5
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        gp = _precondition(_gradient(spec, vals, grid, evaluation), spec)
+        g = _gradient(spec, vals, grid, evaluation)
+        gp = _precondition(g, spec)
+        slope = grid.spacing * float((g * gp).sum())
+        floor = tol * max(abs(q), 1.0)
 
         accepted = False
         s = step
-        while s > 1e-18:
+        while s * slope > floor:
             cand = _normalize(spec, vals - s * gp, grid)
             if cand is not None:
+                evaluations += 1
                 try:
                     cand_evaluation = _evaluate(spec, _check_finite(cand), grid)
                 except DegenerateDenominator:
@@ -352,7 +357,7 @@ def minimize_quotient(
         dq = q - cand_evaluation[0]
         vals, evaluation, q = cand, cand_evaluation, cand_evaluation[0]
         step = min(s * 1.3, 1e6)
-        if dq <= tol * max(abs(q), 1.0):
+        if dq <= floor:
             converged = True
             break
 
@@ -363,6 +368,7 @@ def minimize_quotient(
         value=q,
         minimizer=Field(grid, vals, kind),
         iterations=iters,
+        evaluations=evaluations,
         residual=residual,
         analytic=spec.analytic_constant(grid.length),
         converged=converged,
@@ -388,7 +394,8 @@ def certify_constant(
 ) -> QuotientResult:
     """Multi-start minimisation: run ``minimize_quotient`` from one random
     admissible field per seed and keep the lowest converged value.  At
-    least one seed is required, and ``max_iters`` must be nonnegative."""
+    least one seed is required, ``max_iters`` must be nonnegative and
+    ``tol`` finite and nonnegative."""
     if not seeds:
         raise ValueError("seeds must name at least one start")
     best = None

@@ -14,6 +14,7 @@ from dlss.inequalities import (
     _gradient,
     _heat_decay,
     _initial_guess,
+    _normalize,
     convex_sobolev,
     log_sobolev,
     poincare,
@@ -152,6 +153,25 @@ class TestQuotientValue:
         with pytest.raises(dlss.DegenerateDenominator):
             dlss.quotient_value(spec, u)
 
+    def test_zero_field_degenerates(self, grid64):
+        with pytest.raises(dlss.DegenerateDenominator):
+            dlss.quotient_value(log_sobolev(1), Field(grid64, np.zeros(64)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_log_sobolev_zero_node_keeps_finite_denominator(self, grid64):
+        # v^2 log(v^2 / m) extends continuously by 0 to a zero node, where
+        # (1 + e) log1p(e) at e = -1 would be 0 (-inf) = NaN
+        v = np.sin(grid64.nodes)
+        assert v[0] == 0.0
+        q, den, saved = _evaluate(log_sobolev(1), v, grid64)
+        sq = v * v
+        pos = sq > 0.0
+        m = float(np.mean(sq))
+        direct = grid64.spacing * math.fsum(sq[pos] * np.log(sq[pos])) - grid64.length * m * math.log(m)
+        assert abs(den - direct) <= 1e-12 * abs(direct)
+        assert np.isfinite(q)
+        assert np.isfinite(_gradient(log_sobolev(1), v, grid64, (q, den, saved))).all()
+
     def test_convex_requires_positive_values(self, grid64):
         vals = np.cos(grid64.nodes)  # changes sign
         u = Field(grid64, vals, FieldKind.GENERIC)
@@ -226,6 +246,12 @@ class TestMinimizeQuotient:
             dlss.minimize_quotient(log_sobolev(1), cosine_density(grid64, 0.5), max_iters=-1)
         with pytest.raises(ValueError, match="max_iters"):
             dlss.certify_constant(log_sobolev(1), grid64, max_iters=-1)
+        # a NaN tol would stop every descent at once, a negative one never
+        for tol in (-1e-14, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                dlss.minimize_quotient(log_sobolev(1), cosine_density(grid64, 0.5), tol=tol)
+            with pytest.raises(ValueError, match="tol"):
+                dlss.certify_constant(log_sobolev(1), grid64, tol=tol)
 
     def test_constant_init_degenerates(self, grid64):
         u = Field(grid64, np.full(64, 2.0), FieldKind.DENSITY)
@@ -240,6 +266,34 @@ class TestMinimizeQuotient:
         grid = dlss.make_grid(TWO_PI, n_points)
         res = dlss.minimize_quotient(spec, _initial_guess(spec, grid, seed=4))
         assert res.value == dlss.quotient_value(spec, res.minimizer)
+
+    @pytest.mark.parametrize("spec", ALL_KINDS, ids=spec_id)
+    def test_evaluations_count_every_evaluation(self, grid64, spec, monkeypatch):
+        calls = []
+
+        def counted(*args, _evaluate=_evaluate):
+            calls.append(args)
+            return _evaluate(*args)
+
+        monkeypatch.setattr("dlss.inequalities._evaluate", counted)
+        res = dlss.minimize_quotient(spec, _initial_guess(spec, grid64, seed=4))
+        assert res.evaluations == len(calls) > res.iterations
+
+    def test_default_certificate_starts_evaluation_budget(self):
+        # the starts of the default `dlss certify` log-Sobolev and convex
+        # runs; 2 632 evaluations when cancellation in the log-Sobolev
+        # denominator and a final backtrack down to steps of 1e-18 had the
+        # descent chase rounding noise
+        specs = [*(log_sobolev(n) for n in (1, 2, 3)), *(convex_sobolev(p) for p in (1.2, 1.5, 2.0))]
+        total = 0
+        for n_points in (32, 256):
+            grid = dlss.make_grid(TWO_PI, n_points)
+            for spec in specs:
+                for seed in (0, 1, 2):
+                    res = dlss.minimize_quotient(spec, _initial_guess(spec, grid, seed))
+                    assert res.converged
+                    total += res.evaluations
+        assert total <= 1800
 
 
 class TestQuotientGradient:
@@ -345,6 +399,23 @@ class TestCertifyConstant:
         den = _evaluate(convex_sobolev(2.0), v, grid)[1]
         dev = v - v.mean()
         exact = grid.spacing * math.fsum(dev * dev)
+        assert abs(den - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_points", [32, 256])
+    def test_log_sobolev_denominator_free_of_cancellation(self, n_points, seed):
+        # int v^2 log v^2 - L m log m, m the mean of v^2, would lose up to
+        # ~5e-10 of it at amplitude _PIN; the reference sums m h sum (1 + e)
+        # log(1 + e) - e, e = v^2/m - 1, as its series, truncated far below
+        # rounding at |e| ~ 2e-3
+        spec = log_sobolev(1)
+        grid = dlss.make_grid(TWO_PI, n_points)
+        v = _normalize(spec, _initial_guess(spec, grid, seed).values, grid)
+        den = _evaluate(spec, v, grid)[1]
+        m = float(np.mean(v * v))
+        e = v * v / m - 1.0
+        terms = np.concatenate([(-1) ** k * e ** k / (k * (k - 1)) for k in range(2, 13)])
+        exact = m * grid.spacing * math.fsum(terms)
         assert abs(den - exact) <= 1e-12 * exact
 
     def test_rejects_empty_seeds(self, grid64):
