@@ -7,7 +7,7 @@ infimum with the closed-form constant.
 Flow route: take the exact heat semigroup at each lattice time k dt and
 watch the Bakry-Emery quantity
 
-    f(t) = int (w_x)^2 - (2 pi^2 p / L^2) int sigma(v),   w = v^{p/2},
+    f(t) = int (w_x)^2 - (2 pi^2 p / L^2) int sigma_p(v),   w = v^{p/2},
 
 decay monotonically to zero; its production integrated over all time is
 the remainder term R that strengthens the bare inequality.  No state
@@ -19,13 +19,13 @@ time, and remainder_R integrates the production column.
 Quotient kinds and their sharp constants on a circle of length L:
 
     Poincare(n)       int (v^(n))^2  / int (v - vbar)^2      -> (2 pi / L)^{2n}
-    LogSobolev(n)     int (u^(n))^2  / int u^2 log(u^2/||u||^2)
-                                                             -> 1/2 (2 pi / L)^{2n}
-    ConvexSobolev(p)  int s''(v) v_x^2 / int s(v)            -> 8 pi^2 / L^2
+    LogSobolev(n)     int (u^(n))^2  / int sigma_1(u^2)      -> 1/2 (2 pi / L)^{2n}
+    ConvexSobolev(p)  int sigma_p''(v) v_x^2 / int sigma_p(v) -> 8 pi^2 / L^2
 
-with s(v) = (v^p - vbar^p)/(p - 1) for p in (1, 2], continued to
-s(v) = v log(v / vbar) at p = 1, and ||u||^2 = (1/L) int u^2.  The
-log-Sobolev and convex constants are attained only as v -> vbar, so their
+with vbar the mean of v and sigma_p(v) = (v^p - vbar^p)/(p - 1) for p in
+(1, 2], continued to sigma_1(v) = v log(v / vbar) at p = 1; so the
+log-Sobolev denominator is int u^2 log(u^2 / ||u||^2), ||u||^2 = (1/L) int u^2.
+The log-Sobolev and convex constants are attained only as v -> vbar, so their
 certificate is the infimum over fields of amplitude sup |v / vbar - 1| =
 1e-3, which is the constant times 1 + O(1e-6).
 """
@@ -76,6 +76,8 @@ _DEGENERACY_FLOOR = 1e-14
 DEFAULT_MAX_ITERS = 4000
 # Relative change of the quotient under which one accepted step ends a descent.
 _DESCENT_TOL = 1e-14
+# log1p is finite from here up; a zero entry (d = -1) still adds exactly 0 to sigma.
+_D_FLOOR = -1.0 + 2.0 ** -53
 # Amplitude sup |v / vbar - 1| of every log-Sobolev and convex Sobolev
 # iterate: their constants are reached only as it goes to 0, and the
 # quotient there is the constant times 1 + O(_PIN^2).
@@ -152,21 +154,17 @@ class QuotientResult:
 def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple[float, float, tuple]:
     """(q, den, saved): the quotient at ``vals``, its denominator, and the
     arrays its gradient reuses, namely rfft(vals) and vals - vbar
-    (Poincare), rfft(vals) and log(vals^2 / m) with m the mean of vals^2
-    (log-Sobolev), or v_x, vals^(p-2) and vbar (convex Sobolev).  A
-    degenerate denominator raises ``DegenerateDenominator``."""
+    (Poincare), rfft(vals) (log-Sobolev), or v_x and vals^(p-2) (convex
+    Sobolev).  A degenerate denominator, the zero field's included,
+    raises ``DegenerateDenominator``."""
     if spec.kind is QuotientKind.CONVEX_SOBOLEV:
         _check_positive(vals)
         p = spec.p
         dv = _derivative(grid, vals, 1, SPECTRAL)
         weight = vals ** (p - 2.0)
         num = p * _integrate(grid, weight * dv * dv)
-        vbar = float(vals.sum()) / vals.size
-        # int v^p - L vbar^p with its p sum(d) = 0 term dropped, d = v/vbar - 1:
-        # free of the cancellation that costs ~1e-10 at amplitude _PIN
-        d = vals / vbar - 1.0
-        den = vbar ** p * _integrate(grid, np.expm1(p * np.log1p(d)) - p * d) / (p - 1.0)
-        saved = (dv, weight, vbar)
+        den = _sigma_integral(vals, grid, p)
+        saved = (dv, weight)
     else:
         vhat = _rfft(vals)
         dn = _spectrum_derivative(grid, vhat, spec.n)
@@ -177,17 +175,9 @@ def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple
             saved = (vhat, dev)
         else:
             sq = vals * vals
-            m = float(sq.sum()) / vals.size
-            den = 0.0
-            if m > 0.0:
-                # int v^2 log v^2 - L m log m as m h sum[(1 + e) log1p(e) - e],
-                # e = v^2/m - 1 and sum(e) = 0: free of the cancellation that
-                # costs ~3e-10 at amplitude _PIN; a zero node (e = -1) adds 0
-                ratio = sq / m
-                e = ratio - 1.0
-                log_ratio = np.log1p(e, out=np.zeros(e.size), where=e > -1.0)
-                den = m * _integrate(grid, ratio * log_ratio - e)
-                saved = (vhat, log_ratio)
+            # num = 0 only for constant (or Nyquist) fields; sq.any() is there for the zero one
+            den = _sigma_integral(sq, grid, 1.0) if num or sq.any() else 0.0
+            saved = (vhat,)
     if abs(den) < _DEGENERACY_FLOOR:
         raise DegenerateDenominator(
             f"denominator {den:.3e} below {_DEGENERACY_FLOOR:.0e}; "
@@ -207,7 +197,8 @@ def _gradient(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid, evaluati
     q, den, saved = evaluation
     if spec.kind is QuotientKind.CONVEX_SOBOLEV:
         p = spec.p
-        dv, weight, vbar = saved
+        dv, weight = saved
+        vbar = float(vals.sum()) / vals.size
         flux = _derivative(grid, p * weight * dv, 1, SPECTRAL)
         d_num = p * (p - 2.0) * vals ** (p - 3.0) * dv * dv - 2.0 * flux
         d_den = p * (vals ** (p - 1.0) - vbar ** (p - 1.0)) / (p - 1.0)
@@ -217,7 +208,9 @@ def _gradient(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid, evaluati
         if spec.kind is QuotientKind.POINCARE:
             d_den = 2.0 * saved[1]
         else:
-            d_den = 2.0 * vals * saved[1]
+            sq = vals * vals
+            e = sq / (float(sq.sum()) / sq.size) - 1.0  # d of sigma_1(v^2)
+            d_den = 2.0 * vals * np.log1p(np.maximum(e, _D_FLOOR))
     return (d_num - q * d_den) / den
 
 
@@ -278,7 +271,6 @@ def minimize_quotient(
     spec: QuotientSpec,
     u_init: Field,
     max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = _DESCENT_TOL,
 ) -> QuotientResult:
     """Projected gradient descent on the quotient from ``u_init``.
 
@@ -291,12 +283,12 @@ def minimize_quotient(
     sup |v / vbar - 1| = _PIN = 1e-3 and then unit norm for log-Sobolev;
     amplitude _PIN and unit mean for convex Sobolev) and steps are
     backtracked, halving, until the quotient strictly decreases, so the
-    value is monotone along the iteration.  With floor = tol max(|q|, 1),
-    the run stops, converged, as soon as one accepted step lowers the
-    quotient q by at most floor, or when backtracking reaches a step s
-    whose first-order decrease s h sum(g gp) is at most floor (g the
-    gradient, gp its preconditioned form): no step that still counts
-    decreases q.  Hitting ``max_iters`` first returns the best iterate
+    value is monotone along the iteration.  With floor = 1e-14 max(|q|, 1)
+    (_DESCENT_TOL), the run stops, converged, as soon as one accepted
+    step lowers the quotient q by at most floor, or when backtracking
+    reaches a step s whose first-order decrease s h sum(g gp) is at most
+    floor (g the gradient, gp its preconditioned form): no step that
+    still counts decreases q.  Hitting ``max_iters`` first returns the best iterate
     with ``converged`` set to False.
 
     The log-Sobolev and convex constants are reached only in the linear
@@ -305,20 +297,17 @@ def minimize_quotient(
     excess of ~2e-7 for log-Sobolev and below 4e-8 for convex p < 2
     (rounding level at p = 2, where the quotient is quadratic).  Pinned,
     every landscape is nearly quadratic and a start converges in tens of
-    iterations at the default ``tol``.
+    iterations.
 
     Iterates and candidates are plain arrays, each checked finite (and,
     for convex Sobolev, positive) and evaluated once; the gradient at an
     accepted candidate reuses that evaluation's spectrum and denominator.
     Only the returned minimizer is built as a ``Field``, and
     ``evaluations`` counts the quotient evaluations, the start's and every
-    candidate's.  A negative ``max_iters`` or a negative, infinite or NaN
-    ``tol`` raises ``ValueError``.
+    candidate's.  A negative ``max_iters`` raises ``ValueError``.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     grid = u_init.grid
     vals = _normalize(spec, _without_nyquist(_rfft(u_init.values), grid.n_points), grid)
     if vals is None:
@@ -334,7 +323,7 @@ def minimize_quotient(
         g = _gradient(spec, vals, grid, evaluation)
         gp = _precondition(g, spec)
         slope = grid.spacing * float((g * gp).sum())
-        floor = tol * max(abs(q), 1.0)
+        floor = _DESCENT_TOL * max(abs(q), 1.0)
 
         accepted = False
         s = step
@@ -390,17 +379,15 @@ def certify_constant(
     grid: PeriodicGrid,
     seeds: tuple[int, ...] = (0, 1, 2),
     max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = _DESCENT_TOL,
 ) -> QuotientResult:
     """Multi-start minimisation: run ``minimize_quotient`` from one random
     admissible field per seed and keep the lowest converged value.  At
-    least one seed is required, ``max_iters`` must be nonnegative and
-    ``tol`` finite and nonnegative."""
+    least one seed is required and ``max_iters`` must be nonnegative."""
     if not seeds:
         raise ValueError("seeds must name at least one start")
     best = None
     for seed in seeds:
-        res = minimize_quotient(spec, _initial_guess(spec, grid, seed), max_iters=max_iters, tol=tol)
+        res = minimize_quotient(spec, _initial_guess(spec, grid, seed), max_iters=max_iters)
         if best is None or (res.converged, -res.value) > (best.converged, -best.value):
             best = res
     return best
@@ -410,21 +397,37 @@ def certify_constant(
 # Heat-flow certification
 
 
-def _sigma_integral(v: np.ndarray, grid: PeriodicGrid, p: float, scratch: np.ndarray) -> np.ndarray:
-    """int sigma(v) of each flow state, one per row of v; ``scratch`` is
-    overwritten."""
-    # scalar log and pow of the row means: numpy's vectorised ones differ by an ulp
-    vbar = v.mean(axis=-1).tolist()
+def _sigma_integral(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple = ()) -> float | np.ndarray:
+    """int sigma_p(v) over the last axis of v: a float for one field, an
+    array with one value per row for a block of flow states.
+
+    With d = v / vbar - 1 (sum(d) = 0) it is vbar^p h sum[(1 + d)^p - 1 -
+    p d] / (p - 1), the power as expm1(p log1p(d)), or vbar h sum[(1 + d)
+    log1p(d) - d] at p = 1: int v^p - L vbar^p without the cancellation
+    that costs ~1e-10 of it at amplitude _PIN and 2.4e-7 at 1e-5.  log1p
+    sees d >= _D_FLOOR.  ``work``, three arrays shaped like v, is
+    overwritten; without it each ufunc allocates its result.
+    """
+    ratio, d, s = work or (None, None, None)
+    # direct ufunc calls with out=: methods and in-place operators cost more per call
+    vbar = np.add.reduce(v, axis=-1) / v.shape[-1]
+    ratio = np.divide(v, vbar[..., None], out=ratio)
+    d = np.subtract(ratio, 1.0, out=d)
+    s = np.maximum(d, _D_FLOOR, out=s)
+    np.log1p(s, out=s)
     if p == 1.0:
-        log_vbar = np.array([math.log(m) for m in vbar])
-        np.log(v, out=scratch)
-        scratch -= log_vbar[:, None]
-        scratch *= v
-        return grid.spacing * scratch.sum(axis=-1)
-    vbar_p = np.array([m ** p for m in vbar])
-    np.copyto(scratch, v)
-    scratch **= p  # in place, so numpy picks the same kernel as for v ** p
-    return grid.spacing * (scratch.sum(axis=-1) - v.shape[-1] * vbar_p) / (p - 1.0)
+        np.multiply(s, ratio, out=s)
+    else:
+        np.expm1(np.multiply(s, p, out=s), out=s)
+        np.multiply(d, p, out=d)
+    h_sum = grid.spacing * np.add.reduce(np.subtract(s, d, out=s), axis=-1)
+    if p == 1.0:
+        sigma = vbar * h_sum
+    else:
+        # scalar pow of the means: numpy's vectorised pow differs by an ulp
+        scale = float(vbar) ** p if v.ndim == 1 else np.array([m ** p for m in vbar.tolist()])
+        sigma = scale * h_sum / (p - 1.0)
+    return float(sigma) if v.ndim == 1 else sigma
 
 
 def _flow_dissipation(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -504,7 +507,7 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
         work = tuple(a[:r] for a in (spectrum, w_hat, w, wx, wxx, scratch))
         wx2_sum, dissipation[block] = _flow_dissipation(v, grid, p, work)
         if with_f:
-            sigma = _sigma_integral(v, grid, p, scratch[:r])
+            sigma = _sigma_integral(v, grid, p, work[3:])
             f[block] = grid.spacing * wx2_sum - (2.0 * math.pi ** 2 * p / grid.length ** 2) * sigma
     return times, f, dissipation
 
@@ -570,12 +573,8 @@ def convex_sobolev_check(u: Field, p: float) -> tuple[float, float, bool]:
     """
     convex_sobolev(p)  # the admissible p are those of the quotient
     grid = u.grid
-    el = grid.length
     vals = _check_positive(u.values)
-    lhs = (
-        _integrate(grid, vals * vals)
-        - el * (_integrate(grid, vals ** (2.0 / p)) / el) ** p
-    ) / (p - 1.0)
+    lhs = _sigma_integral(vals ** (2.0 / p), grid, p)  # int sigma_p(u^{2/p})
     ux = _derivative(grid, vals, 1, SPECTRAL)
-    rhs = (el ** 2 / (2.0 * math.pi ** 2 * p)) * _integrate(grid, ux * ux)
+    rhs = (grid.length ** 2 / (2.0 * math.pi ** 2 * p)) * _integrate(grid, ux * ux)
     return lhs, rhs, lhs <= rhs + 1e-10

@@ -268,11 +268,37 @@ class TestHeatflow:
         assert code == 0
         payload = json.loads(out)
         assert payload["monotone"] is True
+        assert payload["n_records"] == 1001  # every lattice time, t = 0 included
         assert payload["max_step_increase"] <= 1e-10
         assert payload["f_final"] < payload["f_initial"]
         assert payload["production_integral"] == pytest.approx(
             payload["f_initial"] - payload["f_final"], rel=1e-3
         )
+
+    @pytest.mark.parametrize("base,amplitude", [("1000", "900"), ("1e6", "9e5")])
+    def test_large_datum_is_monotone(self, capsys, base, amplitude):
+        # f(0) is 2e7 or 2e13: sigma's rounding must not read as a rise of f
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "heatflow", "--L", str(TWO_PI), "--N", "64", "--p", "1.5", "--T", "2",
+                "--dt", "1e-3", "--base", base, "--amplitude", amplitude, "--mode", "3",
+            ],
+        )
+        assert code == 0
+        assert json.loads(out)["monotone"] is True
+
+    def test_small_datum_has_positive_f(self, capsys):
+        # f(0) is 1.5e-21; a cancelling sigma made it -2.6e-17, the wrong sign
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "heatflow", "--L", str(TWO_PI), "--N", "64", "--p", "1.5", "--T", "2",
+                "--dt", "1e-3", "--amplitude", "1e-5",
+            ],
+        )
+        assert code == 0
+        assert json.loads(out)["f_initial"] > 0.0
 
     @pytest.mark.parametrize(
         "flag,value",
