@@ -1,8 +1,9 @@
 """Sharp periodic functional inequalities, certified two independent ways.
 
 Direct route: minimise the Rayleigh-type quotient of each inequality over
-grid fields by preconditioned projected gradient descent and compare the
-infimum with the closed-form constant.
+grid fields by preconditioned projected gradient descent with
+Barzilai-Borwein step lengths and compare the infimum with the
+closed-form constant.
 
 Flow route: take the exact heat semigroup at each lattice time k dt and
 watch the Bakry-Emery quantity
@@ -10,7 +11,8 @@ watch the Bakry-Emery quantity
     f(t) = int (w_x)^2 - (2 pi^2 p / L^2) int sigma_p(v),   w = v^{p/2},
 
 decay monotonically to zero; its production integrated over all time is
-the remainder term R that strengthens the bare inequality.  No state
+the remainder term R that strengthens the bare inequality.  The production
+takes its w_xx part from the spectrum of w by Parseval.  No state
 depends on the one before it, so states are computed in blocks, and
 each block fills its slice of the result columns: heatflow_verify
 returns a record array of t, f and the production, one row per lattice
@@ -84,7 +86,7 @@ _D_FLOOR = -1.0 + 2.0 ** -53
 _PIN = 1e-3
 # Heat-flow values per block (64 states at N = 256); the size never changes a bit.
 # A call allocates its work arrays once, about 1 MB here.  One N = 256, T = 10
-# heatflow_verify + remainder_R pair took a median 247 / 213 / 210 ms of CPU at
+# heatflow_verify + remainder_R pair took a median 212 / 189 / 182 ms of CPU at
 # 2**13 / 2**14 / 2**15 (30 interleaved rounds, 2-core Xeon).
 _BLOCK_VALUES = 2 ** 14
 # exp(-x) is exactly 0.0 for every x >= 746: it falls below half the least subnormal.
@@ -153,31 +155,29 @@ class QuotientResult:
 
 def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple[float, float, tuple]:
     """(q, den, saved): the quotient at ``vals``, its denominator, and the
-    arrays its gradient reuses, namely rfft(vals) and vals - vbar
-    (Poincare), rfft(vals) (log-Sobolev), or v_x and vals^(p-2) (convex
-    Sobolev).  A degenerate denominator, the zero field's included,
-    raises ``DegenerateDenominator``."""
+    arrays its gradient reuses, rfft(vals) first and then, for convex
+    Sobolev, v_x and vals^(p-2).  A degenerate denominator, the zero
+    field's included, raises ``DegenerateDenominator``."""
+    vhat = _rfft(vals)
     if spec.kind is QuotientKind.CONVEX_SOBOLEV:
         _check_positive(vals)
         p = spec.p
-        dv = _derivative(grid, vals, 1, SPECTRAL)
+        dv = _spectrum_derivative(grid, vhat, 1)
         weight = vals ** (p - 2.0)
         num = p * _integrate(grid, weight * dv * dv)
         den = _sigma_integral(vals, grid, p)
-        saved = (dv, weight)
+        saved = (vhat, dv, weight)
     else:
-        vhat = _rfft(vals)
         dn = _spectrum_derivative(grid, vhat, spec.n)
         num = _integrate(grid, dn * dn)
         if spec.kind is QuotientKind.POINCARE:
             dev = vals - vals.sum() / vals.size
             den = _integrate(grid, dev * dev)
-            saved = (vhat, dev)
         else:
             sq = vals * vals
             # num = 0 only for constant (or Nyquist) fields; sq.any() is there for the zero one
             den = _sigma_integral(sq, grid, 1.0) if num or sq.any() else 0.0
-            saved = (vhat,)
+        saved = (vhat,)
     if abs(den) < _DEGENERACY_FLOOR:
         raise DegenerateDenominator(
             f"denominator {den:.3e} below {_DEGENERACY_FLOOR:.0e}; "
@@ -193,56 +193,67 @@ def quotient_value(spec: QuotientSpec, u: Field) -> float:
 
 
 def _gradient(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid, evaluation: tuple) -> np.ndarray:
-    """L2 gradient of the quotient at ``vals`` from ``_evaluate`` there."""
+    """rfft of the L2 gradient of the quotient at ``vals``, from
+    ``_evaluate`` there; derivative terms are formed on the spectrum."""
     q, den, saved = evaluation
     if spec.kind is QuotientKind.CONVEX_SOBOLEV:
         p = spec.p
-        dv, weight = saved
+        dv, weight = saved[1:]
         vbar = float(vals.sum()) / vals.size
-        flux = _derivative(grid, p * weight * dv, 1, SPECTRAL)
-        d_num = p * (p - 2.0) * vals ** (p - 3.0) * dv * dv - 2.0 * flux
         d_den = p * (vals ** (p - 1.0) - vbar ** (p - 1.0)) / (p - 1.0)
+        ghat = _rfft(p * (p - 2.0) * vals ** (p - 3.0) * dv * dv - q * d_den)
+        ghat -= 2.0 * _spectral_symbol(grid.n_points, 1, grid.length) * _rfft(p * weight * dv)
     else:
+        vhat = saved[0]
         sign = -1.0 if spec.n % 2 else 1.0
-        d_num = 2.0 * sign * _spectrum_derivative(grid, saved[0], 2 * spec.n)
+        d_num = (2.0 * sign) * _spectral_symbol(grid.n_points, 2 * spec.n, grid.length)
         if spec.kind is QuotientKind.POINCARE:
-            d_den = 2.0 * saved[1]
+            ghat = (d_num - 2.0 * q) * vhat  # d of the denominator: 2 (v - vbar)
+            ghat[0] = 0.0
         else:
             sq = vals * vals
             e = sq / (float(sq.sum()) / sq.size) - 1.0  # d of sigma_1(v^2)
-            d_den = 2.0 * vals * np.log1p(np.maximum(e, _D_FLOOR))
-    return (d_num - q * d_den) / den
-
-
-def _without_nyquist(hat: np.ndarray, n: int) -> np.ndarray:
-    """Inverse real FFT of ``hat`` with the Nyquist coefficient of an even
-    grid zeroed."""
-    if n % 2 == 0:
-        hat[-1] = 0.0
-    return _irfft(hat, n)
+            ghat = d_num * vhat - _rfft((2.0 * q) * vals * np.log1p(np.maximum(e, _D_FLOOR)))
+    ghat /= den
+    return ghat
 
 
 @lru_cache(maxsize=None)
-def _precondition_divisor(modes: int, n: int) -> np.ndarray:
-    """Read-only 1 + m^{2n} on the rfft modes m = 0 .. modes - 1."""
-    m = np.arange(modes, dtype=float)
-    divisor = 1.0 + m ** (2 * n)
-    divisor.setflags(write=False)
-    return divisor
-
-
-def _precondition(g: np.ndarray, spec: QuotientSpec) -> np.ndarray:
-    """Damp mode m of the gradient by 1/(1 + m^{2n}) and drop its
-    Nyquist mode.
+def _preconditioner(n_points: int, order: int) -> np.ndarray:
+    """Read-only 1/(1 + m^{2 order}) on the rfft modes m of an n-point grid,
+    0 on the Nyquist mode of an even one.
 
     The raw quotient gradient is dominated by the highest-derivative term,
     whose symbol grows like m^{2n}; undamped descent would be limited by
     the grid's largest wavenumber and could not reach tight tolerances.
     """
-    n = spec.n if spec.kind is not QuotientKind.CONVEX_SOBOLEV else 1
-    ghat = _rfft(g)
-    ghat /= _precondition_divisor(ghat.size, n)
-    return _without_nyquist(ghat, g.size)
+    m = np.arange(n_points // 2 + 1, dtype=float)
+    damping = 1.0 / (1.0 + m ** (2 * order))
+    if n_points % 2 == 0:
+        damping[-1] = 0.0
+    damping.setflags(write=False)
+    return damping
+
+
+@lru_cache(maxsize=None)
+def _parseval_weights(n_points: int, length: float) -> np.ndarray:
+    """Read-only c with h sum(a b) = sum(c a_hat.view(float) b_hat.view(float))
+    for real a, b on the grid: h / n times 1 on mode 0 and the Nyquist mode
+    of an even n and 2 on the others, once for each float of a mode."""
+    c = np.full(n_points // 2 + 1, 2.0 * length / n_points ** 2)
+    c[0] /= 2.0
+    if n_points % 2 == 0:
+        c[-1] /= 2.0
+    c = np.repeat(c, 2)
+    c.setflags(write=False)
+    return c
+
+
+def _spectral_dot(grid: PeriodicGrid, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
+    """h sum(a b) of two real grid fields, from their rfft by Parseval."""
+    terms = np.multiply(a_hat.view(float), b_hat.view(float))
+    terms *= _parseval_weights(grid.n_points, grid.length)
+    return float(np.add.reduce(terms))
 
 
 def _normalize(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray | None:
@@ -281,9 +292,15 @@ def minimize_quotient(
     on coarse grids an unrestricted descent drifts into it.  Each iterate
     is renormalised (mean-zero unit mass for Poincare; amplitude
     sup |v / vbar - 1| = _PIN = 1e-3 and then unit norm for log-Sobolev;
-    amplitude _PIN and unit mean for convex Sobolev) and steps are
-    backtracked, halving, until the quotient strictly decreases, so the
-    value is monotone along the iteration.  With floor = 1e-14 max(|q|, 1)
+    amplitude _PIN and unit mean for convex Sobolev).  The first trial
+    length is 0.5 and then the preconditioned Barzilai-Borwein length
+    (dx . dg) / (dg . P dg), with dx and dg the changes of the iterate and
+    of the gradient over the last step and P the preconditioner; where that
+    is not positive and finite, it is 1.3 times the last accepted length,
+    at most 1e6 (Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988) 141;
+    Raydan, SIAM J. Optim. 7 (1997) 26).  Trial steps are backtracked,
+    halving, until the quotient strictly decreases, so the value is
+    monotone along the iteration.  With floor = 1e-14 max(|q|, 1)
     (_DESCENT_TOL), the run stops, converged, as soon as one accepted
     step lowers the quotient q by at most floor, or when backtracking
     reaches a step s whose first-order decrease s h sum(g gp) is at most
@@ -296,34 +313,54 @@ def minimize_quotient(
     of amplitude eps = _PIN: the constant C times 1 + O(eps^2), a relative
     excess of ~2e-7 for log-Sobolev and below 4e-8 for convex p < 2
     (rounding level at p = 2, where the quotient is quadratic).  Pinned,
-    every landscape is nearly quadratic and a start converges in tens of
-    iterations.
+    every landscape is nearly quadratic and a start converges in 6 to 14
+    iterations, most of them without a backtrack.
 
     Iterates and candidates are plain arrays, each checked finite (and,
     for convex Sobolev, positive) and evaluated once; the gradient at an
-    accepted candidate reuses that evaluation's spectrum and denominator.
-    Only the returned minimizer is built as a ``Field``, and
-    ``evaluations`` counts the quotient evaluations, the start's and every
-    candidate's.  A negative ``max_iters`` raises ``ValueError``.
+    accepted candidate reuses that evaluation's spectrum and denominator,
+    and it is formed, preconditioned and dotted on the spectrum, so one
+    inverse transform gives the step.  Only the returned minimizer is
+    built as a ``Field``, and ``evaluations`` counts the quotient
+    evaluations, the start's and every candidate's.  A negative
+    ``max_iters`` raises ``ValueError``.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     grid = u_init.grid
-    vals = _normalize(spec, _without_nyquist(_rfft(u_init.values), grid.n_points), grid)
+    n = grid.n_points
+    start = _rfft(u_init.values)
+    if n % 2 == 0:
+        start[-1] = 0.0
+    vals = _normalize(spec, _irfft(start, n), grid)
     if vals is None:
         raise DegenerateDenominator("initial field cannot be normalised")
     evaluation = _evaluate(spec, _check_finite(vals), grid)
     q = evaluation[0]
+    damping = _preconditioner(n, spec.n if spec.kind is not QuotientKind.CONVEX_SOBOLEV else 1)
 
     evaluations = 1
     step = 0.5
     converged = False
     iters = 0
+    accepted = True  # whether vals moved since the last gradient
+    last = None  # spectra of the previous iterate, its gradient and its preconditioned gradient
     for iters in range(1, max_iters + 1):
-        g = _gradient(spec, vals, grid, evaluation)
-        gp = _precondition(g, spec)
-        slope = grid.spacing * float((g * gp).sum())
+        ghat = _gradient(spec, vals, grid, evaluation)
+        gphat = ghat * damping
+        slope = _spectral_dot(grid, ghat, gphat)
         floor = _DESCENT_TOL * max(abs(q), 1.0)
+        current = (evaluation[2][0], ghat, gphat)
+        if last is not None:
+            # preconditioned BB2 length (dx . dg) / (dg . P dg)
+            dx, dg, dgp = (now - before for now, before in zip(current, last))
+            curvature = _spectral_dot(grid, dg, dgp)
+            if curvature > 0.0:
+                bb = _spectral_dot(grid, dx, dg) / curvature
+                if 0.0 < bb < math.inf:
+                    step = bb
+        last = current
+        gp = _irfft(gphat, n)
 
         accepted = False
         s = step
@@ -345,13 +382,14 @@ def minimize_quotient(
 
         dq = q - cand_evaluation[0]
         vals, evaluation, q = cand, cand_evaluation, cand_evaluation[0]
-        step = min(s * 1.3, 1e6)
+        step = min(s * 1.3, 1e6)  # the next trial length unless BB gives one
         if dq <= floor:
             converged = True
             break
 
-    g = _gradient(spec, vals, grid, evaluation)
-    residual = float(np.abs(_precondition(g, spec)).max())
+    if accepted:
+        gp = _irfft(_gradient(spec, vals, grid, evaluation) * damping, n)
+    residual = float(np.abs(gp).max())
     kind = FieldKind.DENSITY if spec.kind is QuotientKind.CONVEX_SOBOLEV else FieldKind.GENERIC
     return QuotientResult(
         value=q,
@@ -430,30 +468,46 @@ def _sigma_integral(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple = (
     return float(sigma) if v.ndim == 1 else sigma
 
 
+@lru_cache(maxsize=None)
+def _dissipation_symbol(n_points: int, length: float) -> np.ndarray:
+    """Read-only c with h sum(w_xx^2 - k1^2 w_x^2) = sum(c w_hat.view(float)^2)
+    for a real w on the grid: the Parseval weights times k^2 (k^2 - k1^2),
+    which is exactly 0 on mode 1, and times k^4 alone on the Nyquist mode of
+    an even n, where w_x has no coefficient."""
+    k2 = ((2.0 * math.pi / length) * np.arange(n_points // 2 + 1)) ** 2
+    quartic = k2 * (k2 - k2[1])
+    if n_points % 2 == 0:
+        quartic[-1] = k2[-1] * k2[-1]
+    symbol = np.repeat(quartic, 2) * _parseval_weights(n_points, length)
+    symbol.setflags(write=False)
+    return symbol
+
+
 def _flow_dissipation(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(sum of w_x^2, dissipation) for each flow state, one per row of v;
-    w_x and w_xx come from one transform of w = v^{p/2}.  Every
+    """(sum of w_x^2, dissipation) for each flow state, one per row of v,
+    from one transform of w = v^{p/2}: w_x by an inverse transform, and
+    h sum(w_xx^2 - k1^2 w_x^2) from the spectrum by Parseval.  Every
     intermediate is written into ``work``, block arrays of _heat_flow."""
-    spectrum, w_hat, w, wx, wxx, scratch = work
+    spectrum, w_hat, w, wx, scratch = work
     n = grid.n_points
     np.copyto(w, v)
     w **= p / 2.0  # as v ** (p / 2), a square root at p = 1
     _rfft(w, out=w_hat)
-    for order, out in ((1, wx), (2, wxx)):
-        np.multiply(w_hat, _spectral_symbol(n, order, grid.length), out=spectrum)
-        _irfft(spectrum, n, out=out)
-    wx2 = np.multiply(wx, wx, out=wx)
+    np.multiply(w_hat, _spectral_symbol(n, 1, grid.length), out=spectrum)
+    wx2 = _irfft(spectrum, n, out=wx)
+    np.multiply(wx2, wx2, out=wx2)
     wx2_sum = wx2.sum(axis=-1)
-    # wxx^2 - c wx^2 + (2/p - 1) (wx^2 wx^2) / ((3 w) w), associated as written
+    floats = w_hat.view(float)
+    power = np.multiply(floats, floats, out=spectrum.view(float))
+    power *= _dissipation_symbol(n, grid.length)
+    # (2/p - 1) (wx^2 wx^2) / ((3 w) w), associated as written
     quart = np.multiply(wx2, wx2, out=scratch)
     quart *= 2.0 / p - 1.0
-    np.multiply(wxx, wxx, out=wxx)
-    wxx -= np.multiply(4.0 * math.pi ** 2 / grid.length ** 2, wx2, out=wx)
     denominator = np.multiply(3.0, w, out=wx)
     denominator *= w
     quart /= denominator
-    wxx += quart
-    return wx2_sum, 2.0 * grid.spacing * wxx.sum(axis=-1)
+    quadratic = np.add.reduce(power, axis=-1)
+    return wx2_sum, 2.0 * (quadratic + grid.spacing * np.add.reduce(quart, axis=-1))
 
 
 def _heat_decay(t: np.ndarray, wave2: np.ndarray, out: np.ndarray) -> int:
@@ -475,9 +529,12 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
 
     The state at k dt is the spectrum of v0 times exp(-wave^2 k dt), so a
     block of states is one batched inverse FFT; every state, v0 included,
-    is checked against the positivity floor.  The columns and the block
-    work arrays are allocated once, and each block fills its slice of the
-    columns (a short last block uses leading rows of the work arrays).
+    is checked against the positivity floor.  Each state costs three
+    transforms: its inverse one, the rfft of w = v^{p/2} and the inverse
+    one of w_x; the production's w_xx part comes from the spectrum of w.
+    The columns and the block work arrays are allocated once, and each
+    block fills its slice of the columns (a short last block uses leading
+    rows of the work arrays).
     """
     n_steps = _lattice_steps(t_final, dt, "dt")
     n = grid.n_points
@@ -490,7 +547,7 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
     rows = min(max(1, _BLOCK_VALUES // n), n_steps + 1)
     decay = np.empty((rows, wave.size))
     spectrum, w_hat = np.empty((2, rows, wave.size), dtype=complex)
-    states, w, wx, wxx, scratch = np.empty((5, rows, n))
+    states, w, wx, scratch = np.empty((4, rows, n))
     for start in range(0, n_steps + 1, rows):
         block = slice(start, start + rows)
         t = times[block]
@@ -504,10 +561,10 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
         low = np.flatnonzero(v.min(axis=-1) <= POSITIVITY_FLOOR)
         if low.size:
             raise PositivityLost(f"flow state touched the positivity floor at t = {t[low[0]]:.6g}")
-        work = tuple(a[:r] for a in (spectrum, w_hat, w, wx, wxx, scratch))
+        work = tuple(a[:r] for a in (spectrum, w_hat, w, wx, scratch))
         wx2_sum, dissipation[block] = _flow_dissipation(v, grid, p, work)
         if with_f:
-            sigma = _sigma_integral(v, grid, p, work[3:])
+            sigma = _sigma_integral(v, grid, p, work[2:])
             f[block] = grid.spacing * wx2_sum - (2.0 * math.pi ** 2 * p / grid.length ** 2) * sigma
     return times, f, dissipation
 

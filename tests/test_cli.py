@@ -458,6 +458,28 @@ class TestParser:
         assert code == (2 if usage else 3)
         assert err.startswith("error: " if usage else "numerical failure: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--kind", "logsob", "--n", "1"],
+            ["certify", "--kind", "convex", "--p", "1.5"],
+            ["heatflow", "--p", "1.5", "--T", "1", "--dt", "1e-3"],
+        ],
+        ids=["logsob-n1", "convex-p1.5", "heatflow-p1.5"],
+    )
+    def test_output_independent_of_blas_threads(self, package_env, argv):
+        # certify and heatflow factorise nothing and reduce without BLAS:
+        # N = 256 output on one and on two OpenBLAS threads, byte for byte
+        outputs = []
+        for threads in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-m", "dlss.cli", *argv, "--L", repr(TWO_PI), "--N", "256"],
+                capture_output=True, env={**package_env, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert out.returncode == 0, out.stderr
+            outputs.append(out.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_installed_entry_point(self, package_env):
         out = subprocess.run(
             [sys.executable, "-m", "dlss.cli", "--help"],

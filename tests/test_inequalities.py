@@ -70,6 +70,15 @@ def flow_functionals_oracle(v0, grid, p, t_final, dt):
     wave = (2.0 * math.pi / el) * np.arange(n // 2 + 1)
     ik = 1j * wave
     ik[-1] = 0.0  # odd derivatives drop the Nyquist mode
+    # h sum(wxx^2 - k1^2 wx^2) by Parseval: weights h / n times 1, 2, ..., 2, 1
+    # on the rfft modes and k^2 (k^2 - k1^2), k^4 alone on the Nyquist mode
+    k2 = wave * wave
+    quartic = k2 * (k2 - k2[1])
+    quartic[-1] = k2[-1] * k2[-1]
+    weights = np.full(n // 2 + 1, 2.0 * el / n ** 2)
+    weights[0] /= 2.0
+    weights[-1] /= 2.0
+    symbol = np.repeat(quartic, 2) * np.repeat(weights, 2)
     v0_hat = np.fft.rfft(v0)
     out = []
     for k in range(round(t_final / dt) + 1):
@@ -78,7 +87,6 @@ def flow_functionals_oracle(v0, grid, p, t_final, dt):
         w = v ** (p / 2.0)
         w_hat = np.fft.rfft(w)
         wx = np.fft.irfft(w_hat * ik, n=n)
-        wxx = np.fft.irfft(w_hat * (1j * wave) ** 2, n=n)
         wx2 = wx * wx
         # sigma_p in the library's cancellation-free form, d = v / vbar - 1
         vbar = float(v.mean())
@@ -90,7 +98,8 @@ def flow_functionals_oracle(v0, grid, p, t_final, dt):
             sigma = vbar ** p * (h * np.sum(np.expm1(p * np.log1p(d)) - p * d)) / (p - 1.0)
         f = h * np.sum(wx2) - (2.0 * math.pi ** 2 * p / el ** 2) * sigma
         quart = (2.0 / p - 1.0) * (wx2 * wx2) / (3.0 * w * w)
-        diss = 2.0 * h * np.sum(wxx * wxx - (4.0 * math.pi ** 2 / el ** 2) * wx2 + quart)
+        floats = w_hat.view(float)
+        diss = 2.0 * (np.add.reduce(floats * floats * symbol) + h * np.sum(quart))
         out.append((t, float(f), float(diss)))
     return out
 
@@ -273,13 +282,16 @@ class TestMinimizeQuotient:
 
         monkeypatch.setattr("dlss.inequalities._evaluate", counted)
         res = dlss.minimize_quotient(spec, _initial_guess(spec, grid64, seed=4))
-        assert res.evaluations == len(calls) > res.iterations
+        # every iteration evaluates at least one candidate; with Barzilai-
+        # Borwein lengths some starts never backtrack
+        assert res.evaluations == len(calls) >= res.iterations
 
     def test_default_certificate_starts_evaluation_budget(self):
         # the starts of the default `dlss certify` log-Sobolev and convex
         # runs; 2 632 evaluations when cancellation in the log-Sobolev
         # denominator and a final backtrack down to steps of 1e-18 had the
-        # descent chase rounding noise
+        # descent chase rounding noise, 1 428 when each trial length was
+        # 1.3 times the last accepted one
         specs = [*(log_sobolev(n) for n in (1, 2, 3)), *(convex_sobolev(p) for p in (1.2, 1.5, 2.0))]
         total = 0
         for n_points in (32, 256):
@@ -289,7 +301,7 @@ class TestMinimizeQuotient:
                     res = dlss.minimize_quotient(spec, _initial_guess(spec, grid, seed))
                     assert res.converged
                     total += res.evaluations
-        assert total <= 1800
+        assert total <= 600
 
 
 class TestQuotientGradient:
@@ -299,7 +311,7 @@ class TestQuotientGradient:
         # Poincare), in directions with a mean, so every term of the
         # gradient shows
         u = _initial_guess(spec, grid64, seed=2).values + 0.25
-        grad = _gradient(spec, u, grid64, _evaluate(spec, u, grid64))
+        grad = np.fft.irfft(_gradient(spec, u, grid64, _evaluate(spec, u, grid64)), n=64)
         # truncation error ~eps^2 against rounding amplified by the
         # difference quotient
         eps = 1e-4
@@ -518,6 +530,17 @@ class TestHeatFlow:
             exact = f0 * math.exp(-8.0 * r.t)
             assert abs(r.f_value - exact) <= 1e-13 * f0
             assert abs(r.dissipation - 8.0 * exact) <= 1e-13 * f0
+
+    @pytest.mark.parametrize("a", [0.5, 1e-3])
+    @pytest.mark.parametrize("n_points", [16, 64, 256])
+    def test_single_mode_p2_has_no_dissipation(self, n_points, a):
+        # v = 1 + a cos x at p = 2: mode 1 is extremal and f is 0 for all
+        # time, so the dissipation is rounding; taking w_xx^2 - k1^2 w_x^2
+        # pointwise left 7e-16 to 1.6e-15 a^2 of it
+        grid = dlss.make_grid(TWO_PI, n_points)
+        flow = dlss.heatflow_verify(cosine_density(grid, a), 2.0, 1.0, 1e-3)
+        assert (flow.dissipation >= 0.0).all()
+        assert (flow.dissipation <= 1e-17 * a * a).all()
 
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_matches_per_step_reference(self, grid256, p):
