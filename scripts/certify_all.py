@@ -15,7 +15,7 @@ import math
 import time
 
 import dlss
-from dlss.inequalities import DEFAULT_MAX_ITERS, convex_sobolev, log_sobolev, poincare
+from dlss.inequalities import convex_sobolev, log_sobolev, poincare
 from dlss.runio import write_atomic
 
 
@@ -24,7 +24,6 @@ def main(argv=None):
     parser.add_argument("--L", type=float, default=2.0 * math.pi)
     parser.add_argument("--N", type=int, default=256)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     parser.add_argument("--orders", default="1,2,3")
     parser.add_argument("--p-grid", default="1.2,1.5,1.8,2.0")
     parser.add_argument("--output", default=None, help="write results as JSON")
@@ -47,9 +46,7 @@ def main(argv=None):
     results = []
     for label, spec in catalogue:
         t0 = time.perf_counter()
-        res = dlss.certify_constant(
-            spec, grid, seeds=seeds, max_iters=args.max_iters
-        )
+        res = dlss.certify_constant(spec, grid, seeds=seeds)
         elapsed = time.perf_counter() - t0
         results.append(
             {

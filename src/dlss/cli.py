@@ -17,13 +17,7 @@ import numpy as np
 
 from .errors import DlssError, ParseError, ValidationError
 from .grid import BACKENDS, DiffBackend, make_grid
-from .inequalities import (
-    DEFAULT_MAX_ITERS,
-    QuotientKind,
-    QuotientSpec,
-    certify_constant,
-    heatflow_verify,
-)
+from .inequalities import QuotientKind, QuotientSpec, certify_constant, heatflow_verify
 from .runio import (
     _fit_pairs,
     cosine_density,
@@ -92,12 +86,7 @@ def _cmd_certify(args) -> int:
     else:
         spec = QuotientSpec(kind, n=args.n)
     grid = make_grid(args.L, args.N)
-    result = certify_constant(
-        spec,
-        grid,
-        seeds=tuple(args.seed + i for i in range(3)),
-        max_iters=args.max_iters,
-    )
+    result = certify_constant(spec, grid, seeds=tuple(args.seed + i for i in range(3)))
     payload = {
         "kind": args.kind,
         "L": grid.length,
@@ -206,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--L", type=float, required=True)
     p_cert.add_argument("--N", type=int, required=True)
     p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     p_cert.add_argument("--output", default=None, help="also write the JSON report here")
     p_cert.set_defaults(func=_cmd_certify)
 

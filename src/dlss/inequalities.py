@@ -61,7 +61,6 @@ from .grid import (
 from .rng import random_smooth_field
 
 __all__ = [
-    "DEFAULT_MAX_ITERS",
     "QuotientKind",
     "QuotientSpec",
     "QuotientResult",
@@ -74,8 +73,9 @@ __all__ = [
 ]
 
 _DEGENERACY_FLOOR = 1e-14
-# Descent budget of one minimisation; the command line and scripts use it too.
-DEFAULT_MAX_ITERS = 4000
+# Descent budget of one minimisation; every measured start converges in 6 to 22
+# iterations, so only a descent that has gone wrong reaches it.
+_MAX_ITERS = 4000
 # Relative change of the quotient under which one accepted step ends a descent.
 _DESCENT_TOL = 1e-14
 # log1p is finite from here up; a zero entry (d = -1) still adds exactly 0 to sigma.
@@ -278,11 +278,7 @@ def _normalize(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> np.n
     return out
 
 
-def minimize_quotient(
-    spec: QuotientSpec,
-    u_init: Field,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> QuotientResult:
+def minimize_quotient(spec: QuotientSpec, u_init: Field) -> QuotientResult:
     """Projected gradient descent on the quotient from ``u_init``.
 
     The search runs over Nyquist-free fields: the start loses its Nyquist
@@ -296,24 +292,25 @@ def minimize_quotient(
     length is 0.5 and then the preconditioned Barzilai-Borwein length
     (dx . dg) / (dg . P dg), with dx and dg the changes of the iterate and
     of the gradient over the last step and P the preconditioner; where that
-    is not positive and finite, it is 1.3 times the last accepted length,
-    at most 1e6 (Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988) 141;
-    Raydan, SIAM J. Optim. 7 (1997) 26).  Trial steps are backtracked,
-    halving, until the quotient strictly decreases, so the value is
-    monotone along the iteration.  With floor = 1e-14 max(|q|, 1)
+    is not positive and finite, the previous first trial length is tried
+    again (Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988) 141; Raydan,
+    SIAM J. Optim. 7 (1997) 26).  Trial steps are backtracked, halving,
+    until the quotient strictly decreases, so the value is monotone along
+    the iteration.  With floor = 1e-14 max(|q|, 1)
     (_DESCENT_TOL), the run stops, converged, as soon as one accepted
     step lowers the quotient q by at most floor, or when backtracking
     reaches a step s whose first-order decrease s h sum(g gp) is at most
     floor (g the gradient, gp its preconditioned form): no step that
-    still counts decreases q.  Hitting ``max_iters`` first returns the best iterate
-    with ``converged`` set to False.
+    still counts decreases q.  A descent that runs out of its 4 000
+    iterations (_MAX_ITERS) returns the best iterate with ``converged`` set
+    to False.
 
     The log-Sobolev and convex constants are reached only in the linear
     limit v -> vbar (1 + eps phi), so the value is the infimum over fields
     of amplitude eps = _PIN: the constant C times 1 + O(eps^2), a relative
     excess of ~2e-7 for log-Sobolev and below 4e-8 for convex p < 2
     (rounding level at p = 2, where the quotient is quadratic).  Pinned,
-    every landscape is nearly quadratic and a start converges in 6 to 14
+    every landscape is nearly quadratic and a start converges in 6 to 22
     iterations, most of them without a backtrack.
 
     Iterates and candidates are plain arrays, each checked finite (and,
@@ -322,11 +319,8 @@ def minimize_quotient(
     and it is formed, preconditioned and dotted on the spectrum, so one
     inverse transform gives the step.  Only the returned minimizer is
     built as a ``Field``, and ``evaluations`` counts the quotient
-    evaluations, the start's and every candidate's.  A negative
-    ``max_iters`` raises ``ValueError``.
+    evaluations, the start's and every candidate's.
     """
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     grid = u_init.grid
     n = grid.n_points
     start = _rfft(u_init.values)
@@ -342,10 +336,8 @@ def minimize_quotient(
     evaluations = 1
     step = 0.5
     converged = False
-    iters = 0
-    accepted = True  # whether vals moved since the last gradient
     last = None  # spectra of the previous iterate, its gradient and its preconditioned gradient
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, _MAX_ITERS + 1):
         ghat = _gradient(spec, vals, grid, evaluation)
         gphat = ghat * damping
         slope = _spectral_dot(grid, ghat, gphat)
@@ -382,7 +374,6 @@ def minimize_quotient(
 
         dq = q - cand_evaluation[0]
         vals, evaluation, q = cand, cand_evaluation, cand_evaluation[0]
-        step = min(s * 1.3, 1e6)  # the next trial length unless BB gives one
         if dq <= floor:
             converged = True
             break
@@ -416,16 +407,15 @@ def certify_constant(
     spec: QuotientSpec,
     grid: PeriodicGrid,
     seeds: tuple[int, ...] = (0, 1, 2),
-    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> QuotientResult:
     """Multi-start minimisation: run ``minimize_quotient`` from one random
     admissible field per seed and keep the lowest converged value.  At
-    least one seed is required and ``max_iters`` must be nonnegative."""
+    least one seed is required."""
     if not seeds:
         raise ValueError("seeds must name at least one start")
     best = None
     for seed in seeds:
-        res = minimize_quotient(spec, _initial_guess(spec, grid, seed), max_iters=max_iters)
+        res = minimize_quotient(spec, _initial_guess(spec, grid, seed))
         if best is None or (res.converged, -res.value) > (best.converged, -best.value):
             best = res
     return best

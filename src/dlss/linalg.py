@@ -23,21 +23,19 @@ __all__ = ["DenseLU", "CyclicBandedLU"]
 
 
 class DenseLU:
-    """Thin wrapper over scipy's dense LU with the package's error type."""
+    """LAPACK's dense LU (``dgetrf`` / ``dgetrs``) with the package's error type."""
 
     def __init__(self, mat: np.ndarray):
-        from scipy.linalg import lapack, lu_factor
+        from scipy.linalg.lapack import dgetrf, dgetrs
 
-        try:
-            self._lu = lu_factor(mat)
-        except Exception as exc:  # LinAlgError on exact singularity
-            raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(self._lu[0])):
-            raise SingularJacobian("dense LU produced non-finite factors")
-        self._getrs = lapack.dgetrs
+        lu, piv, info = dgetrf(mat)
+        # info > 0 is an exactly zero pivot: singular, whatever the right-hand side
+        if info != 0 or not np.all(np.isfinite(lu)):
+            raise SingularJacobian(f"dense LU failed (getrf info {info}) or was non-finite")
+        self._lu = (lu, piv)
+        self._getrs = dgetrs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        # getrs straight on the factors skips lu_solve's input checks
         out, info = self._getrs(*self._lu, rhs)
         if info != 0 or not np.all(np.isfinite(out)):
             raise SingularJacobian(f"dense solve failed (getrs info {info}) or was non-finite")

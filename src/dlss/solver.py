@@ -91,10 +91,13 @@ class SolverConfig:
     double precision has a noise floor of roughly eps * (pi N / L)^4 *
     |u''| because high-mode rounding debris passes through two second
     derivatives: about 1e-11 at N = 64 and 3e-9 at N = 256 on the unit
-    circle scale.  Tolerances below that floor cannot converge; the
-    default 1e-8 is safe up to N = 256, larger grids need a looser value.
-    Line-search backtracks always halve the Newton step.  ``tau`` and
-    ``newton_tol`` must be positive and finite; a rejected value raises
+    circle scale.  Tolerances below that floor cannot converge, and the
+    default 1e-8 already sits near it at N = 256: five steps of tau = 1e-4
+    from 1 + a cos x on L = 2 pi converge at a = 0.1 but raise
+    ``NoConvergence`` at a = 0.5 and 0.9, where the residual stalls at
+    1.7e-8 and 5.7e-8 (ROADMAP.md, item 2, has the table).  Line-search
+    backtracks always halve the Newton step.  ``tau`` and ``newton_tol``
+    must be positive and finite; a rejected value raises
     ``ValidationError`` naming the field.
     """
 
