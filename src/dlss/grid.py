@@ -20,7 +20,12 @@ passes on numpy >= 2.0, and write into a given or freshly allocated
 output.  The results are the same bits as ``numpy.fft.rfft`` / ``irfft``;
 what the pair skips is the Python wrapper (dtype resolution, axis
 normalisation, output allocation), which costs more than an N = 256
-transform and was paid four times per Newton residual.
+transform and was paid four times per Newton residual.  A derivative
+differentiates its spectrum in place, and a caller may pass the spectrum
+buffer, so both second derivatives of a Newton residual reuse one.  Even
+orders scale the spectrum's float view by a real symbol, each
+(i k)^order twice; that equals the complex product up to the sign of a
+zero.
 
 The two admissibility rules that every density and every time integration
 share live here too: ``_check_positive`` (the positivity floor) and
@@ -229,6 +234,15 @@ def _spectral_symbol(n: int, order: int, length: float) -> np.ndarray:
     return symbol
 
 
+@lru_cache(maxsize=None)
+def _even_symbol(n: int, order: int, length: float) -> np.ndarray:
+    """The real (i k)^order of an even ``order``, each value twice, to
+    multiply the float view of an rfft spectrum; read-only."""
+    symbol = np.repeat(_spectral_symbol(n, order, length).real, 2)
+    symbol.setflags(write=False)
+    return symbol
+
+
 def _rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``numpy.fft.rfft(values, axis=-1)``, bit for bit, written into ``out``
     (allocated when None)."""
@@ -249,10 +263,17 @@ def _irfft(hat: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray
 
 def _spectrum_derivative(grid: PeriodicGrid, fhat: np.ndarray, order: int) -> np.ndarray:
     """``order``-th spectral derivative of the grid values whose rfft along
-    the last axis is ``fhat``; ``fhat`` is left unchanged, so one transform
-    serves several orders."""
+    the last axis is ``fhat``, which becomes the differentiated spectrum; a
+    caller that needs ``fhat`` again passes a copy."""
     n = grid.n_points
-    return _irfft(fhat * _spectral_symbol(n, order, grid.length), n)
+    if order % 2:
+        fhat *= _spectral_symbol(n, order, grid.length)
+    else:
+        # (i k)^order is real: scaling both float halves of each mode equals
+        # the complex product, up to the sign of a zero
+        flat = fhat.view(float)
+        flat *= _even_symbol(n, order, grid.length)
+    return _irfft(fhat, n)
 
 
 # Central periodic stencils on the unit-spacing grid, as {offset: weight}.
@@ -303,10 +324,15 @@ def _fd_derivative(values: np.ndarray, order: int, spacing: float, fd_order: int
     return out
 
 
-def _derivative(grid: PeriodicGrid, values: np.ndarray, order: int, backend: DiffBackend) -> np.ndarray:
-    """Array core of ``derivative`` for order >= 1; no validation."""
+def _derivative(
+    grid: PeriodicGrid, values: np.ndarray, order: int, backend: DiffBackend,
+    spectrum: np.ndarray | None = None,
+) -> np.ndarray:
+    """Array core of ``derivative`` for order >= 1; no validation.  A
+    spectral derivative transforms into ``spectrum``, a complex work array
+    of n // 2 + 1 modes (allocated when None), and differentiates there."""
     if backend.order == 0:
-        return _spectrum_derivative(grid, _rfft(values), order)
+        return _spectrum_derivative(grid, _rfft(values, out=spectrum), order)
     return _fd_derivative(values, order, grid.spacing, backend.order)
 
 

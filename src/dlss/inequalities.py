@@ -162,13 +162,13 @@ def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple
     if spec.kind is QuotientKind.CONVEX_SOBOLEV:
         _check_positive(vals)
         p = spec.p
-        dv = _spectrum_derivative(grid, vhat, 1)
+        dv = _spectrum_derivative(grid, vhat.copy(), 1)
         weight = vals ** (p - 2.0)
         num = p * _integrate(grid, weight * dv * dv)
         den = _sigma_integral(vals, grid, p)
         saved = (vhat, dv, weight)
     else:
-        dn = _spectrum_derivative(grid, vhat, spec.n)
+        dn = _spectrum_derivative(grid, vhat.copy(), spec.n)
         num = _integrate(grid, dn * dn)
         if spec.kind is QuotientKind.POINCARE:
             dev = vals - vals.sum() / vals.size

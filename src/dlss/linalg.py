@@ -30,14 +30,14 @@ class DenseLU:
 
         lu, piv, info = dgetrf(mat)
         # info > 0 is an exactly zero pivot: singular, whatever the right-hand side
-        if info != 0 or not np.all(np.isfinite(lu)):
+        if info != 0 or not np.isfinite(lu).all():
             raise SingularJacobian(f"dense LU failed (getrf info {info}) or was non-finite")
         self._lu = (lu, piv)
         self._getrs = dgetrs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         out, info = self._getrs(*self._lu, rhs)
-        if info != 0 or not np.all(np.isfinite(out)):
+        if info != 0 or not np.isfinite(out).all():
             raise SingularJacobian(f"dense solve failed (getrs info {info}) or was non-finite")
         return out
 
@@ -94,7 +94,7 @@ class CyclicBandedLU:
             _band_slots(n, halfwidth), diagonals.ravel(), minlength=(3 * width + 1) * n
         ).reshape((3 * width + 1, n), order="F")
         self._lu, self._piv, info = dgbtrf(ab, width, width, overwrite_ab=True)
-        if info != 0 or not np.all(np.isfinite(self._lu)):
+        if info != 0 or not np.isfinite(self._lu).all():
             raise SingularJacobian(f"banded LU failed (gbtrf info {info}) or was non-finite")
         self._width = width
         self._gbtrs = dgbtrs
@@ -103,6 +103,6 @@ class CyclicBandedLU:
         folded, info = self._gbtrs(
             self._lu, self._width, self._width, rhs[self._order], self._piv, overwrite_b=True
         )
-        if info != 0 or not np.all(np.isfinite(folded)):
+        if info != 0 or not np.isfinite(folded).all():
             raise SingularJacobian(f"banded solve failed (gbtrs info {info}) or was non-finite")
         return folded[self._place]

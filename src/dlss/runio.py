@@ -18,6 +18,7 @@ The time-series CSV has one column per ``TimeSeriesRecord`` field.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, fields
@@ -65,6 +66,10 @@ _COLUMNS = tuple(
     (f.name, get_type_hints(TimeSeriesRecord)[f.name]) for f in fields(TimeSeriesRecord)
 )
 TIMESERIES_HEADER = ",".join(name for name, _ in _COLUMNS)
+# A record's CSV row in one % call: "%.17g" (the bits of f"{v:.17g}") for
+# floats, "%d" for ints.
+_ROW_FORMAT = ",".join("%.17g" if kind is float else "%d" for _, kind in _COLUMNS)
+_row_values = operator.attrgetter(*(name for name, _ in _COLUMNS))
 
 _U0_KINDS = ("constant", "cosine", "file")
 
@@ -232,11 +237,8 @@ def _initial_density(grid: PeriodicGrid, seen: dict) -> Field:
 def emit_timeseries(trajectory: Trajectory, path: str) -> None:
     """Write the trajectory's records as CSV: 17 significant digits, LF
     line endings, atomic replace so readers never see a partial file."""
-    lines = [TIMESERIES_HEADER]
-    for r in trajectory.records:
-        cells = (getattr(r, name) for name, _ in _COLUMNS)
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in cells))
-    write_atomic(path, "\n".join(lines) + "\n")
+    rows = [_ROW_FORMAT % _row_values(r) for r in trajectory.records]
+    write_atomic(path, "\n".join([TIMESERIES_HEADER, *rows]) + "\n")
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -274,11 +276,8 @@ def read_timeseries(path: str) -> list[TimeSeriesRecord]:
         if len(parts) != len(_COLUMNS):
             raise ParseError(line_no, f"expected {len(_COLUMNS)} fields, found {len(parts)}")
         try:
-            records.append(
-                TimeSeriesRecord(
-                    **{name: kind(part) for (name, kind), part in zip(_COLUMNS, parts)}
-                )
-            )
+            values = [kind(part) for (_, kind), part in zip(_COLUMNS, parts)]
+            records.append(TimeSeriesRecord(*values))
         except ValueError as exc:
             raise ParseError(line_no, f"malformed record: {exc}") from None
     return records

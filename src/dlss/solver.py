@@ -168,15 +168,18 @@ class _Level:
 
     def __init__(self, y: Array, ey: Array, r: Array, d2y: Array):
         self.y, self.ey, self.r, self.d2y = y, ey, r, d2y
-        self.rnorm = float(np.abs(r).max())
+        self.rnorm = float(np.maximum.reduce(np.abs(r)))
 
 
 def _evaluate(y: Array, ey_prev: Array, grid: PeriodicGrid, config: SolverConfig) -> _Level:
-    """The level at y of the step from the level whose e^y is ey_prev."""
+    """The level at y of the step from the level whose e^y is ey_prev; both
+    second derivatives transform into one spectrum buffer."""
     ey = np.exp(y)
-    d2y = _derivative(grid, y, 2, config.backend)
-    flux = _derivative(grid, ey * d2y, 2, config.backend)
-    return _Level(y, ey, (ey - ey_prev) / config.tau + flux, d2y)
+    spectrum = np.empty(grid.n_points // 2 + 1, dtype=complex)
+    d2y = _derivative(grid, y, 2, config.backend, spectrum)
+    r = _derivative(grid, ey * d2y, 2, config.backend, spectrum)
+    r += (ey - ey_prev) / config.tau
+    return _Level(y, ey, r, d2y)
 
 
 def jacobian(y: Field, config: SolverConfig) -> Array:
@@ -237,7 +240,8 @@ def _line_search(
     trial level that lowers the residual or meets the tolerance."""
     lam = 1.0
     for _ in range(_MAX_BACKTRACKS + 1):
-        trial = _evaluate(level.y + lam * delta, ey_prev, grid, config)
+        # the full step needs no exact 1.0 * delta product
+        trial = _evaluate(level.y + (delta if lam == 1.0 else lam * delta), ey_prev, grid, config)
         if trial.rnorm < level.rnorm or trial.rnorm <= config.newton_tol:
             return trial
         lam *= _DAMPING
@@ -354,17 +358,19 @@ def _advance(
 def _record(t: float, level: _Level, iters: int, grid: PeriodicGrid) -> TimeSeriesRecord:
     """Monitored quantities of an accepted level, read from its arrays:
     y = log u, so neither the entropy nor lyap takes a logarithm of u."""
-    h, ey = grid.spacing, level.ey
-    mass = float(h * ey.sum())
+    h, ey, y = grid.spacing, level.ey, level.y
+    mass = float(h * np.add.reduce(ey))
     log_u_bar = np.log(mass / grid.length)
+    # positional, in field order: t, mass, entropy_rel, lyap, production,
+    # min_u, newton_iters
     return TimeSeriesRecord(
-        t=t,
-        mass=mass,
-        entropy_rel=float(h * (ey * (level.y - log_u_bar)).sum()),
-        lyap=float(h * (ey - level.y).sum()),
-        production=float(h * (ey * level.d2y * level.d2y).sum()),
-        min_u=float(ey.min()),
-        newton_iters=iters,
+        t,
+        mass,
+        float(h * np.add.reduce(ey * (y - log_u_bar))),
+        float(h * np.add.reduce(ey - y)),
+        float(h * np.add.reduce(ey * level.d2y * level.d2y)),
+        float(np.minimum.reduce(ey)),
+        iters,
     )
 
 

@@ -53,6 +53,15 @@ class TestDenseLU:
         with pytest.raises(dlss.SingularJacobian):
             DenseLU(mat)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_solution_raises(self, bad):
+        # the factorisation is fine; the solve-side check must catch it
+        _, mat = _random_cyclic_banded(16, 2, seed=3)
+        rhs = np.ones(16)
+        rhs[5] = bad
+        with pytest.raises(dlss.SingularJacobian, match="non-finite"):
+            DenseLU(mat).solve(rhs)
+
 
 class TestCyclicBandedLU:
     @pytest.mark.parametrize("n,halfwidth", [(16, 1), (24, 2), (64, 4), (37, 3)])
@@ -103,6 +112,15 @@ class TestCyclicBandedLU:
     def test_singular_matrix_raises(self):
         with pytest.raises(dlss.SingularJacobian):
             CyclicBandedLU(np.zeros((3, 16)), 1).solve(np.ones(16))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_solution_raises(self, bad):
+        # the factorisation is fine; the solve-side check must catch it
+        diagonals, _ = _random_cyclic_banded(16, 2, seed=3)
+        rhs = np.ones(16)
+        rhs[5] = bad
+        with pytest.raises(dlss.SingularJacobian, match="non-finite"):
+            CyclicBandedLU(diagonals, 2).solve(rhs)
 
     def test_fold_keeps_band_within_twice_the_halfwidth(self):
         # an entry farther out than kl = ku = 2 halfwidth would land in a

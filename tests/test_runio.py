@@ -1,11 +1,12 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dlss
-from dlss import Field, FieldKind, SolverConfig
+from dlss import Field, FieldKind, SolverConfig, TimeSeriesRecord
 from dlss.runio import (
     TIMESERIES_HEADER,
     cosine_density,
@@ -213,6 +214,20 @@ class TestTimeseriesRoundTrip:
         emit_timeseries(short_trajectory, str(path))
         back = read_timeseries(str(path))
         assert tuple(back) == short_trajectory.records
+
+    def test_row_format_matches_per_cell_format(self, short_trajectory, tmp_path):
+        # one % call per row must give the bytes of the per-cell
+        # f"{v:.17g}" join, also on signed zero, the least subnormal, a
+        # huge value, infinities and NaN; reading back keeps their bits
+        edge = [-0.0, 5e-324, 1e300, math.inf, math.nan, -math.inf]
+        records = tuple(TimeSeriesRecord(*(edge[k:] + edge[:k]), k * 1000) for k in range(6))
+        path = tmp_path / "edge.csv"
+        emit_timeseries(replace(short_trajectory, records=records), str(path))
+        rows = [
+            ",".join(f"{v:.17g}" for v in edge[k:] + edge[:k]) + f",{k * 1000}" for k in range(6)
+        ]
+        assert path.read_bytes() == "\n".join([TIMESERIES_HEADER, *rows, ""]).encode()
+        assert repr(read_timeseries(str(path))) == repr(list(records))
 
     def test_no_temporary_files_left_behind(self, short_trajectory, tmp_path):
         emit_timeseries(short_trajectory, str(tmp_path / "run.csv"))

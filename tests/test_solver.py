@@ -69,6 +69,32 @@ class TestResidual:
         expected = (math.exp(math.log(1.0 + 1e-6)) - 1.0) / tau
         assert np.allclose(r.values, expected, rtol=1e-9)
 
+    @pytest.mark.parametrize("n", [8, 64, 256, 2048])
+    def test_spectral_residual_is_the_numpy_fft_formula(self, n):
+        # both second derivatives share one spectrum buffer and scale its
+        # float view by the real symbol; r must equal, element for element,
+        # the complex products (1j k)^2 through numpy.fft, Nyquist mode
+        # included.  L = 5 makes the wave numbers inexact, so a symbol
+        # rounded differently shows.
+        grid = dlss.make_grid(5.0, n)
+        x = (2.0 * math.pi / grid.length) * grid.nodes
+        rng = np.random.default_rng(n)
+        y = 0.3 * np.sin(x) + 0.05 * np.cos(n // 2 * x) + 1e-3 * rng.standard_normal(n)
+        y_prev = y - 0.2 * np.cos(3.0 * x)
+        tau = 3e-3
+        symbol = (1j * (2.0 * math.pi / grid.length) * np.arange(n // 2 + 1)) ** 2
+
+        def d2(f):
+            return np.fft.irfft(np.fft.rfft(f) * symbol, n=n)
+
+        want = (np.exp(y) - np.exp(y_prev)) / tau + d2(np.exp(y) * d2(y))
+        got = residual(
+            Field(grid, y, FieldKind.LOG_DENSITY),
+            Field(grid, y_prev, FieldKind.LOG_DENSITY),
+            SolverConfig(tau=tau),
+        )
+        assert np.array_equal(got.values, want)
+
 
 class TestJacobian:
     @pytest.mark.parametrize("backend", [SPECTRAL, FD2, FD4])
