@@ -13,8 +13,9 @@ watch the Bakry-Emery quantity
 decay monotonically to zero; its production integrated over all time is
 the remainder term R that strengthens the bare inequality.  The production
 takes its w_xx part from the spectrum of w by Parseval.  No state
-depends on the one before it, so states are computed in blocks, and
-each block fills its slice of the result columns: heatflow_verify
+depends on the one before it, so states are computed in blocks, each
+state on the coarsest halving of the grid that still gives its sums to
+rounding, and each block fills its slice of the result columns: heatflow_verify
 returns a record array of t, f and the production, one row per lattice
 time, and remainder_R integrates the production column.
 
@@ -84,10 +85,11 @@ _D_FLOOR = -1.0 + 2.0 ** -53
 # iterate: their constants are reached only as it goes to 0, and the
 # quotient there is the constant times 1 + O(_PIN^2).
 _PIN = 1e-3
-# Heat-flow values per block (64 states at N = 256); the size never changes a bit.
-# A call allocates its work arrays once, about 1 MB here.  One N = 256, T = 10
-# heatflow_verify + remainder_R pair took a median 212 / 189 / 182 ms of CPU at
-# 2**13 / 2**14 / 2**15 (30 interleaved rounds, 2-core Xeon).
+# Heat-flow values per block: _BLOCK_VALUES // M states of an M-point grid, 64
+# at M = 256 and 512 at M = 32; the size never changes a bit.  A call allocates
+# its work arrays once, about 1 MB at N = 256.  One N = 256, T = 10
+# heatflow_verify + remainder_R pair took a median 67 / 64 / 62 ms of CPU at
+# 2**13 / 2**14 / 2**15 (30 interleaved rounds, four seeded data, 2-core Xeon).
 _BLOCK_VALUES = 2 ** 14
 # exp(-x) is exactly 0.0 for every x >= 746: it falls below half the least subnormal.
 _EXP_UNDERFLOW = 746.0
@@ -473,20 +475,28 @@ def _dissipation_symbol(n_points: int, length: float) -> np.ndarray:
     return symbol
 
 
-def _flow_dissipation(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _flow_dissipation(
+    v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple, with_sum: bool,
+) -> tuple[np.ndarray | None, np.ndarray]:
     """(sum of w_x^2, dissipation) for each flow state, one per row of v,
     from one transform of w = v^{p/2}: w_x by an inverse transform, and
-    h sum(w_xx^2 - k1^2 w_x^2) from the spectrum by Parseval.  Every
-    intermediate is written into ``work``, block arrays of _heat_flow."""
+    h sum(w_xx^2 - k1^2 w_x^2) from the spectrum by Parseval; the sum is
+    None unless ``with_sum``.  Every intermediate is written into
+    ``work``, block arrays of _heat_flow; v itself is only read."""
     spectrum, w_hat, w, wx, scratch = work
     n = grid.n_points
-    np.copyto(w, v)
-    w **= p / 2.0  # as v ** (p / 2), a square root at p = 1
+    # the bits of v ** (p / 2): numpy's power takes these same fast paths
+    if p == 2.0:
+        w = v
+    elif p == 1.0:
+        w = np.sqrt(v, out=w)
+    else:
+        w = np.power(v, p / 2.0, out=w)
     _rfft(w, out=w_hat)
     np.multiply(w_hat, _spectral_symbol(n, 1, grid.length), out=spectrum)
     wx2 = _irfft(spectrum, n, out=wx)
     np.multiply(wx2, wx2, out=wx2)
-    wx2_sum = wx2.sum(axis=-1)
+    wx2_sum = np.add.reduce(wx2, axis=-1) if with_sum else None
     floats = w_hat.view(float)
     power = np.multiply(floats, floats, out=spectrum.view(float))
     power *= _dissipation_symbol(n, grid.length)
@@ -512,6 +522,89 @@ def _heat_decay(t: np.ndarray, wave2: np.ndarray, out: np.ndarray) -> int:
     return live
 
 
+# Which grid a flow state needs, derived; nothing in it is tuned.  Let the
+# state be v = vbar + sum_{m != 0} a_m e^{i kappa m x}, kappa = 2 pi / L, with
+# c_m = (2/N)|v0_hat_m| e^{-kappa^2 m^2 t} >= 2|a_m| for m >= 1, and let s > 0
+# have sum_{m >= 1} c_m e^{kappa m s} <= zeta vbar, zeta <= 1/2.  On the strip
+# |Im x| < s then v = vbar (1 + z) with |z| <= zeta: Re v >= vbar / 2, and
+# w = v^{p/2} = W (1 + z)^{p/2}, W = vbar^{p/2}, has |w - W| <= W zeta (p/2
+# lies in [1/2, 1]) and |w|^2 >= W^2 / 4.  Cauchy's estimate on discs of
+# radius s/2 bounds w_x by B1 = 2 W zeta / s and w_xx by B2 = 8 W zeta / s^2
+# on |Im x| < s/2, so the Fourier coefficients of the j-th derivative are at
+# most Bj rho^|n|, rho = e^{-kappa s / 2}, B0 = W zeta.  Take M points,
+# E = rho^{M/2}, and every mode of v below M/2, so v is exact at the nodes.
+# - w_x at the nodes, from the M-point spectrum, folds each mode |n| >= M/2
+#   onto one |m| < |n|, so it is off by at most 2 sum_{|n| >= M/2}
+#   B1 rho^|n| = 4 B1 E / (1 - rho) =: nu B1.  The terms of
+#   h sum(w_x^4 / (3 w^2)) are at most 4 B1^4 / (3 W^2); the sum moves by
+#   at most 4 nu (1 + nu)^3 of L times that, and the trapezoid rule adds
+#   2 E^2 / (1 - E^2) of it (the integrand is analytic on |Im x| < s/2).
+# - h sum(w_x^2) and the Parseval sum of w_xx differ from their integrals by
+#   products of two coefficients whose modes add up to M or more: at most
+#   8 E^2 (M + 4 / (1 - rho)) of L Bj^2 while E < 1/2, below E (M + 4) times
+#   the bound above, and E (M + 4) < 1 wherever that bound is below eps.  The
+#   sigma integrand is at most B0^2 on |Im x| < s, so the trapezoid rule errs
+#   by 2 E^4 / (1 - E^4) of L B0^2.
+# The full grid errs less than the coarse one, so every sum stays within
+# eps of its scale wherever 2 (4 nu (1 + nu)^3 + 2 E^2 / (1 - E^2)) <= eps.
+@lru_cache(maxsize=None)
+def _coarse_strip(m: int, length: float) -> float:
+    """Least strip half-width s at which the bound above is at most eps on
+    an m-point grid, to one part in 1e-12 from above; it falls as s grows."""
+    kappa = 2.0 * math.pi / length
+
+    def too_coarse(s: float) -> bool:
+        e = math.exp(-kappa * m * s / 4.0)
+        nu = 4.0 * e / -math.expm1(-kappa * s / 2.0)
+        return 8.0 * nu * (1.0 + nu) ** 3 + 4.0 * e * e / (1.0 - e * e) > np.finfo(float).eps
+
+    lo, hi = 0.0, length / m
+    while too_coarse(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if too_coarse(mid) else (lo, mid)
+    return hi
+
+
+def _grid_schedule(v0_hat: np.ndarray, grid: PeriodicGrid, wave: np.ndarray, times: np.ndarray) -> list:
+    """[(k, m), ...]: the flow states from lattice index k on run on an
+    m-point grid; the first entry is (0, N).
+
+    A halving m >= 8 of the N-point grid is admissible at t when every
+    mode from m/2 up has underflowed, t wave^2 >= _EXP_UNDERFLOW as in
+    _heat_decay, and when sum c e^{wave s - wave^2 t} <= vbar / 2 over the
+    modes of v0, with s from _coarse_strip (see the derivation above).
+    Both hold from some time on, and for m from the time they hold for
+    2m on, so each switch is a bisection over the lattice and the size
+    never grows.  Odd N has no halving.
+    """
+    n = grid.n_points
+    amplitude = (2.0 / n) * np.abs(v0_hat[1:])
+    wave2 = wave * wave
+    vbar = v0_hat[0].real / n
+
+    def admissible(m: int, k: int) -> bool:
+        t = times[k]
+        if t * wave2[m // 2] < _EXP_UNDERFLOW:
+            return False  # exp(wave s - wave^2 t) cannot overflow past here
+        s = _coarse_strip(m, grid.length)
+        return float(np.add.reduce(amplitude * np.exp(wave[1:] * s - wave2[1:] * t))) <= 0.5 * vbar
+
+    schedule = [(0, n)]
+    m, first, last = n, 1, times.size - 1
+    while m % 2 == 0 and m // 2 >= 8 and admissible(m // 2, last):
+        m //= 2
+        hi = last
+        while first < hi:
+            mid = (first + hi) // 2
+            first, hi = (first, mid) if admissible(m, mid) else (mid + 1, hi)
+        if schedule[-1][0] == first:
+            schedule.pop()  # m is admissible as soon as 2m is
+        schedule.append((first, m))
+    return schedule
+
+
 def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt: float, with_f: bool):
     """Columns (t, f, dissipation) of the periodic heat flow from v0, one
     entry per lattice time t = k dt, t = 0 included; f is None unless
@@ -522,9 +615,15 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
     is checked against the positivity floor.  Each state costs three
     transforms: its inverse one, the rfft of w = v^{p/2} and the inverse
     one of w_x; the production's w_xx part comes from the spectrum of w.
-    The columns and the block work arrays are allocated once, and each
-    block fills its slice of the columns (a short last block uses leading
-    rows of the work arrays).
+    A state runs on the coarsest halving m of the grid that _grid_schedule
+    admits at its time: there all its live modes lie below m/2, so the
+    spectrum v0_hat[:m/2 + 1] m/N gives it exactly at the m nodes, and
+    every sum it feeds is within eps of its scale of the full-grid value
+    (see the derivation above _coarse_strip).  State 0 and odd N stay on
+    the full grid.  A block holds _BLOCK_VALUES // m states of one size;
+    the columns are allocated once, and so are flat work buffers that each
+    size views as blocks (a short block uses leading rows), and each block
+    fills its slice of the columns.
     """
     n_steps = _lattice_steps(t_final, dt, "dt")
     n = grid.n_points
@@ -534,28 +633,43 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
     times = np.arange(n_steps + 1) * float(dt)  # float64 even for an int dt
     f = np.empty(n_steps + 1) if with_f else None
     dissipation = np.empty(n_steps + 1)
-    rows = min(max(1, _BLOCK_VALUES // n), n_steps + 1)
-    decay = np.empty((rows, wave.size))
-    spectrum, w_hat = np.empty((2, rows, wave.size), dtype=complex)
-    states, w, wx, scratch = np.empty((4, rows, n))
-    for start in range(0, n_steps + 1, rows):
-        block = slice(start, start + rows)
-        t = times[block]
-        r = t.size
-        live = _heat_decay(t, wave2, decay[:r])
-        np.multiply(v0_hat[:live], decay[:r, :live], out=spectrum[:r, :live])
-        spectrum[:r, live:] = 0.0
-        v = _irfft(spectrum[:r], n, out=states[:r])
-        if start == 0:
-            v[0] = v0
-        low = np.flatnonzero(v.min(axis=-1) <= POSITIVITY_FLOOR)
-        if low.size:
-            raise PositivityLost(f"flow state touched the positivity floor at t = {t[low[0]]:.6g}")
-        work = tuple(a[:r] for a in (spectrum, w_hat, w, wx, scratch))
-        wx2_sum, dissipation[block] = _flow_dissipation(v, grid, p, work)
-        if with_f:
-            sigma = _sigma_integral(v, grid, p, work[2:])
-            f[block] = grid.spacing * wx2_sum - (2.0 * math.pi ** 2 * p / grid.length ** 2) * sigma
+    schedule = _grid_schedule(v0_hat, grid, wave, times)
+    ends = [k for k, _ in schedule[1:]] + [n_steps + 1]
+    segments = [
+        (first, end, m, min(max(1, _BLOCK_VALUES // m), end - first))
+        for (first, m), end in zip(schedule, ends)
+    ]
+    n_values = max(rows * m for _, _, m, rows in segments)
+    n_modes = max(rows * (m // 2 + 1) for _, _, m, rows in segments)
+    decay_flat = np.empty(n_modes)
+    spectrum_flat, w_hat_flat = np.empty((2, n_modes), dtype=complex)
+    value_flats = np.empty((4, n_values))
+    for first, end, m, rows in segments:
+        coarse = PeriodicGrid(grid.length, m)
+        modes = m // 2 + 1
+        hat = v0_hat[:modes] * (m / n)  # a power of two: exact
+        decay, spectrum, w_hat = (
+            a[: rows * modes].reshape(rows, modes) for a in (decay_flat, spectrum_flat, w_hat_flat)
+        )
+        states, w, wx, scratch = value_flats[:, : rows * m].reshape(4, rows, m)
+        for start in range(first, end, rows):
+            block = slice(start, min(start + rows, end))
+            t = times[block]
+            r = t.size
+            live = _heat_decay(t, wave2[:modes], decay[:r])
+            np.multiply(hat[:live], decay[:r, :live], out=spectrum[:r, :live])
+            spectrum[:r, live:] = 0.0
+            v = _irfft(spectrum[:r], m, out=states[:r])
+            if start == 0:
+                v[0] = v0
+            low = np.flatnonzero(v.min(axis=-1) <= POSITIVITY_FLOOR)
+            if low.size:
+                raise PositivityLost(f"flow state touched the positivity floor at t = {t[low[0]]:.6g}")
+            work = tuple(a[:r] for a in (spectrum, w_hat, w, wx, scratch))
+            wx2_sum, dissipation[block] = _flow_dissipation(v, coarse, p, work, with_f)
+            if with_f:
+                sigma = _sigma_integral(v, coarse, p, work[2:])
+                f[block] = coarse.spacing * wx2_sum - (2.0 * math.pi ** 2 * p / grid.length ** 2) * sigma
     return times, f, dissipation
 
 
