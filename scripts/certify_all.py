@@ -50,7 +50,7 @@ def main(argv=None):
         elapsed = time.perf_counter() - t0
         results.append(
             {
-                "quotient": label.split()[0],
+                "quotient": spec.kind.value,
                 "n": spec.n,
                 "p": spec.p,
                 "value": res.value,

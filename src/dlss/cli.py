@@ -39,13 +39,6 @@ _USAGE_ERRORS = (ParseError, ValueError, OSError)
 # this much relative slack is left for rounding.
 _BELOW_CONSTANT_SLACK = 1e-12
 
-_CERTIFY_KINDS = {
-    "poincare": QuotientKind.POINCARE,
-    "logsob": QuotientKind.LOG_SOBOLEV,
-    "convex": QuotientKind.CONVEX_SOBOLEV,
-}
-
-
 def _emit_json(payload: dict, output: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
@@ -78,7 +71,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    kind = _CERTIFY_KINDS[args.kind]
+    kind = QuotientKind(args.kind)
     if kind is QuotientKind.CONVEX_SOBOLEV:
         if args.p is None:
             raise ValidationError("p", "required for kind 'convex'")
@@ -189,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=_cmd_solve)
 
     p_cert = sub.add_parser("certify", help="minimise an inequality quotient")
-    p_cert.add_argument("--kind", required=True, choices=sorted(_CERTIFY_KINDS))
+    p_cert.add_argument("--kind", required=True, choices=sorted(k.value for k in QuotientKind))
     p_cert.add_argument("--n", type=int, default=1, help="derivative order (poincare/logsob)")
     p_cert.add_argument("--p", type=float, default=None, help="convexity exponent (convex)")
     p_cert.add_argument("--L", type=float, required=True)

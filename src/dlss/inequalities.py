@@ -87,18 +87,21 @@ _D_FLOOR = -1.0 + 2.0 ** -53
 _PIN = 1e-3
 # Heat-flow values per block: _BLOCK_VALUES // M states of an M-point grid, 64
 # at M = 256 and 512 at M = 32; the size never changes a bit.  A call allocates
-# its work arrays once, about 1 MB at N = 256.  One N = 256, T = 10
-# heatflow_verify + remainder_R pair took a median 67 / 64 / 62 ms of CPU at
-# 2**13 / 2**14 / 2**15 (30 interleaved rounds, four seeded data, 2-core Xeon).
+# its work arrays once, about 1 MB at N = 256.  On N = 256, T = 10 flows
+# (heatflow_verify at p = 1 and remainder_R at p = 1.5, four seeded data),
+# 2**13 takes about 9 % more CPU than 2**14, and 2**15 about 2 % less for
+# twice the work arrays (two runs of 30 interleaved rounds, 2-core Xeon).
 _BLOCK_VALUES = 2 ** 14
 # exp(-x) is exactly 0.0 for every x >= 746: it falls below half the least subnormal.
 _EXP_UNDERFLOW = 746.0
 
 
 class QuotientKind(enum.Enum):
+    """Which inequality; each value is the kind's ``dlss certify --kind`` name."""
+
     POINCARE = "poincare"
-    LOG_SOBOLEV = "log_sobolev"
-    CONVEX_SOBOLEV = "convex_sobolev"
+    LOG_SOBOLEV = "logsob"
+    CONVEX_SOBOLEV = "convex"
 
 
 @dataclass(frozen=True)
@@ -155,12 +158,15 @@ class QuotientResult:
         return abs(self.value - self.analytic) / abs(self.analytic)
 
 
-def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple[float, float, tuple]:
-    """(q, den, saved): the quotient at ``vals``, its denominator, and the
-    arrays its gradient reuses, rfft(vals) first and then, for convex
-    Sobolev, v_x and vals^(p-2).  A degenerate denominator, the zero
-    field's included, raises ``DegenerateDenominator``."""
-    vhat = _rfft(vals)
+def _evaluate(
+    spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(q, den, vhat, ghat): the quotient at ``vals``, its denominator,
+    rfft(vals) and the rfft of the quotient's L2 gradient there, whose
+    derivative terms are formed on the spectrum.  Non-finite ``vals`` are a
+    ``ValueError``; a degenerate denominator, the zero field's included,
+    raises ``DegenerateDenominator``."""
+    vhat = _rfft(_check_finite(vals))
     if spec.kind is QuotientKind.CONVEX_SOBOLEV:
         _check_positive(vals)
         p = spec.p
@@ -168,7 +174,6 @@ def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple
         weight = vals ** (p - 2.0)
         num = p * _integrate(grid, weight * dv * dv)
         den = _sigma_integral(vals, grid, p)
-        saved = (vhat, dv, weight)
     else:
         dn = _spectrum_derivative(grid, vhat.copy(), spec.n)
         num = _integrate(grid, dn * dn)
@@ -179,45 +184,34 @@ def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple
             sq = vals * vals
             # num = 0 only for constant (or Nyquist) fields; sq.any() is there for the zero one
             den = _sigma_integral(sq, grid, 1.0) if num or sq.any() else 0.0
-        saved = (vhat,)
     if abs(den) < _DEGENERACY_FLOOR:
         raise DegenerateDenominator(
             f"denominator {den:.3e} below {_DEGENERACY_FLOOR:.0e}; "
             "field is too close to constant"
         )
-    return num / den, den, saved
-
-
-def quotient_value(spec: QuotientSpec, u: Field) -> float:
-    """Evaluate the quotient with spectral derivatives; degenerate
-    (near-constant) input is an error."""
-    return _evaluate(spec, u.values, u.grid)[0]
-
-
-def _gradient(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid, evaluation: tuple) -> np.ndarray:
-    """rfft of the L2 gradient of the quotient at ``vals``, from
-    ``_evaluate`` there; derivative terms are formed on the spectrum."""
-    q, den, saved = evaluation
+    q = num / den
     if spec.kind is QuotientKind.CONVEX_SOBOLEV:
-        p = spec.p
-        dv, weight = saved[1:]
         vbar = float(vals.sum()) / vals.size
         d_den = p * (vals ** (p - 1.0) - vbar ** (p - 1.0)) / (p - 1.0)
         ghat = _rfft(p * (p - 2.0) * vals ** (p - 3.0) * dv * dv - q * d_den)
         ghat -= 2.0 * _spectral_symbol(grid.n_points, 1, grid.length) * _rfft(p * weight * dv)
     else:
-        vhat = saved[0]
         sign = -1.0 if spec.n % 2 else 1.0
         d_num = (2.0 * sign) * _spectral_symbol(grid.n_points, 2 * spec.n, grid.length)
         if spec.kind is QuotientKind.POINCARE:
             ghat = (d_num - 2.0 * q) * vhat  # d of the denominator: 2 (v - vbar)
             ghat[0] = 0.0
         else:
-            sq = vals * vals
             e = sq / (float(sq.sum()) / sq.size) - 1.0  # d of sigma_1(v^2)
             ghat = d_num * vhat - _rfft((2.0 * q) * vals * np.log1p(np.maximum(e, _D_FLOOR)))
     ghat /= den
-    return ghat
+    return q, den, vhat, ghat
+
+
+def quotient_value(spec: QuotientSpec, u: Field) -> float:
+    """Evaluate the quotient with spectral derivatives; degenerate
+    (near-constant) input is an error."""
+    return _evaluate(spec, u.values, u.grid)[0]
 
 
 @lru_cache(maxsize=None)
@@ -258,22 +252,24 @@ def _spectral_dot(grid: PeriodicGrid, a_hat: np.ndarray, b_hat: np.ndarray) -> f
     return float(np.add.reduce(terms))
 
 
-def _normalize(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray | None:
-    """Pin down the quotient's scaling/shift invariance; None = inadmissible.
+def _normalize(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Pin down the quotient's scaling/shift invariance.
 
     Poincare fields become mean-zero with unit mass.  Log-Sobolev and
     convex fields become 1 + _PIN (v - vbar) / sup |v - vbar|, that is
     v / vbar pinned to amplitude _PIN, and log-Sobolev ones then unit norm.
+    A field that is constant up to rounding has no direction to pin and
+    raises ``DegenerateDenominator``.
     """
     dev = vals - vals.sum() / vals.size
     if spec.kind is QuotientKind.POINCARE:
         scale = math.sqrt(float(grid.spacing * (dev * dev).sum()))
         if scale <= 0.0:
-            return None
+            raise DegenerateDenominator("field is constant up to rounding; it cannot be normalised")
         return dev / scale
     sup = float(np.abs(dev).max())
     if sup <= _DEGENERACY_FLOOR * float(np.abs(vals).max()):
-        return None  # constant up to rounding: no direction to pin
+        raise DegenerateDenominator("field is constant up to rounding; it cannot be normalised")
     out = 1.0 + (_PIN / sup) * dev
     if spec.kind is QuotientKind.LOG_SOBOLEV:
         return out / math.sqrt(float((out * out).sum()) / out.size)
@@ -315,13 +311,16 @@ def minimize_quotient(spec: QuotientSpec, u_init: Field) -> QuotientResult:
     every landscape is nearly quadratic and a start converges in 6 to 22
     iterations, most of them without a backtrack.
 
-    Iterates and candidates are plain arrays, each checked finite (and,
-    for convex Sobolev, positive) and evaluated once; the gradient at an
-    accepted candidate reuses that evaluation's spectrum and denominator,
-    and it is formed, preconditioned and dotted on the spectrum, so one
-    inverse transform gives the step.  Only the returned minimizer is
-    built as a ``Field``, and ``evaluations`` counts the quotient
-    evaluations, the start's and every candidate's.
+    Iterates and candidates are plain arrays.  One evaluation of each
+    (``_evaluate``) checks it finite (and, for convex Sobolev, positive)
+    and gives the value, the denominator and the gradient spectrum; the
+    gradient is preconditioned and dotted on the spectrum, so one inverse
+    transform gives the step, and the residual is that transform at the
+    returned iterate.  A trial that cannot be normalised and one whose
+    denominator is degenerate are both one rejected trial, like a trial
+    that does not lower q.  Only the returned minimizer is built as a
+    ``Field``, and ``evaluations`` counts the quotient evaluations, the
+    start's and every candidate's.
     """
     grid = u_init.grid
     n = grid.n_points
@@ -329,10 +328,7 @@ def minimize_quotient(spec: QuotientSpec, u_init: Field) -> QuotientResult:
     if n % 2 == 0:
         start[-1] = 0.0
     vals = _normalize(spec, _irfft(start, n), grid)
-    if vals is None:
-        raise DegenerateDenominator("initial field cannot be normalised")
-    evaluation = _evaluate(spec, _check_finite(vals), grid)
-    q = evaluation[0]
+    q, _, vhat, ghat = _evaluate(spec, vals, grid)
     damping = _preconditioner(n, spec.n if spec.kind is not QuotientKind.CONVEX_SOBOLEV else 1)
 
     evaluations = 1
@@ -340,11 +336,10 @@ def minimize_quotient(spec: QuotientSpec, u_init: Field) -> QuotientResult:
     converged = False
     last = None  # spectra of the previous iterate, its gradient and its preconditioned gradient
     for iters in range(1, _MAX_ITERS + 1):
-        ghat = _gradient(spec, vals, grid, evaluation)
         gphat = ghat * damping
         slope = _spectral_dot(grid, ghat, gphat)
         floor = _DESCENT_TOL * max(abs(q), 1.0)
-        current = (evaluation[2][0], ghat, gphat)
+        current = (vhat, ghat, gphat)
         if last is not None:
             # preconditioned BB2 length (dx . dg) / (dg . P dg)
             dx, dg, dgp = (now - before for now, before in zip(current, last))
@@ -356,33 +351,28 @@ def minimize_quotient(spec: QuotientSpec, u_init: Field) -> QuotientResult:
         last = current
         gp = _irfft(gphat, n)
 
-        accepted = False
         s = step
         while s * slope > floor:
-            cand = _normalize(spec, vals - s * gp, grid)
-            if cand is not None:
+            try:
+                cand = _normalize(spec, vals - s * gp, grid)
                 evaluations += 1
-                try:
-                    cand_evaluation = _evaluate(spec, _check_finite(cand), grid)
-                except DegenerateDenominator:
-                    cand_evaluation = None
-                if cand_evaluation is not None and cand_evaluation[0] < q:
-                    accepted = True
+                trial = _evaluate(spec, cand, grid)
+                if trial[0] < q:
                     break
+            except DegenerateDenominator:
+                pass  # rejected, like a trial that does not lower q
             s *= 0.5
-        if not accepted:
-            converged = True
+        else:
+            converged = True  # no step that still counts lowers q
             break
 
-        dq = q - cand_evaluation[0]
-        vals, evaluation, q = cand, cand_evaluation, cand_evaluation[0]
+        dq = q - trial[0]
+        vals, (q, _, vhat, ghat) = cand, trial
         if dq <= floor:
             converged = True
             break
 
-    if accepted:
-        gp = _irfft(_gradient(spec, vals, grid, evaluation) * damping, n)
-    residual = float(np.abs(gp).max())
+    residual = float(np.abs(_irfft(ghat * damping, n)).max())
     kind = FieldKind.DENSITY if spec.kind is QuotientKind.CONVEX_SOBOLEV else FieldKind.GENERIC
     return QuotientResult(
         value=q,

@@ -7,8 +7,8 @@ diagonals as an array, numbers the nodes 0, n-1, 1, n-2, ..., which makes
 them an ordinary band of twice the halfwidth, and factorises it with
 LAPACK's band LU (``dgbtrf``), so for a fixed halfwidth its storage and
 its factor-once / solve-many work grow like N instead of N^2 / N^3.
-``import dlss`` loads no scipy (0.17 s, not 0.43 s): ``scipy.linalg``
-loads with the first factorisation.
+``import dlss`` loads no scipy: ``scipy.linalg`` loads with the first
+factorisation.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ from dlss.inequalities import (
     _PIN,
     _coarse_strip,
     _evaluate,
-    _gradient,
     _grid_schedule,
     _heat_decay,
     _initial_guess,
     _normalize,
+    _preconditioner,
     _sigma_integral,
     _spectral_dot,
     convex_sobolev,
@@ -49,7 +49,7 @@ CERTIFIED_KINDS = [
 def spec_id(spec):
     if spec.kind is QuotientKind.CONVEX_SOBOLEV:
         return f"convex-p{spec.p:g}"
-    return f"{spec.kind.value}-n{spec.n}"
+    return f"{spec.kind.name.lower()}-n{spec.n}"
 
 
 # u = 1 + 0.5 cos x, p = 1, L = 2 pi: f(0) = int u_x^2 - (1/2) int u^2 log(u^2 / mean)
@@ -200,14 +200,14 @@ class TestQuotientValue:
         # (1 + e) log1p(e) at e = -1 would be 0 (-inf) = NaN
         v = np.sin(grid64.nodes)
         assert v[0] == 0.0
-        q, den, saved = _evaluate(log_sobolev(1), v, grid64)
+        q, den, _, ghat = _evaluate(log_sobolev(1), v, grid64)
         sq = v * v
         pos = sq > 0.0
         m = float(np.mean(sq))
         direct = grid64.spacing * math.fsum(sq[pos] * np.log(sq[pos])) - grid64.length * m * math.log(m)
         assert abs(den - direct) <= 1e-12 * abs(direct)
         assert np.isfinite(q)
-        assert np.isfinite(_gradient(log_sobolev(1), v, grid64, (q, den, saved))).all()
+        assert np.isfinite(ghat).all()
 
     def test_convex_requires_positive_values(self, grid64):
         vals = np.cos(grid64.nodes)  # changes sign
@@ -339,6 +339,47 @@ class TestMinimizeQuotient:
                     total += res.evaluations
         assert total <= 600
 
+    @pytest.mark.parametrize("spec", ALL_KINDS, ids=spec_id)
+    def test_residual_on_every_exit(self, spec, monkeypatch):
+        # the residual is max |irfft(P g_hat)| at the returned minimizer
+        # whichever way the descent ends; which way it ended is read off the
+        # evaluated values: a trial is accepted when it lowers the last
+        # accepted q, so the last iteration accepted iff the accepted trials
+        # number the iterations
+        values = []
+
+        def recorded(*args, _evaluate=_evaluate):
+            try:
+                result = _evaluate(*args)
+            except dlss.DegenerateDenominator:
+                values.append(math.inf)
+                raise
+            values.append(result[0])
+            return result
+
+        monkeypatch.setattr("dlss.inequalities._evaluate", recorded)
+        order = 1 if spec.kind is QuotientKind.CONVEX_SOBOLEV else spec.n
+
+        def exit_of(grid, seed):
+            values.clear()
+            res = dlss.minimize_quotient(spec, _initial_guess(spec, grid, seed))
+            ghat = _evaluate(spec, res.minimizer.values, grid)[3]
+            damping = _preconditioner(grid.n_points, order)
+            assert res.residual == float(np.abs(np.fft.irfft(damping * ghat, grid.n_points)).max())
+            q, accepted = values[0], 0
+            for value in values[1:]:
+                if value < q:
+                    q, accepted = value, accepted + 1
+            if not res.converged:
+                return "budget"
+            return "dq <= floor" if accepted == res.iterations else "no acceptance"
+
+        grids = [dlss.make_grid(TWO_PI, n_points) for n_points in (16, 32, 64)]
+        exits = {exit_of(grid, seed) for grid in grids for seed in range(10)}
+        assert exits == {"dq <= floor", "no acceptance"}
+        monkeypatch.setattr("dlss.inequalities._MAX_ITERS", 2)
+        assert {exit_of(grids[1], seed) for seed in range(3)} == {"budget"}
+
 
 class TestQuotientGradient:
     @pytest.mark.parametrize("spec", ALL_KINDS, ids=spec_id)
@@ -347,7 +388,7 @@ class TestQuotientGradient:
         # Poincare), in directions with a mean, so every term of the
         # gradient shows
         u = _initial_guess(spec, grid64, seed=2).values + 0.25
-        grad = np.fft.irfft(_gradient(spec, u, grid64, _evaluate(spec, u, grid64)), n=64)
+        grad = np.fft.irfft(_evaluate(spec, u, grid64)[3], n=64)
         # truncation error ~eps^2 against rounding amplified by the
         # difference quotient
         eps = 1e-4
