@@ -29,12 +29,26 @@ levels, so the step after it starts at y_k, as the first step, the retry
 and halving paths and ``step`` do.  Records read e^y, y and D2 y from
 the accepted level, so they take no logarithm of u, no exponential and no
 derivative.  Every accepted iterate passes the same residual tolerance.
+
+On the spectral backend ``solve`` runs each step on the coarsest halving
+of the requested grid that the grid rule admits (derived above
+``_tail_weights``).  The rule reads the rffts of y and of D2 (e^y D2 y)
+that each evaluation keeps, at t = 0 and after every accepted step; the
+run halves when a coarser grid passes and doubles when its own grid
+fails.  A switch truncates or zero-pads the spectrum of y and is handled
+as a retry is: the chord LU is refreshed and the older levels are
+dropped.  Records are sums on the grid the step ran on, except min_u,
+which is taken at the requested nodes, where final_y is returned.  fd2
+and fd4 runs, ``step``, ``residual`` and ``jacobian`` stay on the grid
+they are given.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,8 +62,11 @@ from .grid import (
     SPECTRAL,
     _derivative,
     _fd_taps,
+    _irfft,
     _lattice_steps,
+    _rfft,
     _shifted,
+    _spectrum_derivative,
     diff_matrix,
 )
 from .linalg import CyclicBandedLU, DenseLU
@@ -89,16 +106,19 @@ class SolverConfig:
 
     ``newton_tol`` bounds the sup norm of the residual F.  Evaluating F in
     double precision has a noise floor of roughly eps * (pi N / L)^4 *
-    |u''| because high-mode rounding debris passes through two second
-    derivatives: about 1e-11 at N = 64 and 3e-9 at N = 256 on the unit
-    circle scale.  Tolerances below that floor cannot converge, and the
-    default 1e-8 already sits near it at N = 256: five steps of tau = 1e-4
-    from 1 + a cos x on L = 2 pi converge at a = 0.1 but raise
-    ``NoConvergence`` at a = 0.5 and 0.9, where the residual stalls at
-    1.7e-8 and 5.7e-8 (ROADMAP.md, item 2, has the table).  Line-search
-    backtracks always halve the Newton step.  ``tau`` and ``newton_tol``
-    must be positive and finite; a rejected value raises
-    ``ValidationError`` naming the field.
+    |u''| on the N points the steps run on, because high-mode rounding
+    debris passes through two second derivatives: about 1e-11 at N = 64
+    and 3e-9 at N = 256 on the unit circle scale.  Tolerances below that
+    floor cannot converge.  A spectral ``solve`` steps on the coarsest
+    grid that resolves y, so the default 1e-8 meets that grid's floor:
+    five steps of tau = 1e-4 from 1 + a cos x on L = 2 pi converge at
+    a = 0.1 and 0.5 up to N = 1024, on 64 and 128 points.  At a = 0.9, y
+    needs 256 points or more at t = 0, and the residual stalls at 5.7e-8
+    (N = 256) or 1.1e-6 and above (N >= 512), raising ``NoConvergence``.
+    fd2, fd4 and ``step`` keep the full grid and its floor (ROADMAP.md,
+    item 2, has the table).  Line-search backtracks always halve the
+    Newton step.  ``tau`` and ``newton_tol`` must be positive and finite;
+    a rejected value raises ``ValidationError`` naming the field.
     """
 
     tau: float
@@ -160,26 +180,34 @@ def residual(y: Field, y_prev: Field, config: SolverConfig) -> Field:
 
 
 class _Level:
-    """One iterate y with e^y, F(y), D2 y and |F(y)|_inf, all from one
-    residual evaluation; Newton, the next step's start and the records
-    read them."""
+    """One iterate y with e^y, F(y), D2 y, |F(y)|_inf and, on the spectral
+    backend, ``spectra``: the rfft of y and that of D2 (e^y D2 y), all from
+    one residual evaluation; Newton, the next step's start, the grid rule
+    and the records read them."""
 
-    __slots__ = ("y", "ey", "r", "d2y", "rnorm")
+    __slots__ = ("y", "ey", "r", "d2y", "spectra", "rnorm")
 
-    def __init__(self, y: Array, ey: Array, r: Array, d2y: Array):
-        self.y, self.ey, self.r, self.d2y = y, ey, r, d2y
+    def __init__(self, y: Array, ey: Array, r: Array, d2y: Array, spectra: Array | None):
+        self.y, self.ey, self.r, self.d2y, self.spectra = y, ey, r, d2y, spectra
         self.rnorm = float(np.maximum.reduce(np.abs(r)))
 
 
 def _evaluate(y: Array, ey_prev: Array, grid: PeriodicGrid, config: SolverConfig) -> _Level:
-    """The level at y of the step from the level whose e^y is ey_prev; both
-    second derivatives transform into one spectrum buffer."""
+    """The level at y of the step from the level whose e^y is ey_prev.  A
+    spectral level keeps the rfft of y in the first row of its spectrum
+    buffer; both derivatives differentiate in the second, which ends as
+    the rfft of D2 (e^y D2 y)."""
     ey = np.exp(y)
-    spectrum = np.empty(grid.n_points // 2 + 1, dtype=complex)
-    d2y = _derivative(grid, y, 2, config.backend, spectrum)
-    r = _derivative(grid, ey * d2y, 2, config.backend, spectrum)
+    spectrum = np.empty((2, grid.n_points // 2 + 1), dtype=complex)
+    if config.backend.order == 0:
+        spectrum[1] = _rfft(y, out=spectrum[0])
+        d2y = _spectrum_derivative(grid, spectrum[1], 2)
+        spectra = spectrum
+    else:
+        spectra, d2y = None, _derivative(grid, y, 2, config.backend)
+    r = _derivative(grid, ey * d2y, 2, config.backend, spectrum[1])
     r += (ey - ey_prev) / config.tau
-    return _Level(y, ey, r, d2y)
+    return _Level(y, ey, r, d2y, spectra)
 
 
 def jacobian(y: Field, config: SolverConfig) -> Array:
@@ -355,10 +383,129 @@ def _advance(
         return level, total, False
 
 
-def _record(t: float, level: _Level, iters: int, grid: PeriodicGrid) -> TimeSeriesRecord:
+# Which grid a spectral solve needs, derived; nothing in it is tuned.  The
+# grid must hold the level the next step produces, not only the accepted
+# one: a step from a y of few modes fills its result with the harmonics of
+# e^y D2 y.  So the rule reads z, the accepted y advanced by one step
+# linearised about e^ybar, ybar the mean of y: z_hat = y_hat - F_hat /
+# (e^ybar (1/tau + kappa^4 k^4)), kappa = 2 pi / L, where F = D2 (e^y D2 y)
+# is the residual F(y; y) that the next step starts from.  On an m-point
+# grid write z = zbar + sum_k a_k cos(kappa k x + phi_k), a_k = 2 |z_hat_k|
+# / m (|z_hat_k| / m at the Nyquist mode); by Parseval such a sum has mean
+# square sum a_k^2 / 2 over the nodes (a_k^2 at the Nyquist mode).  A grid
+# of p points, m itself or an even halving of it, resolves the level when
+# the tail t of z, its modes from p/4 up, is negligible in one of two
+# senses:
+# - To the step.  Linearised, t moves the residual by J t, and the symbol
+#   of J at mode k is e^y (1/tau + kappa^4 k^4) to leading order in 1/k, so
+#   J t has mean square at most u_max^2 sum (1/tau + kappa^4 k^4)^2 a_k^2 / 2,
+#   u_max = max e^y.  A residual that Newton accepts, |F|_inf <= newton_tol,
+#   may have mean square up to newton_tol^2.  Where that of J t is no
+#   larger, t moves F by no more than Newton already leaves in it: the step
+#   does not determine y more finely than that.
+# - To the number format.  A node of y = log u is known only to within
+#   r (1 + |y|), r = 2^-53 the unit roundoff: rounding u to a double moves
+#   log u by up to r, and rounding y by up to r |y|.  Over the nodes these
+#   two roundings have mean square at most (r (1 + |y|_rms))^2 (Minkowski),
+#   and |z|_rms^2 = zbar^2 + sum a_k^2 / 2 stands in for |y|_rms^2.  Where
+#   the mean square of t is no larger, t is within what they may make it.
+#   Every computed y carries such a plateau (about 1e-17 per mode for
+#   log u0).  The linearised step removes only the share of it that e^ybar
+#   carries, and pushed through kappa^4 k^4 the rest exceeds newton_tol at
+#   N = 512 or 1024 for 1 + a cos x, so the first sense alone would keep
+#   those grids at t = 0.
+# The coarse grid drops the modes from p/2 up.  It also needs the band
+# [p/4, p/2) negligible, so that the part of the flux e^y D2 y quadratic in
+# y - ybar, which spans twice the band of y, forms on p points with no
+# aliasing (the half rule for quadratic products); what aliases is of cubic
+# order in modes above p/8.  Each step on a grid puts into y what its
+# accepted residual leaves, J^-1 F, which is within the first bound again,
+# and one more rounding, within the second.  So the grid a step ran on
+# keeps resolving the level while the tail of z is within twice either
+# bound: once what the halving admitted, once what the step left.  Only
+# more than that, put there by the flow, doubles the grid; without the
+# margin the accepted residual alone flips the size from step to step.  The sums are read from
+# the two spectra that _evaluate keeps, so the rule costs no transform.
+# They grow as p falls, so the step runs on the coarsest halving admitted.
+_ROUNDOFF = 0.5 * np.finfo(float).eps
+
+
+@lru_cache(maxsize=None)
+def _tail_weights(m: int, length: float, tau: float) -> tuple[tuple[int, ...], Array, Array]:
+    """(sizes, weights, inverse) for an m-point grid: the sizes p = m, m/2,
+    ... of the rule above, each an even halving >= 8 of the one before;
+    read-only weights on the float view of the rfft of z, squared, that
+    give the mean squares of the rule: one row per size with sum (1/tau +
+    kappa^4 k^4)^2 a_k^2 / 2 from p/4 up, one per size with sum a_k^2 / 2
+    from p/4 up, and a last row with |z|_rms^2; and the read-only
+    1 / (1/tau + kappa^4 k^4) of each mode.  The rows of m itself are
+    quartered: the grid a step ran on is measured against twice each
+    bound."""
+    sizes = [m]
+    # every grid even, as make_grid asks, so that each has a Nyquist mode
+    while sizes[-1] % 4 == 0 and sizes[-1] // 2 >= 8:
+        sizes.append(sizes[-1] // 2)
+    modes = np.arange(m // 2 + 1)
+    mean_square = np.full(m // 2 + 1, 2.0 / (m * m))
+    mean_square[0] = mean_square[-1] = 1.0 / (m * m)
+    symbol = 1.0 / tau + ((2.0 * np.pi / length) * modes) ** 4
+    # p >= 8 keeps mode 0 out of every tail
+    tail = modes >= np.array([p // 4 for p in sizes])[:, None]
+    tail = tail * np.array([0.25] + [1.0] * (len(sizes) - 1))[:, None]
+    rows = np.vstack([tail * (mean_square * symbol * symbol), tail * mean_square, mean_square])
+    weights = np.repeat(rows, 2, axis=1)
+    inverse = 1.0 / symbol
+    weights.setflags(write=False)
+    inverse.setflags(write=False)
+    return tuple(sizes), weights, inverse
+
+
+def _resolving_size(level: _Level, m: int, n: int, length: float, config: SolverConfig) -> int:
+    """Points of the grid the next step runs on, by the rule above: the
+    coarsest size of _tail_weights that resolves ``level``, or 2m (n at
+    most) when m itself does not."""
+    sizes, weights, inverse = _tail_weights(m, length, config.tau)
+    y_hat, f_hat = level.spectra
+    flat = (y_hat - f_hat * (inverse / math.exp(y_hat[0].real / m))).view(float)
+    *tails, z_square = (weights @ (flat * flat)).tolist()
+    step_bound = (config.newton_tol / float(np.maximum.reduce(level.ey))) ** 2
+    round_bound = (_ROUNDOFF * (1.0 + math.sqrt(z_square))) ** 2
+    # both sums grow from one size to the next, so the sizes that pass lead
+    size = min(2 * m, n)
+    for p, step, rounding in zip(sizes, tails, tails[len(sizes) :]):
+        if step > step_bound and rounding > round_bound:
+            break
+        size = p
+    return size
+
+
+@lru_cache(maxsize=None)
+def _resample_weights(m: int, size: int) -> Array:
+    """Read-only size/m on the rfft modes that an m-point spectrum keeps on
+    a size-point grid: the m-point Nyquist mode is split between +-m/2
+    (halved) when size > m, the size-point one dropped when size < m."""
+    weights = np.full(min(m, size) // 2 + 1, size / m)  # a power of two: exact
+    weights[-1] = 0.5 * weights[-1] if size > m else 0.0
+    weights.setflags(write=False)
+    return weights
+
+
+def _resample(y_hat: Array, m: int, size: int) -> Array:
+    """At the nodes of a size-point grid, size = m 2^j with j != 0, the
+    trigonometric interpolant of the m-point values whose rfft is
+    ``y_hat``, without its modes from size/2 up when size < m; the inverse
+    transform pads the spectrum with zeros."""
+    weights = _resample_weights(m, size)
+    return _irfft(y_hat[: weights.size] * weights, size)
+
+
+def _record(t: float, level: _Level, iters: int, grid: PeriodicGrid, n: int) -> TimeSeriesRecord:
     """Monitored quantities of an accepted level, read from its arrays:
-    y = log u, so neither the entropy nor lyap takes a logarithm of u."""
+    y = log u, so neither the entropy nor lyap takes a logarithm of u.  On
+    a grid coarser than the requested n points, min_u is the minimum of
+    e^y at the n nodes."""
     h, ey, y = grid.spacing, level.ey, level.y
+    ey_n = ey if grid.n_points == n else np.exp(_resample(level.spectra[0], grid.n_points, n))
     mass = float(h * np.add.reduce(ey))
     log_u_bar = np.log(mass / grid.length)
     # positional, in field order: t, mass, entropy_rel, lyap, production,
@@ -369,7 +516,7 @@ def _record(t: float, level: _Level, iters: int, grid: PeriodicGrid) -> TimeSeri
         float(h * np.add.reduce(ey * (y - log_u_bar))),
         float(h * np.add.reduce(ey - y)),
         float(h * np.add.reduce(ey * level.d2y * level.d2y)),
-        float(np.minimum.reduce(ey)),
+        float(np.minimum.reduce(ey_n)),
         iters,
     )
 
@@ -401,29 +548,43 @@ def solve(
     clamp = 1e-12 * u0_vals.max()
     clamped_nodes = int(np.count_nonzero(u0_vals < clamp))
     y = np.log(np.maximum(u0_vals, clamp))
-    level = _evaluate(y, np.exp(y), grid, config)
-    records = [_record(0.0, level, 0, grid)]
+    n = grid.n_points
+    # the grid the steps run on; only spectral runs leave the requested one
+    coarse = grid
+    level = _evaluate(y, np.exp(y), coarse, config)
+    records = [_record(0.0, level, 0, coarse, n)]
 
     workspace = _NewtonWorkspace()
     # the two accepted levels before ``level``; None while no clean step
     # links them to it, and then level.r is F(y_k; y_k)
     old = older = None
     for k in range(1, n_steps + 1):
+        if config.backend.order == 0:
+            size = _resolving_size(level, coarse.n_points, n, grid.length, config)
+            if size != coarse.n_points:
+                # a switch is handled as a retry is: F(y_k; y_k) on the new
+                # grid, no older levels and a fresh factor
+                y = _resample(level.spectra[0], coarse.n_points, size)
+                coarse = PeriodicGrid(grid.length, size)
+                level = _evaluate(y, np.exp(y), coarse, config)
+                older = old = None
+                workspace.invalidate()
         start = level
         if old is not None:
             # F(y_k; y_k) from the accepted F(y_k; y_{k-1}), FFT-free
             start = _Level(
-                level.y, level.ey, level.r - (level.ey - old.ey) / config.tau, level.d2y
+                level.y, level.ey, level.r - (level.ey - old.ey) / config.tau,
+                level.d2y, level.spectra,
             )
             if older is None:
                 y_pred = 2.0 * level.y - old.y
             else:
                 y_pred = 3.0 * (level.y - old.y) + older.y
-            pred = _evaluate(y_pred, level.ey, grid, config)
+            pred = _evaluate(y_pred, level.ey, coarse, config)
             if pred.rnorm < start.rnorm:
                 start = pred
         new, iters, clean = _advance(
-            level, start, grid, config, workspace, depth=0, step_index=k
+            level, start, coarse, config, workspace, depth=0, step_index=k
         )
         if clean:
             older, old, level = old, level, new
@@ -431,15 +592,16 @@ def solve(
             # a retry or a halving drops the older levels; the next step
             # starts at F(y_k; y_k)
             older = old = None
-            level = _evaluate(new.y, new.ey, grid, config)
+            level = _evaluate(new.y, new.ey, coarse, config)
         if k % record_every == 0 or k == n_steps:
-            records.append(_record(k * config.tau, level, iters, grid))
+            records.append(_record(k * config.tau, level, iters, coarse, n))
 
+    final_y = level.y if coarse.n_points == n else _resample(level.spectra[0], coarse.n_points, n)
     return Trajectory(
         grid=grid,
         config=config,
         records=tuple(records),
-        final_y=Field(grid, level.y, FieldKind.LOG_DENSITY),
+        final_y=Field(grid, final_y, FieldKind.LOG_DENSITY),
         clamped_nodes=clamped_nodes,
     )
 

@@ -80,6 +80,20 @@ class TestSolve:
         assert code == 0, err
         assert json.loads(out)["n_records"] == 3
 
+    @pytest.mark.parametrize("n_points", [512, 1024])
+    @pytest.mark.parametrize("amplitude", [0.1, 0.5])
+    def test_omitted_newton_tol_converges_above_n256(self, tmp_path, capsys, n_points, amplitude):
+        # five steps from 1 + a cos x; on all N points the residual stalled
+        # above newton_tol = 1e-8, the coarse grid the steps run on is below
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"command = solve\nL = {TWO_PI!r}\nN = {n_points}\nT = 0.0005\ntau = 1e-4\n"
+            f"u0_amplitude = {amplitude}\n"
+        )
+        code, out, err = run_cli(capsys, ["solve", "--config", str(config)])
+        assert code == 0, err
+        assert json.loads(out)["n_records"] == 6
+
     @pytest.mark.parametrize("kind", ["file", "constant", "cosine"])
     def test_datum_below_floor_is_usage_error(self, tmp_path, capsys, kind):
         # 1e-310 and 1e-301 are positive but below the positivity floor: the

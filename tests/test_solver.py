@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,16 @@ from conftest import cyclic_dense
 
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind, LinearSolver, SolverConfig
-from dlss.solver import _MAX_NEWTON, TimeSeriesRecord, Trajectory, jacobian, residual
+from dlss.solver import (
+    _MAX_NEWTON,
+    TimeSeriesRecord,
+    Trajectory,
+    _Level,
+    _resample,
+    _resolving_size,
+    jacobian,
+    residual,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -280,7 +289,8 @@ class TestSolve:
     def test_floor_noise_does_not_refresh_jacobian(self, grid256, monkeypatch):
         # at N = 256 the iteration that meets newton_tol lands on the
         # residual floor, so its contraction ratio is noise; refreshing on
-        # it cost 23 to 26 Jacobians here, depending on the BLAS threads
+        # it cost 23 to 26 Jacobians here, depending on the BLAS threads.
+        # The steps stay on all 256 points, where that floor is.
         assembled = []
 
         def counting(y, config):
@@ -288,6 +298,7 @@ class TestSolve:
             return jacobian(y, config)
 
         monkeypatch.setattr("dlss.solver.jacobian", counting)
+        monkeypatch.setattr("dlss.solver._resolving_size", full_grid)
         dlss.solve(cosine_density(grid256), 0.03, SolverConfig(tau=1e-4))
         assert len(assembled) <= 3
 
@@ -359,6 +370,207 @@ class TestSolve:
         tb = dlss.solve(cosine_density(grid128, 0.2), 0.05, banded)
         diff = np.abs(ta.final_y.values - tb.final_y.values).max()
         assert diff < 1e-7
+
+
+def spy_grid_rule(monkeypatch, rule=_resolving_size):
+    """Route the grid rule of solve through ``rule`` and return the list of
+    (m, size) that its calls append: the grid a step ran on and the one
+    the next step runs on."""
+    calls = []
+
+    def spy(level, m, n, length, config):
+        size = rule(level, m, n, length, config)
+        calls.append((m, size))
+        return size
+
+    monkeypatch.setattr("dlss.solver._resolving_size", spy)
+    return calls
+
+
+def full_grid(level, m, n, length, config):
+    """A grid rule that admits no halving."""
+    return m
+
+
+def coarse_gap_bound(n_steps, config, u_min):
+    """How far a coarse solve and its full-grid oracle may drift apart in a
+    record or in u, relative to the largest value of that column.  Each
+    step of either run accepts |F| <= newton_tol on its nodes, and a switch
+    moves F by at most newton_tol more (the grid rule), so the levels they
+    accept differ by J^-1 of at most 2 newton_tol.  J is at least u_min
+    (1/tau + k^4) mode by mode, which takes that to at most 2 tau
+    newton_tol / u_min in y and, through the k^2 of D2 (k^2 tau / (1 +
+    tau k^4) <= sqrt(tau) / 2), sqrt(tau) newton_tol / u_min in D2 y, the
+    highest derivative a record reads.  Summed over the steps, with no
+    credit for the decay:"""
+    return n_steps * math.sqrt(config.tau) * config.newton_tol / u_min
+
+
+def crafted_level(m, modes, flux=None):
+    """A level on m points whose y = sum c cos(k x) over ``modes`` {k: c}
+    and whose D2 (e^y D2 y) is the same sum over ``flux`` (none when
+    None), built from the two spectra, which with e^y are all the grid
+    rule reads."""
+    spectra = np.zeros((2, m // 2 + 1), dtype=complex)
+    for row, terms in enumerate((modes, flux or {})):
+        for k, c in terms.items():
+            spectra[row, k] = c * m / (1 if k == m // 2 else 2)
+    y = np.fft.irfft(spectra[0], m)
+    return _Level(y, np.exp(y), y, y, spectra)
+
+
+COARSE_DATA = {
+    **{
+        f"decay-{seed}": lambda grid, seed=seed: 1.0 + 0.1 * np.cos(grid.nodes)
+        + dlss.random_smooth_field(grid, 4, seed, amplitude=0.01).values
+        for seed in (1, 2, 3)
+    },
+    "cos-0.1": lambda grid: 1.0 + 0.1 * np.cos(grid.nodes),
+    "cos-0.5": lambda grid: 1.0 + 0.5 * np.cos(grid.nodes),
+    # y of six modes: its first step fills modes far above them
+    "log-density": lambda grid: dlss.random_log_density(grid, 6, 5, amplitude=0.3).values,
+}
+
+
+class TestCoarseGrid:
+    """Spectral solves step on the coarsest halving of the grid that the
+    grid rule admits."""
+
+    CONFIG = SolverConfig(tau=1e-4)
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    @pytest.mark.parametrize("datum", sorted(COARSE_DATA))
+    def test_matches_full_grid_oracle(self, monkeypatch, n_points, datum):
+        grid = dlss.make_grid(TWO_PI, n_points)
+        u0 = Field(grid, COARSE_DATA[datum](grid), FieldKind.DENSITY)
+        calls = spy_grid_rule(monkeypatch)
+        coarse = dlss.solve(u0, 0.1, self.CONFIG)
+        switches = sum(m != size for m, size in calls)
+        monkeypatch.setattr("dlss.solver._resolving_size", full_grid)
+        if (n_points, datum) == (256, "cos-0.5"):
+            # the full grid is a stalled cell of the Newton residual floor;
+            # the coarse solve runs on 128 points from t = 0 and converges
+            assert calls[0] == (256, 128)
+            with pytest.raises(dlss.NoConvergence):
+                dlss.solve(u0, 0.1, self.CONFIG)
+            return
+        oracle = dlss.solve(u0, 0.1, self.CONFIG)
+        if (n_points, datum) in {(64, "cos-0.5"), (64, "log-density")}:
+            # y keeps modes from 8 up above both bounds all run long
+            assert switches == 0
+            assert coarse.records == oracle.records
+            return
+        assert switches >= 1
+        assert coarse.final_y.grid == grid
+        u_min = min(r.min_u for r in oracle.records)
+        bound = coarse_gap_bound(len(oracle.records) - 1, self.CONFIG, u_min)
+        columns = np.array([r[1:6] for r in map(astuple, coarse.records)])
+        reference = np.array([r[1:6] for r in map(astuple, oracle.records)])
+        gap = np.abs(columns - reference).max(axis=0)
+        assert (gap <= bound * np.abs(reference).max(axis=0)).all()
+        u_coarse, u_oracle = np.exp(coarse.final_y.values), np.exp(oracle.final_y.values)
+        assert np.abs(u_coarse - u_oracle).max() <= bound * u_oracle.max()
+
+    def test_min_u_is_taken_on_the_requested_nodes(self, grid256, monkeypatch):
+        # a run to k tau retraces level k bit for bit, and its final_y is
+        # that level on the 256 requested nodes; the minimum over the nodes
+        # of the grid the step ran on is larger
+        u0 = Field(grid256, COARSE_DATA["decay-1"](grid256), FieldKind.DENSITY)
+        calls = spy_grid_rule(monkeypatch)
+        traj = dlss.solve(u0, 0.06, self.CONFIG)
+        for k in (1, 100, 600):
+            run = dlss.solve(u0, k * self.CONFIG.tau, self.CONFIG)
+            assert run.final_y.grid == grid256
+            u = np.exp(run.final_y.values)
+            step_grid = calls[k - 1][1]
+            assert step_grid < 256
+            assert traj.records[k].min_u == u.min()
+            assert traj.records[k].min_u < u[:: 256 // step_grid].min()
+
+    @pytest.mark.parametrize(
+        "m,n,modes,tol,size",
+        [
+            # nothing above mode 1: the coarsest grid
+            (64, 256, {1: 0.1}, 1e-8, 8),
+            # mode 12 is in the top band of 32 points, not of 64
+            (64, 256, {1: 0.1, 12: 1e-6}, 1e-8, 64),
+            # mode 20 is in the top band of 64 points: double, up to n
+            (64, 256, {1: 0.1, 20: 1e-6}, 1e-8, 128),
+            (64, 64, {1: 0.1, 20: 1e-6}, 1e-8, 64),
+            # every grid is even: 200 points halve to 100 and 50, not 25
+            (200, 200, {1: 0.1}, 1e-8, 50),
+            # the step sense alone: mode 12 through the symbol is below 1e-6
+            (64, 256, {1: 0.1, 12: 1e-11}, 1e-6, 8),
+            (64, 256, {1: 0.1, 12: 1e-11}, 1e-8, 64),
+            # the rounding sense alone: through the symbol mode 400 is far
+            # above newton_tol, its mean square below the roundoff
+            (1024, 1024, {1: 0.1, 400: 5e-17}, 1e-8, 8),
+            (1024, 1024, {1: 0.1, 400: 1e-15}, 1e-8, 1024),
+        ],
+    )
+    def test_rule_on_crafted_spectra(self, m, n, modes, tol, size):
+        config = SolverConfig(tau=1e-4, newton_tol=tol)
+        assert _resolving_size(crafted_level(m, modes), m, n, TWO_PI, config) == size
+
+    @pytest.mark.parametrize("flux,size", [({12: 1e-3}, 64), ({20: 1e-3}, 128), ({12: 1e-12}, 8)])
+    def test_rule_reads_the_level_the_step_will_make(self, flux, size):
+        # y has one mode, but a step would put F / (1/tau + k^4), about
+        # 3e-8 at mode 12 or 6e-9 at mode 20, into the next level
+        config = SolverConfig(tau=1e-4)
+        level = crafted_level(64, {1: 0.1}, flux)
+        assert _resolving_size(level, 64, 256, TWO_PI, config) == size
+
+    def test_resample_pads_and_truncates_the_spectrum(self):
+        eps = np.finfo(float).eps
+        y = crafted_level(32, {1: 0.1, 3: 0.02, 16: 1e-3}).y
+        y_hat = np.fft.rfft(y)
+        # doubling: the interpolant, its Nyquist mode split between +-16
+        fine = _resample(y_hat, 32, 64)
+        assert np.abs(fine[::2] - y).max() <= 4 * eps
+        padded = np.zeros(33, dtype=complex)
+        padded[:16] = 2.0 * y_hat[:16]
+        padded[16] = y_hat[16]
+        assert np.abs(np.fft.rfft(fine) - padded).max() <= 64 * eps
+        # halving: the modes from 16 up dropped
+        kept = y_hat.copy()
+        kept[16] = 0.0
+        coarse = _resample(np.fft.rfft(fine), 64, 32)
+        assert np.abs(coarse - np.fft.irfft(kept, 32)).max() <= 4 * eps
+
+    def test_run_doubles_when_its_grid_stops_resolving(self, grid128, monkeypatch):
+        # no datum fills the top band of a coarse grid, since the flow only
+        # smooths; here the rule reports one level unresolved
+        def unresolved_once(level, m, n, length, config):
+            return min(2 * m, n) if len(calls) == 300 else _resolving_size(level, m, n, length, config)
+
+        calls = spy_grid_rule(monkeypatch, unresolved_once)
+        u0 = cosine_density(grid128)
+        coarse = dlss.solve(u0, 0.05, self.CONFIG)
+        assert calls[300] == (32, 64)
+        assert calls[301][0] == 64
+        monkeypatch.setattr("dlss.solver._resolving_size", full_grid)
+        oracle = dlss.solve(u0, 0.05, self.CONFIG)
+        bound = coarse_gap_bound(500, self.CONFIG, min(r.min_u for r in oracle.records))
+        u_coarse, u_oracle = np.exp(coarse.final_y.values), np.exp(oracle.final_y.values)
+        assert np.abs(u_coarse - u_oracle).max() <= bound * u_oracle.max()
+
+    @pytest.mark.parametrize("backend", [FD2, FD4], ids=["fd2", "fd4"])
+    def test_finite_differences_never_call_the_rule(self, grid64, monkeypatch, backend):
+        def forbidden(*args):
+            raise AssertionError("finite differences stay on their grid")
+
+        monkeypatch.setattr("dlss.solver._resolving_size", forbidden)
+        traj = dlss.solve(cosine_density(grid64), 0.01, SolverConfig(tau=1e-3, backend=backend))
+        assert len(traj.records) == 11
+
+    @pytest.mark.parametrize("n_points", [512, 1024])
+    @pytest.mark.parametrize("amplitude", [0.1, 0.5])
+    def test_stalled_full_grid_cells_converge(self, n_points, amplitude):
+        # on the full grid these raised NoConvergence at the residual floor
+        grid = dlss.make_grid(TWO_PI, n_points)
+        traj = dlss.solve(cosine_density(grid, amplitude), 5e-4, SolverConfig(tau=1e-4))
+        assert len(traj.records) == 6
+        assert dlss.lyapunov_check(traj)
 
 
 class TestLyapunovCheck:
