@@ -32,15 +32,17 @@ derivative.  Every accepted iterate passes the same residual tolerance.
 
 On the spectral backend ``solve`` runs each step on the coarsest halving
 of the requested grid that the grid rule admits (derived above
-``_tail_weights``).  The rule reads the rffts of y and of D2 (e^y D2 y)
-that each evaluation keeps, at t = 0 and after every accepted step; the
-run halves when a coarser grid passes and doubles when its own grid
-fails.  A switch truncates or zero-pads the spectrum of y and is handled
-as a retry is: the chord LU is refreshed and the older levels are
-dropped.  Records are sums on the grid the step ran on, except min_u,
-which is taken at the requested nodes, where final_y is returned.  fd2
-and fd4 runs, ``step``, ``residual`` and ``jacobian`` stay on the grid
-they are given.
+``_tail_weights``).  The rule reads the rfft of D2 (e^y D2 y) that each
+evaluation keeps and the rfft of y, which the records of a coarse grid
+share.  It is read at t = 0, after every accepted step on a coarser grid
+and before steps 2, 4, 8, ... on the requested one, where it can only
+halve; the run halves when a coarser grid passes and doubles when its
+own grid fails.  A switch truncates or zero-pads the spectrum of y and
+is handled as a retry is: the chord LU is refreshed and the older levels
+are dropped.  Records are sums on the grid the step ran on, except
+min_u, which is taken at the requested nodes, where final_y is
+returned.  fd2 and fd4 runs, ``step``, ``residual`` and ``jacobian``
+stay on the grid they are given.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from .grid import (
     _lattice_steps,
     _rfft,
     _shifted,
-    _spectrum_derivative,
     diff_matrix,
 )
 from .linalg import CyclicBandedLU, DenseLU
@@ -181,33 +182,38 @@ def residual(y: Field, y_prev: Field, config: SolverConfig) -> Field:
 
 class _Level:
     """One iterate y with e^y, F(y), D2 y, |F(y)|_inf and, on the spectral
-    backend, ``spectra``: the rfft of y and that of D2 (e^y D2 y), all from
-    one residual evaluation; Newton, the next step's start, the grid rule
-    and the records read them."""
+    backend, ``spectrum``, the rfft of D2 (e^y D2 y), all from one residual
+    evaluation; Newton, the next step's start, the grid rule and the
+    records read them.  ``y_hat`` holds the rfft of y once ``_y_hat`` has
+    taken it."""
 
-    __slots__ = ("y", "ey", "r", "d2y", "spectra", "rnorm")
+    __slots__ = ("y", "ey", "r", "d2y", "spectrum", "y_hat", "rnorm")
 
-    def __init__(self, y: Array, ey: Array, r: Array, d2y: Array, spectra: Array | None):
-        self.y, self.ey, self.r, self.d2y, self.spectra = y, ey, r, d2y, spectra
+    def __init__(self, y: Array, ey: Array, r: Array, d2y: Array, spectrum: Array | None):
+        self.y, self.ey, self.r, self.d2y, self.spectrum = y, ey, r, d2y, spectrum
+        self.y_hat = None
         self.rnorm = float(np.maximum.reduce(np.abs(r)))
 
 
+def _y_hat(level: _Level) -> Array:
+    """The rfft of level.y, taken once: on a coarse grid the record of a
+    level and the grid rule before the next step both read it."""
+    if level.y_hat is None:
+        level.y_hat = _rfft(level.y)
+    return level.y_hat
+
+
 def _evaluate(y: Array, ey_prev: Array, grid: PeriodicGrid, config: SolverConfig) -> _Level:
-    """The level at y of the step from the level whose e^y is ey_prev.  A
-    spectral level keeps the rfft of y in the first row of its spectrum
-    buffer; both derivatives differentiate in the second, which ends as
-    the rfft of D2 (e^y D2 y)."""
+    """The level at y of the step from the level whose e^y is ey_prev; both
+    spectral derivatives transform into one spectrum buffer, which the
+    level keeps as the rfft of D2 (e^y D2 y)."""
     ey = np.exp(y)
-    spectrum = np.empty((2, grid.n_points // 2 + 1), dtype=complex)
-    if config.backend.order == 0:
-        spectrum[1] = _rfft(y, out=spectrum[0])
-        d2y = _spectrum_derivative(grid, spectrum[1], 2)
-        spectra = spectrum
-    else:
-        spectra, d2y = None, _derivative(grid, y, 2, config.backend)
-    r = _derivative(grid, ey * d2y, 2, config.backend, spectrum[1])
+    spectral = config.backend.order == 0
+    spectrum = np.empty(grid.n_points // 2 + 1, dtype=complex) if spectral else None
+    d2y = _derivative(grid, y, 2, config.backend, spectrum)
+    r = _derivative(grid, ey * d2y, 2, config.backend, spectrum)
     r += (ey - ey_prev) / config.tau
-    return _Level(y, ey, r, d2y, spectra)
+    return _Level(y, ey, r, d2y, spectrum)
 
 
 def jacobian(y: Field, config: SolverConfig) -> Array:
@@ -424,9 +430,10 @@ def _advance(
 # keeps resolving the level while the tail of z is within twice either
 # bound: once what the halving admitted, once what the step left.  Only
 # more than that, put there by the flow, doubles the grid; without the
-# margin the accepted residual alone flips the size from step to step.  The sums are read from
-# the two spectra that _evaluate keeps, so the rule costs no transform.
-# They grow as p falls, so the step runs on the coarsest halving admitted.
+# margin the accepted residual alone flips the size from step to step.
+# The rule reads y_hat, which a record may have taken, and F_hat from the
+# level; the sums grow as p falls, so the step runs on the coarsest
+# halving admitted.
 _ROUNDOFF = 0.5 * np.finfo(float).eps
 
 
@@ -438,9 +445,9 @@ def _tail_weights(m: int, length: float, tau: float) -> tuple[tuple[int, ...], A
     give the mean squares of the rule: one row per size with sum (1/tau +
     kappa^4 k^4)^2 a_k^2 / 2 from p/4 up, one per size with sum a_k^2 / 2
     from p/4 up, and a last row with |z|_rms^2; and the read-only
-    1 / (1/tau + kappa^4 k^4) of each mode.  The rows of m itself are
-    quartered: the grid a step ran on is measured against twice each
-    bound."""
+    1 / (1/tau + kappa^4 k^4) of each mode, also on the float view.  The
+    rows of m itself are quartered: the grid a step ran on is measured
+    against twice each bound."""
     sizes = [m]
     # every grid even, as make_grid asks, so that each has a Nyquist mode
     while sizes[-1] % 4 == 0 and sizes[-1] // 2 >= 8:
@@ -454,7 +461,7 @@ def _tail_weights(m: int, length: float, tau: float) -> tuple[tuple[int, ...], A
     tail = tail * np.array([0.25] + [1.0] * (len(sizes) - 1))[:, None]
     rows = np.vstack([tail * (mean_square * symbol * symbol), tail * mean_square, mean_square])
     weights = np.repeat(rows, 2, axis=1)
-    inverse = 1.0 / symbol
+    inverse = np.repeat(1.0 / symbol, 2)
     weights.setflags(write=False)
     inverse.setflags(write=False)
     return tuple(sizes), weights, inverse
@@ -465,9 +472,12 @@ def _resolving_size(level: _Level, m: int, n: int, length: float, config: Solver
     coarsest size of _tail_weights that resolves ``level``, or 2m (n at
     most) when m itself does not."""
     sizes, weights, inverse = _tail_weights(m, length, config.tau)
-    y_hat, f_hat = level.spectra
-    flat = (y_hat - f_hat * (inverse / math.exp(y_hat[0].real / m))).view(float)
-    *tails, z_square = (weights @ (flat * flat)).tolist()
+    # the float view of z_hat = y_hat - F_hat / (e^ybar (1/tau + kappa^4 k^4))
+    y_hat = _y_hat(level).view(float)
+    flat = level.spectrum.view(float) * (inverse / -math.exp(y_hat[0] / m))
+    flat += y_hat
+    flat *= flat
+    *tails, z_square = (weights @ flat).tolist()
     step_bound = (config.newton_tol / float(np.maximum.reduce(level.ey))) ** 2
     round_bound = (_ROUNDOFF * (1.0 + math.sqrt(z_square))) ** 2
     # both sums grow from one size to the next, so the sizes that pass lead
@@ -505,7 +515,7 @@ def _record(t: float, level: _Level, iters: int, grid: PeriodicGrid, n: int) -> 
     a grid coarser than the requested n points, min_u is the minimum of
     e^y at the n nodes."""
     h, ey, y = grid.spacing, level.ey, level.y
-    ey_n = ey if grid.n_points == n else np.exp(_resample(level.spectra[0], grid.n_points, n))
+    ey_n = ey if grid.n_points == n else np.exp(_resample(_y_hat(level), grid.n_points, n))
     mass = float(h * np.add.reduce(ey))
     log_u_bar = np.log(mass / grid.length)
     # positional, in field order: t, mass, entropy_rel, lyap, production,
@@ -559,12 +569,16 @@ def solve(
     # links them to it, and then level.r is F(y_k; y_k)
     old = older = None
     for k in range(1, n_steps + 1):
-        if config.backend.order == 0:
+        # on the requested grid the rule can only halve, and a late halving
+        # costs time, not accuracy, so there it is read before steps 2^j:
+        # log2 of the steps in all, and a grid the rule would halve from
+        # step k on is halved by step 2k
+        if config.backend.order == 0 and (coarse.n_points < n or k & (k - 1) == 0):
             size = _resolving_size(level, coarse.n_points, n, grid.length, config)
             if size != coarse.n_points:
                 # a switch is handled as a retry is: F(y_k; y_k) on the new
                 # grid, no older levels and a fresh factor
-                y = _resample(level.spectra[0], coarse.n_points, size)
+                y = _resample(_y_hat(level), coarse.n_points, size)
                 coarse = PeriodicGrid(grid.length, size)
                 level = _evaluate(y, np.exp(y), coarse, config)
                 older = old = None
@@ -574,7 +588,7 @@ def solve(
             # F(y_k; y_k) from the accepted F(y_k; y_{k-1}), FFT-free
             start = _Level(
                 level.y, level.ey, level.r - (level.ey - old.ey) / config.tau,
-                level.d2y, level.spectra,
+                level.d2y, level.spectrum,
             )
             if older is None:
                 y_pred = 2.0 * level.y - old.y
@@ -596,7 +610,7 @@ def solve(
         if k % record_every == 0 or k == n_steps:
             records.append(_record(k * config.tau, level, iters, coarse, n))
 
-    final_y = level.y if coarse.n_points == n else _resample(level.spectra[0], coarse.n_points, n)
+    final_y = level.y if coarse.n_points == n else _resample(_y_hat(level), coarse.n_points, n)
     return Trajectory(
         grid=grid,
         config=config,

@@ -409,14 +409,14 @@ def coarse_gap_bound(n_steps, config, u_min):
 def crafted_level(m, modes, flux=None):
     """A level on m points whose y = sum c cos(k x) over ``modes`` {k: c}
     and whose D2 (e^y D2 y) is the same sum over ``flux`` (none when
-    None), built from the two spectra, which with e^y are all the grid
-    rule reads."""
+    None); y, e^y and the rfft of D2 (e^y D2 y) are all the grid rule
+    reads."""
     spectra = np.zeros((2, m // 2 + 1), dtype=complex)
     for row, terms in enumerate((modes, flux or {})):
         for k, c in terms.items():
             spectra[row, k] = c * m / (1 if k == m // 2 else 2)
     y = np.fft.irfft(spectra[0], m)
-    return _Level(y, np.exp(y), y, y, spectra)
+    return _Level(y, np.exp(y), y, y, spectra[1])
 
 
 COARSE_DATA = {
@@ -553,6 +553,32 @@ class TestCoarseGrid:
         bound = coarse_gap_bound(500, self.CONFIG, min(r.min_u for r in oracle.records))
         u_coarse, u_oracle = np.exp(coarse.final_y.values), np.exp(oracle.final_y.values)
         assert np.abs(u_coarse - u_oracle).max() <= bound * u_oracle.max()
+
+    def test_requested_grid_reads_the_rule_before_steps_2_to_the_j(self, grid64, monkeypatch):
+        # 1 + 0.5 cos x keeps all 64 points, where the rule can only halve
+        calls = spy_grid_rule(monkeypatch)
+        traj = dlss.solve(cosine_density(grid64, 0.5), 0.01, self.CONFIG)
+        assert len(traj.records) == 101
+        # before steps 1, 2, 4, ..., 64
+        assert calls == [(64, 64)] * 7
+
+    def test_full_grid_512_agrees_with_fd4(self, monkeypatch):
+        # the backend cross-check of acceptance criterion 8, with the
+        # spectral solve held on its 512 points: the coarse grids run it on
+        # 32 from t = 0, so only this covers the 512-point residual,
+        # Jacobian and LU of a spectral solve
+        grid = dlss.make_grid(TWO_PI, 512)
+        u0 = cosine_density(grid)
+        config = SolverConfig(tau=1e-3, newton_tol=3e-7)
+        calls = spy_grid_rule(monkeypatch, full_grid)
+        spectral = dlss.solve(u0, 1.0, config, record_every=1000)
+        assert set(calls) == {(512, 512)}
+        fd4 = dlss.solve(
+            u0, 1.0, replace(config, backend=FD4, linear_solver=LinearSolver.BANDED),
+            record_every=1000,
+        )
+        gap = np.abs(np.exp(spectral.final_y.values) - np.exp(fd4.final_y.values)).max()
+        assert gap < 1e-7
 
     @pytest.mark.parametrize("backend", [FD2, FD4], ids=["fd2", "fd4"])
     def test_finite_differences_never_call_the_rule(self, grid64, monkeypatch, backend):
