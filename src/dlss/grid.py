@@ -66,6 +66,21 @@ __all__ = [
 # Densities at or below this are treated as vacuum; log() is meaningless there.
 POSITIVITY_FLOOR = 1e-300
 
+# Values per block of the two loops that work on blocks of states, the
+# heat flow of inequalities.py and the records of a solve; the size never
+# changes a bit of either.  The heat flow holds _BLOCK_VALUES // M states
+# of an M-point grid, 64 at M = 256 and 512 at M = 32, and allocates its
+# work arrays once, about 1 MB at N = 256.  On N = 256, T = 10 flows
+# (heatflow_verify at p = 1 and remainder_R at p = 1.5, four seeded data),
+# 2**13 takes about 9 % more CPU than 2**14, and 2**15 about 2 % less for
+# twice the work arrays (two runs of 30 interleaved rounds, 2-core Xeon).
+# A solve on n requested points buffers _BLOCK_VALUES // n records, 64 at
+# n = 256 and 8 at n = 2048, or as many as the run makes if fewer.  Against
+# one reduction per record, that raised the median peak RSS of a benchmark
+# worker by 0.42 MB on decay256 (N = 256, 1 001 records a solve) and by
+# 0.28 MB on banded2048 (N = 2048, 6 records a solve).
+_BLOCK_VALUES = 2 ** 14
+
 
 def _check_positive(values: np.ndarray) -> np.ndarray:
     """``values`` unchanged if all lie above the positivity floor, else

@@ -45,6 +45,7 @@ import numpy as np
 from .errors import DegenerateDenominator, PositivityLost
 from .grid import (
     POSITIVITY_FLOOR,
+    _BLOCK_VALUES,
     Field,
     FieldKind,
     PeriodicGrid,
@@ -85,13 +86,6 @@ _D_FLOOR = -1.0 + 2.0 ** -53
 # iterate: their constants are reached only as it goes to 0, and the
 # quotient there is the constant times 1 + O(_PIN^2).
 _PIN = 1e-3
-# Heat-flow values per block: _BLOCK_VALUES // M states of an M-point grid, 64
-# at M = 256 and 512 at M = 32; the size never changes a bit.  A call allocates
-# its work arrays once, about 1 MB at N = 256.  On N = 256, T = 10 flows
-# (heatflow_verify at p = 1 and remainder_R at p = 1.5, four seeded data),
-# 2**13 takes about 9 % more CPU than 2**14, and 2**15 about 2 % less for
-# twice the work arrays (two runs of 30 interleaved rounds, 2-core Xeon).
-_BLOCK_VALUES = 2 ** 14
 # exp(-x) is exactly 0.0 for every x >= 746: it falls below half the least subnormal.
 _EXP_UNDERFLOW = 746.0
 

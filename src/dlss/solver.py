@@ -26,9 +26,11 @@ only two are known, if its residual is below that of y_k, which is free:
 F(y_k; y_k) is the previous step's accepted residual minus
 (e^{y_k} - e^{y_{k-1}}) / tau.  A retry or a tau halving drops the older
 levels, so the step after it starts at y_k, as the first step, the retry
-and halving paths and ``step`` do.  Records read e^y, y and D2 y from
-the accepted level, so they take no logarithm of u, no exponential and no
-derivative.  Every accepted iterate passes the same residual tolerance.
+and halving paths and ``step`` do.  Every accepted iterate passes the
+same residual tolerance.  Records copy e^y, y and D2 y of the accepted
+level and are reduced a block at a time (``_Records``): they take no
+logarithm of u and no derivative, and only min_u on a coarse grid takes
+an inverse transform and an exponential, one batched pair per block.
 
 On the spectral backend ``solve`` runs each step on the coarsest halving
 of the requested grid that the grid rule admits (derived above
@@ -57,6 +59,7 @@ import numpy as np
 from .errors import NoConvergence, NonPositiveDensity, SingularJacobian, ValidationError
 from .grid import (
     POSITIVITY_FLOOR,
+    _BLOCK_VALUES,
     DiffBackend,
     Field,
     FieldKind,
@@ -502,33 +505,74 @@ def _resample_weights(m: int, size: int) -> Array:
 
 def _resample(y_hat: Array, m: int, size: int) -> Array:
     """At the nodes of a size-point grid, size = m 2^j with j != 0, the
-    trigonometric interpolant of the m-point values whose rfft is
-    ``y_hat``, without its modes from size/2 up when size < m; the inverse
-    transform pads the spectrum with zeros."""
+    trigonometric interpolant of the m-point values whose rfft along the
+    last axis is ``y_hat``, without its modes from size/2 up when size <
+    m; the inverse transform pads the spectrum with zeros."""
     weights = _resample_weights(m, size)
-    return _irfft(y_hat[: weights.size] * weights, size)
+    return _irfft(y_hat[..., : weights.size] * weights, size)
 
 
-def _record(t: float, level: _Level, iters: int, grid: PeriodicGrid, n: int) -> TimeSeriesRecord:
-    """Monitored quantities of an accepted level, read from its arrays:
-    y = log u, so neither the entropy nor lyap takes a logarithm of u.  On
-    a grid coarser than the requested n points, min_u is the minimum of
-    e^y at the n nodes."""
-    h, ey, y = grid.spacing, level.ey, level.y
-    ey_n = ey if grid.n_points == n else np.exp(_resample(_y_hat(level), grid.n_points, n))
-    mass = float(h * np.add.reduce(ey))
-    log_u_bar = np.log(mass / grid.length)
-    # positional, in field order: t, mass, entropy_rel, lyap, production,
-    # min_u, newton_iters
-    return TimeSeriesRecord(
-        t,
-        mass,
-        float(h * np.add.reduce(ey * (y - log_u_bar))),
-        float(h * np.add.reduce(ey - y)),
-        float(h * np.add.reduce(ey * level.d2y * level.d2y)),
-        float(np.minimum.reduce(ey_n)),
-        iters,
-    )
+class _Records:
+    """The records of a solve, reduced a block of accepted levels at a time.
+
+    ``add`` copies e^y, y and D2 y of a level into the next row of the
+    block and, on a grid coarser than the requested n points, the float
+    view of the rfft of y.  The rows of a block share one grid; a full
+    block, a level on another grid and ``result`` reduce it row-wise with
+    the formulas of one record, min_u at the n requested nodes.  One flat
+    buffer holds min(_BLOCK_VALUES // n, records) rows of each array, and
+    each grid size views its leading part."""
+
+    def __init__(self, n: int, n_records: int, spectral: bool):
+        self.n, self.rows = n, min(max(1, _BLOCK_VALUES // n), n_records)
+        # e^y, y, D2 y and, on the spectral backend, the float view of y_hat
+        self.flat = np.empty((4 if spectral else 3, self.rows * n))
+        self.grid = self.block = None
+        self.times, self.iters, self.records = [], [], []
+
+    def add(self, t: float, level: _Level, iters: int, grid: PeriodicGrid) -> None:
+        if len(self.times) == self.rows or grid != self.grid:
+            self._flush()
+            self.grid, m = grid, grid.n_points
+            # the spectra only on a coarse grid, m + 2 floats a row
+            widths = (m, m, m) if m == self.n else (m, m, m, m + 2)
+            self.block = [
+                buffer[: self.rows * w].reshape(self.rows, w)
+                for buffer, w in zip(self.flat, widths)
+            ]
+        row = len(self.times)
+        ey, y, d2y, *y_hat = self.block
+        ey[row], y[row], d2y[row] = level.ey, level.y, level.d2y
+        if y_hat:
+            y_hat[0][row] = _y_hat(level).view(float)
+        self.times.append(t)
+        self.iters.append(iters)
+
+    def _flush(self) -> None:
+        count = len(self.times)
+        if not count:
+            return
+        h, length = self.grid.spacing, self.grid.length
+        ey, y, d2y, *y_hat = (rows[:count] for rows in self.block)
+        mass = h * np.add.reduce(ey, axis=1)
+        log_u_bar = np.log(mass / length)[:, None]
+        entropy_rel = h * np.add.reduce(ey * (y - log_u_bar), axis=1)
+        lyap = h * np.add.reduce(ey - y, axis=1)
+        production = h * np.add.reduce(ey * d2y * d2y, axis=1)
+        if y_hat:
+            ey = _resample(y_hat[0].view(complex), self.grid.n_points, self.n)
+            np.exp(ey, out=ey)
+        columns = (mass, entropy_rel, lyap, production, np.minimum.reduce(ey, axis=1))
+        # positional, in field order: t, mass, entropy_rel, lyap, production,
+        # min_u, newton_iters
+        self.records += map(
+            TimeSeriesRecord, self.times, *(c.tolist() for c in columns), self.iters
+        )
+        self.times, self.iters = [], []
+
+    def result(self) -> tuple[TimeSeriesRecord, ...]:
+        self._flush()
+        return tuple(self.records)
 
 
 @_QUIET_TRIALS
@@ -562,7 +606,8 @@ def solve(
     # the grid the steps run on; only spectral runs leave the requested one
     coarse = grid
     level = _evaluate(y, np.exp(y), coarse, config)
-    records = [_record(0.0, level, 0, coarse, n)]
+    records = _Records(n, 1 + -(-n_steps // record_every), config.backend.order == 0)
+    records.add(0.0, level, 0, coarse)
 
     workspace = _NewtonWorkspace()
     # the two accepted levels before ``level``; None while no clean step
@@ -608,13 +653,13 @@ def solve(
             older = old = None
             level = _evaluate(new.y, new.ey, coarse, config)
         if k % record_every == 0 or k == n_steps:
-            records.append(_record(k * config.tau, level, iters, coarse, n))
+            records.add(k * config.tau, level, iters, coarse)
 
     final_y = level.y if coarse.n_points == n else _resample(_y_hat(level), coarse.n_points, n)
     return Trajectory(
         grid=grid,
         config=config,
-        records=tuple(records),
+        records=records.result(),
         final_y=Field(grid, final_y, FieldKind.LOG_DENSITY),
         clamped_nodes=clamped_nodes,
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -12,8 +13,10 @@ from dlss.solver import (
     TimeSeriesRecord,
     Trajectory,
     _Level,
+    _Records,
     _resample,
     _resolving_size,
+    _y_hat,
     jacobian,
     residual,
 )
@@ -597,6 +600,139 @@ class TestCoarseGrid:
         traj = dlss.solve(cosine_density(grid, amplitude), 5e-4, SolverConfig(tau=1e-4))
         assert len(traj.records) == 6
         assert dlss.lyapunov_check(traj)
+
+
+def oracle_record(t, level, iters, grid, n):
+    """The record of one accepted level, reduced on its own: the formula
+    solve used before it reduced its records a block at a time."""
+    h, ey, y = grid.spacing, level.ey, level.y
+    ey_n = ey if grid.n_points == n else np.exp(_resample(_y_hat(level), grid.n_points, n))
+    mass = float(h * np.add.reduce(ey))
+    log_u_bar = np.log(mass / grid.length)
+    return TimeSeriesRecord(
+        t,
+        mass,
+        float(h * np.add.reduce(ey * (y - log_u_bar))),
+        float(h * np.add.reduce(ey - y)),
+        float(h * np.add.reduce(ey * level.d2y * level.d2y)),
+        float(np.minimum.reduce(ey_n)),
+        iters,
+    )
+
+
+def banded2048_run(record_every):
+    """Five fd4 steps on 2048 points with the cyclic banded LU, the grid a
+    finite-difference run never leaves."""
+    grid = dlss.make_grid(TWO_PI, 2048)
+    u0 = dlss.random_log_density(grid, 4, 3, amplitude=0.4)
+    config = SolverConfig(tau=1e-2, newton_tol=1e-4, backend=FD4, linear_solver=LinearSolver.BANDED)
+    return lambda: dlss.solve(u0, 0.05, config, record_every=record_every)
+
+
+def record_case(name, monkeypatch):
+    """(requested points, a thunk that runs the case) for each case of
+    TestRecordBlocks."""
+    if name == "switch-64-32" or name.startswith("every-"):
+        # the rule moves this run to 64 points at t = 0 and to 32 at step
+        # 499, while a block of 64 rows holds 50 levels of 64 points
+        grid = dlss.make_grid(TWO_PI, 256)
+        u0 = Field(grid, COARSE_DATA["decay-1"](grid), FieldKind.DENSITY)
+        if name == "switch-64-32":
+            return 256, lambda: dlss.solve(u0, 0.1, SolverConfig(tau=1e-4))
+        # 22 steps: the last record is off the lattice of 4 and of 5
+        every = int(name.split("-")[1])
+        return 256, lambda: dlss.solve(u0, 22e-4, SolverConfig(tau=1e-4), record_every=every)
+    if name == "doubling":
+        # the forced doubling of TestCoarseGrid: 32 points back to 64
+        def unresolved_once(level, m, n, length, config):
+            if len(calls) == 300:
+                return min(2 * m, n)
+            return _resolving_size(level, m, n, length, config)
+
+        def run():
+            calls.clear()
+            traj = dlss.solve(cosine_density(grid128), 0.05, SolverConfig(tau=1e-4))
+            assert calls[300] == (32, 64)
+            return traj
+
+        grid128 = dlss.make_grid(TWO_PI, 128)
+        calls = spy_grid_rule(monkeypatch, unresolved_once)
+        return 128, run
+    if name == "tau-halving":
+        # as in TestSolve: five Newton iterations cannot take tau = 0.05
+        monkeypatch.setattr("dlss.solver._MAX_NEWTON", 5)
+        grid64 = dlss.make_grid(TWO_PI, 64)
+        u0 = Field(grid64, np.exp(1.5 * np.cos(grid64.nodes)), FieldKind.DENSITY)
+        return 64, lambda: dlss.solve(u0, 0.15, SolverConfig(tau=0.05, newton_tol=1e-9))
+    assert name == "fd4-banded-2048"
+    return 2048, banded2048_run(1)
+
+
+class TestRecordBlocks:
+    """solve reduces its records a block of levels at a time, with the
+    formulas and order of one record at a time."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["switch-64-32", "doubling", "tau-halving", "every-1", "every-4", "every-5", "fd4-banded-2048"],
+    )
+    def test_blocks_equal_the_per_record_oracle(self, monkeypatch, name):
+        n, run = record_case(name, monkeypatch)
+        seen = []
+        add = _Records.add
+
+        def spy(self, t, level, iters, grid):
+            # the oracle reads the level before the block copies it
+            seen.append((oracle_record(t, level, iters, grid, n), grid.n_points, level))
+            add(self, t, level, iters, grid)
+
+        monkeypatch.setattr(_Records, "add", spy)
+        results = []
+        # the default block, then 1 and 3 rows
+        for block_values in (None, n, 3 * n):
+            if block_values is not None:
+                monkeypatch.setattr("dlss.solver._BLOCK_VALUES", block_values)
+            seen.clear()
+            traj = run()
+            oracle, sizes, levels = zip(*seen)
+            assert traj.records == oracle
+            last, m = levels[-1], sizes[-1]
+            final_y = last.y if m == n else _resample(_y_hat(last), m, n)
+            assert np.array_equal(traj.final_y.values, final_y)
+            results.append((traj.records, traj.final_y.values))
+        for records, final_y in results[1:]:
+            assert records == results[0][0]
+            assert np.array_equal(final_y, results[0][1])
+        if name == "switch-64-32":
+            # the 64-point rows before the switch to 32 do not fill whole
+            # blocks of the default 64 rows
+            switch = next(k for k in range(1, len(sizes)) if sizes[k - 1 : k + 1] == (64, 32))
+            assert (switch - sizes.index(64)) % 64 != 0
+        if name == "tau-halving":
+            assert traj.records[1].newton_iters > 5
+
+    def test_short_run_allocates_only_the_rows_it_fills(self, monkeypatch):
+        # 6 records at record_every = 1 and 2 at 5, both within the 8 rows
+        # of n = 2048; the Python objects of a run move the traced peak by
+        # a few hundred bytes from one run to the next
+        row = 3 * 2048 * 8  # e^y, y and D2 y of one record
+        allowance = 2048 * 8
+
+        def peak(record_every):
+            run = banded2048_run(record_every)
+            run()  # cached taps and weights are not the run's
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        every = peak(1)
+        assert every <= peak(5) + 6 * row + allowance
+        # rows are capped at the records of the run, not only by the block
+        monkeypatch.setattr("dlss.solver._BLOCK_VALUES", 2 ** 30)
+        assert peak(1) <= every + allowance
 
 
 class TestLyapunovCheck:
