@@ -40,7 +40,8 @@ _USAGE_ERRORS = (ParseError, ValueError, OSError)
 _BELOW_CONSTANT_SLACK = 1e-12
 
 def _emit_json(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # strict JSON: a NaN or infinity raises ValueError instead of printing
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     sys.stdout.write(text)
     if output:
         write_atomic(output, text)

@@ -91,10 +91,11 @@ def _check_positive(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _check_finite(values: np.ndarray) -> np.ndarray:
-    """``values`` unchanged if all are finite, else ``ValueError``."""
+def _check_finite(values: np.ndarray, what: str = "field values") -> np.ndarray:
+    """``values`` unchanged if all are finite, else ``ValueError`` that
+    names them ``what``."""
     if not np.isfinite(values).all():
-        raise ValueError("field values must be finite")
+        raise ValueError(f"{what} must be finite")
     return values
 
 

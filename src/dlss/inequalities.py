@@ -439,7 +439,10 @@ def _sigma_integral(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple = (
         sigma = vbar * h_sum
     else:
         # scalar pow of the means: numpy's vectorised pow differs by an ulp
-        scale = float(vbar) ** p if v.ndim == 1 else np.array([m ** p for m in vbar.tolist()])
+        try:
+            scale = float(vbar) ** p if v.ndim == 1 else np.array([m ** p for m in vbar.tolist()])
+        except OverflowError:
+            scale = math.inf  # as numpy's pow gives it
         sigma = scale * h_sum / (p - 1.0)
     return float(sigma) if v.ndim == 1 else sigma
 
@@ -610,6 +613,7 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
     fills its slice of the columns.
     """
     n_steps = _lattice_steps(t_final, dt, "dt")
+    _check_finite(v0, "the heat-flow datum v0")
     n = grid.n_points
     wave = (2.0 * math.pi / grid.length) * np.arange(n // 2 + 1)
     wave2 = wave * wave
@@ -654,6 +658,9 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
             if with_f:
                 sigma = _sigma_integral(v, coarse, p, work[2:])
                 f[block] = coarse.spacing * wx2_sum - (2.0 * math.pi ** 2 * p / grid.length ** 2) * sigma
+    if with_f:
+        _check_finite(f, "f along the heat flow from this datum")
+    _check_finite(dissipation, "the production along the heat flow from this datum")
     return times, f, dissipation
 
 
@@ -663,6 +670,12 @@ def _check_flow_exponent(p: float) -> None:
         raise ValueError(f"p must lie in [1, 2], got {p}")
 
 
+# A datum whose powers overflow fills a flow or an integral with inf and
+# NaN, which is reported as a ValueError; the warnings on the way are noise.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET_OVERFLOW
 def heatflow_verify(
     u: Field,
     p: float,
@@ -678,7 +691,8 @@ def heatflow_verify(
 
     In the w = v^{p/2} variable this is exactly the nonlinear flow
     w_t = w_xx + (2/p - 1) w_x^2 / w whose Lyapunov functional f certifies
-    the p-family of inequalities; f must be nonincreasing and -> 0.
+    the p-family of inequalities; f must be nonincreasing and -> 0.  A v0,
+    f or production that is not finite raises ``ValueError``.
     """
     _check_flow_exponent(p)
     v0 = _check_positive(u.values) ** (2.0 / p)
@@ -686,6 +700,7 @@ def heatflow_verify(
     return np.rec.fromarrays(columns, names=("t", "f_value", "dissipation"))
 
 
+@_QUIET_OVERFLOW
 def remainder_R(u0: Field, p: float, t_final: float, dt: float) -> float:
     """Integrated production of f along the heat flow started at v = u0.
 
@@ -696,6 +711,7 @@ def remainder_R(u0: Field, p: float, t_final: float, dt: float) -> float:
     nonnegative remainder by which the convex Sobolev inequality at a
     density u beats its sharp constant is ``remainder_R(u^{2/p}, p)``,
     which is (2 pi^2 p / L^2) (rhs - lhs) of ``convex_sobolev_check(u, p)``.
+    A u0 or production that is not finite raises ``ValueError``.
     """
     _check_flow_exponent(p)
     times, _, diss = _heat_flow(_check_positive(u0.values), u0.grid, p, t_final, dt, with_f=False)
@@ -710,11 +726,13 @@ def remainder_R(u0: Field, p: float, t_final: float, dt: float) -> float:
     return total + tail
 
 
+@_QUIET_OVERFLOW
 def convex_sobolev_check(u: Field, p: float) -> tuple[float, float, bool]:
     """Test int u^2 - L ((1/L) int u^{2/p})^p <= (p-1) L^2 / (2 pi^2 p) int u_x^2.
 
     Returns (lhs, rhs, holds) with lhs and rhs both divided by (p - 1),
-    and holds allowing 1e-10 of slack for rounding.
+    and holds allowing 1e-10 of slack for rounding.  A side that is not
+    finite raises ``ValueError``.
     """
     convex_sobolev(p)  # the admissible p are those of the quotient
     grid = u.grid
@@ -722,4 +740,5 @@ def convex_sobolev_check(u: Field, p: float) -> tuple[float, float, bool]:
     lhs = _sigma_integral(vals ** (2.0 / p), grid, p)  # int sigma_p(u^{2/p})
     ux = _derivative(grid, vals, 1, SPECTRAL)
     rhs = (grid.length ** 2 / (2.0 * math.pi ** 2 * p)) * _integrate(grid, ux * ux)
+    _check_finite(np.array([lhs, rhs]), "the convex Sobolev sides of this datum")
     return lhs, rhs, lhs <= rhs + 1e-10

@@ -39,6 +39,7 @@ from .grid import (
     Field,
     FieldKind,
     PeriodicGrid,
+    _check_finite,
     _derivative,
     _integrate,
     make_grid,
@@ -197,6 +198,8 @@ def parse_config(text: str) -> RunConfig:
     output = seen["output"]
     if output and not os.path.isdir(os.path.dirname(os.path.abspath(output))):
         raise ValidationError("output", f"the directory of {output!r} does not exist")
+    if output and os.path.isdir(output):
+        raise ValidationError("output", f"{output!r} is a directory")
     grid = _built(make_grid, seen["L"], seen["N"])
     solver_config = _built(SolverConfig, **{k: seen[k] for k in _SOLVER_KEYS if k in seen})
     return RunConfig(
@@ -295,13 +298,14 @@ class DecayReport:
 
 
 def _fit_pairs(series) -> np.ndarray:
-    """``series`` as a (k, 2) float array of (t, E) pairs; none is too few."""
+    """``series`` as a (k, 2) float array of finite (t, E) pairs; none is
+    too few."""
     arr = np.asarray(series, dtype=float)
     if arr.size == 0:
         raise InsufficientData("decay fit needs at least 10 samples in the window, found 0")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"series must be an array of (t, E) pairs, got shape {arr.shape}")
-    return arr
+    return _check_finite(arr, "the (t, E) samples of a decay fit")
 
 
 def default_fit_window(series) -> tuple[float, float]:

@@ -30,21 +30,21 @@ and halving paths and ``step`` do.  Every accepted iterate passes the
 same residual tolerance.  Records copy e^y, y and D2 y of the accepted
 level and are reduced a block at a time (``_Records``): they take no
 logarithm of u and no derivative, and only min_u on a coarse grid takes
-an inverse transform and an exponential, one batched pair per block.
+transforms: one batched forward and inverse transform and exponential
+per block.
 
 On the spectral backend ``solve`` runs each step on the coarsest halving
 of the requested grid that the grid rule admits (derived above
 ``_tail_weights``).  The rule reads the rfft of D2 (e^y D2 y) that each
-evaluation keeps and the rfft of y, which the records of a coarse grid
-share.  It is read at t = 0, after every accepted step on a coarser grid
-and before steps 2, 4, 8, ... on the requested one, where it can only
-halve; the run halves when a coarser grid passes and doubles when its
-own grid fails.  A switch truncates or zero-pads the spectrum of y and
-is handled as a retry is: the chord LU is refreshed and the older levels
-are dropped.  Records are sums on the grid the step ran on, except
-min_u, which is taken at the requested nodes, where final_y is
-returned.  fd2 and fd4 runs, ``step``, ``residual`` and ``jacobian``
-stay on the grid they are given.
+evaluation keeps and takes the rfft of y.  It is read at t = 0, after
+every accepted step on a coarser grid and before steps 2, 4, 8, ... on
+the requested one, where it can only halve; the run halves when a
+coarser grid passes and doubles when its own grid fails.  A switch
+truncates or zero-pads the spectrum of y and is handled as a retry is:
+the chord LU is refreshed and the older levels are dropped.  Records are
+sums on the grid the step ran on, except min_u, which is taken at the
+requested nodes, where final_y is returned.  fd2 and fd4 runs, ``step``,
+``residual`` and ``jacobian`` stay on the grid they are given.
 """
 
 from __future__ import annotations
@@ -187,23 +187,13 @@ class _Level:
     """One iterate y with e^y, F(y), D2 y, |F(y)|_inf and, on the spectral
     backend, ``spectrum``, the rfft of D2 (e^y D2 y), all from one residual
     evaluation; Newton, the next step's start, the grid rule and the
-    records read them.  ``y_hat`` holds the rfft of y once ``_y_hat`` has
-    taken it."""
+    records read them."""
 
-    __slots__ = ("y", "ey", "r", "d2y", "spectrum", "y_hat", "rnorm")
+    __slots__ = ("y", "ey", "r", "d2y", "spectrum", "rnorm")
 
     def __init__(self, y: Array, ey: Array, r: Array, d2y: Array, spectrum: Array | None):
         self.y, self.ey, self.r, self.d2y, self.spectrum = y, ey, r, d2y, spectrum
-        self.y_hat = None
         self.rnorm = float(np.maximum.reduce(np.abs(r)))
-
-
-def _y_hat(level: _Level) -> Array:
-    """The rfft of level.y, taken once: on a coarse grid the record of a
-    level and the grid rule before the next step both read it."""
-    if level.y_hat is None:
-        level.y_hat = _rfft(level.y)
-    return level.y_hat
 
 
 def _evaluate(y: Array, ey_prev: Array, grid: PeriodicGrid, config: SolverConfig) -> _Level:
@@ -434,9 +424,9 @@ def _advance(
 # bound: once what the halving admitted, once what the step left.  Only
 # more than that, put there by the flow, doubles the grid; without the
 # margin the accepted residual alone flips the size from step to step.
-# The rule reads y_hat, which a record may have taken, and F_hat from the
-# level; the sums grow as p falls, so the step runs on the coarsest
-# halving admitted.
+# The rule takes y_hat from the level's y and reads F_hat from the level;
+# the sums grow as p falls, so the step runs on the coarsest halving
+# admitted.
 _ROUNDOFF = 0.5 * np.finfo(float).eps
 
 
@@ -476,7 +466,7 @@ def _resolving_size(level: _Level, m: int, n: int, length: float, config: Solver
     most) when m itself does not."""
     sizes, weights, inverse = _tail_weights(m, length, config.tau)
     # the float view of z_hat = y_hat - F_hat / (e^ybar (1/tau + kappa^4 k^4))
-    y_hat = _y_hat(level).view(float)
+    y_hat = _rfft(level.y).view(float)
     flat = level.spectrum.view(float) * (inverse / -math.exp(y_hat[0] / m))
     flat += y_hat
     flat *= flat
@@ -516,17 +506,16 @@ class _Records:
     """The records of a solve, reduced a block of accepted levels at a time.
 
     ``add`` copies e^y, y and D2 y of a level into the next row of the
-    block and, on a grid coarser than the requested n points, the float
-    view of the rfft of y.  The rows of a block share one grid; a full
-    block, a level on another grid and ``result`` reduce it row-wise with
-    the formulas of one record, min_u at the n requested nodes.  One flat
-    buffer holds min(_BLOCK_VALUES // n, records) rows of each array, and
-    each grid size views its leading part."""
+    block.  The rows of a block share one grid; a full block, a level on
+    another grid and ``result`` reduce it row-wise with the formulas of one
+    record, min_u at the n requested nodes, which a grid coarser than n
+    reaches through one batched rfft of the y rows.  Three (rows, m) views
+    of one (3, rows n) buffer hold min(_BLOCK_VALUES // n, records) rows of
+    each array, m the points of the block's grid."""
 
-    def __init__(self, n: int, n_records: int, spectral: bool):
+    def __init__(self, n: int, n_records: int):
         self.n, self.rows = n, min(max(1, _BLOCK_VALUES // n), n_records)
-        # e^y, y, D2 y and, on the spectral backend, the float view of y_hat
-        self.flat = np.empty((4 if spectral else 3, self.rows * n))
+        self.flat = np.empty((3, self.rows * n))  # e^y, y and D2 y
         self.grid = self.block = None
         self.times, self.iters, self.records = [], [], []
 
@@ -534,17 +523,10 @@ class _Records:
         if len(self.times) == self.rows or grid != self.grid:
             self._flush()
             self.grid, m = grid, grid.n_points
-            # the spectra only on a coarse grid, m + 2 floats a row
-            widths = (m, m, m) if m == self.n else (m, m, m, m + 2)
-            self.block = [
-                buffer[: self.rows * w].reshape(self.rows, w)
-                for buffer, w in zip(self.flat, widths)
-            ]
+            self.block = self.flat[:, : self.rows * m].reshape(3, self.rows, m)
         row = len(self.times)
-        ey, y, d2y, *y_hat = self.block
+        ey, y, d2y = self.block
         ey[row], y[row], d2y[row] = level.ey, level.y, level.d2y
-        if y_hat:
-            y_hat[0][row] = _y_hat(level).view(float)
         self.times.append(t)
         self.iters.append(iters)
 
@@ -552,15 +534,15 @@ class _Records:
         count = len(self.times)
         if not count:
             return
-        h, length = self.grid.spacing, self.grid.length
-        ey, y, d2y, *y_hat = (rows[:count] for rows in self.block)
+        h, length, m = self.grid.spacing, self.grid.length, self.grid.n_points
+        ey, y, d2y = self.block[:, :count]
         mass = h * np.add.reduce(ey, axis=1)
         log_u_bar = np.log(mass / length)[:, None]
         entropy_rel = h * np.add.reduce(ey * (y - log_u_bar), axis=1)
         lyap = h * np.add.reduce(ey - y, axis=1)
         production = h * np.add.reduce(ey * d2y * d2y, axis=1)
-        if y_hat:
-            ey = _resample(y_hat[0].view(complex), self.grid.n_points, self.n)
+        if m != self.n:
+            ey = _resample(_rfft(y), m, self.n)
             np.exp(ey, out=ey)
         columns = (mass, entropy_rel, lyap, production, np.minimum.reduce(ey, axis=1))
         # positional, in field order: t, mass, entropy_rel, lyap, production,
@@ -606,7 +588,7 @@ def solve(
     # the grid the steps run on; only spectral runs leave the requested one
     coarse = grid
     level = _evaluate(y, np.exp(y), coarse, config)
-    records = _Records(n, 1 + -(-n_steps // record_every), config.backend.order == 0)
+    records = _Records(n, 1 + -(-n_steps // record_every))
     records.add(0.0, level, 0, coarse)
 
     workspace = _NewtonWorkspace()
@@ -623,7 +605,7 @@ def solve(
             if size != coarse.n_points:
                 # a switch is handled as a retry is: F(y_k; y_k) on the new
                 # grid, no older levels and a fresh factor
-                y = _resample(_y_hat(level), coarse.n_points, size)
+                y = _resample(_rfft(level.y), coarse.n_points, size)
                 coarse = PeriodicGrid(grid.length, size)
                 level = _evaluate(y, np.exp(y), coarse, config)
                 older = old = None
@@ -655,7 +637,7 @@ def solve(
         if k % record_every == 0 or k == n_steps:
             records.add(k * config.tau, level, iters, coarse)
 
-    final_y = level.y if coarse.n_points == n else _resample(_y_hat(level), coarse.n_points, n)
+    final_y = level.y if coarse.n_points == n else _resample(_rfft(level.y), coarse.n_points, n)
     return Trajectory(
         grid=grid,
         config=config,

@@ -14,9 +14,16 @@ from dlss.runio import TIMESERIES_HEADER, read_timeseries
 TWO_PI = 2.0 * math.pi
 
 
+def reject_constant(name):
+    raise AssertionError(f"stdout is not strict JSON: {name}")
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
+    if captured.out:
+        # every command prints strict JSON or nothing: no NaN or Infinity
+        json.loads(captured.out, parse_constant=reject_constant)
     return code, captured.out, captured.err
 
 
@@ -147,6 +154,19 @@ class TestSolve:
         assert err.startswith("error: output: ")
         assert str(tmp_path / "absent" / "out.csv") in err
         assert not (tmp_path / "absent").exists()
+
+    def test_directory_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        config = tmp_path / "run.cfg"
+        write_solve_config(config, tmp_path)
+        code, out, err = run_cli(capsys, ["solve", "--config", str(config)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: output: ")
+        assert "is a directory" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["solve", "--config", str(tmp_path / "nope.cfg")])
@@ -331,6 +351,24 @@ class TestHeatflow:
         assert code == 2
         assert err.startswith(f"error: {flag[2:]}:")
 
+    @pytest.mark.parametrize(
+        "p,base,amplitude,what",
+        [("1", "1e300", "5e299", "datum v0"), ("2", "1e200", "5e199", "f along")],
+    )
+    def test_overflowing_datum_is_usage_error(self, capsys, p, base, amplitude, what):
+        # v0 = u^2 overflows at p = 1; at p = 2 f overflows along the flow
+        code, out, err = run_cli(
+            capsys,
+            [
+                "heatflow", "--L", str(TWO_PI), "--N", "32", "--p", p, "--T", "0.1",
+                "--dt", "1e-3", "--base", base, "--amplitude", amplitude,
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert what in err and "must be finite" in err
+
     def test_bad_p_is_usage_error(self, capsys):
         code, _, _ = run_cli(
             capsys,
@@ -409,6 +447,17 @@ class TestFit:
         assert out == ""
         assert "length" in err
 
+    def test_nonfinite_entropy_exits_2(self, csv_file, capsys):
+        lines = csv_file.read_text().splitlines()
+        fields = lines[100].split(",")
+        fields[2] = "nan"  # entropy_rel
+        lines[100] = ",".join(fields)
+        csv_file.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, ["fit", "--input", str(csv_file), "--L", str(TWO_PI)])
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, ["fit", "--input", str(tmp_path / "no.csv"), "--L", "1"])
         assert code == 2
@@ -450,6 +499,13 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    def test_json_output_is_strict(self, capsys):
+        # no command may print NaN or Infinity, which JSON does not have
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cli._emit_json({"value": value}, None)
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "cls",

@@ -937,6 +937,33 @@ class TestRemainder:
         assert ratios[0] > ratios[1] > ratios[2]
 
 
+class TestOverflowingDatum:
+    """A datum whose powers overflow raises ValueError instead of returning
+    inf or NaN."""
+
+    @staticmethod
+    def datum(grid, base):
+        return Field(grid, base * (1.0 + 0.5 * np.cos(grid.nodes)), FieldKind.DENSITY)
+
+    @pytest.mark.parametrize(
+        "p,base,what", [(1.0, 1e300, "datum v0"), (2.0, 1e200, "f along")]
+    )
+    def test_heatflow_verify(self, grid64, p, base, what):
+        # v0 = u^2 overflows at p = 1; at p = 2 the flow's f does
+        with pytest.raises(ValueError, match=what):
+            dlss.heatflow_verify(self.datum(grid64, base), p, 0.1, 1e-3)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_remainder_R(self, grid64, p):
+        with pytest.raises(ValueError, match="production along"):
+            dlss.remainder_R(self.datum(grid64, 1e300), p, 0.1, 1e-3)
+
+    @pytest.mark.parametrize("p,base", [(1.5, 1e300), (2.0, 1e200)])
+    def test_convex_sobolev_check(self, grid64, p, base):
+        with pytest.raises(ValueError, match="convex Sobolev sides"):
+            dlss.convex_sobolev_check(self.datum(grid64, base), p)
+
+
 class TestConvexSobolevCheck:
     def test_constant_field_is_equality_case(self, grid64):
         u = Field(grid64, np.full(64, 1.8), FieldKind.DENSITY)

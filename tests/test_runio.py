@@ -113,6 +113,7 @@ class TestParseConfig:
             (MINIMAL + "u0_base = 1e-301\nu0_amplitude = 0\n", "u0_base"),
             (MINIMAL + "u0_base = inf\nu0_amplitude = 0\n", "u0_base"),
             (MINIMAL + "output = no-such-directory/out.csv\n", "output"),
+            (MINIMAL + "output = .\n", "output"),
             (MINIMAL + "u0_mode = -1\n", "u0_mode"),
             # above the Nyquist mode N/2 = 32 a cosine aliases onto a lower one
             (MINIMAL + "u0_mode = 33\n", "u0_mode"),
@@ -299,6 +300,16 @@ class TestFitDecay:
         series[40, 1] = 0.0
         with pytest.raises(dlss.NonPositiveEntropy):
             fit_decay(series, (0.0, 5.0), length=TWO_PI)
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["t", "E"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_samples(self, column, value):
+        series = self.synthetic()
+        series[50, column] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_decay(series, (0.0, 5.0), length=TWO_PI)
+        with pytest.raises(ValueError, match="must be finite"):
+            default_fit_window(series)
 
     def test_default_window_skips_transient(self):
         lo, hi = default_fit_window(self.synthetic(t_hi=10.0))

@@ -8,6 +8,7 @@ from conftest import cyclic_dense
 
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind, LinearSolver, SolverConfig
+from dlss.grid import _rfft
 from dlss.solver import (
     _MAX_NEWTON,
     TimeSeriesRecord,
@@ -16,7 +17,6 @@ from dlss.solver import (
     _Records,
     _resample,
     _resolving_size,
-    _y_hat,
     jacobian,
     residual,
 )
@@ -606,7 +606,7 @@ def oracle_record(t, level, iters, grid, n):
     """The record of one accepted level, reduced on its own: the formula
     solve used before it reduced its records a block at a time."""
     h, ey, y = grid.spacing, level.ey, level.y
-    ey_n = ey if grid.n_points == n else np.exp(_resample(_y_hat(level), grid.n_points, n))
+    ey_n = ey if grid.n_points == n else np.exp(_resample(_rfft(level.y), grid.n_points, n))
     mass = float(h * np.add.reduce(ey))
     log_u_bar = np.log(mass / grid.length)
     return TimeSeriesRecord(
@@ -697,7 +697,7 @@ class TestRecordBlocks:
             oracle, sizes, levels = zip(*seen)
             assert traj.records == oracle
             last, m = levels[-1], sizes[-1]
-            final_y = last.y if m == n else _resample(_y_hat(last), m, n)
+            final_y = last.y if m == n else _resample(_rfft(last.y), m, n)
             assert np.array_equal(traj.final_y.values, final_y)
             results.append((traj.records, traj.final_y.values))
         for records, final_y in results[1:]:
