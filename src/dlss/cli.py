@@ -133,6 +133,12 @@ def _cmd_heatflow(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    for name in ("t_lo", "t_hi"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(name, f"must be finite, got {value!r}")
+    if args.t_lo is not None and args.t_hi is not None and args.t_lo >= args.t_hi:
+        raise ValidationError("t_hi", f"must exceed t_lo = {args.t_lo!r}, got {args.t_hi!r}")
     records = read_timeseries(args.input)
     series = _fit_pairs([(r.t, r.entropy_rel) for r in records])  # none: InsufficientData
     if args.t_lo is not None or args.t_hi is not None:

@@ -3,7 +3,9 @@
 Direct route: minimise the Rayleigh-type quotient of each inequality over
 grid fields by preconditioned projected gradient descent with
 Barzilai-Borwein step lengths and compare the infimum with the
-closed-form constant.
+closed-form constant.  The starts of a certificate descend as one block
+of rows, each with its own step length and stop test, and leave the
+block as they stop; each gives the bits it gives alone.
 
 Flow route: take the exact heat semigroup at each lattice time k dt and
 watch the Bakry-Emery quantity
@@ -152,53 +154,61 @@ class QuotientResult:
         return abs(self.value - self.analytic) / abs(self.analytic)
 
 
-def _evaluate(
-    spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """(q, den, vhat, ghat): the quotient at ``vals``, its denominator,
-    rfft(vals) and the rfft of the quotient's L2 gradient there, whose
-    derivative terms are formed on the spectrum.  Non-finite ``vals`` are a
-    ``ValueError``; a degenerate denominator, the zero field's included,
-    raises ``DegenerateDenominator``."""
-    vhat = _rfft(_check_finite(vals))
+def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple:
+    """(q, den, vhat, ghat) of each row of ``vals``, an (S, N) block of
+    fields: the quotient, its denominator, rfft(vals) and the rfft of the
+    quotient's L2 gradient there, whose derivative terms are formed on the
+    spectrum; q and den have one entry per row.  One field (N,) gives
+    floats and (M,) spectra.  Non-finite ``vals`` are a ``ValueError``; a
+    degenerate denominator in any row, the zero field's included, raises
+    ``DegenerateDenominator``."""
+    block = vals if vals.ndim == 2 else vals[None]
+    n = grid.n_points
+    h = grid.spacing
+    vhat = _rfft(_check_finite(block))
     if spec.kind is QuotientKind.CONVEX_SOBOLEV:
-        _check_positive(vals)
+        _check_positive(block)
         p = spec.p
         dv = _spectrum_derivative(grid, vhat.copy(), 1)
-        weight = vals ** (p - 2.0)
-        num = p * _integrate(grid, weight * dv * dv)
-        den = _sigma_integral(vals, grid, p)
+        weight = block ** (p - 2.0)
+        num = p * (h * np.add.reduce(weight * dv * dv, axis=-1))
+        den = _sigma_integral(block, grid, p)
     else:
         dn = _spectrum_derivative(grid, vhat.copy(), spec.n)
-        num = _integrate(grid, dn * dn)
+        num = h * np.add.reduce(dn * dn, axis=-1)
         if spec.kind is QuotientKind.POINCARE:
-            dev = vals - vals.sum() / vals.size
-            den = _integrate(grid, dev * dev)
+            dev = block - (np.add.reduce(block, axis=-1) / n)[:, None]
+            den = h * np.add.reduce(dev * dev, axis=-1)
         else:
-            sq = vals * vals
-            # num = 0 only for constant (or Nyquist) fields; sq.any() is there for the zero one
-            den = _sigma_integral(sq, grid, 1.0) if num or sq.any() else 0.0
-    if abs(den) < _DEGENERACY_FLOOR:
+            sq = block * block
+            # num = 0 only for constant (or Nyquist) fields; a zero row has no sigma and makes den 0
+            den = _sigma_integral(sq, grid, 1.0) if num.all() or sq.any(axis=-1).all() else 0.0
+    low = np.abs(den) < _DEGENERACY_FLOOR
+    if low.any():
         raise DegenerateDenominator(
-            f"denominator {den:.3e} below {_DEGENERACY_FLOOR:.0e}; "
+            f"denominator {np.extract(low, den)[0]:.3e} below {_DEGENERACY_FLOOR:.0e}; "
             "field is too close to constant"
         )
     q = num / den
     if spec.kind is QuotientKind.CONVEX_SOBOLEV:
-        vbar = float(vals.sum()) / vals.size
-        d_den = p * (vals ** (p - 1.0) - vbar ** (p - 1.0)) / (p - 1.0)
-        ghat = _rfft(p * (p - 2.0) * vals ** (p - 3.0) * dv * dv - q * d_den)
-        ghat -= 2.0 * _spectral_symbol(grid.n_points, 1, grid.length) * _rfft(p * weight * dv)
+        vbar = np.add.reduce(block, axis=-1) / n
+        # scalar pow of each mean, as in _sigma_integral
+        shift = np.array([m ** (p - 1.0) for m in vbar.tolist()])[:, None]
+        d_den = p * (block ** (p - 1.0) - shift) / (p - 1.0)
+        ghat = _rfft(p * (p - 2.0) * block ** (p - 3.0) * dv * dv - q[:, None] * d_den)
+        ghat -= 2.0 * _spectral_symbol(n, 1, grid.length) * _rfft(p * weight * dv)
     else:
         sign = -1.0 if spec.n % 2 else 1.0
-        d_num = (2.0 * sign) * _spectral_symbol(grid.n_points, 2 * spec.n, grid.length)
+        d_num = (2.0 * sign) * _spectral_symbol(n, 2 * spec.n, grid.length)
         if spec.kind is QuotientKind.POINCARE:
-            ghat = (d_num - 2.0 * q) * vhat  # d of the denominator: 2 (v - vbar)
-            ghat[0] = 0.0
+            ghat = (d_num - (2.0 * q)[:, None]) * vhat  # d of the denominator: 2 (v - vbar)
+            ghat[:, 0] = 0.0
         else:
-            e = sq / (float(sq.sum()) / sq.size) - 1.0  # d of sigma_1(v^2)
-            ghat = d_num * vhat - _rfft((2.0 * q) * vals * np.log1p(np.maximum(e, _D_FLOOR)))
-    ghat /= den
+            e = sq / (np.add.reduce(sq, axis=-1) / n)[:, None] - 1.0  # d of sigma_1(v^2)
+            ghat = d_num * vhat - _rfft((2.0 * q)[:, None] * block * np.log1p(np.maximum(e, _D_FLOOR)))
+    ghat /= den[:, None]
+    if vals.ndim == 1:
+        return float(q[0]), float(den[0]), vhat[0], ghat[0]
     return q, den, vhat, ghat
 
 
@@ -239,15 +249,17 @@ def _parseval_weights(n_points: int, length: float) -> np.ndarray:
     return c
 
 
-def _spectral_dot(grid: PeriodicGrid, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
-    """h sum(a b) of two real grid fields, from their rfft by Parseval."""
+def _spectral_dot(grid: PeriodicGrid, a_hat: np.ndarray, b_hat: np.ndarray) -> np.ndarray:
+    """h sum(a b) of real grid fields, row by row along the last axis, from
+    their rfft by Parseval."""
     terms = np.multiply(a_hat.view(float), b_hat.view(float))
     terms *= _parseval_weights(grid.n_points, grid.length)
-    return float(np.add.reduce(terms))
+    return np.add.reduce(terms, axis=-1)
 
 
 def _normalize(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Pin down the quotient's scaling/shift invariance.
+    """Pin down the quotient's scaling/shift invariance in each row of
+    ``vals`` (one field, or a block of them).
 
     Poincare fields become mean-zero with unit mass.  Log-Sobolev and
     convex fields become 1 + _PIN (v - vbar) / sup |v - vbar|, that is
@@ -255,19 +267,133 @@ def _normalize(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> np.n
     A field that is constant up to rounding has no direction to pin and
     raises ``DegenerateDenominator``.
     """
-    dev = vals - vals.sum() / vals.size
+    dev = vals - (np.add.reduce(vals, axis=-1) / vals.shape[-1])[..., None]
     if spec.kind is QuotientKind.POINCARE:
-        scale = math.sqrt(float(grid.spacing * (dev * dev).sum()))
-        if scale <= 0.0:
+        scale = np.sqrt(grid.spacing * np.add.reduce(dev * dev, axis=-1))
+        if (scale <= 0.0).any():
             raise DegenerateDenominator("field is constant up to rounding; it cannot be normalised")
-        return dev / scale
-    sup = float(np.abs(dev).max())
-    if sup <= _DEGENERACY_FLOOR * float(np.abs(vals).max()):
+        return dev / scale[..., None]
+    sup = np.abs(dev).max(axis=-1)
+    if (sup <= _DEGENERACY_FLOOR * np.abs(vals).max(axis=-1)).any():
         raise DegenerateDenominator("field is constant up to rounding; it cannot be normalised")
-    out = 1.0 + (_PIN / sup) * dev
+    out = 1.0 + (_PIN / sup)[..., None] * dev
     if spec.kind is QuotientKind.LOG_SOBOLEV:
-        return out / math.sqrt(float((out * out).sum()) / out.size)
+        return out / np.sqrt(np.add.reduce(out * out, axis=-1) / out.shape[-1])[..., None]
     return out
+
+
+def _trials(spec: QuotientSpec, raw: np.ndarray, grid: PeriodicGrid) -> tuple:
+    """(cand, q, vhat, ghat, counted): a block of trial fields normalised
+    and evaluated.  A row that cannot be normalised, or whose denominator is
+    degenerate, is a rejected trial and gets q = inf; ``counted`` is each
+    row's number of quotient evaluations, 1 for every row that could be
+    normalised.  A block in which some row fails is redone a row at a time."""
+    cand = None
+    try:
+        cand = _normalize(spec, raw, grid)
+        q, _, vhat, ghat = _evaluate(spec, cand, grid)
+        return cand, q, vhat, ghat, 1
+    except DegenerateDenominator:
+        if len(raw) > 1:
+            parts = [_trials(spec, raw[i : i + 1], grid) for i in range(len(raw))]
+            return (*map(np.concatenate, list(zip(*parts))[:4]), np.array([part[4] for part in parts]))
+    nothing = np.zeros((1, grid.n_points // 2 + 1), dtype=complex)
+    return raw, np.array([math.inf]), nothing, nothing, int(cand is not None)
+
+
+def _descend(spec: QuotientSpec, grid: PeriodicGrid, starts: np.ndarray) -> list[QuotientResult]:
+    """The descent of ``minimize_quotient`` from each row of ``starts``, an
+    (S, N) block, all run as one block; the results in row order.
+
+    Each row keeps its own Barzilai-Borwein length, backtrack, stop test,
+    iteration and evaluation count, and leaves the block once it stops.
+    The first trials of all rows are one block, and rows that reject theirs
+    backtrack in a sub-block.  Every reduction and transform runs along the
+    last axis, so each row gets the bits it gets alone.
+    """
+    n = grid.n_points
+    start = _rfft(starts)
+    if n % 2 == 0:
+        start[:, -1] = 0.0
+    vals = _normalize(spec, _irfft(start, n), grid)
+    q, _, vhat, ghat = _evaluate(spec, vals, grid)
+    damping = _preconditioner(n, spec.n if spec.kind is not QuotientKind.CONVEX_SOBOLEV else 1)
+
+    rows = np.arange(len(vals))  # the start of each row still descending
+    evaluations = np.ones(len(vals), dtype=int)
+    step = np.full(len(vals), 0.5)
+    last = None  # spectra of the previous iterates, their gradients and preconditioned gradients
+    done = [None] * len(vals)  # per start: (q, vals, ghat, iterations, evaluations, converged)
+    for iters in range(1, _MAX_ITERS + 1):
+        gphat = ghat * damping
+        slope = _spectral_dot(grid, ghat, gphat)
+        floor = _DESCENT_TOL * np.maximum(np.abs(q), 1.0)
+        current = (vhat, ghat, gphat)
+        if last is not None:
+            # preconditioned BB2 length (dx . dg) / (dg . P dg) where it is positive and finite
+            dx, dg, dgp = (now - before for now, before in zip(current, last))
+            curvature = _spectral_dot(grid, dg, dgp)
+            bb = np.divide(_spectral_dot(grid, dx, dg), curvature, out=np.zeros(len(q)), where=curvature > 0.0)
+            step = np.where((0.0 < bb) & (bb < math.inf), bb, step)
+        last = current
+        gp = _irfft(gphat, n)
+
+        # halving backtracks, until a trial lowers q or its step no longer counts
+        s = step.copy()
+        live = s * slope > floor  # rows with a trial to make
+        if live.all():  # the common case: the first trials of all rows, as one block
+            cand, tq, tvhat, tghat, counted = _trials(spec, vals - s[:, None] * gp, grid)
+            evaluations += counted
+            live = ~(tq < q)
+            if live.any():
+                s[live] *= 0.5
+                live &= s * slope > floor
+        else:
+            cand, tvhat, tghat = np.empty_like(vals), np.empty_like(vhat), np.empty_like(ghat)
+            tq = np.full(len(q), math.inf)
+        sub = np.flatnonzero(live)  # rows that backtrack, as a sub-block
+        while sub.size:
+            c, t, tv, tg, counted = _trials(spec, vals[sub] - s[sub, None] * gp[sub], grid)
+            evaluations[sub] += counted
+            ok = t < q[sub]
+            for whole, part in zip((cand, tq, tvhat, tghat), (c, t, tv, tg)):
+                whole[sub[ok]] = part[ok]
+            sub = sub[~ok]
+            s[sub] *= 0.5
+            sub = sub[s[sub] * slope[sub] > floor[sub]]
+
+        moved = tq < q
+        stop = ~moved | (q - tq <= floor)
+        if stop.any():
+            for i in np.flatnonzero(stop).tolist():
+                now = (tq, cand, tghat) if moved[i] else (q, vals, ghat)
+                done[rows[i]] = (*(a[i] for a in now), iters, int(evaluations[i]), True)
+            keep = np.flatnonzero(~stop)
+            if not keep.size:
+                break
+            rows, step, evaluations = rows[keep], step[keep], evaluations[keep]
+            cand, tq, tvhat, tghat = cand[keep], tq[keep], tvhat[keep], tghat[keep]
+            last = tuple(a[keep] for a in last)
+        vals, q, vhat, ghat = cand, tq, tvhat, tghat
+    else:
+        for i, row in enumerate(rows.tolist()):
+            done[row] = (q[i], vals[i], ghat[i], _MAX_ITERS, int(evaluations[i]), False)
+
+    residuals = np.abs(_irfft(np.array([r[2] for r in done]) * damping, n)).max(axis=-1)
+    kind = FieldKind.DENSITY if spec.kind is QuotientKind.CONVEX_SOBOLEV else FieldKind.GENERIC
+    analytic = spec.analytic_constant(grid.length)
+    return [
+        QuotientResult(
+            value=float(value),
+            minimizer=Field(grid, field, kind),
+            iterations=iterations,
+            evaluations=count,
+            residual=float(residual),
+            analytic=analytic,
+            converged=converged,
+        )
+        for (value, field, _, iterations, count, converged), residual in zip(done, residuals)
+    ]
 
 
 def minimize_quotient(spec: QuotientSpec, u_init: Field) -> QuotientResult:
@@ -315,68 +441,12 @@ def minimize_quotient(spec: QuotientSpec, u_init: Field) -> QuotientResult:
     that does not lower q.  Only the returned minimizer is built as a
     ``Field``, and ``evaluations`` counts the quotient evaluations, the
     start's and every candidate's.
+
+    The descent is the block descent of ``certify_constant`` run on a
+    block of one start; each start of a block gives the same result, bit
+    for bit, as it does alone.
     """
-    grid = u_init.grid
-    n = grid.n_points
-    start = _rfft(u_init.values)
-    if n % 2 == 0:
-        start[-1] = 0.0
-    vals = _normalize(spec, _irfft(start, n), grid)
-    q, _, vhat, ghat = _evaluate(spec, vals, grid)
-    damping = _preconditioner(n, spec.n if spec.kind is not QuotientKind.CONVEX_SOBOLEV else 1)
-
-    evaluations = 1
-    step = 0.5
-    converged = False
-    last = None  # spectra of the previous iterate, its gradient and its preconditioned gradient
-    for iters in range(1, _MAX_ITERS + 1):
-        gphat = ghat * damping
-        slope = _spectral_dot(grid, ghat, gphat)
-        floor = _DESCENT_TOL * max(abs(q), 1.0)
-        current = (vhat, ghat, gphat)
-        if last is not None:
-            # preconditioned BB2 length (dx . dg) / (dg . P dg)
-            dx, dg, dgp = (now - before for now, before in zip(current, last))
-            curvature = _spectral_dot(grid, dg, dgp)
-            if curvature > 0.0:
-                bb = _spectral_dot(grid, dx, dg) / curvature
-                if 0.0 < bb < math.inf:
-                    step = bb
-        last = current
-        gp = _irfft(gphat, n)
-
-        s = step
-        while s * slope > floor:
-            try:
-                cand = _normalize(spec, vals - s * gp, grid)
-                evaluations += 1
-                trial = _evaluate(spec, cand, grid)
-                if trial[0] < q:
-                    break
-            except DegenerateDenominator:
-                pass  # rejected, like a trial that does not lower q
-            s *= 0.5
-        else:
-            converged = True  # no step that still counts lowers q
-            break
-
-        dq = q - trial[0]
-        vals, (q, _, vhat, ghat) = cand, trial
-        if dq <= floor:
-            converged = True
-            break
-
-    residual = float(np.abs(_irfft(ghat * damping, n)).max())
-    kind = FieldKind.DENSITY if spec.kind is QuotientKind.CONVEX_SOBOLEV else FieldKind.GENERIC
-    return QuotientResult(
-        value=q,
-        minimizer=Field(grid, vals, kind),
-        iterations=iters,
-        evaluations=evaluations,
-        residual=residual,
-        analytic=spec.analytic_constant(grid.length),
-        converged=converged,
-    )
+    return _descend(spec, u_init.grid, u_init.values[None])[0]
 
 
 def _initial_guess(spec: QuotientSpec, grid: PeriodicGrid, seed: int) -> Field:
@@ -394,14 +464,16 @@ def certify_constant(
     grid: PeriodicGrid,
     seeds: tuple[int, ...] = (0, 1, 2),
 ) -> QuotientResult:
-    """Multi-start minimisation: run ``minimize_quotient`` from one random
-    admissible field per seed and keep the lowest converged value.  At
-    least one seed is required."""
+    """Multi-start minimisation: the descent of ``minimize_quotient`` from
+    one random admissible field per seed, all starts descending as one
+    block, and the lowest converged value kept (the first seed's on a tie).
+    Each start gives the result it gives alone.  At least one seed is
+    required."""
     if not seeds:
         raise ValueError("seeds must name at least one start")
+    starts = np.array([_initial_guess(spec, grid, seed).values for seed in seeds])
     best = None
-    for seed in seeds:
-        res = minimize_quotient(spec, _initial_guess(spec, grid, seed))
+    for res in _descend(spec, grid, starts):
         if best is None or (res.converged, -res.value) > (best.converged, -best.value):
             best = res
     return best

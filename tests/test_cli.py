@@ -440,6 +440,25 @@ class TestFit:
         if header_only:
             assert "found 0" in err
 
+    @pytest.mark.parametrize(
+        "window,name",
+        [
+            (["--t-lo", "nan"], "t_lo"),
+            (["--t-hi", "inf"], "t_hi"),
+            (["--t-lo=-inf", "--t-hi", "4"], "t_lo"),
+            (["--t-lo", "1", "--t-hi", "nan"], "t_hi"),
+            (["--t-lo", "3", "--t-hi", "3"], "t_hi"),
+            (["--t-lo", "4", "--t-hi", "1"], "t_hi"),
+        ],
+    )
+    def test_rejects_bad_window(self, csv_file, capsys, window, name):
+        # a window bound that is not finite, or an empty window, is a usage
+        # error that names its option, whatever the samples
+        code, out, err = run_cli(capsys, ["fit", "--input", str(csv_file), "--L", str(TWO_PI), *window])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name}: ")
+
     @pytest.mark.parametrize("length", ["0", str(-TWO_PI), "nan"])
     def test_rejects_bad_length(self, csv_file, capsys, length):
         code, out, err = run_cli(capsys, ["fit", "--input", str(csv_file), "--L", length])
@@ -547,6 +566,20 @@ class TestParser:
             assert out.returncode == 0, out.stderr
             outputs.append(out.stdout)
         assert outputs[0] == outputs[1]
+
+    def test_python_m_dlss(self, package_env):
+        out = subprocess.run(
+            [sys.executable, "-m", "dlss", "--help"], capture_output=True, text=True, env=package_env
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("usage: dlss ")
+        argv = ["certify", "--kind", "poincare", "--n", "1", "--L", "6.283185307179586", "--N", "32"]
+        out = subprocess.run(
+            [sys.executable, "-m", "dlss", *argv], capture_output=True, text=True, env=package_env
+        )
+        assert out.returncode == 0, out.stderr
+        payload = json.loads(out.stdout, parse_constant=reject_constant)
+        assert payload["kind"] == "poincare" and payload["converged"] is True
 
     def test_installed_entry_point(self, package_env):
         out = subprocess.run(

@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 
 import dlss
 from dlss import Field, FieldKind, QuotientKind, QuotientSpec, SPECTRAL
-from dlss.grid import POSITIVITY_FLOOR, PeriodicGrid
+from dlss.grid import POSITIVITY_FLOOR, PeriodicGrid, _irfft, _rfft
 from dlss.inequalities import (
     _BLOCK_VALUES,
+    _DESCENT_TOL,
     _PIN,
     _coarse_strip,
+    _descend,
     _evaluate,
     _grid_schedule,
     _heat_decay,
@@ -19,6 +21,7 @@ from dlss.inequalities import (
     _preconditioner,
     _sigma_integral,
     _spectral_dot,
+    _trials,
     convex_sobolev,
     log_sobolev,
     poincare,
@@ -126,6 +129,70 @@ def flow_schedule(v0, grid, t_final, dt):
     wave = (TWO_PI / grid.length) * np.arange(grid.n_points // 2 + 1)
     times = np.arange(round(t_final / dt) + 1) * dt
     return _grid_schedule(np.fft.rfft(v0), grid, wave, times)
+
+
+def oracle_descent(spec, u_init, evaluate=_evaluate):
+    """minimize_quotient as it was before the starts of a certificate
+    descended as one block: the loop of one start, each helper called on
+    one field.  Returns (value, iterations, evaluations, residual,
+    converged, minimizer bytes), then (trials, accepted) of each iteration,
+    the number of Barzilai-Borwein lengths that were not positive and
+    finite, and the bytes of every candidate."""
+    grid = u_init.grid
+    n = grid.n_points
+    start = _rfft(u_init.values)
+    if n % 2 == 0:
+        start[-1] = 0.0
+    vals = _normalize(spec, _irfft(start, n), grid)
+    q, _, vhat, ghat = evaluate(spec, vals, grid)
+    damping = _preconditioner(n, spec.n if spec.kind is not QuotientKind.CONVEX_SOBOLEV else 1)
+    evaluations, step, converged, last = 1, 0.5, False, None
+    trace, bb_kept, candidates = [], 0, []
+    for iters in range(1, dlss.inequalities._MAX_ITERS + 1):
+        gphat = ghat * damping
+        slope = float(_spectral_dot(grid, ghat, gphat))
+        floor = _DESCENT_TOL * max(abs(q), 1.0)
+        current = (vhat, ghat, gphat)
+        if last is not None:
+            dx, dg, dgp = (now - before for now, before in zip(current, last))
+            curvature = float(_spectral_dot(grid, dg, dgp))
+            bb = float(_spectral_dot(grid, dx, dg)) / curvature if curvature > 0.0 else math.nan
+            if 0.0 < bb < math.inf:
+                step = bb
+            else:
+                bb_kept += 1
+        last = current
+        gp = _irfft(gphat, n)
+        s, trials = step, 0
+        while s * slope > floor:
+            try:
+                cand = _normalize(spec, vals - s * gp, grid)
+                evaluations += 1
+                trials += 1
+                candidates.append(cand.tobytes())
+                trial = evaluate(spec, cand, grid)
+                if trial[0] < q:
+                    break
+            except dlss.DegenerateDenominator:
+                pass
+            s *= 0.5
+        else:
+            trace.append((trials, False))
+            converged = True
+            break
+        trace.append((trials, True))
+        dq = q - trial[0]
+        vals, (q, _, vhat, ghat) = cand, trial
+        if dq <= floor:
+            converged = True
+            break
+    residual = float(np.abs(_irfft(ghat * damping, n)).max())
+    return (q, iters, evaluations, residual, converged, vals.tobytes()), trace, bb_kept, candidates
+
+
+def summary(res):
+    """What the oracle gives of a QuotientResult."""
+    return (res.value, res.iterations, res.evaluations, res.residual, res.converged, res.minimizer.values.tobytes())
 
 
 class TestQuotientSpec:
@@ -291,17 +358,23 @@ class TestMinimizeQuotient:
 
     @pytest.mark.parametrize("spec", ALL_KINDS, ids=spec_id)
     def test_evaluations_count_every_evaluation(self, grid64, spec, monkeypatch):
-        calls = []
+        rows = []  # the rows of each evaluated block
 
-        def counted(*args, _evaluate=_evaluate):
-            calls.append(args)
-            return _evaluate(*args)
+        def counted(spec, vals, grid, _evaluate=_evaluate):
+            rows.append(len(vals))
+            return _evaluate(spec, vals, grid)
 
         monkeypatch.setattr("dlss.inequalities._evaluate", counted)
         res = dlss.minimize_quotient(spec, _initial_guess(spec, grid64, seed=4))
         # every iteration evaluates at least one candidate; with Barzilai-
         # Borwein lengths some starts never backtrack
-        assert res.evaluations == len(calls) >= res.iterations
+        assert res.evaluations == len(rows) == sum(rows) >= res.iterations
+        # in a block, every evaluated row is one evaluation of its start
+        rows.clear()
+        starts = np.array([_initial_guess(spec, grid64, seed).values for seed in (4, 5, 6)])
+        results = _descend(spec, grid64, starts)
+        assert sum(res.evaluations for res in results) == sum(rows)
+        assert all(res.evaluations >= res.iterations for res in results)
 
     @pytest.mark.parametrize("seed", [1, 4, 7])
     def test_non_positive_bb_length_converges(self, seed, monkeypatch):
@@ -312,8 +385,9 @@ class TestMinimizeQuotient:
         dots = []
 
         def recorded(*args, _spectral_dot=_spectral_dot):
-            dots.append(_spectral_dot(*args))
-            return dots[-1]
+            result = _spectral_dot(*args)
+            dots.extend(result.tolist())  # one dot per row
+            return result
 
         monkeypatch.setattr("dlss.inequalities._spectral_dot", recorded)
         grid = dlss.make_grid(TWO_PI, 16)
@@ -348,13 +422,15 @@ class TestMinimizeQuotient:
         # number the iterations
         values = []
 
-        def recorded(*args, _evaluate=_evaluate):
+        def recorded(spec, vals, grid, _evaluate=_evaluate):
+            # the descent of one start evaluates blocks of one row
+            assert vals.shape[0] == 1
             try:
-                result = _evaluate(*args)
+                result = _evaluate(spec, vals, grid)
             except dlss.DegenerateDenominator:
                 values.append(math.inf)
                 raise
-            values.append(result[0])
+            values.extend(result[0].tolist())
             return result
 
         monkeypatch.setattr("dlss.inequalities._evaluate", recorded)
@@ -512,6 +588,101 @@ class TestCertifyConstant:
         b = dlss.certify_constant(poincare(1), grid64)
         assert a.value == b.value
         assert np.array_equal(a.minimizer.values, b.minimizer.values)
+
+
+class TestBlockDescent:
+    """The starts of a certificate descend as one block, and each gives
+    the bits of the one-start oracle."""
+
+    @staticmethod
+    def run(spec, grid, seeds, evaluate=_evaluate):
+        """(block results, oracle runs) of the starts of these seeds."""
+        starts = [_initial_guess(spec, grid, seed) for seed in seeds]
+        oracles = [oracle_descent(spec, u, evaluate) for u in starts]
+        results = _descend(spec, grid, np.array([u.values for u in starts]))
+        assert [summary(res) for res in results] == [oracle[0] for oracle in oracles]
+        return results, oracles
+
+    @pytest.mark.parametrize("n_points", [16, 32, 256])
+    @pytest.mark.parametrize("spec", CERTIFIED_KINDS, ids=spec_id)
+    def test_every_kind_matches_the_oracle(self, spec, n_points):
+        grid = dlss.make_grid(TWO_PI, n_points)
+        results, oracles = self.run(spec, grid, (0, 1, 2))
+        # the certificate keeps the first of the lowest converged values
+        best = max(results, key=lambda res: (res.converged, -res.value))
+        assert summary(dlss.certify_constant(spec, grid)) == summary(best)
+        # one start is a block of one
+        assert summary(dlss.minimize_quotient(spec, _initial_guess(spec, grid, 1))) == oracles[1][0]
+
+    def test_rows_stop_at_different_iterations(self):
+        # the middle row descends 3 iterations after the first has left
+        results, _ = self.run(poincare(2), dlss.make_grid(TWO_PI, 16), (0, 1, 2))
+        assert [res.iterations for res in results] == [8, 11, 9]
+
+    @pytest.mark.parametrize("spec", [log_sobolev(3), convex_sobolev(1.2)], ids=spec_id)
+    def test_row_backtracks_while_the_others_accept(self, grid256, spec):
+        _, oracles = self.run(spec, grid256, (0, 1, 2))
+        traces = [oracle[1] for oracle in oracles]
+        assert any(
+            any(trace[k][0] >= 2 for trace in traces) and any(trace[k] == (1, True) for trace in traces)
+            for k in range(min(map(len, traces)))
+        )
+
+    def test_budget_exit(self, grid256, monkeypatch):
+        # unbudgeted, these starts converge at iterations 11, 12 and 12
+        monkeypatch.setattr("dlss.inequalities._MAX_ITERS", 11)
+        results, _ = self.run(poincare(1), grid256, (0, 1, 2))
+        assert [(res.iterations, res.converged) for res in results] == [(11, True), (11, False), (11, False)]
+        monkeypatch.setattr("dlss.inequalities._MAX_ITERS", 2)
+        results, _ = self.run(log_sobolev(1), grid256, (0, 1, 2))
+        assert [(res.iterations, res.converged) for res in results] == [(2, False)] * 3
+
+    def test_non_positive_bb_starts(self):
+        # each of these starts meets a Barzilai-Borwein length that is not
+        # positive and retries its previous trial length
+        results, oracles = self.run(poincare(1), dlss.make_grid(TWO_PI, 16), (1, 4, 7))
+        assert all(oracle[2] >= 1 for oracle in oracles)
+        assert all(res.converged and res.rel_error <= 1e-12 for res in results)
+
+    def test_degenerate_start_raises(self, grid64):
+        starts = np.array([_initial_guess(poincare(1), grid64, seed).values for seed in (0, 1)])
+        starts = np.insert(starts, 1, 2.0, axis=0)  # a constant middle row
+        with pytest.raises(dlss.DegenerateDenominator):
+            _descend(poincare(1), grid64, starts)
+
+    def test_degenerate_trial_is_rejected_for_its_row_only(self, grid256, monkeypatch):
+        # two candidates of the unmarked runs are made degenerate, for the
+        # oracle and the library alike; the block that holds the first is
+        # redone a row at a time
+        spec = log_sobolev(1)
+        plain = [oracle_descent(spec, _initial_guess(spec, grid256, seed))[3] for seed in (0, 1, 2)]
+        marked = {plain[0][1], plain[2][3]}
+        blocks = []
+
+        def marking(spec, vals, grid):
+            if any(row.tobytes() in marked for row in np.atleast_2d(vals)):
+                blocks.append(np.atleast_2d(vals).shape[0])
+                raise dlss.DegenerateDenominator("marked")
+            return _evaluate(spec, vals, grid)
+
+        monkeypatch.setattr("dlss.inequalities._evaluate", marking)
+        self.run(spec, grid256, (0, 1, 2), evaluate=marking)
+        # the oracle meets each mark once; the library meets each in a
+        # block of three, then in its own row
+        assert sorted(blocks) == [1, 1, 1, 1, 3, 3]
+
+    def test_trial_that_cannot_be_normalised(self, grid64):
+        spec = poincare(1)
+        raw = np.array([_initial_guess(spec, grid64, seed).values for seed in (0, 1, 2)])
+        raw[1] = 2.0
+        cand, q, vhat, ghat, counted = _trials(spec, raw, grid64)
+        assert counted.tolist() == [1, 0, 1]
+        assert q[1] == math.inf
+        for i in (0, 2):
+            alone = _trials(spec, raw[i : i + 1], grid64)
+            assert alone[4] == 1
+            for got, want in zip((cand, q, vhat, ghat), alone):
+                assert got[i].tobytes() == want[0].tobytes()
 
 
 class TestSigmaIntegral:
