@@ -589,83 +589,83 @@ def _heat_decay(t: np.ndarray, wave2: np.ndarray, out: np.ndarray) -> int:
     return live
 
 
-# Which grid a flow state needs, derived; nothing in it is tuned.  Let the
-# state be v = vbar + sum_{m != 0} a_m e^{i kappa m x}, kappa = 2 pi / L, with
-# c_m = (2/N)|v0_hat_m| e^{-kappa^2 m^2 t} >= 2|a_m| for m >= 1, and let s > 0
-# have sum_{m >= 1} c_m e^{kappa m s} <= zeta vbar, zeta <= 1/2.  On the strip
-# |Im x| < s then v = vbar (1 + z) with |z| <= zeta: Re v >= vbar / 2, and
-# w = v^{p/2} = W (1 + z)^{p/2}, W = vbar^{p/2}, has |w - W| <= W zeta (p/2
-# lies in [1/2, 1]) and |w|^2 >= W^2 / 4.  Cauchy's estimate on discs of
-# radius s/2 bounds w_x by B1 = 2 W zeta / s and w_xx by B2 = 8 W zeta / s^2
-# on |Im x| < s/2, so the Fourier coefficients of the j-th derivative are at
-# most Bj rho^|n|, rho = e^{-kappa s / 2}, B0 = W zeta.  Take M points,
-# E = rho^{M/2}, and every mode of v below M/2, so v is exact at the nodes.
-# - w_x at the nodes, from the M-point spectrum, folds each mode |n| >= M/2
-#   onto one |m| < |n|, so it is off by at most 2 sum_{|n| >= M/2}
-#   B1 rho^|n| = 4 B1 E / (1 - rho) =: nu B1.  The terms of
-#   h sum(w_x^4 / (3 w^2)) are at most 4 B1^4 / (3 W^2); the sum moves by
-#   at most 4 nu (1 + nu)^3 of L times that, and the trapezoid rule adds
-#   2 E^2 / (1 - E^2) of it (the integrand is analytic on |Im x| < s/2).
-# - h sum(w_x^2) and the Parseval sum of w_xx differ from their integrals by
-#   products of two coefficients whose modes add up to M or more: at most
-#   8 E^2 (M + 4 / (1 - rho)) of L Bj^2 while E < 1/2, below E (M + 4) times
-#   the bound above, and E (M + 4) < 1 wherever that bound is below eps.  The
-#   sigma integrand is at most B0^2 on |Im x| < s, so the trapezoid rule errs
-#   by 2 E^4 / (1 - E^4) of L B0^2.
-# The full grid errs less than the coarse one, so every sum stays within
-# eps of its scale wherever 2 (4 nu (1 + nu)^3 + 2 E^2 / (1 - E^2)) <= eps.
-@lru_cache(maxsize=None)
-def _coarse_strip(m: int, length: float) -> float:
-    """Least strip half-width s at which the bound above is at most eps on
-    an m-point grid, to one part in 1e-12 from above; it falls as s grows."""
-    kappa = 2.0 * math.pi / length
+# Which grid a flow state needs, derived; nothing in it is tuned.  The norm
+# |g|_s = sum |g_n| e^{kappa |n| s} of the Fourier coefficients, kappa =
+# 2 pi / L, is an algebra norm that bounds |g| on the real line and that
+# aliasing onto a grid does not raise (Trefethen and Weideman, SIAM Rev. 56
+# (2014) 385).  A state is v = vbar (1 + z), |z|_s <= A = sum_{n >= 1} c_n
+# e^{kappa n s} / vbar, c_n = (2/N)|v0_hat_n| e^{-kappa^2 n^2 t}.  For
+# A <= 1/2 the alternating binomial series gives w = v^{p/2} = W (1 + y),
+# W = vbar^{p/2}, with |y|_s <= b = 1 - (1 - A)^{p/2} and |1/w^2|_{s/2} <=
+# (W (1 - b))^-2; so |w_x| <= B1 = W b / (e s) and |w_xx| <= 4 B1 / (e s) on
+# the real line, and sum_{|n| >= K} (kappa |n|)^j |w_n| <= W b (kappa K)^j q,
+# q = e^{-x}, for j <= 2 <= x = kappa K s.  On M = 2K points:
+# - w_x at the nodes is off by nu B1 at most, nu = 2 e x q, so h sum(w_x^4 /
+#   (3 w^2)) moves by 4 nu (1 + nu)^3 of its scale L B1^4 / (3 (W (1 - b))^2)
+#   at most, and the trapezoid rule adds 16 q of it (|w_x|_{s/2} <= 2 B1);
+# - h sum(w_x^2), the Parseval sum of w_xx and the trapezoid rule for sigma
+#   err by 8 q + 2 (e x q)^2 of L B1^2, 32 q + 3 (e x)^4 q^2 / 16 of
+#   L (4 B1 / (e s))^2 and q^2 of L times sigma's series bound at most, each
+#   below F = 4 nu (1 + nu)^3 + 16 q where 2 F <= eps.
+# The full grid errs less at the same s, so at x = _STRIP_X, the least x with
+# 2 F <= eps, every sum is within eps of its scale.  The scales at A = 1/2
+# are at least (2 A)^-2 times a state's own (b / A rises with A).  The M
+# nodes hold the trigonometric polynomial of v's modes below K (the Nyquist
+# mode read as real).  On the N nodes it differs from v by the tail tau =
+# sum_{n >= K} c_n in |.|_0, w by W tau / vbar (p/2 (1 - A)^{p/2 - 1} <= 1)
+# and w_x by kappa (N/2) W tau / vbar at most, and each N-point sum by
+# T = (4 (2 + sqrt 2) e kappa (N/2) s + 4) tau / vbar of its scale at
+# A = 1/2 (the quartic's bound; b >= 1 - 2^{-1/2} there).  So a halving is
+# admissible when eps (2 A)^2 + T <= eps.
+_STRIP_X = 43.608219025278224  # 2 F(x) > eps at x (1 - 1e-11)
 
-    def too_coarse(s: float) -> bool:
-        e = math.exp(-kappa * m * s / 4.0)
-        nu = 4.0 * e / -math.expm1(-kappa * s / 2.0)
-        return 8.0 * nu * (1.0 + nu) ** 3 + 4.0 * e * e / (1.0 - e * e) > np.finfo(float).eps
 
-    lo, hi = 0.0, length / m
-    while too_coarse(hi):
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if too_coarse(mid) else (lo, mid)
-    return hi
+def _admissible(v0_hat: np.ndarray, grid: PeriodicGrid, wave: np.ndarray):
+    """admissible(m, t) of the derivation above for the flow from v0, with
+    s = _STRIP_X / (kappa m/2).  It holds from some t on, and for m from
+    the t it holds for 2m on.  While the bound e^{s^2 / 4t} of the factors
+    e^{kappa n s - kappa^2 n^2 t} exceeds e^{600} the state is not admitted,
+    so nothing overflows (c_n <= 2 vbar)."""
+    with np.errstate(divide="ignore"):  # a zero mode adds exp(-inf) = 0
+        log_c = np.log(2.0 * np.abs(v0_hat[1:]) / v0_hat[0].real)  # c_n / vbar at t = 0
+    wave2, work, eps = wave[1:] ** 2, np.empty(wave.size - 1), np.finfo(float).eps
+    sizes = {}
+
+    def admissible(m: int, t: float) -> bool:
+        if m not in sizes:
+            s = _STRIP_X * grid.length / (math.pi * m)
+            weight = 4.0 * (2.0 + math.sqrt(2.0)) * math.e * wave[-1] * s + 4.0
+            sizes[m] = s * s / 2400.0, log_c + wave[1:] * s, np.exp(-wave[m // 2 :] * s), weight
+        too_early, rise, fall, weight = sizes[m]
+        if t <= too_early:
+            return False
+        terms = np.multiply(wave2, -t, out=work)
+        terms += rise
+        strip = np.add.reduce(np.exp(terms, out=terms))  # A
+        if 2.0 * strip > 1.0:
+            return False  # eps (2 A)^2 alone exceeds eps
+        # tau / vbar: the terms from K on times e^{-kappa n s}
+        tail = np.add.reduce(np.multiply(terms[m // 2 - 1 :], fall, out=terms[m // 2 - 1 :]))
+        return bool(eps * (2.0 * strip) ** 2 + weight * tail <= eps)
+
+    return admissible
 
 
 def _grid_schedule(v0_hat: np.ndarray, grid: PeriodicGrid, wave: np.ndarray, times: np.ndarray) -> list:
-    """[(k, m), ...]: the flow states from lattice index k on run on an
-    m-point grid; the first entry is (0, N).
-
-    A halving m >= 8 of the N-point grid is admissible at t when every
-    mode from m/2 up has underflowed, t wave^2 >= _EXP_UNDERFLOW as in
-    _heat_decay, and when sum c e^{wave s - wave^2 t} <= vbar / 2 over the
-    modes of v0, with s from _coarse_strip (see the derivation above).
-    Both hold from some time on, and for m from the time they hold for
-    2m on, so each switch is a bisection over the lattice and the size
-    never grows.  Odd N has no halving.
-    """
+    """[(k, m), ...]: the flow states from lattice index k on run on the
+    coarsest halving m >= 8 of the N-point grid that _admissible admits at
+    their time, (0, N) first; each switch is a bisection over the lattice
+    and the size never grows.  Odd N has no halving."""
     n = grid.n_points
-    amplitude = (2.0 / n) * np.abs(v0_hat[1:])
-    wave2 = wave * wave
-    vbar = v0_hat[0].real / n
-
-    def admissible(m: int, k: int) -> bool:
-        t = times[k]
-        if t * wave2[m // 2] < _EXP_UNDERFLOW:
-            return False  # exp(wave s - wave^2 t) cannot overflow past here
-        s = _coarse_strip(m, grid.length)
-        return float(np.add.reduce(amplitude * np.exp(wave[1:] * s - wave2[1:] * t))) <= 0.5 * vbar
-
+    admissible = _admissible(v0_hat, grid, wave)
     schedule = [(0, n)]
     m, first, last = n, 1, times.size - 1
-    while m % 2 == 0 and m // 2 >= 8 and admissible(m // 2, last):
+    while m % 2 == 0 and m // 2 >= 8 and admissible(m // 2, times[last]):
         m //= 2
         hi = last
         while first < hi:
             mid = (first + hi) // 2
-            first, hi = (first, mid) if admissible(m, mid) else (mid + 1, hi)
+            first, hi = (first, mid) if admissible(m, times[mid]) else (mid + 1, hi)
         if schedule[-1][0] == first:
             schedule.pop()  # m is admissible as soon as 2m is
         schedule.append((first, m))
@@ -683,10 +683,10 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
     transforms: its inverse one, the rfft of w = v^{p/2} and the inverse
     one of w_x; the production's w_xx part comes from the spectrum of w.
     A state runs on the coarsest halving m of the grid that _grid_schedule
-    admits at its time: there all its live modes lie below m/2, so the
-    spectrum v0_hat[:m/2 + 1] m/N gives it exactly at the m nodes, and
-    every sum it feeds is within eps of its scale of the full-grid value
-    (see the derivation above _coarse_strip).  State 0 and odd N stay on
+    admits at its time: the spectrum v0_hat[:m/2 + 1] m/N gives it at the
+    m nodes but for a tail of modes that the rule bounds, and every sum it
+    feeds is within eps of its scale of the full-grid value (see the
+    derivation above _STRIP_X).  State 0 and odd N stay on
     the full grid.  A block holds _BLOCK_VALUES // m states of one size;
     the columns are allocated once, and so are flat work buffers that each
     size views as blocks (a short block uses leading rows), and each block

@@ -1,8 +1,10 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,17 @@ from dlss.cli import main
 from dlss.runio import TIMESERIES_HEADER, read_timeseries
 
 TWO_PI = 2.0 * math.pi
+README = Path(__file__).resolve().parents[1] / "README.md"
+GRID256 = ["--L", repr(TWO_PI), "--N", "256"]
+
+
+def readme_run_file(**changes):
+    """The README's run file with the given keys set to new values."""
+    text = re.findall(r"```ini\n(.*?)```", README.read_text(), flags=re.DOTALL)[0]
+    for key, value in changes.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1, key
+    return text
 
 
 def reject_constant(name):
@@ -545,26 +558,32 @@ class TestParser:
         assert err.startswith("error: " if usage else "numerical failure: ")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, run_file",
         [
-            ["certify", "--kind", "logsob", "--n", "1"],
-            ["certify", "--kind", "convex", "--p", "1.5"],
-            ["heatflow", "--p", "1.5", "--T", "10", "--dt", "1e-3"],
+            (["certify", "--kind", "logsob", "--n", "1", *GRID256], None),
+            (["certify", "--kind", "convex", "--p", "1.5", *GRID256], None),
+            (["heatflow", "--p", "1.5", "--T", "10", "--dt", "1e-3", *GRID256], None),
+            (["solve", "--config", "run.cfg"], {"T": "0.05"}),
+            (["solve", "--config", "run.cfg"], {"T": "0.05", "backend": "fd4", "linear_solver": "banded"}),
         ],
-        ids=["logsob-n1", "convex-p1.5", "heatflow-p1.5"],
+        ids=["logsob-n1", "convex-p1.5", "heatflow-p1.5", "solve-readme", "solve-fd4-banded"],
     )
-    def test_output_independent_of_blas_threads(self, package_env, argv):
-        # certify and heatflow factorise nothing and reduce without BLAS:
-        # N = 256 output on one and on two OpenBLAS threads, byte for byte;
-        # most of the T = 10 heat flow runs on 128, 64 and 32 points
+    def test_output_independent_of_blas_threads(self, tmp_path, package_env, argv, run_file):
+        # N = 256 output on one and on two OpenBLAS threads, byte for byte.
+        # certify and heatflow factorise nothing and reduce without BLAS
+        # (most of the T = 10 heat flow runs on 32 and 16 points); solve
+        # runs the README's run file, T shortened, as it stands (it steps on
+        # coarse grids) and with fd4 and the banded LU
+        if run_file:
+            (tmp_path / "run.cfg").write_text(readme_run_file(output="run.csv", **run_file))
         outputs = []
         for threads in ("1", "2"):
             out = subprocess.run(
-                [sys.executable, "-m", "dlss.cli", *argv, "--L", repr(TWO_PI), "--N", "256"],
-                capture_output=True, env={**package_env, "OPENBLAS_NUM_THREADS": threads},
+                [sys.executable, "-m", "dlss.cli", *argv], capture_output=True, cwd=tmp_path,
+                env={**package_env, "OPENBLAS_NUM_THREADS": threads},
             )
             assert out.returncode == 0, out.stderr
-            outputs.append(out.stdout)
+            outputs.append((out.stdout, (tmp_path / "run.csv").read_bytes() if run_file else None))
         assert outputs[0] == outputs[1]
 
     def test_python_m_dlss(self, package_env):
