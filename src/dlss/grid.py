@@ -72,8 +72,9 @@ POSITIVITY_FLOOR = 1e-300
 # of an M-point grid, 64 at M = 256 and 512 at M = 32, and allocates its
 # work arrays once, about 1 MB at N = 256.  On N = 256, T = 10 flows
 # (heatflow_verify at p = 1 and remainder_R at p = 1.5, four seeded data),
-# 2**13 takes about 9 % more CPU than 2**14, and 2**15 about 2 % less for
-# twice the work arrays (two runs of 30 interleaved rounds, 2-core Xeon).
+# 2**13 takes 8-9 % more CPU than 2**14, and 2**15 the same to within 1 %
+# for twice the work arrays (medians of two runs of 30 interleaved rounds,
+# 2-core Xeon, with no subnormal exp left in the flows).
 # A solve on n requested points buffers _BLOCK_VALUES // n records, 64 at
 # n = 256 and 8 at n = 2048, or as many as the run makes if fewer.  Against
 # one reduction per record, that raised the median peak RSS of a benchmark

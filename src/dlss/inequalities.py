@@ -88,8 +88,6 @@ _D_FLOOR = -1.0 + 2.0 ** -53
 # iterate: their constants are reached only as it goes to 0, and the
 # quotient there is the constant times 1 + O(_PIN^2).
 _PIN = 1e-3
-# exp(-x) is exactly 0.0 for every x >= 746: it falls below half the least subnormal.
-_EXP_UNDERFLOW = 746.0
 
 
 class QuotientKind(enum.Enum):
@@ -577,15 +575,49 @@ def _flow_dissipation(
     return wx2_sum, 2.0 * (quadratic + grid.spacing * np.add.reduce(quart, axis=-1))
 
 
-def _heat_decay(t: np.ndarray, wave2: np.ndarray, out: np.ndarray) -> int:
+# Which spectrum entries of a flow state can reach a bit of it, derived;
+# nothing in it is tuned.  On an m-point grid the state's entry k is hat_k
+# e^{-t wave_k^2} with |hat_k| <= hat_0 = m vbar, as v0 > 0, and it moves a
+# node by at most 2/m of its modulus (irfft's 1/m, and the conjugate pair).
+# So the entries with t wave_k^2 >= X, at most m/2 of them, move every node
+# by m vbar e^{-X} at most.  The nodes stay above nu = min v0 - 2^-53 vbar:
+# - The N-point grid semigroup is the periodic heat kernel, positive and of
+#   mass at least 1 on the nodes, less its modes from N/2 on (half of the
+#   Nyquist mode).  Whenever an entry is cut the top mode m/2 is cut too,
+#   and those kernel modes then weigh at most vbar (1 + N / (2 X))
+#   e^{-X (N/m)^2} <= 2^-107 vbar: the maximum principle's discrete defect
+#   is itself below the cut.
+# - A coarse grid's nodes are the full grid's up to the tail tau, which
+#   _admissible admits only below eps vbar / 4 = 2^-54 vbar.
+# Half an ulp of a node exceeds 2^-54 nu, so X = ln(m vbar / nu) + 54 ln 2
+# keeps the dropped entries below it.  pocketfft adds them into rounded
+# partial sums on the way, and those round differently only where their
+# exact value lies within the dropped amount of a rounding boundary: the
+# margin 53 ln 2 puts that amount at 2^-53 of half an ulp (with no margin
+# the certify256 flows of seed 0 lose bits).  At X <= 708 every exp kept
+# is normal; nu <= 0 cuts nothing.
+_DROP_BITS = 107.0 * math.log(2.0)
+
+
+def _decay_cut(m: int, vbar: float, nu: float) -> float:
+    """X of the derivation above: on an m-point grid, the entries with
+    t wave^2 >= X leave every node of the state as it is."""
+    return math.log(m * vbar / nu) + _DROP_BITS if nu > 0.0 else math.inf
+
+
+def _heat_decay(t: np.ndarray, wave2: np.ndarray, cut: float, out: np.ndarray) -> int:
     """Write exp(-t wave^2) for the block times t into the leading columns
-    of ``out`` and return how many there are.  The later columns are left
-    alone: t[0] wave^2 >= _EXP_UNDERFLOW there, so exp gives exactly 0.0
-    on every row."""
-    live = int(np.searchsorted(t[0] * wave2, _EXP_UNDERFLOW))
+    of ``out``, exactly 0 where t wave^2 >= cut, and return how many
+    columns there are; the later ones are left alone, being cut on every
+    row.  No exp is taken below e^{-cut}."""
+    live = int(np.searchsorted(t[0] * wave2, cut))
     table = out[:, :live]
     np.multiply.outer(-t, wave2[:live], out=table)  # -(t wave^2), bit for bit
+    edge = table[:, int(np.searchsorted(t[-1] * wave2[:live], cut)) :]  # cut on some rows
+    dropped = edge <= -cut
+    np.maximum(edge, -cut, out=edge)
     np.exp(table, out=table)
+    np.copyto(edge, 0.0, where=dropped)
     return live
 
 
@@ -678,8 +710,12 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
     ``with_f``.
 
     The state at k dt is the spectrum of v0 times exp(-wave^2 k dt), so a
-    block of states is one batched inverse FFT; every state, v0 included,
-    is checked against the positivity floor.  Each state costs three
+    block of states is one batched inverse FFT.  An entry with k dt wave^2
+    >= X of _decay_cut cannot reach a bit of the state: it is exactly 0,
+    with no exp and no product, so no exp is subnormal or underflows.
+    Every state, v0 included, is checked against the positivity floor by
+    one minimum over the block, and the failing row is looked for only
+    when that minimum is at or below the floor.  Each state costs three
     transforms: its inverse one, the rfft of w = v^{p/2} and the inverse
     one of w_x; the production's w_xx part comes from the spectrum of w.
     A state runs on the coarsest halving m of the grid that _grid_schedule
@@ -702,6 +738,8 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
     f = np.empty(n_steps + 1) if with_f else None
     dissipation = np.empty(n_steps + 1)
     schedule = _grid_schedule(v0_hat, grid, wave, times)
+    vbar = float(v0_hat[0].real) / n
+    nu = float(v0.min()) - 2.0 ** -53 * vbar
     ends = [k for k, _ in schedule[1:]] + [n_steps + 1]
     segments = [
         (first, end, m, min(max(1, _BLOCK_VALUES // m), end - first))
@@ -716,6 +754,7 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
         coarse = PeriodicGrid(grid.length, m)
         modes = m // 2 + 1
         hat = v0_hat[:modes] * (m / n)  # a power of two: exact
+        cut = _decay_cut(m, vbar, nu)
         decay, spectrum, w_hat = (
             a[: rows * modes].reshape(rows, modes) for a in (decay_flat, spectrum_flat, w_hat_flat)
         )
@@ -724,15 +763,15 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
             block = slice(start, min(start + rows, end))
             t = times[block]
             r = t.size
-            live = _heat_decay(t, wave2[:modes], decay[:r])
+            live = _heat_decay(t, wave2[:modes], cut, decay[:r])
             np.multiply(hat[:live], decay[:r, :live], out=spectrum[:r, :live])
             spectrum[:r, live:] = 0.0
             v = _irfft(spectrum[:r], m, out=states[:r])
             if start == 0:
                 v[0] = v0
-            low = np.flatnonzero(v.min(axis=-1) <= POSITIVITY_FLOOR)
-            if low.size:
-                raise PositivityLost(f"flow state touched the positivity floor at t = {t[low[0]]:.6g}")
+            if v.min() <= POSITIVITY_FLOOR:
+                low = np.flatnonzero(v.min(axis=-1) <= POSITIVITY_FLOOR)[0]
+                raise PositivityLost(f"flow state touched the positivity floor at t = {t[low]:.6g}")
             work = tuple(a[:r] for a in (spectrum, w_hat, w, wx, scratch))
             wx2_sum, dissipation[block] = _flow_dissipation(v, coarse, p, work, with_f)
             if with_f:

@@ -14,9 +14,11 @@ refinement studies need.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .grid import Field, FieldKind, PeriodicGrid
+from .grid import Field, FieldKind, PeriodicGrid, _nodes
 
 __all__ = ["SplitMix64", "random_smooth_field", "random_log_density"]
 
@@ -57,6 +59,19 @@ def _fourier_coefficients(seed: int, n_modes: int) -> tuple[np.ndarray, np.ndarr
     return a, b
 
 
+@lru_cache(maxsize=None)
+def _mode_table(length: float, n_points: int, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos(m theta) and sin(m theta), one row per mode m = 1 ..
+    n_modes, at the nodes theta of the grid in radians: every seed of one
+    grid and mode count shares them."""
+    theta = (2.0 * np.pi / length) * _nodes(length, n_points)
+    phases = np.outer(np.arange(1, n_modes + 1), theta)
+    table = np.cos(phases), np.sin(phases)
+    for part in table:
+        part.setflags(write=False)
+    return table
+
+
 def random_smooth_field(
     grid: PeriodicGrid,
     n_modes: int,
@@ -73,10 +88,8 @@ def random_smooth_field(
     if n_modes < 1:
         raise ValueError(f"n_modes must be positive, got {n_modes}")
     a, b = _fourier_coefficients(seed, n_modes)
-    theta = (2.0 * np.pi / grid.length) * grid.nodes
-    m = np.arange(1, n_modes + 1)
-    phases = np.outer(m, theta)
-    vals = a @ np.cos(phases) + b @ np.sin(phases)
+    cos, sin = _mode_table(grid.length, grid.n_points, n_modes)
+    vals = a @ cos + b @ sin
     sup = np.abs(vals).max()
     if sup > 0.0:
         vals *= amplitude / sup

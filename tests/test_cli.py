@@ -301,6 +301,29 @@ class TestCertify:
 
 
 class TestHeatflow:
+    def test_readme_command_output(self, capsys):
+        # the README's heatflow command, as it stands there, prints these
+        # bits: f_final and max_step_increase as the derived grid rule first
+        # gave them
+        command = re.findall(r"^dlss (heatflow .*)$", README.read_text(), flags=re.M)
+        assert len(command) == 1
+        code, out, _ = run_cli(capsys, command[0].split())
+        assert code == 0
+        assert json.loads(out) == {
+            "L": 6.283185307179586,
+            "N": 256,
+            "T": 10.0,
+            "dt": 0.001,
+            "f_final": 2.8590112345369375e-19,
+            "f_initial": 0.03640845417842942,
+            "kind": "heatflow",
+            "max_step_increase": 2.5972644053552516e-20,
+            "monotone": True,
+            "n_records": 10001,
+            "p": 1.0,
+            "production_integral": 0.036408497586597206,
+        }
+
     def test_monotone_run(self, capsys):
         code, out, _ = run_cli(
             capsys,

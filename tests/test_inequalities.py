@@ -13,6 +13,7 @@ from dlss.inequalities import (
     _PIN,
     _STRIP_X,
     _admissible,
+    _decay_cut,
     _descend,
     _evaluate,
     _grid_schedule,
@@ -115,14 +116,19 @@ def flow_functionals_oracle(v0, grid, p, t_final, dt):
     return out
 
 
-def oracle_remainder(v0, grid, p, t_final, dt):
-    """remainder_R from the oracle's dissipation: the same trapezoid and tail fit."""
-    times, _, diss = map(np.array, zip(*flow_functionals_oracle(v0, grid, p, t_final, dt)))
-    total = float(np.trapezoid(diss, times))
+def remainder_of(times, diss):
+    """remainder_R's trapezoid and tail fit of a production column."""
+    total = np.trapezoid(diss, times)
     k = max(2, len(diss) // 10)
     if diss[-1 - k] > diss[-1] > 0.0:
-        total += diss[-1] / (math.log(diss[-1 - k] / diss[-1]) / (times[-1] - times[-1 - k]))
+        total += diss[-1] / (np.log(diss[-1 - k] / diss[-1]) / (times[-1] - times[-1 - k]))
     return total
+
+
+def oracle_remainder(v0, grid, p, t_final, dt):
+    """remainder_R from the oracle's dissipation."""
+    times, _, diss = map(np.array, zip(*flow_functionals_oracle(v0, grid, p, t_final, dt)))
+    return float(remainder_of(times, diss))
 
 
 def flow_schedule(v0, grid, t_final, dt):
@@ -130,6 +136,81 @@ def flow_schedule(v0, grid, t_final, dt):
     wave = (TWO_PI / grid.length) * np.arange(grid.n_points // 2 + 1)
     times = np.arange(round(t_final / dt) + 1) * dt
     return _grid_schedule(np.fft.rfft(v0), grid, wave, times)
+
+
+def unpruned_decay(t, wave2, cut, out):
+    """The decay table with no derived cut: exp(-t wave^2) on every column
+    that is not 0.0 on every row (t[0] wave^2 < 746), subnormal and
+    underflowed entries included."""
+    live = int(np.searchsorted(t[0] * wave2, 746.0))
+    table = out[:, :live]
+    np.multiply.outer(-t, wave2[:live], out=table)
+    np.exp(table, out=table)
+    return live
+
+
+def certify256_data():
+    """The eight heat-flow data of a certify256 benchmark run of seed 0."""
+    grid = dlss.make_grid(TWO_PI, 256)
+    stream = dlss.SplitMix64(0)
+    return [random_log_density(grid, 4, stream.next_u64(), amplitude=0.5) for _ in range(8)]
+
+
+# numpy computes transforms of long double input in long double (complex256)
+# from 2.0 on; where long double is float64, or the FFT casts, there is no
+# reference finer than the values under test
+LONG_DOUBLE_FFT = (
+    np.finfo(np.longdouble).eps < EPS
+    and np.fft.rfft(np.ones(8, dtype=np.longdouble)).dtype == np.clongdouble
+)
+
+
+def long_double_functionals(v0, grid, p, t, m):
+    """(f, production) in long double of the flow states from v0 at the
+    times t on m of the grid's points, from the spectrum v0_hat[:m/2+1] m/N
+    as the library takes it (m = N: the full grid)."""
+    ld = np.longdouble
+    n, el = grid.n_points, ld(grid.length)
+    h, pi = el / m, np.arccos(ld(-1.0))
+    wave = (2 * pi / el) * np.arange(m // 2 + 1, dtype=ld)
+    k2 = wave * wave
+    hat = np.fft.rfft(v0.astype(ld))[: m // 2 + 1] * ld(m / n)
+    v = np.fft.irfft(hat * np.exp(-np.multiply.outer(t.astype(ld), k2)), n=m)
+    w = v ** ld(p / 2.0)
+    w_hat = np.fft.rfft(w)
+    ik, quartic = 1j * wave, k2 * (k2 - k2[1])
+    weights = np.full(m // 2 + 1, 2 * el / m ** 2)
+    weights[0] /= 2
+    if m % 2 == 0:
+        ik[-1] = 0
+        quartic[-1] = k2[-1] * k2[-1]
+        weights[-1] /= 2
+    wx2 = np.fft.irfft(w_hat * ik, n=m) ** 2
+    vbar = v.mean(axis=-1)
+    ratio = v / vbar[:, None]
+    d = ratio - 1
+    if p == 1.0:
+        sigma = vbar * (h * np.sum(ratio * np.log1p(d) - d, axis=-1))
+    else:
+        sigma = vbar ** ld(p) * (h * np.sum(np.expm1(ld(p) * np.log1p(d)) - ld(p) * d, axis=-1)) / ld(p - 1.0)
+    f = h * wx2.sum(axis=-1) - (2 * pi ** 2 * ld(p) / el ** 2) * sigma
+    power = (w_hat.real ** 2 + w_hat.imag ** 2) * (weights * quartic)
+    quart = (ld(2.0 / p) - 1) * wx2 * wx2 / (3 * w * w)
+    return f, 2 * (power.sum(axis=-1) + h * quart.sum(axis=-1))
+
+
+def long_double_flow(v0, grid, p, times):
+    """((f, production) with every state on the grid the library's schedule
+    gives it, (f, production) with every state on the full grid), all in
+    long double."""
+    schedule = _grid_schedule(np.fft.rfft(v0), grid, (TWO_PI / grid.length) * np.arange(grid.n_points // 2 + 1), times)
+    full = long_double_functionals(v0, grid, p, times, grid.n_points)
+    scheduled = tuple(a.copy() for a in full)
+    ends = [k for k, _ in schedule[1:]] + [times.size]
+    for (first, m), end in zip(schedule[1:], ends[1:]):
+        for column, part in zip(scheduled, long_double_functionals(v0, grid, p, times[first:end], m)):
+            column[first:end] = part
+    return scheduled, full
 
 
 def oracle_descent(spec, u_init, evaluate=_evaluate):
@@ -885,9 +966,10 @@ class TestHeatFlow:
     @pytest.mark.parametrize("n_points, t_final, dt", [(16, 14.4, 1.2e-2), (256, 1.0, 1e-3)])
     def test_matches_state_by_state_oracle(self, n_points, t_final, dt, p):
         # bit for bit on the full grid, with the work arrays reused, a short
-        # last full-grid block that slices them and, at N = 256, the top
-        # modes skipped from the second block on; states on a coarser grid
-        # are within 8 eps of the oracle
+        # last full-grid block that slices them, the top modes cut on the
+        # later rows of the first block and, at N = 256, skipped from the
+        # second block on; states on a coarser grid are within 8 eps of the
+        # oracle
         grid = dlss.make_grid(TWO_PI, n_points)
         u = random_log_density(grid, 4, 11, amplitude=0.5)
         rows = _BLOCK_VALUES // n_points
@@ -898,8 +980,13 @@ class TestHeatFlow:
         got = [(r.t, r.f_value, r.dissipation) for r in records]
         switch = ([k for k, _ in flow_schedule(v0, grid, t_final, dt)[1:]] + [n_states])[0]
         assert switch < n_states and switch % rows != 0
+        # the derived cut X on the full grid, written out again
+        vbar = v0.mean()
+        cut = math.log(n_points * vbar / (v0.min() - 2.0 ** -53 * vbar)) + 107.0 * math.log(2.0)
+        assert cut == pytest.approx(_decay_cut(n_points, vbar, v0.min() - 2.0 ** -53 * vbar), rel=1e-12)
+        assert (min(rows, switch) - 1) * dt * (n_points // 2) ** 2 >= cut
         if n_points == 256:
-            assert switch > rows and rows * dt * (n_points // 2) ** 2 >= 746.0
+            assert switch > rows and rows * dt * (n_points // 2) ** 2 >= cut
         assert got[:switch] == expected[:switch]
         _, f0, d0 = expected[0]
         for (t, f, d), (t_ref, f_ref, d_ref) in zip(got[switch:], expected[switch:]):
@@ -909,9 +996,8 @@ class TestHeatFlow:
         # remainder_R flows from its argument: the same trapezoid and tail fit
         remainder = oracle_remainder(u.values, grid, p, t_final, dt)
         assert abs(dlss.remainder_R(u, p, t_final, dt) - remainder) <= 8 * EPS * remainder
-        # N = 16 halves to 8 points between t = 10.4 and 11.1, before mode 8
-        # underflows at t = 11.7; at N = 256 remainder_R's flow reaches 64
-        # points at every p
+        # N = 16 halves to 8 points between t = 10.4 and 11.1; at N = 256
+        # remainder_R's flow reaches 64 points at every p
         sizes = [m for _, m in flow_schedule(u.values, grid, t_final, dt)]
         assert sizes == ([16, 8] if n_points == 16 else [256, 128, 64])
 
@@ -1056,18 +1142,115 @@ class TestHeatFlow:
             expected = flow_functionals_oracle(u.values ** (2.0 / p), grid, p, 60.0, 5e-2)
             assert [(r.t, r.f_value, r.dissipation) for r in records] == expected
 
-    def test_decay_table_skips_only_underflowed_modes(self, grid256):
+    @pytest.mark.parametrize("first", [0, 100])
+    def test_decay_table_zeroes_the_entries_past_the_cut(self, grid256, first):
+        # at t wave^2 >= X an entry is exactly 0, before it exp(-t wave^2)
+        # bit for bit, and none is subnormal; the columns cut on every row
+        # are left untouched
         wave = (TWO_PI / grid256.length) * np.arange(129)
         wave2 = wave * wave
-        t = np.arange(100, 164) * 1e-3
+        t = np.arange(first, first + 64) * 1e-3
+        cut = _decay_cut(256, 1.0, 0.5)  # vbar / min v0 = 2
+        assert cut == pytest.approx(math.log(512.0) + 107.0 * math.log(2.0), rel=1e-15)
         table = np.full((t.size, wave.size), np.nan)
-        live = _heat_decay(t, wave2, table)
-        expected = np.exp(-np.outer(t, wave2))
-        # 0.1 k^2 >= 746 from k = 87 on: those columns are left untouched
-        assert live == 87
-        assert np.array_equal(table[:, :live], expected[:, :live])
+        live = _heat_decay(t, wave2, cut, table)
+        exponent = np.outer(t, wave2)
+        assert live == np.count_nonzero(exponent[0] < cut)
+        kept, values = exponent[:, :live] < cut, table[:, :live]
+        assert np.array_equal(values[kept], np.exp(-exponent[:, :live][kept]))
+        assert not values[~kept].any()
         assert np.isnan(table[:, live:]).all()
-        assert not expected[:, live:].any()
+        assert np.all((values == 0.0) | (values >= np.finfo(float).tiny))
+        # the cut moves from row to row inside the table: 129 columns kept
+        # at t = 0 and 36 at 0.063, 29 at t = 0.1 and 23 at 0.163
+        counts = kept.sum(axis=-1)
+        assert (counts[0], counts[-1]) == ((129, 36) if first == 0 else (29, 23))
+
+    def test_decay_cut_widens_and_gives_way(self):
+        # X = ln(m vbar / nu) + 107 ln 2 grows as min v0 nears 0 and cuts
+        # nothing once nu = min v0 - 2^-53 vbar is not positive
+        assert _decay_cut(256, 1.0, 1e-12) == pytest.approx(math.log(256e12) + 107.0 * math.log(2.0), rel=1e-15)
+        assert _decay_cut(256, 1.0, 1e-12) > _decay_cut(256, 1.0, 0.5) > _decay_cut(8, 1.0, 0.5)
+        assert _decay_cut(256, 1.0, 0.0) == _decay_cut(256, 1.0, -1e-17) == math.inf
+
+    @pytest.mark.parametrize(
+        "datum",
+        ["certify256", "edge-cosine", "edge-six-mode", "odd", "near-zero"],
+    )
+    def test_cut_leaves_every_bit(self, monkeypatch, datum):
+        # every flow and R bit for bit against the table with no cut: the
+        # eight certify256 data of seed 0 at p = 1 and 1.5; the data of
+        # test_edge_data_match_oracle at N = 64, 256 and 1024; N = 63; and
+        # 1 + (1 - 1e-12) cos x at N = 256, where min v0 / vbar = 1e-12
+        # widens the cut to X = 107.3 from about 82
+        if datum == "certify256":
+            cases = [(u, p, 10.0, 1e-3) for u in certify256_data() for p in (1.0, 1.5)]
+        elif datum.startswith("edge"):
+            cases = []
+            for n_points in (64, 256, 1024):
+                grid = dlss.make_grid(TWO_PI, n_points)
+                u = cosine_density(grid, 0.99) if datum == "edge-cosine" else random_log_density(grid, 6, 3, amplitude=1.0)
+                cases += [(u, p, 12.5, 1e-2) for p in (1.0, 2.0)]
+        elif datum == "odd":
+            grid = PeriodicGrid(TWO_PI, 63)
+            u = Field(grid, np.exp(0.3 * np.cos(grid.nodes) + 0.2 * np.sin(3.0 * grid.nodes)), FieldKind.DENSITY)
+            cases = [(u, p, 60.0, 5e-2) for p in (1.0, 1.5, 2.0)]
+        else:
+            grid = dlss.make_grid(TWO_PI, 256)
+            u = cosine_density(grid, 1.0 - 1e-12)
+            assert u.values.min() / u.values.mean() == pytest.approx(1e-12, rel=1e-3)
+            cut = _decay_cut(256, u.values.mean(), u.values.min() - 2.0 ** -53 * u.values.mean())
+            assert 107.0 < cut < 108.0
+            cases = [(u, 2.0, 10.0, 1e-3), (u, 2.0, 1.0, 1e-4)]
+
+        def flows():
+            out = []
+            for u, p, t_final, dt in cases:
+                flow = dlss.heatflow_verify(u, p, t_final, dt)
+                out.append((flow.f_value.tobytes(), flow.dissipation.tobytes(), dlss.remainder_R(u, p, t_final, dt)))
+            return out
+
+        pruned = flows()
+        monkeypatch.setattr(dlss.inequalities, "_heat_decay", unpruned_decay)
+        assert flows() == pruned
+
+    @pytest.mark.skipif(not LONG_DOUBLE_FFT, reason="no long double FFT finer than float64")
+    @pytest.mark.parametrize(
+        "datum, p",
+        [(f"a={a}", p) for a in (0.1, 0.9) for p in (1.0, 1.5, 2.0)]
+        + [(datum, p) for datum in ("cosine", "six-mode") for p in (1.0, 2.0)],
+    )
+    @pytest.mark.parametrize("n_points", [64, 256, 1024])
+    def test_grid_rule_within_eps_in_long_double(self, n_points, datum, p):
+        # the grid rule's own error, free of float64 rounding: f, the
+        # production and R with every state on its scheduled grid against
+        # every state on the full grid, both in long double, within eps of
+        # their scales (the float64 oracle tests allow 8 eps, most of it
+        # each grid's own rounding), for the random data of
+        # test_coarse_states_match_oracle and the edge data of
+        # test_edge_data_match_oracle at dt = 5e-2.  The largest measured
+        # are 0.0011 eps of f(0), 0.0016 eps of d(0) and 0.0034 eps of R
+        grid = dlss.make_grid(TWO_PI, n_points)
+        if datum == "cosine":
+            u = cosine_density(grid, 0.99)
+        elif datum == "six-mode":
+            u = random_log_density(grid, 6, 3, amplitude=1.0)
+        else:
+            u = random_log_density(grid, 4, 5, amplitude=float(datum[2:]))
+        times = np.arange(201) * 5e-2
+        v0 = u.values ** (2.0 / p)
+        (f, d), (f_full, d_full) = long_double_flow(v0, grid, p, times)
+        (_, d_remainder), (_, d_remainder_full) = long_double_flow(u.values, grid, p, times)
+        r, r_full = remainder_of(times, d_remainder), remainder_of(times, d_remainder_full)
+        f_scale, d_scale, r_scale = abs(f_full[0]), abs(d_full[0]), r_full
+        if datum == "cosine" and p == 2.0:
+            # f, d and R vanish: measure them as test_edge_data_match_oracle does
+            wx, wxx = (dlss.derivative(Field(grid, v0), k).values for k in (1, 2))
+            f_scale = r_scale = grid.spacing * np.sum(wx * wx)
+            d_scale = 2.0 * grid.spacing * np.sum(wxx * wxx)
+        assert np.abs(f - f_full).max() <= EPS * f_scale
+        assert np.abs(d - d_full).max() <= EPS * d_scale
+        assert abs(r - r_full) <= EPS * r_scale
 
     @pytest.mark.parametrize("block_values", [256, 2 ** 13, 2 ** 14, 2 ** 16, 2 ** 20])
     def test_block_size_leaves_results_unchanged(self, grid256, monkeypatch, block_values):
