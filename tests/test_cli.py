@@ -588,15 +588,17 @@ class TestParser:
             (["heatflow", "--p", "1.5", "--T", "10", "--dt", "1e-3", *GRID256], None),
             (["solve", "--config", "run.cfg"], {"T": "0.05"}),
             (["solve", "--config", "run.cfg"], {"T": "0.05", "backend": "fd4", "linear_solver": "banded"}),
+            (["solve", "--config", "run.cfg"], {"N": "1024", "u0_amplitude": "0.3", "T": "0.05"}),
         ],
-        ids=["logsob-n1", "convex-p1.5", "heatflow-p1.5", "solve-readme", "solve-fd4-banded"],
+        ids=["logsob-n1", "convex-p1.5", "heatflow-p1.5", "solve-readme", "solve-fd4-banded", "solve-spectral-1024"],
     )
     def test_output_independent_of_blas_threads(self, tmp_path, package_env, argv, run_file):
-        # N = 256 output on one and on two OpenBLAS threads, byte for byte.
+        # output on one and on two OpenBLAS threads, byte for byte.
         # certify and heatflow factorise nothing and reduce without BLAS
         # (most of the T = 10 heat flow runs on 32 and 16 points); solve
         # runs the README's run file, T shortened, as it stands (it steps on
-        # coarse grids) and with fd4 and the banded LU
+        # coarse grids), with fd4 and the banded LU, and spectral at
+        # N = 1024 from 1 + 0.3 cos x
         if run_file:
             (tmp_path / "run.cfg").write_text(readme_run_file(output="run.csv", **run_file))
         outputs = []

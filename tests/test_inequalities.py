@@ -227,7 +227,7 @@ def oracle_descent(spec, u_init, evaluate=_evaluate):
         start[-1] = 0.0
     vals = _normalize(spec, _irfft(start, n), grid)
     q, _, vhat, ghat = evaluate(spec, vals, grid)
-    damping = _preconditioner(n, spec.n if spec.kind is not QuotientKind.CONVEX_SOBOLEV else 1)
+    damping = _preconditioner(n, spec.n if spec.kind is not QuotientKind.CONVEX_SOBOLEV else 1, grid.length)
     evaluations, step, converged, last = 1, 0.5, False, None
     trace, bb_kept, candidates = [], 0, []
     for iters in range(1, dlss.inequalities._MAX_ITERS + 1):
@@ -419,8 +419,9 @@ class TestMinimizeQuotient:
         assert res.value <= q0 + 1e-12
 
     def test_iteration_budget_reported_honestly(self, grid64, monkeypatch):
+        # unbudgeted, this start converges in 8 iterations
         monkeypatch.setattr("dlss.inequalities._MAX_ITERS", 3)
-        res = dlss.minimize_quotient(log_sobolev(1), cosine_density(grid64, 0.5))
+        res = dlss.minimize_quotient(log_sobolev(1), _initial_guess(log_sobolev(1), grid64, seed=0))
         assert not res.converged
         assert res.iterations == 3
 
@@ -458,7 +459,7 @@ class TestMinimizeQuotient:
         assert sum(res.evaluations for res in results) == sum(rows)
         assert all(res.evaluations >= res.iterations for res in results)
 
-    @pytest.mark.parametrize("seed", [1, 4, 7])
+    @pytest.mark.parametrize("seed", [1, 7, 27])
     def test_non_positive_bb_length_converges(self, seed, monkeypatch):
         # from these starts the Barzilai-Borwein length turns negative once
         # (dx . dg < 0 across the normalisation), and the descent retries its
@@ -493,7 +494,7 @@ class TestMinimizeQuotient:
                     res = dlss.minimize_quotient(spec, _initial_guess(spec, grid, seed))
                     assert res.converged
                     total += res.evaluations
-        assert total <= 600
+        assert total <= 360
 
     @pytest.mark.parametrize("spec", ALL_KINDS, ids=spec_id)
     def test_residual_on_every_exit(self, spec, monkeypatch):
@@ -522,7 +523,7 @@ class TestMinimizeQuotient:
             values.clear()
             res = dlss.minimize_quotient(spec, _initial_guess(spec, grid, seed))
             ghat = _evaluate(spec, res.minimizer.values, grid)[3]
-            damping = _preconditioner(grid.n_points, order)
+            damping = _preconditioner(grid.n_points, order, grid.length)
             assert res.residual == float(np.abs(np.fft.irfft(damping * ghat, grid.n_points)).max())
             q, accepted = values[0], 0
             for value in values[1:]:
@@ -534,9 +535,33 @@ class TestMinimizeQuotient:
 
         grids = [dlss.make_grid(TWO_PI, n_points) for n_points in (16, 32, 64)]
         exits = {exit_of(grid, seed) for grid in grids for seed in range(10)}
+        # seeds 0-9 of these kinds all end without an acceptance; this start
+        # on 16 points ends on an accepted step that lowers q by at most floor
+        dq_floor_seed = {"poincare-n1": 11, "convex-p1.2": 59, "convex-p1.5": 53, "convex-p2": 29}
+        if spec_id(spec) in dq_floor_seed:
+            exits.add(exit_of(grids[0], dq_floor_seed[spec_id(spec)]))
         assert exits == {"dq <= floor", "no acceptance"}
         monkeypatch.setattr("dlss.inequalities._MAX_ITERS", 2)
         assert {exit_of(grids[1], seed) for seed in range(3)} == {"budget"}
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n_points", [16, 256])
+    @pytest.mark.parametrize("length", [TWO_PI, 100.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_symbol_is_the_inverse_hessian(self, n, length, n_points, k):
+        # near the minimiser cos(kappa x) the Poincare Hessian is 2 (A -
+        # lambda_1), so one step of length 0.5 is a Newton step: it leaves a
+        # mode-k error delta = 1e-3 at O(delta^3), where a symbol that is not
+        # the inverse Hessian leaves O(delta)
+        spec = poincare(n)
+        grid = dlss.make_grid(length, n_points)
+        x = (TWO_PI / length) * grid.nodes
+        vals = _normalize(spec, np.cos(x) + 1e-3 * np.cos(k * x), grid)
+        step = _irfft(_preconditioner(n_points, n, length) * _evaluate(spec, vals, grid)[3], n_points)
+        modes = np.abs(_rfft(_normalize(spec, vals - 0.5 * step, grid)))
+        assert modes[k] / modes[1] <= 2e-9
 
 
 class TestQuotientGradient:
@@ -661,6 +686,24 @@ class TestCertifyConstant:
         exact = m * grid.spacing * math.fsum(terms)
         assert abs(den - exact) <= 1e-12 * exact
 
+    @pytest.mark.parametrize("n_points", [16, 256])
+    @pytest.mark.parametrize("length", [1.0, TWO_PI, 10.0, 100.0])
+    @pytest.mark.parametrize(
+        "spec",
+        [poincare(1), poincare(3), log_sobolev(1), log_sobolev(2), convex_sobolev(1.2), convex_sobolev(2.0)],
+        ids=spec_id,
+    )
+    def test_iterations_do_not_depend_on_length(self, spec, length, n_points):
+        # the preconditioner is in physical units, so a start takes as many
+        # iterations on any circle; with the symbol in mode numbers alone,
+        # Poincare n = 3 took 647 iterations at L = 100 on 256 points
+        grid = dlss.make_grid(length, n_points)
+        starts = np.array([_initial_guess(spec, grid, seed).values for seed in (0, 1, 2)])
+        for res in _descend(spec, grid, starts):
+            assert res.converged
+            assert res.rel_error < 1e-6
+            assert res.iterations <= 20
+
     def test_rejects_empty_seeds(self, grid64):
         with pytest.raises(ValueError, match="seed"):
             dlss.certify_constant(poincare(1), grid64, seeds=())
@@ -697,13 +740,17 @@ class TestBlockDescent:
         assert summary(dlss.minimize_quotient(spec, _initial_guess(spec, grid, 1))) == oracles[1][0]
 
     def test_rows_stop_at_different_iterations(self):
-        # the middle row descends 3 iterations after the first has left
+        # the middle row descends 4 iterations after the first has left
         results, _ = self.run(poincare(2), dlss.make_grid(TWO_PI, 16), (0, 1, 2))
-        assert [res.iterations for res in results] == [8, 11, 9]
+        assert [res.iterations for res in results] == [6, 10, 8]
 
-    @pytest.mark.parametrize("spec", [log_sobolev(3), convex_sobolev(1.2)], ids=spec_id)
-    def test_row_backtracks_while_the_others_accept(self, grid256, spec):
-        _, oracles = self.run(spec, grid256, (0, 1, 2))
+    @pytest.mark.parametrize(
+        "spec,seeds",
+        [(log_sobolev(3), (0, 1, 3)), (convex_sobolev(1.2), (0, 1, 38))],
+        ids=["log_sobolev-n3", "convex-p1.2"],
+    )
+    def test_row_backtracks_while_the_others_accept(self, grid256, spec, seeds):
+        _, oracles = self.run(spec, grid256, seeds)
         traces = [oracle[1] for oracle in oracles]
         assert any(
             any(trace[k][0] >= 2 for trace in traces) and any(trace[k] == (1, True) for trace in traces)
@@ -711,10 +758,10 @@ class TestBlockDescent:
         )
 
     def test_budget_exit(self, grid256, monkeypatch):
-        # unbudgeted, these starts converge at iterations 11, 12 and 12
-        monkeypatch.setattr("dlss.inequalities._MAX_ITERS", 11)
-        results, _ = self.run(poincare(1), grid256, (0, 1, 2))
-        assert [(res.iterations, res.converged) for res in results] == [(11, True), (11, False), (11, False)]
+        # unbudgeted, these starts converge at iterations 7, 8 and 9
+        monkeypatch.setattr("dlss.inequalities._MAX_ITERS", 7)
+        results, _ = self.run(poincare(1), grid256, (0, 1, 5))
+        assert [(res.iterations, res.converged) for res in results] == [(7, True), (7, False), (7, False)]
         monkeypatch.setattr("dlss.inequalities._MAX_ITERS", 2)
         results, _ = self.run(log_sobolev(1), grid256, (0, 1, 2))
         assert [(res.iterations, res.converged) for res in results] == [(2, False)] * 3
@@ -722,7 +769,7 @@ class TestBlockDescent:
     def test_non_positive_bb_starts(self):
         # each of these starts meets a Barzilai-Borwein length that is not
         # positive and retries its previous trial length
-        results, oracles = self.run(poincare(1), dlss.make_grid(TWO_PI, 16), (1, 4, 7))
+        results, oracles = self.run(poincare(1), dlss.make_grid(TWO_PI, 16), (1, 7, 27))
         assert all(oracle[2] >= 1 for oracle in oracles)
         assert all(res.converged and res.rel_error <= 1e-12 for res in results)
 
