@@ -14,7 +14,8 @@ watch the Bakry-Emery quantity
 
 decay monotonically to zero; its production integrated over all time is
 the remainder term R that strengthens the bare inequality.  The production
-takes its w_xx part from the spectrum of w by Parseval.  No state
+takes its w_xx part from the spectrum of w by Parseval, transforming w's
+deviation from its mean, formed from the state's own.  No state
 depends on the one before it, so states are computed in blocks, each
 state on the coarsest halving of the grid that still gives its sums to
 rounding, and each block fills its slice of the result columns: heatflow_verify
@@ -77,7 +78,7 @@ __all__ = [
 ]
 
 _DEGENERACY_FLOOR = 1e-14
-# Descent budget of one minimisation; every measured start converges in 5 to 15
+# Descent budget of one minimisation; every measured start converges in 4 to 11
 # iterations at L = 1 to 100, so only a descent gone wrong reaches it.
 _MAX_ITERS = 4000
 # Relative change of the quotient under which one accepted step ends a descent.
@@ -347,7 +348,7 @@ def _descend(spec: QuotientSpec, grid: PeriodicGrid, starts: np.ndarray) -> list
             dx, dg, dgp = (now - before for now, before in zip(current, last))
             curvature = _spectral_dot(grid, dg, dgp)
             bb = np.divide(_spectral_dot(grid, dx, dg), curvature, out=np.zeros(len(q)), where=curvature > 0.0)
-            step = np.where((0.0 < bb) & (bb < math.inf), bb, step)
+            step = np.where((0.0 < bb) & (bb < math.inf), bb, 0.5)
         last = current
         gp = _irfft(gphat, n)
 
@@ -428,8 +429,9 @@ def minimize_quotient(spec: QuotientSpec, u_init: Field) -> QuotientResult:
     (dx . dg) / (dg . P dg), with dx and dg the changes of the iterate and
     of the gradient over the last step and P the preconditioner, the inverse
     Hessian derived above ``_preconditioner``; where that
-    is not positive and finite, the previous first trial length is tried
-    again (Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988) 141; Raydan,
+    is not positive and finite, the first trial length 0.5, the Newton
+    length of that symbol, is tried again (Barzilai & Borwein, IMA J.
+    Numer. Anal. 8 (1988) 141; Raydan,
     SIAM J. Optim. 7 (1997) 26).  Trial steps are backtracked, halving,
     until the quotient strictly decreases, so the value is monotone along
     the iteration.  With floor = 1e-14 max(|q|, 1)
@@ -446,7 +448,7 @@ def minimize_quotient(spec: QuotientSpec, u_init: Field) -> QuotientResult:
     of amplitude eps = _PIN: the constant C times 1 + O(eps^2), a relative
     excess of ~2e-7 for log-Sobolev and below 4e-8 for convex p < 2
     (rounding level at p = 2, where the quotient is quadratic).  Pinned,
-    every landscape is nearly quadratic and a start converges in 5 to 15
+    every landscape is nearly quadratic and a start converges in 4 to 11
     iterations at any circle length, most of them without a backtrack.
 
     Iterates and candidates are plain arrays.  One evaluation of each
@@ -505,7 +507,9 @@ def certify_constant(
 # Heat-flow certification
 
 
-def _sigma_integral(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple = ()) -> float | np.ndarray:
+def _sigma_integral(
+    v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple = (), centred: tuple = (),
+) -> float | np.ndarray:
     """int sigma_p(v) over the last axis of v: a float for one field, an
     array with one value per row for a block of flow states.
 
@@ -513,14 +517,21 @@ def _sigma_integral(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple = (
     p d] / (p - 1), the power as expm1(p log1p(d)), or vbar h sum[(1 + d)
     log1p(d) - d] at p = 1: int v^p - L vbar^p without the cancellation
     that costs ~1e-10 of it at amplitude _PIN and 2.4e-7 at 1e-5.  log1p
-    sees d >= _D_FLOOR.  ``work``, three arrays shaped like v, is
-    overwritten; without it each ufunc allocates its result.
+    sees d >= _D_FLOOR.  ``centred``, (v - vbar, vbar) with the float vbar
+    the mean of every row, gives d from the deviation itself, without the
+    rounding of v.  ``work``, three arrays shaped like v, is overwritten;
+    without it each ufunc allocates its result.
     """
     ratio, d, s = work or (None, None, None)
     # direct ufunc calls with out=: methods and in-place operators cost more per call
-    vbar = np.add.reduce(v, axis=-1) / v.shape[-1]
-    ratio = np.divide(v, vbar[..., None], out=ratio)
-    d = np.subtract(ratio, 1.0, out=d)
+    if centred:
+        deviation, vbar = centred
+        d = np.divide(deviation, vbar, out=d)
+        ratio = np.add(d, 1.0, out=ratio)
+    else:
+        vbar = np.add.reduce(v, axis=-1) / v.shape[-1]
+        ratio = np.divide(v, vbar[..., None], out=ratio)
+        d = np.subtract(ratio, 1.0, out=d)
     s = np.maximum(d, _D_FLOOR, out=s)
     np.log1p(s, out=s)
     if p == 1.0:
@@ -534,7 +545,7 @@ def _sigma_integral(v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple = (
     else:
         # scalar pow of the means: numpy's vectorised pow differs by an ulp
         try:
-            scale = float(vbar) ** p if v.ndim == 1 else np.array([m ** p for m in vbar.tolist()])
+            scale = float(vbar) ** p if centred or v.ndim == 1 else np.array([m ** p for m in vbar.tolist()])
         except OverflowError:
             scale = math.inf  # as numpy's pow gives it
         sigma = scale * h_sum / (p - 1.0)
@@ -557,23 +568,44 @@ def _dissipation_symbol(n_points: int, length: float) -> np.ndarray:
 
 
 def _flow_dissipation(
-    v: np.ndarray, grid: PeriodicGrid, p: float, work: tuple, with_sum: bool,
+    v: np.ndarray, deviation: np.ndarray, vbar: float, grid: PeriodicGrid, p: float, work: tuple, with_sum: bool,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """(sum of w_x^2, dissipation) for each flow state, one per row of v,
-    from one transform of w = v^{p/2}: w_x by an inverse transform, and
-    h sum(w_xx^2 - k1^2 w_x^2) from the spectrum by Parseval; the sum is
-    None unless ``with_sum``.  Every intermediate is written into
-    ``work``, block arrays of _heat_flow; v itself is only read."""
+    from one transform of w - W, w = v^{p/2}, W = vbar^{p/2}: w_x by an
+    inverse transform, and h sum(w_xx^2 - k1^2 w_x^2) from the spectrum
+    by Parseval; the sum is None unless ``with_sum``.  w - W comes from
+    the state's deviation v - vbar (``deviation``, vbar the mean of every
+    row), so its rounding is relative to w - W, not to W: a transform of
+    w itself rounds every mode by about eps W, which for a state near its
+    mean is many eps of the production.  Every intermediate is written
+    into ``work``, block arrays of _heat_flow; v and the deviation are
+    only read."""
     spectrum, w_hat, w, wx, scratch = work
     n = grid.n_points
-    # the bits of v ** (p / 2): numpy's power takes these same fast paths
+    # at p = 1 and 2, w has the bits of v ** (p / 2): numpy's power takes these same fast paths
     if p == 2.0:
-        w = v
+        w, y = v, deviation
     elif p == 1.0:
         w = np.sqrt(v, out=w)
+        y = np.add(w, math.sqrt(vbar), out=scratch)
+        np.divide(deviation, y, out=y)  # (v - vbar) / (w + W), no cancellation
     else:
-        w = np.power(v, p / 2.0, out=w)
-    _rfft(w, out=w_hat)
+        big_w = vbar ** (p / 2.0)
+        # W expm1(p/2 log1p(z)), z = (v - vbar) / vbar; log1p sees z >= _D_FLOOR
+        y = np.multiply(deviation, 1.0 / vbar, out=scratch)
+        near = deviation.min() >= -0.5 * vbar
+        if not near:
+            np.maximum(y, _D_FLOOR, out=y)
+        np.log1p(y, out=y)
+        y *= p / 2.0
+        np.expm1(y, out=y)
+        y *= big_w
+        # W + y is w to an ulp or two while v >= vbar / 2; a row below that takes the power
+        w = np.add(y, big_w, out=w)
+        if not near:
+            far = np.flatnonzero(deviation.min(axis=-1) < -0.5 * vbar)
+            w[far] = np.power(v[far], p / 2.0)
+    _rfft(y, out=w_hat)
     np.multiply(w_hat, _spectral_symbol(n, 1, grid.length), out=spectrum)
     wx2 = _irfft(spectrum, n, out=wx)
     np.multiply(wx2, wx2, out=wx2)
@@ -592,11 +624,13 @@ def _flow_dissipation(
 
 
 # Which spectrum entries of a flow state can reach a bit of it, derived;
-# nothing in it is tuned.  On an m-point grid the state's entry k is hat_k
-# e^{-t wave_k^2} with |hat_k| <= hat_0 = m vbar, as v0 > 0, and it moves a
+# nothing in it is tuned.  On an m-point grid the entry k >= 1 of the
+# state's deviation v - vbar is hat_k e^{-t wave_k^2} with |hat_k| <= m vbar,
+# as v0 > 0 (entry 0 is 0, and v = vbar + that deviation), and it moves a
 # node by at most 2/m of its modulus (irfft's 1/m, and the conjugate pair).
 # So the entries with t wave_k^2 >= X, at most m/2 of them, move every node
-# by m vbar e^{-X} at most.  The nodes stay above nu = min v0 - 2^-53 vbar:
+# of the deviation, and so of vbar + deviation, by m vbar e^{-X} at most.
+# The nodes of v stay above nu = min v0 - 2^-53 vbar:
 # - The N-point grid semigroup is the periodic heat kernel, positive and of
 #   mass at least 1 on the nodes, less its modes from N/2 on (half of the
 #   Nyquist mode).  Whenever an entry is cut the top mode m/2 is cut too,
@@ -605,13 +639,14 @@ def _flow_dissipation(
 #   is itself below the cut.
 # - A coarse grid's nodes are the full grid's up to the tail tau, which
 #   _admissible admits only below eps vbar / 4 = 2^-54 vbar.
-# Half an ulp of a node exceeds 2^-54 nu, so X = ln(m vbar / nu) + 54 ln 2
-# keeps the dropped entries below it.  pocketfft adds them into rounded
-# partial sums on the way, and those round differently only where their
-# exact value lies within the dropped amount of a rounding boundary: the
-# margin 53 ln 2 puts that amount at 2^-53 of half an ulp (with no margin
-# the certify256 flows of seed 0 lose bits).  At X <= 708 every exp kept
-# is normal; nu <= 0 cuts nothing.
+# Half an ulp of a node of v exceeds 2^-54 nu, so X = ln(m vbar / nu) + 54
+# ln 2 keeps the dropped entries below it.  pocketfft adds them into
+# rounded partial sums on the way, and those, like the deviation's nodes,
+# round differently only where their exact value lies within the dropped
+# amount of a rounding boundary: the margin 53 ln 2 puts that amount at
+# 2^-53 of half an ulp of a value of size nu (with no margin the certify256
+# flows of seed 0 lose bits).  At X <= 708 every exp kept is normal; nu <=
+# 0 cuts nothing.
 _DROP_BITS = 107.0 * math.log(2.0)
 
 
@@ -637,62 +672,82 @@ def _heat_decay(t: np.ndarray, wave2: np.ndarray, cut: float, out: np.ndarray) -
     return live
 
 
-# Which grid a flow state needs, derived; nothing in it is tuned.  The norm
-# |g|_s = sum |g_n| e^{kappa |n| s} of the Fourier coefficients, kappa =
-# 2 pi / L, is an algebra norm that bounds |g| on the real line and that
-# aliasing onto a grid does not raise (Trefethen and Weideman, SIAM Rev. 56
-# (2014) 385).  A state is v = vbar (1 + z), |z|_s <= A = sum_{n >= 1} c_n
-# e^{kappa n s} / vbar, c_n = (2/N)|v0_hat_n| e^{-kappa^2 n^2 t}.  For
-# A <= 1/2 the alternating binomial series gives w = v^{p/2} = W (1 + y),
-# W = vbar^{p/2}, with |y|_s <= b = 1 - (1 - A)^{p/2} and |1/w^2|_{s/2} <=
-# (W (1 - b))^-2; so |w_x| <= B1 = W b / (e s) and |w_xx| <= 4 B1 / (e s) on
-# the real line, and sum_{|n| >= K} (kappa |n|)^j |w_n| <= W b (kappa K)^j q,
-# q = e^{-x}, for j <= 2 <= x = kappa K s.  On M = 2K points:
+# Which grid a flow state needs, derived; nothing in it is tuned.  For a real
+# g = sum g_n e^{i kappa n x}, kappa = 2 pi / L, the line norm Phi_s(g) =
+# sum_{n in Z} |g_n| e^{kappa n s} is the Wiener norm of x -> g(x - is): an
+# algebra norm (its weight is multiplicative), the same on both lines Im x =
+# +-s as |g_-n| = |g_n|, rising with s and, by the maximum principle, at least
+# |g| on the closed strip between the lines (Trefethen and Weideman, SIAM Rev.
+# 56 (2014) 385).  It bounds each one-sided tail: sum_{n >= K} (kappa n)^j
+# |g_n| <= (kappa K)^j e^{-kappa K s} Phi_s(g) for j <= kappa K s; and, as
+# e^{kappa |n| s} <= 2 cosh(kappa n s), the two-sided |g - g_0|_s = sum_{n != 0}
+# |g_n| e^{kappa |n| s} by 2 Phi_s(g).  A spectral derivative of g's samples on
+# any grid is at most sum (kappa |n|)^j |g_n|: aliasing folds mode n onto one
+# of no larger |n|.  A state is v = vbar (1 + z), Phi_s(z) <= B = sum_{n >= 1}
+# c_n cosh(kappa n s) / vbar, c_n = (2/N)|v0_hat_n| e^{-kappa^2 n^2 t}.  For
+# B <= 1/2 the alternating binomial series gives w = v^{p/2} = W (1 + y), W =
+# vbar^{p/2}, with Phi_s(y) <= b = 1 - (1 - B)^{p/2} and Phi_s(1/w^2) <= (W (1 -
+# b))^-2; so |w - W|_s <= 2 W b, and with B1 = 2 W b / (e s), |w_x| <= B1 and
+# |w_xx| <= 4 B1 / (e s) on the real line and sum_{|n| >= K} (kappa |n|)^j |w_n|
+# <= e s B1 (kappa K)^j q, q = e^{-x}, for j <= 2 <= x = kappa K s.  On M = 2K
+# points:
 # - w_x at the nodes is off by nu B1 at most, nu = 2 e x q, so h sum(w_x^4 /
 #   (3 w^2)) moves by 4 nu (1 + nu)^3 of its scale L B1^4 / (3 (W (1 - b))^2)
-#   at most, and the trapezoid rule adds 16 q of it (|w_x|_{s/2} <= 2 B1);
+#   at most, and the trapezoid rule adds 32 q of it: a real g's modes jM,
+#   j != 0, add up to 2 e^{-kappa M s/2} Phi_{s/2}(g) at most, and
+#   Phi_{s/2}(w_x) <= 2 B1;
 # - h sum(w_x^2), the Parseval sum of w_xx and the trapezoid rule for sigma
-#   err by 8 q + 2 (e x q)^2 of L B1^2, 32 q + 3 (e x)^4 q^2 / 16 of
-#   L (4 B1 / (e s))^2 and q^2 of L times sigma's series bound at most, each
-#   below F = 4 nu (1 + nu)^3 + 16 q where 2 F <= eps.
+#   err by 4 q + 3 (e x q)^2 of L B1^2, 16 q + 3 (e x)^4 q^2 / 16 of
+#   L (4 B1 / (e s))^2 and 2 q^2 of L times sigma's series bound at most,
+#   each below F = 4 nu (1 + nu)^3 + 32 q where 2 F <= eps.
 # The full grid errs less at the same s, so at x = _STRIP_X, the least x with
-# 2 F <= eps, every sum is within eps of its scale.  The scales at A = 1/2
-# are at least (2 A)^-2 times a state's own (b / A rises with A).  The M
-# nodes hold the trigonometric polynomial of v's modes below K (the Nyquist
-# mode read as real).  On the N nodes it differs from v by the tail tau =
-# sum_{n >= K} c_n in |.|_0, w by W tau / vbar (p/2 (1 - A)^{p/2 - 1} <= 1)
-# and w_x by kappa (N/2) W tau / vbar at most, and each N-point sum by
-# T = (4 (2 + sqrt 2) e kappa (N/2) s + 4) tau / vbar of its scale at
-# A = 1/2 (the quartic's bound; b >= 1 - 2^{-1/2} there).  So a halving is
-# admissible when eps (2 A)^2 + T <= eps.
-_STRIP_X = 43.608219025278224  # 2 F(x) > eps at x (1 - 1e-11)
+# 2 F <= eps, every sum is within eps of its scale.  The scales at B = 1/2
+# are at least (2 B)^-2 times a state's own (b / B rises with B).  The M
+# nodes hold v_K, v's modes below K and half its mode-K pair (irfft reads
+# the Nyquist entry as real), whose own strip sum is at most B.  On the N
+# nodes v_K differs from v by the tail tau = sum_{n >= K} c_n at most, and
+# w by W tau / vbar (p/2 (1 - B)^{p/2 - 1} <= 1).  Every w on the segment
+# from w(v_K) to w(v) keeps the bounds above, so an N-point sum moves by at
+# most L W tau / vbar times the largest node value of its gradient, and
+# summation by parts puts every derivative on the state.  The quartic's
+# gradient -D(4 w_x^3 / (3 w^2)) - 2 w_x^4 / (3 w^3) is at most 4 / (e s)
+# times Phi_{s/2}(4 w_x^3 / (3 w^2)) plus 2 B1^4 / (3 (W (1 - b))^3), so that
+# sum moves by T = (64 / b + 2 / (1 - b)) tau / vbar <= (64 (2 + sqrt 2) + 4)
+# tau / vbar of its scale at B = 1/2 (b = 1 - 2^{-p/2} there), the most of
+# any sum: h sum(w_x^2), the Parseval sum of w_xx and sigma's move by 4 / b,
+# 16 / b and 8 times tau / vbar.  So a halving is admissible when
+# eps (2 B)^2 + T <= eps.
+_STRIP_X = 43.62504821255508  # 2 F(x) > eps at x (1 - 1e-11)
 
 
 def _admissible(v0_hat: np.ndarray, grid: PeriodicGrid, wave: np.ndarray):
     """admissible(m, t) of the derivation above for the flow from v0, with
-    s = _STRIP_X / (kappa m/2).  It holds from some t on, and for m from
-    the t it holds for 2m on.  While the bound e^{s^2 / 4t} of the factors
-    e^{kappa n s - kappa^2 n^2 t} exceeds e^{600} the state is not admitted,
-    so nothing overflows (c_n <= 2 vbar)."""
+    s = _STRIP_X / (kappa m/2).  Mode n enters the strip sum B with its
+    line weight cosh(kappa n s), as exp(log c_n + log cosh(kappa n s) -
+    kappa^2 n^2 t): one exp per mode and probe.  It holds from some t on,
+    and for m from the t it holds for 2m on.  While the bound e^{s^2 / 4t}
+    of the factors cosh(kappa n s) e^{-kappa^2 n^2 t} exceeds e^{600} the
+    state is not admitted, so nothing overflows (c_n <= 2 vbar)."""
     with np.errstate(divide="ignore"):  # a zero mode adds exp(-inf) = 0
         log_c = np.log(2.0 * np.abs(v0_hat[1:]) / v0_hat[0].real)  # c_n / vbar at t = 0
     wave2, work, eps = wave[1:] ** 2, np.empty(wave.size - 1), np.finfo(float).eps
+    weight = 64.0 * (2.0 + math.sqrt(2.0)) + 4.0
     sizes = {}
 
     def admissible(m: int, t: float) -> bool:
         if m not in sizes:
             s = _STRIP_X * grid.length / (math.pi * m)
-            weight = 4.0 * (2.0 + math.sqrt(2.0)) * math.e * wave[-1] * s + 4.0
-            sizes[m] = s * s / 2400.0, log_c + wave[1:] * s, np.exp(-wave[m // 2 :] * s), weight
-        too_early, rise, fall, weight = sizes[m]
+            log_cosh = np.logaddexp(wave[1:] * s, -wave[1:] * s) - math.log(2.0)  # no overflow
+            sizes[m] = s * s / 2400.0, log_c + log_cosh, np.exp(-log_cosh[m // 2 - 1 :])
+        too_early, rise, fall = sizes[m]
         if t <= too_early:
             return False
         terms = np.multiply(wave2, -t, out=work)
         terms += rise
-        strip = np.add.reduce(np.exp(terms, out=terms))  # A
+        strip = np.add.reduce(np.exp(terms, out=terms))  # B
         if 2.0 * strip > 1.0:
-            return False  # eps (2 A)^2 alone exceeds eps
-        # tau / vbar: the terms from K on times e^{-kappa n s}
+            return False  # eps (2 B)^2 alone exceeds eps
+        # tau / vbar: the terms from K on over cosh(kappa n s)
         tail = np.add.reduce(np.multiply(terms[m // 2 - 1 :], fall, out=terms[m // 2 - 1 :]))
         return bool(eps * (2.0 * strip) ** 2 + weight * tail <= eps)
 
@@ -725,21 +780,27 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
     entry per lattice time t = k dt, t = 0 included; f is None unless
     ``with_f``.
 
-    The state at k dt is the spectrum of v0 times exp(-wave^2 k dt), so a
-    block of states is one batched inverse FFT.  An entry with k dt wave^2
-    >= X of _decay_cut cannot reach a bit of the state: it is exactly 0,
-    with no exp and no product, so no exp is subnormal or underflows.
-    Every state, v0 included, is checked against the positivity floor by
-    one minimum over the block, and the failing row is looked for only
-    when that minimum is at or below the floor.  Each state costs three
-    transforms: its inverse one, the rfft of w = v^{p/2} and the inverse
-    one of w_x; the production's w_xx part comes from the spectrum of w.
-    A state runs on the coarsest halving m of the grid that _grid_schedule
-    admits at its time: the spectrum v0_hat[:m/2 + 1] m/N gives it at the
-    m nodes but for a tail of modes that the rule bounds, and every sum it
-    feeds is within eps of its scale of the full-grid value (see the
-    derivation above _STRIP_X).  State 0 and odd N stay on
-    the full grid.  A block holds _BLOCK_VALUES // m states of one size;
+    Every state has the datum's mean vbar, and its deviation v - vbar at
+    k dt is the spectrum of v0 - vbar (entry 0 set to 0) times
+    exp(-wave^2 k dt), so a block of states is one batched inverse FFT,
+    and v = vbar + deviation.  f and the production are formed from the
+    deviation (see _flow_dissipation), so their rounding is relative to
+    the state's distance from its mean, not to vbar.  An entry with k dt
+    wave^2 >= X of _decay_cut cannot reach a bit of the state: it is
+    exactly 0, with no exp and no product, so no exp is subnormal or
+    underflows.  Every state, v0 included, is checked against the
+    positivity floor by one minimum over the block, and the failing row is
+    looked for only when that minimum is at or below the floor.  Each
+    state costs three transforms: its inverse one, the rfft of w - W and
+    the inverse one of w_x; the production's w_xx part comes from the
+    spectrum of w - W.  A state runs on the coarsest halving m of the grid
+    that _grid_schedule admits at its time: the spectrum's first m/2 + 1
+    entries times m/N give it at the m nodes but for a tail of modes that
+    the rule bounds, and every sum it feeds is within eps of its scale of
+    the full-grid value.  The rule
+    measures the state in the Wiener norm of one boundary line of a strip,
+    mode n weighted by cosh(kappa n s) (see the derivation above
+    _STRIP_X).  State 0 and odd N stay on the full grid.  A block holds _BLOCK_VALUES // m states of one size;
     the columns are allocated once, and so are flat work buffers that each
     size views as blocks (a short block uses leading rows), and each block
     fills its slice of the columns.
@@ -754,8 +815,12 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
     f = np.empty(n_steps + 1) if with_f else None
     dissipation = np.empty(n_steps + 1)
     schedule = _grid_schedule(v0_hat, grid, wave, times)
-    vbar = float(v0_hat[0].real) / n
+    vbar = float(v0_hat[0].real) / n  # the mean of every state
     nu = float(v0.min()) - 2.0 ** -53 * vbar
+    # the states' deviations from vbar come from the datum's own, with entry 0 exactly 0
+    deviation0 = v0 - vbar
+    deviation_hat = _rfft(deviation0)
+    deviation_hat[0] = 0.0
     ends = [k for k, _ in schedule[1:]] + [n_steps + 1]
     segments = [
         (first, end, m, min(max(1, _BLOCK_VALUES // m), end - first))
@@ -765,16 +830,16 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
     n_modes = max(rows * (m // 2 + 1) for _, _, m, rows in segments)
     decay_flat = np.empty(n_modes)
     spectrum_flat, w_hat_flat = np.empty((2, n_modes), dtype=complex)
-    value_flats = np.empty((4, n_values))
+    value_flats = np.empty((5, n_values))
     for first, end, m, rows in segments:
         coarse = PeriodicGrid(grid.length, m)
         modes = m // 2 + 1
-        hat = v0_hat[:modes] * (m / n)  # a power of two: exact
+        hat = deviation_hat[:modes] * (m / n)  # a power of two: exact
         cut = _decay_cut(m, vbar, nu)
         decay, spectrum, w_hat = (
             a[: rows * modes].reshape(rows, modes) for a in (decay_flat, spectrum_flat, w_hat_flat)
         )
-        states, w, wx, scratch = value_flats[:, : rows * m].reshape(4, rows, m)
+        deviations, states, w, wx, scratch = value_flats[:, : rows * m].reshape(5, rows, m)
         for start in range(first, end, rows):
             block = slice(start, min(start + rows, end))
             t = times[block]
@@ -782,16 +847,19 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
             live = _heat_decay(t, wave2[:modes], cut, decay[:r])
             np.multiply(hat[:live], decay[:r, :live], out=spectrum[:r, :live])
             spectrum[:r, live:] = 0.0
-            v = _irfft(spectrum[:r], m, out=states[:r])
+            deviation = _irfft(spectrum[:r], m, out=deviations[:r])
+            if start == 0:
+                deviation[0] = deviation0
+            v = np.add(deviation, vbar, out=states[:r])
             if start == 0:
                 v[0] = v0
             if v.min() <= POSITIVITY_FLOOR:
                 low = np.flatnonzero(v.min(axis=-1) <= POSITIVITY_FLOOR)[0]
                 raise PositivityLost(f"flow state touched the positivity floor at t = {t[low]:.6g}")
             work = tuple(a[:r] for a in (spectrum, w_hat, w, wx, scratch))
-            wx2_sum, dissipation[block] = _flow_dissipation(v, coarse, p, work, with_f)
+            wx2_sum, dissipation[block] = _flow_dissipation(v, deviation, vbar, coarse, p, work, with_f)
             if with_f:
-                sigma = _sigma_integral(v, coarse, p, work[2:])
+                sigma = _sigma_integral(v, coarse, p, work[2:], (deviation, vbar))
                 f[block] = coarse.spacing * wx2_sum - (2.0 * math.pi ** 2 * p / grid.length ** 2) * sigma
     if with_f:
         _check_finite(f, "f along the heat flow from this datum")
