@@ -37,15 +37,7 @@ from .grid import (
     integrate,
     make_grid,
 )
-from .functionals import (
-    FunctionalReport,
-    entropy_absolute,
-    entropy_production,
-    entropy_relative,
-    lyapunov_u_minus_logu,
-    production_decomposition,
-    report,
-)
+from .functionals import FunctionalReport, report
 from .solver import (
     LinearSolver,
     SolverConfig,
@@ -105,11 +97,6 @@ __all__ = [
     "integrate",
     "make_grid",
     "FunctionalReport",
-    "entropy_absolute",
-    "entropy_production",
-    "entropy_relative",
-    "lyapunov_u_minus_logu",
-    "production_decomposition",
     "report",
     "LinearSolver",
     "SolverConfig",

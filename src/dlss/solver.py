@@ -73,6 +73,7 @@ from .grid import (
     _shifted,
     diff_matrix,
 )
+from .functionals import _sums
 from .linalg import CyclicBandedLU, DenseLU
 
 __all__ = [
@@ -507,8 +508,8 @@ class _Records:
 
     ``add`` copies e^y, y and D2 y of a level into the next row of the
     block.  The rows of a block share one grid; a full block, a level on
-    another grid and ``result`` reduce it row-wise with the formulas of one
-    record, min_u at the n requested nodes, which a grid coarser than n
+    another grid and ``result`` reduce it row-wise by ``functionals._sums``
+    and take min_u at the n requested nodes, which a grid coarser than n
     reaches through one batched rfft of the y rows.  Three (rows, m) views
     of one (3, rows n) buffer hold min(_BLOCK_VALUES // n, records) rows of
     each array, m the points of the block's grid."""
@@ -534,17 +535,12 @@ class _Records:
         count = len(self.times)
         if not count:
             return
-        h, length, m = self.grid.spacing, self.grid.length, self.grid.n_points
         ey, y, d2y = self.block[:, :count]
-        mass = h * np.add.reduce(ey, axis=1)
-        log_u_bar = np.log(mass / length)[:, None]
-        entropy_rel = h * np.add.reduce(ey * (y - log_u_bar), axis=1)
-        lyap = h * np.add.reduce(ey - y, axis=1)
-        production = h * np.add.reduce(ey * d2y * d2y, axis=1)
-        if m != self.n:
-            ey = _resample(_rfft(y), m, self.n)
+        sums = _sums(self.grid, ey, y, d2y)
+        if self.grid.n_points != self.n:
+            ey = _resample(_rfft(y), self.grid.n_points, self.n)
             np.exp(ey, out=ey)
-        columns = (mass, entropy_rel, lyap, production, np.minimum.reduce(ey, axis=1))
+        columns = (*sums, np.minimum.reduce(ey, axis=1))
         # positional, in field order: t, mass, entropy_rel, lyap, production,
         # min_u, newton_iters
         self.records += map(

@@ -341,6 +341,28 @@ class TestIdentitySuite:
         assert out["overall_max_rel_err"] < 1e-12
         assert out["overall_max_rel_err"] == max(out["max_rel_err"].values())
 
+    @pytest.mark.parametrize("backend", [dlss.SPECTRAL, dlss.FD2, dlss.FD4], ids=lambda b: b.name)
+    def test_production_decomposition_keeps_its_bits(self, grid64, backend):
+        # the production and its split written out, over the suite's own
+        # seeded trials: the dlss identity JSON must keep these bits
+        def d(values, order):
+            return dlss.derivative(Field(grid64, values, FieldKind.GENERIC), order, backend).values
+
+        def integral(values):
+            return dlss.integrate(Field(grid64, values, FieldKind.GENERIC))
+
+        stream, want = dlss.SplitMix64(0), 0.0
+        for _ in range(100):
+            u = dlss.random_log_density(grid64, 8, stream.next_u64()).values
+            d2y, dy = d(np.log(u), 2), d(np.log(u), 1)
+            production = integral(u * d2y * d2y)
+            d2s = d(np.sqrt(u), 2)
+            split = 4.0 * integral(d2s * d2s) + integral(u * dy ** 4) / 12.0
+            err = abs(production - split) / max(abs(production), abs(split), 1e-30)
+            want = max(want, err)
+        got = identity_suite(grid64, backend)["max_rel_err"]["production_decomposition"]
+        assert got == want
+
     def test_fd_errors_shrink_at_second_order(self):
         coarse = identity_suite(dlss.make_grid(TWO_PI, 64), dlss.FD2, trials=5, seed=0, n_modes=4)
         fine = identity_suite(dlss.make_grid(TWO_PI, 128), dlss.FD2, trials=5, seed=0, n_modes=4)

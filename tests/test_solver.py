@@ -348,12 +348,11 @@ class TestSolve:
             else:
                 y_k = dlss.solve(u0, k * config.tau, config).final_y.values
             u = Field(grid64, np.exp(y_k), FieldKind.DENSITY)
+            rep = dlss.report(u, config.backend)
             assert record.mass == dlss.integrate(u)
-            u_bar = record.mass / grid64.length
-            assert record.entropy_rel == pytest.approx(dlss.entropy_relative(u, u_bar), rel=1e-12)
-            assert record.lyap == pytest.approx(dlss.lyapunov_u_minus_logu(u), rel=1e-12)
-            expected = dlss.entropy_production(u, config.backend)
-            assert record.production == pytest.approx(expected, rel=1e-12)
+            assert record.entropy_rel == pytest.approx(rep.entropy_rel, rel=1e-12)
+            assert record.lyap == pytest.approx(rep.lyap_u_minus_logu, rel=1e-12)
+            assert record.production == pytest.approx(rep.production, rel=1e-12)
             assert record.min_u == u.values.min()
 
     def test_record_every_shares_levels(self, grid64):
