@@ -34,7 +34,6 @@ from .grid import (
     PeriodicGrid,
     derivative,
     diff_matrix,
-    integrate,
     make_grid,
 )
 from .functionals import FunctionalReport, report
@@ -45,9 +44,7 @@ from .solver import (
     Trajectory,
     jacobian,
     lyapunov_check,
-    residual,
     solve,
-    step,
 )
 from .inequalities import (
     QuotientKind,
@@ -56,8 +53,6 @@ from .inequalities import (
     certify_constant,
     convex_sobolev_check,
     heatflow_verify,
-    minimize_quotient,
-    quotient_value,
     remainder_R,
 )
 from .rng import SplitMix64, random_log_density, random_smooth_field
@@ -94,7 +89,6 @@ __all__ = [
     "PeriodicGrid",
     "derivative",
     "diff_matrix",
-    "integrate",
     "make_grid",
     "FunctionalReport",
     "report",
@@ -104,17 +98,13 @@ __all__ = [
     "Trajectory",
     "jacobian",
     "lyapunov_check",
-    "residual",
     "solve",
-    "step",
     "QuotientKind",
     "QuotientResult",
     "QuotientSpec",
     "certify_constant",
     "convex_sobolev_check",
     "heatflow_verify",
-    "minimize_quotient",
-    "quotient_value",
     "remainder_R",
     "SplitMix64",
     "random_log_density",

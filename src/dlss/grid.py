@@ -60,7 +60,6 @@ __all__ = [
     "make_grid",
     "derivative",
     "diff_matrix",
-    "integrate",
 ]
 
 # Densities at or below this are treated as vacuum; log() is meaningless there.
@@ -383,10 +382,5 @@ def diff_matrix(grid: PeriodicGrid, order: int, backend: DiffBackend = SPECTRAL)
 
 
 def _integrate(grid: PeriodicGrid, values: np.ndarray) -> float:
-    """Array core of ``integrate``."""
-    return float(grid.spacing * values.sum())
-
-
-def integrate(f: Field) -> float:
     """Rectangle rule: spacing times the nodal sum."""
-    return _integrate(f.grid, f.values)
+    return float(grid.spacing * values.sum())

@@ -69,8 +69,6 @@ __all__ = [
     "QuotientKind",
     "QuotientSpec",
     "QuotientResult",
-    "quotient_value",
-    "minimize_quotient",
     "certify_constant",
     "heatflow_verify",
     "remainder_R",
@@ -211,12 +209,6 @@ def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple
     return q, den, vhat, ghat
 
 
-def quotient_value(spec: QuotientSpec, u: Field) -> float:
-    """Evaluate the quotient with spectral derivatives; degenerate
-    (near-constant) input is an error."""
-    return _evaluate(spec, u.values, u.grid)[0]
-
-
 # The descent's preconditioner is the inverse of the quotient's Hessian at its
 # minimiser (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517).  With kappa =
 # 2 pi / L, let A be the operator of symbol (kappa m)^{2o}, o = n for Poincare
@@ -316,14 +308,59 @@ def _trials(spec: QuotientSpec, raw: np.ndarray, grid: PeriodicGrid) -> tuple:
 
 
 def _descend(spec: QuotientSpec, grid: PeriodicGrid, starts: np.ndarray) -> list[QuotientResult]:
-    """The descent of ``minimize_quotient`` from each row of ``starts``, an
-    (S, N) block, all run as one block; the results in row order.
+    """Projected gradient descent on the quotient from each row of
+    ``starts``, an (S, N) block, all run as one block; the results in row
+    order.
+
+    The search runs over Nyquist-free fields: each start loses its Nyquist
+    coefficient and every step is Nyquist-free.  The sawtooth (-1)^j has
+    zero odd spectral derivatives, so it drives the Poincare and
+    log-Sobolev quotients of odd order and the convex quotients to 0, and
+    on coarse grids an unrestricted descent drifts into it.  Each iterate
+    is renormalised (mean-zero unit mass for Poincare; amplitude
+    sup |v / vbar - 1| = _PIN = 1e-3 and then unit norm for log-Sobolev;
+    amplitude _PIN and unit mean for convex Sobolev).  The first trial
+    length is 0.5 and then the preconditioned Barzilai-Borwein length
+    (dx . dg) / (dg . P dg), with dx and dg the changes of the iterate and
+    of the gradient over the last step and P the preconditioner, the
+    inverse Hessian derived above ``_preconditioner``; where that is not
+    positive and finite, the first trial length 0.5, the Newton length of
+    that symbol, is tried again (Barzilai & Borwein, IMA J. Numer. Anal. 8
+    (1988) 141; Raydan, SIAM J. Optim. 7 (1997) 26).  Trial steps are
+    backtracked, halving, until the quotient strictly decreases, so the
+    value is monotone along the iteration.  With floor = 1e-14 max(|q|, 1)
+    (_DESCENT_TOL), a row stops, converged, as soon as one accepted step
+    lowers the quotient q by at most floor, or when backtracking reaches a
+    step s whose first-order decrease s h sum(g gp) is at most floor (g
+    the gradient, gp its preconditioned form): no step that still counts
+    decreases q.  A row that runs out of its 4 000 iterations (_MAX_ITERS)
+    returns the best iterate with ``converged`` set to False.
+
+    The log-Sobolev and convex constants are reached only in the linear
+    limit v -> vbar (1 + eps phi), so the value is the infimum over fields
+    of amplitude eps = _PIN: the constant C times 1 + O(eps^2), a relative
+    excess of ~2e-7 for log-Sobolev and below 4e-8 for convex p < 2
+    (rounding level at p = 2, where the quotient is quadratic).  Pinned,
+    every landscape is nearly quadratic and a start converges in 4 to 11
+    iterations at any circle length, most of them without a backtrack.
+
+    Iterates and candidates are plain arrays.  One evaluation of each
+    (``_evaluate``) checks it finite (and, for convex Sobolev, positive)
+    and gives the value, the denominator and the gradient spectrum; the
+    gradient is preconditioned and dotted on the spectrum, so one inverse
+    transform gives the step, and the residual is that transform at the
+    returned iterate.  A trial that cannot be normalised and one whose
+    denominator is degenerate are both one rejected trial, like a trial
+    that does not lower q.  Only the returned minimizers are built as
+    ``Field``s, and ``evaluations`` counts a row's quotient evaluations,
+    its start's and every candidate's.
 
     Each row keeps its own Barzilai-Borwein length, backtrack, stop test,
     iteration and evaluation count, and leaves the block once it stops.
     The first trials of all rows are one block, and rows that reject theirs
     backtrack in a sub-block.  Every reduction and transform runs along the
-    last axis, so each row gets the bits it gets alone.
+    last axis, so each row gets the bits it gets alone, in a block of one
+    as in any other.
     """
     n = grid.n_points
     start = _rfft(starts)
@@ -414,65 +451,6 @@ def _descend(spec: QuotientSpec, grid: PeriodicGrid, starts: np.ndarray) -> list
     ]
 
 
-def minimize_quotient(spec: QuotientSpec, u_init: Field) -> QuotientResult:
-    """Projected gradient descent on the quotient from ``u_init``.
-
-    The search runs over Nyquist-free fields: the start loses its Nyquist
-    coefficient and every step is Nyquist-free.  The sawtooth (-1)^j has
-    zero odd spectral derivatives, so it drives the Poincare and
-    log-Sobolev quotients of odd order and the convex quotients to 0, and
-    on coarse grids an unrestricted descent drifts into it.  Each iterate
-    is renormalised (mean-zero unit mass for Poincare; amplitude
-    sup |v / vbar - 1| = _PIN = 1e-3 and then unit norm for log-Sobolev;
-    amplitude _PIN and unit mean for convex Sobolev).  The first trial
-    length is 0.5 and then the preconditioned Barzilai-Borwein length
-    (dx . dg) / (dg . P dg), with dx and dg the changes of the iterate and
-    of the gradient over the last step and P the preconditioner, the inverse
-    Hessian derived above ``_preconditioner``; where that
-    is not positive and finite, the first trial length 0.5, the Newton
-    length of that symbol, is tried again (Barzilai & Borwein, IMA J.
-    Numer. Anal. 8 (1988) 141; Raydan,
-    SIAM J. Optim. 7 (1997) 26).  Trial steps are backtracked, halving,
-    until the quotient strictly decreases, so the value is monotone along
-    the iteration.  With floor = 1e-14 max(|q|, 1)
-    (_DESCENT_TOL), the run stops, converged, as soon as one accepted
-    step lowers the quotient q by at most floor, or when backtracking
-    reaches a step s whose first-order decrease s h sum(g gp) is at most
-    floor (g the gradient, gp its preconditioned form): no step that
-    still counts decreases q.  A descent that runs out of its 4 000
-    iterations (_MAX_ITERS) returns the best iterate with ``converged`` set
-    to False.
-
-    The log-Sobolev and convex constants are reached only in the linear
-    limit v -> vbar (1 + eps phi), so the value is the infimum over fields
-    of amplitude eps = _PIN: the constant C times 1 + O(eps^2), a relative
-    excess of ~2e-7 for log-Sobolev and below 4e-8 for convex p < 2
-    (rounding level at p = 2, where the quotient is quadratic).  Pinned,
-    every landscape is nearly quadratic and a start converges in 4 to 11
-    iterations at any circle length, most of them without a backtrack.
-
-    Iterates and candidates are plain arrays.  One evaluation of each
-    (``_evaluate``) checks it finite (and, for convex Sobolev, positive)
-    and gives the value, the denominator and the gradient spectrum; the
-    gradient is preconditioned and dotted on the spectrum, so one inverse
-    transform gives the step, and the residual is that transform at the
-    returned iterate.  A trial that cannot be normalised and one whose
-    denominator is degenerate are both one rejected trial, like a trial
-    that does not lower q.  Only the returned minimizer is built as a
-    ``Field``, and ``evaluations`` counts the quotient evaluations, the
-    start's and every candidate's.
-
-    The descent is the block descent of ``certify_constant`` run on a
-    block of one start; each start of a block gives the same result, bit
-    for bit, as it does alone.  A lone start pays the block's numpy
-    per-call cost on one-row arrays, about 1.7x the time of the former
-    one-start loop at N = 256; callers with several seeded starts of one
-    quotient should use ``certify_constant``, which descends them as one
-    block.
-    """
-    return _descend(spec, u_init.grid, u_init.values[None])[0]
-
-
 def _initial_guess(spec: QuotientSpec, grid: PeriodicGrid, seed: int) -> Field:
     n_modes = max(2, min(8, grid.n_points // 4))
     g = random_smooth_field(grid, n_modes, seed, amplitude=1.0, mean_zero=True)
@@ -488,11 +466,10 @@ def certify_constant(
     grid: PeriodicGrid,
     seeds: tuple[int, ...] = (0, 1, 2),
 ) -> QuotientResult:
-    """Multi-start minimisation: the descent of ``minimize_quotient`` from
-    one random admissible field per seed, all starts descending as one
-    block, and the lowest converged value kept (the first seed's on a tie).
-    Each start gives the result it gives alone.  At least one seed is
-    required."""
+    """Multi-start minimisation: ``_descend`` from one random admissible
+    field per seed, all starts descending as one block, and the lowest
+    converged value kept (the first seed's on a tie).  Each start gives the
+    result it gives alone.  At least one seed is required."""
     if not seeds:
         raise ValueError("seeds must name at least one start")
     starts = np.array([_initial_guess(spec, grid, seed).values for seed in seeds])

@@ -15,8 +15,8 @@ h * sum(e^y (log-mean shifted)) entropies decay step by step: convexity
 of s -> s log s plus summation by parts transfer the continuum Lyapunov
 argument verbatim to the grid.
 
-``step`` and ``solve`` run one damped chord loop that reuses an LU across
-iterations (``solve`` also across steps), refreshing it when an iteration
+``solve`` runs one damped chord loop that reuses an LU across
+iterations and across steps, refreshing it when an iteration
 that is still above the tolerance contracts too little; the iteration
 that meets the tolerance may land on the residual floor, so its ratio is
 not judged.  A step gets at most 25 Newton iterations.  ``solve`` starts
@@ -25,8 +25,8 @@ through the last three levels, or at the secant 2 y_k - y_{k-1} while
 only two are known, if its residual is below that of y_k, which is free:
 F(y_k; y_k) is the previous step's accepted residual minus
 (e^{y_k} - e^{y_{k-1}}) / tau.  A retry or a tau halving drops the older
-levels, so the step after it starts at y_k, as the first step, the retry
-and halving paths and ``step`` do.  Every accepted iterate passes the
+levels, so the step after it starts at y_k, as the first step and the
+retry and halving paths do.  Every accepted iterate passes the
 same residual tolerance.  Records copy e^y, y and D2 y of the accepted
 level and are reduced a block at a time (``_Records``): they take no
 logarithm of u and no derivative, and only min_u on a coarse grid takes
@@ -43,8 +43,8 @@ coarser grid passes and doubles when its own grid fails.  A switch
 truncates or zero-pads the spectrum of y and is handled as a retry is:
 the chord LU is refreshed and the older levels are dropped.  Records are
 sums on the grid the step ran on, except min_u, which is taken at the
-requested nodes, where final_y is returned.  fd2 and fd4 runs, ``step``,
-``residual`` and ``jacobian`` stay on the grid they are given.
+requested nodes, where final_y is returned.  fd2 and fd4 runs and
+``jacobian`` stay on the grid they are given.
 """
 
 from __future__ import annotations
@@ -81,9 +81,7 @@ __all__ = [
     "SolverConfig",
     "TimeSeriesRecord",
     "Trajectory",
-    "residual",
     "jacobian",
-    "step",
     "solve",
     "lyapunov_check",
 ]
@@ -120,7 +118,7 @@ class SolverConfig:
     a = 0.1 and 0.5 up to N = 1024, on 64 and 128 points.  At a = 0.9, y
     needs 256 points or more at t = 0, and the residual stalls at 5.7e-8
     (N = 256) or 1.1e-6 and above (N >= 512), raising ``NoConvergence``.
-    fd2, fd4 and ``step`` keep the full grid and its floor (ROADMAP.md,
+    fd2 and fd4 runs keep the full grid and its floor (ROADMAP.md,
     item 2, has the table).  Line-search backtracks always halve the
     Newton step.  ``tau`` and ``newton_tol`` must be positive and finite;
     a rejected value raises ``ValidationError`` naming the field.
@@ -174,14 +172,6 @@ class Trajectory:
     records: tuple[TimeSeriesRecord, ...]
     final_y: Field
     clamped_nodes: int = 0
-
-
-def residual(y: Field, y_prev: Field, config: SolverConfig) -> Field:
-    """Backward Euler residual F(y) given the previous log-density."""
-    if y.grid != y_prev.grid:
-        raise ValueError("fields live on different grids")
-    level = _evaluate(y.values, np.exp(y_prev.values), y.grid, config)
-    return Field(y.grid, level.r, FieldKind.GENERIC)
 
 
 class _Level:
@@ -321,24 +311,6 @@ def _newton_loop(
         else:
             workspace.stale = True
     return level, iters
-
-
-# A line-search trial may overflow e^y and fill its residual with NaN;
-# such a trial is rejected (nan < rnorm is False), so its floating-point
-# warnings are noise.  One context per call, not one per trial.
-_QUIET_TRIALS = np.errstate(over="ignore", invalid="ignore")
-
-
-@_QUIET_TRIALS
-def step(y_prev: Field, config: SolverConfig) -> tuple[Field, int]:
-    """Advance one time level; returns the converged iterate and the number
-    of Newton iterations it took."""
-    y, grid = y_prev.values, y_prev.grid
-    ey = np.exp(y)
-    level, iters = _newton_loop(
-        _evaluate(y, ey, grid, config), ey, grid, config, _NewtonWorkspace()
-    )
-    return Field(grid, level.y, FieldKind.LOG_DENSITY), iters
 
 
 def _advance(
@@ -553,7 +525,10 @@ class _Records:
         return tuple(self.records)
 
 
-@_QUIET_TRIALS
+# A line-search trial may overflow e^y and fill its residual with NaN;
+# such a trial is rejected (nan < rnorm is False), so its floating-point
+# warnings are noise.  One context per call, not one per trial.
+@np.errstate(over="ignore", invalid="ignore")
 def solve(
     u0: Field,
     t_final: float,

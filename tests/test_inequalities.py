@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import dlss
 from dlss import Field, FieldKind, QuotientKind, QuotientSpec, SPECTRAL
-from dlss.grid import POSITIVITY_FLOOR, PeriodicGrid, _irfft, _rfft
+from dlss.grid import POSITIVITY_FLOOR, PeriodicGrid, _integrate, _irfft, _rfft
 from dlss.inequalities import (
     _BLOCK_VALUES,
     _D_FLOOR,
@@ -228,7 +228,7 @@ def long_double_flow(v0, grid, p, times):
 
 
 def oracle_descent(spec, u_init, evaluate=_evaluate):
-    """minimize_quotient as it was before the starts of a certificate
+    """The descent of one start as it was before the starts of a certificate
     descended as one block: the loop of one start, each helper called on
     one field.  Returns (value, iterations, evaluations, residual,
     converged, minimizer bytes), then (trials, accepted) of each iteration,
@@ -332,18 +332,18 @@ class TestQuotientValue:
     def test_poincare_on_pure_modes(self, grid64, n, mode):
         # eigenfunctions: quotient of cos(kx) is exactly k^{2n} at L = 2 pi
         u = Field(grid64, np.cos(mode * grid64.nodes), FieldKind.GENERIC)
-        got = dlss.quotient_value(poincare(n), u)
+        got = _evaluate(poincare(n), u.values, u.grid)[0]
         assert got == pytest.approx(float(mode ** (2 * n)), rel=1e-12)
 
     def test_log_sobolev_near_constant_expansion(self, grid64):
         # Q(1 + eps cos) = 1/2 + (3/32) eps^2 + O(eps^4)
         for eps in (1e-2, 1e-3):
-            q = dlss.quotient_value(log_sobolev(1), cosine_density(grid64, eps))
+            q = _evaluate(log_sobolev(1), cosine_density(grid64, eps).values, grid64)[0]
             assert (q - 0.5) / eps ** 2 == pytest.approx(3.0 / 32.0, rel=1e-3)
 
     def test_convex_p2_matches_poincare_scaling(self, grid64):
         # p = 2 quotient of 1 + eps cos approaches the sharp 8 pi^2 / L^2 = 2
-        q = dlss.quotient_value(convex_sobolev(2.0), cosine_density(grid64, 1e-4))
+        q = _evaluate(convex_sobolev(2.0), cosine_density(grid64, 1e-4).values, grid64)[0]
         assert q == pytest.approx(2.0, rel=1e-6)
 
     @pytest.mark.parametrize(
@@ -352,11 +352,11 @@ class TestQuotientValue:
     def test_constant_field_degenerates(self, grid64, spec):
         u = Field(grid64, np.full(64, 1.3), FieldKind.DENSITY)
         with pytest.raises(dlss.DegenerateDenominator):
-            dlss.quotient_value(spec, u)
+            _evaluate(spec, u.values, u.grid)[0]
 
     def test_zero_field_degenerates(self, grid64):
         with pytest.raises(dlss.DegenerateDenominator):
-            dlss.quotient_value(log_sobolev(1), Field(grid64, np.zeros(64)))
+            _evaluate(log_sobolev(1), np.zeros(64), grid64)[0]
 
     @pytest.mark.filterwarnings("error")
     def test_log_sobolev_zero_node_keeps_finite_denominator(self, grid64):
@@ -377,73 +377,73 @@ class TestQuotientValue:
         vals = np.cos(grid64.nodes)  # changes sign
         u = Field(grid64, vals, FieldKind.GENERIC)
         with pytest.raises(dlss.NonPositiveDensity):
-            dlss.quotient_value(convex_sobolev(1.5), u)
+            _evaluate(convex_sobolev(1.5), u.values, u.grid)[0]
 
     @given(seed=st.integers(0, 2 ** 32))
     def test_log_sobolev_bounded_below_by_sharp_constant(self, grid64, seed):
         u = random_log_density(grid64, 8, seed)
-        q = dlss.quotient_value(log_sobolev(1), u)
+        q = _evaluate(log_sobolev(1), u.values, u.grid)[0]
         assert q >= 0.5 - 1e-8
 
     @given(seed=st.integers(0, 2 ** 32))
     def test_poincare_bounded_below_by_spectral_gap(self, grid64, seed):
         u = random_smooth_field(grid64, 8, seed, mean_zero=True)
-        q = dlss.quotient_value(poincare(1), u)
+        q = _evaluate(poincare(1), u.values, u.grid)[0]
         assert q >= 1.0 - 1e-8
 
 
 class TestMinimizeQuotient:
     def test_poincare_reaches_sharp_constant(self, grid64):
         init = random_smooth_field(grid64, 6, seed=3, mean_zero=True)
-        res = dlss.minimize_quotient(poincare(1), init)
+        res = _descend(poincare(1), init.grid, init.values[None])[0]
         assert res.converged
         assert abs(res.value - 1.0) < 1e-8
         assert res.analytic == pytest.approx(1.0)
 
     def test_poincare_minimizer_concentrates_in_first_modes(self, grid64):
         init = random_smooth_field(grid64, 6, seed=11, mean_zero=True)
-        res = dlss.minimize_quotient(poincare(1), init)
+        res = _descend(poincare(1), init.grid, init.values[None])[0]
         spectrum = np.abs(np.fft.rfft(res.minimizer.values)) ** 2
         assert spectrum[1] / spectrum.sum() >= 0.99
 
     def test_log_sobolev_first_order(self, grid64):
-        res = dlss.minimize_quotient(log_sobolev(1), cosine_density(grid64, 0.5))
+        res = _descend(log_sobolev(1), grid64, cosine_density(grid64, 0.5).values[None])[0]
         assert res.converged
         assert res.rel_error < 1e-6
 
     def test_log_sobolev_second_order(self, grid64):
-        res = dlss.minimize_quotient(log_sobolev(2), cosine_density(grid64, 0.5))
+        res = _descend(log_sobolev(2), grid64, cosine_density(grid64, 0.5).values[None])[0]
         assert res.converged
         assert res.rel_error < 1e-6
 
     def test_convex_p2_reaches_sharp_constant(self, grid64):
-        res = dlss.minimize_quotient(convex_sobolev(2.0), cosine_density(grid64, 0.3))
+        res = _descend(convex_sobolev(2.0), grid64, cosine_density(grid64, 0.3).values[None])[0]
         assert res.converged
         assert abs(res.value - 2.0) < 1e-8
         assert res.minimizer.kind is FieldKind.DENSITY
 
     def test_convex_fractional_p(self, grid64):
-        res = dlss.minimize_quotient(convex_sobolev(1.5), cosine_density(grid64, 0.3))
+        res = _descend(convex_sobolev(1.5), grid64, cosine_density(grid64, 0.3).values[None])[0]
         assert res.converged
         assert res.rel_error < 1e-6
 
     def test_value_never_exceeds_initial_quotient(self, grid64):
         init = cosine_density(grid64, 0.4, mode=2)
-        q0 = dlss.quotient_value(log_sobolev(1), init)
-        res = dlss.minimize_quotient(log_sobolev(1), init)
+        q0 = _evaluate(log_sobolev(1), init.values, init.grid)[0]
+        res = _descend(log_sobolev(1), init.grid, init.values[None])[0]
         assert res.value <= q0 + 1e-12
 
     def test_iteration_budget_reported_honestly(self, grid64, monkeypatch):
         # unbudgeted, this start converges in 8 iterations
         monkeypatch.setattr("dlss.inequalities._MAX_ITERS", 3)
-        res = dlss.minimize_quotient(log_sobolev(1), _initial_guess(log_sobolev(1), grid64, seed=0))
+        res = _descend(log_sobolev(1), grid64, _initial_guess(log_sobolev(1), grid64, seed=0).values[None])[0]
         assert not res.converged
         assert res.iterations == 3
 
     def test_constant_init_degenerates(self, grid64):
         u = Field(grid64, np.full(64, 2.0), FieldKind.DENSITY)
         with pytest.raises(dlss.DegenerateDenominator):
-            dlss.minimize_quotient(poincare(1), u)
+            _descend(poincare(1), u.grid, u.values[None])[0]
 
     @pytest.mark.parametrize("spec", ALL_KINDS, ids=spec_id)
     @pytest.mark.parametrize("n_points", [32, 64])
@@ -451,8 +451,8 @@ class TestMinimizeQuotient:
         # the descent evaluates each candidate once and reuses the arrays;
         # a stale evaluation would show as a value of some other iterate
         grid = dlss.make_grid(TWO_PI, n_points)
-        res = dlss.minimize_quotient(spec, _initial_guess(spec, grid, seed=4))
-        assert res.value == dlss.quotient_value(spec, res.minimizer)
+        res = _descend(spec, grid, _initial_guess(spec, grid, seed=4).values[None])[0]
+        assert res.value == _evaluate(spec, res.minimizer.values, grid)[0]
 
     @pytest.mark.parametrize("spec", ALL_KINDS, ids=spec_id)
     def test_evaluations_count_every_evaluation(self, grid64, spec, monkeypatch):
@@ -463,7 +463,7 @@ class TestMinimizeQuotient:
             return _evaluate(spec, vals, grid)
 
         monkeypatch.setattr("dlss.inequalities._evaluate", counted)
-        res = dlss.minimize_quotient(spec, _initial_guess(spec, grid64, seed=4))
+        res = _descend(spec, grid64, _initial_guess(spec, grid64, seed=4).values[None])[0]
         # every iteration evaluates at least one candidate; with Barzilai-
         # Borwein lengths some starts never backtrack
         assert res.evaluations == len(rows) == sum(rows) >= res.iterations
@@ -489,7 +489,7 @@ class TestMinimizeQuotient:
 
         monkeypatch.setattr("dlss.inequalities._spectral_dot", recorded)
         grid = dlss.make_grid(TWO_PI, 16)
-        res = dlss.minimize_quotient(poincare(1), _initial_guess(poincare(1), grid, seed))
+        res = _descend(poincare(1), grid, _initial_guess(poincare(1), grid, seed).values[None])[0]
         assert min(dots) < 0.0
         assert res.converged
         assert res.rel_error <= 1e-12
@@ -506,7 +506,7 @@ class TestMinimizeQuotient:
             grid = dlss.make_grid(TWO_PI, n_points)
             for spec in specs:
                 for seed in (0, 1, 2):
-                    res = dlss.minimize_quotient(spec, _initial_guess(spec, grid, seed))
+                    res = _descend(spec, grid, _initial_guess(spec, grid, seed).values[None])[0]
                     assert res.converged
                     total += res.evaluations
         assert total <= 360
@@ -536,7 +536,7 @@ class TestMinimizeQuotient:
 
         def exit_of(grid, seed):
             values.clear()
-            res = dlss.minimize_quotient(spec, _initial_guess(spec, grid, seed))
+            res = _descend(spec, grid, _initial_guess(spec, grid, seed).values[None])[0]
             ghat = _evaluate(spec, res.minimizer.values, grid)[3]
             damping = _preconditioner(grid.n_points, order, grid.length)
             assert res.residual == float(np.abs(np.fft.irfft(damping * ghat, grid.n_points)).max())
@@ -593,8 +593,8 @@ class TestQuotientGradient:
         for seed in (5, 6, 7):
             # at most 8 modes on 64 points: smooth and Nyquist-free
             h = 0.1 + random_smooth_field(grid64, 8, seed, amplitude=0.2).values
-            q_plus = dlss.quotient_value(spec, Field(grid64, u + eps * h))
-            q_minus = dlss.quotient_value(spec, Field(grid64, u - eps * h))
+            q_plus = _evaluate(spec, u + eps * h, grid64)[0]
+            q_minus = _evaluate(spec, u - eps * h, grid64)[0]
             fd = (q_plus - q_minus) / (2.0 * eps)
             exact = grid64.spacing * float((grad * h).sum())
             assert exact == pytest.approx(fd, rel=1e-6)
@@ -666,7 +666,7 @@ class TestCertifyConstant:
             v = 1.0 + eps * np.cos(grid256.nodes)
             if spec.kind is QuotientKind.LOG_SOBOLEV:
                 v = v / math.sqrt(float(np.mean(v * v)))
-            q = dlss.quotient_value(spec, Field(grid256, v))
+            q = _evaluate(spec, v, grid256)[0]
             return q - spec.analytic_constant(grid256.length)
 
         assert 3.9 <= excess(2.0 * _PIN) / excess(_PIN) <= 4.1
@@ -752,7 +752,7 @@ class TestBlockDescent:
         best = max(results, key=lambda res: (res.converged, -res.value))
         assert summary(dlss.certify_constant(spec, grid)) == summary(best)
         # one start is a block of one
-        assert summary(dlss.minimize_quotient(spec, _initial_guess(spec, grid, 1))) == oracles[1][0]
+        assert summary(_descend(spec, grid, _initial_guess(spec, grid, 1).values[None])[0]) == oracles[1][0]
 
     def test_rows_stop_at_different_iterations(self):
         # the middle row descends 4 iterations after the first has left
@@ -887,10 +887,8 @@ class TestHeatFlow:
         records = dlss.heatflow_verify(u, 1.0, 1e-3, 1e-3)
         ux = dlss.derivative(u, 1).values
         v = u.values ** 2
-        fisher = dlss.integrate(Field(grid64, ux * ux, FieldKind.GENERIC))
-        ent = dlss.integrate(
-            Field(grid64, v * np.log(v / v.mean()), FieldKind.GENERIC)
-        )
+        fisher = _integrate(grid64, ux * ux)
+        ent = _integrate(grid64, v * np.log(v / v.mean()))
         assert abs(records[0].f_value - (fisher - 0.5 * ent)) < 1e-12
 
     def test_entropy_dissipation_identity(self, grid64):
@@ -900,13 +898,13 @@ class TestHeatFlow:
         v = [heat_state(u.values ** 2, grid64, k * dt) for k in range(11)]  # p = 1: v = u^2
 
         def v_entropy(vals):
-            return dlss.integrate(Field(grid64, vals * np.log(vals), FieldKind.GENERIC))
+            return _integrate(grid64, vals * np.log(vals))
 
         for k in (1, 5, 9):
             lhs = (v_entropy(v[k]) - v_entropy(v[k - 1])) / dt
             w_mid = np.sqrt(0.5 * (v[k] + v[k - 1]))
             wx = dlss.derivative(Field(grid64, w_mid), 1).values
-            rhs = -4.0 * dlss.integrate(Field(grid64, wx * wx, FieldKind.GENERIC))
+            rhs = -4.0 * _integrate(grid64, wx * wx)
             assert lhs == pytest.approx(rhs, rel=0.02)
 
     def test_single_mode_closed_form(self, grid256):
@@ -1475,15 +1473,13 @@ class TestRemainder:
         r = dlss.remainder_R(u0, p, 10.0, 1e-3)
         w = u0.values ** (p / 2.0)
         wx = dlss.derivative(Field(grid64, w), 1).values
-        fisher = dlss.integrate(Field(grid64, wx * wx, FieldKind.GENERIC))
+        fisher = _integrate(grid64, wx * wx)
         if p == 1.0:
-            sig = dlss.integrate(
-                Field(grid64, u0.values * np.log(u0.values / u0.values.mean()), FieldKind.GENERIC)
-            )
+            sig = _integrate(grid64, u0.values * np.log(u0.values / u0.values.mean()))
         else:
             vbar = u0.values.mean()
             sig = (
-                dlss.integrate(Field(grid64, u0.values ** p, FieldKind.GENERIC))
+                _integrate(grid64, u0.values ** p)
                 - grid64.length * vbar ** p
             ) / (p - 1.0)
         f0 = fisher - (2.0 * math.pi ** 2 * p / grid64.length ** 2) * sig
@@ -1491,9 +1487,7 @@ class TestRemainder:
         assert r == pytest.approx(f0, rel=1e-4)
         # strengthened inequality: (p/4) int sigma'' v_x^2 + R >= sharp * int sigma
         ux = dlss.derivative(u0, 1).values
-        lhs = (p / 4.0) * dlss.integrate(
-            Field(grid64, p * u0.values ** (p - 2.0) * ux * ux, FieldKind.GENERIC)
-        )
+        lhs = (p / 4.0) * _integrate(grid64, p * u0.values ** (p - 2.0) * ux * ux)
         rhs = (2.0 * math.pi ** 2 * p / grid64.length ** 2) * sig
         assert lhs + r >= rhs - 1e-10
 

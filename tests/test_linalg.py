@@ -177,9 +177,10 @@ def test_import_leaves_scipy_sparse_unloaded(package_env):
         "    return sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse')))\n"
         "print(scipy_parts())\n"
         "grid = dlss.make_grid(2.0 * np.pi, 16)\n"
-        "y = dlss.Field(grid, 0.3 * np.sin(grid.nodes), dlss.FieldKind.LOG_DENSITY)\n"
-        "y1, iters = dlss.step(y, dlss.SolverConfig(tau=1e-3))\n"
-        "print(iters > 0, np.isfinite(y1.values).all(), 'scipy.linalg' in scipy_parts())"
+        "u0 = dlss.Field(grid, np.exp(0.3 * np.sin(grid.nodes)), dlss.FieldKind.DENSITY)\n"
+        "traj = dlss.solve(u0, 1e-3, dlss.SolverConfig(tau=1e-3))\n"
+        "print(traj.records[-1].newton_iters > 0, np.isfinite(traj.final_y.values).all(),\n"
+        "      'scipy.linalg' in scipy_parts())"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=package_env

@@ -1,4 +1,4 @@
-import importlib
+import importlib.util
 import math
 import re
 from pathlib import Path
@@ -13,7 +13,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_example_names_exist():
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    text = README.read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
     assert blocks, "README has no python example"
     for block in blocks:
         for name in re.findall(r"\bdlss\.(\w+)", block):
@@ -22,6 +23,13 @@ def test_readme_example_names_exist():
             mod = importlib.import_module(module)
             for name in names.split(","):
                 assert hasattr(mod, name.strip()), f"README imports {name.strip()} from {module}"
+    # inline code in the prose may also name a submodule, such as dlss.cli
+    prose = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+    for span in re.findall(r"`([^`]+)`", prose):
+        for name in re.findall(r"\bdlss\.(\w+)", span):
+            assert hasattr(dlss, name) or importlib.util.find_spec(f"dlss.{name}"), (
+                f"README names dlss.{name}, which dlss lacks"
+            )
 
 
 def test_readme_run_file_parses():

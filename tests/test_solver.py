@@ -8,17 +8,19 @@ from conftest import cyclic_dense
 
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind, LinearSolver, SolverConfig
-from dlss.grid import _rfft
+from dlss.grid import _integrate, _rfft
 from dlss.solver import (
     _MAX_NEWTON,
     TimeSeriesRecord,
     Trajectory,
+    _evaluate,
     _Level,
+    _newton_loop,
+    _NewtonWorkspace,
     _Records,
     _resample,
     _resolving_size,
     jacobian,
-    residual,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -30,6 +32,17 @@ def cosine_density(grid, amplitude=0.1):
 
 def log_field(grid, u_values):
     return Field(grid, np.log(u_values), FieldKind.LOG_DENSITY)
+
+
+def newton_step(y_prev, grid, config):
+    """One backward Euler step from the log-density values y_prev by the
+    solver's Newton loop from a fresh factor; the accepted y and its
+    iteration count."""
+    ey_prev = np.exp(y_prev)
+    level, iters = _newton_loop(
+        _evaluate(y_prev, ey_prev, grid, config), ey_prev, grid, config, _NewtonWorkspace()
+    )
+    return level.y, iters
 
 
 class TestSolverConfig:
@@ -69,17 +82,17 @@ class TestSolverConfig:
 
 class TestResidual:
     def test_constant_state_is_stationary_without_regularization(self, grid64):
-        y = log_field(grid64, np.full(64, 2.0))
-        r = residual(y, y, SolverConfig(tau=1e-2))
-        assert np.abs(r.values).max() < 1e-13
+        y = np.log(np.full(64, 2.0))
+        r = _evaluate(y, np.exp(y), grid64, SolverConfig(tau=1e-2)).r
+        assert np.abs(r).max() < 1e-13
 
     def test_time_derivative_term(self, grid64):
-        y_prev = log_field(grid64, np.full(64, 1.0))
-        y = log_field(grid64, np.full(64, 1.0 + 1e-6))
+        y_prev = np.log(np.full(64, 1.0))
+        y = np.log(np.full(64, 1.0 + 1e-6))
         tau = 1e-2
-        r = residual(y, y_prev, SolverConfig(tau=tau))
+        r = _evaluate(y, np.exp(y_prev), grid64, SolverConfig(tau=tau)).r
         expected = (math.exp(math.log(1.0 + 1e-6)) - 1.0) / tau
-        assert np.allclose(r.values, expected, rtol=1e-9)
+        assert np.allclose(r, expected, rtol=1e-9)
 
     @pytest.mark.parametrize("n", [8, 64, 256, 2048])
     def test_spectral_residual_is_the_numpy_fft_formula(self, n):
@@ -100,12 +113,8 @@ class TestResidual:
             return np.fft.irfft(np.fft.rfft(f) * symbol, n=n)
 
         want = (np.exp(y) - np.exp(y_prev)) / tau + d2(np.exp(y) * d2(y))
-        got = residual(
-            Field(grid, y, FieldKind.LOG_DENSITY),
-            Field(grid, y_prev, FieldKind.LOG_DENSITY),
-            SolverConfig(tau=tau),
-        )
-        assert np.array_equal(got.values, want)
+        got = _evaluate(y, np.exp(y_prev), grid, SolverConfig(tau=tau)).r
+        assert np.array_equal(got, want)
 
 
 class TestJacobian:
@@ -120,9 +129,10 @@ class TestJacobian:
         direction = rng.standard_normal(64)
         direction /= np.abs(direction).max()
         h = 1e-6
-        r_plus = residual(Field(grid64, y.values + h * direction, FieldKind.LOG_DENSITY), y_prev, config)
-        r_minus = residual(Field(grid64, y.values - h * direction, FieldKind.LOG_DENSITY), y_prev, config)
-        fd = (r_plus.values - r_minus.values) / (2.0 * h)
+        ey_prev = np.exp(y_prev.values)
+        r_plus = _evaluate(y.values + h * direction, ey_prev, grid64, config).r
+        r_minus = _evaluate(y.values - h * direction, ey_prev, grid64, config).r
+        fd = (r_plus - r_minus) / (2.0 * h)
         exact = jac @ direction
         scale = np.abs(exact).max()
         assert np.abs(fd - exact).max() / scale < 1e-4
@@ -146,36 +156,38 @@ class TestJacobian:
 class TestStep:
     def test_single_step_converges(self, grid64):
         config = SolverConfig(tau=1e-3, newton_tol=1e-10)
-        y_prev = log_field(grid64, 1.0 + 0.1 * np.cos(grid64.nodes))
-        y, iters = dlss.step(y_prev, config)
-        r = residual(y, y_prev, config)
-        assert np.abs(r.values).max() <= config.newton_tol
+        y_prev = np.log(1.0 + 0.1 * np.cos(grid64.nodes))
+        y, iters = newton_step(y_prev, grid64, config)
+        r = _evaluate(y, np.exp(y_prev), grid64, config).r
+        assert np.abs(r).max() <= config.newton_tol
         assert 1 <= iters <= _MAX_NEWTON
 
     def test_step_preserves_mass_to_newton_tolerance(self, grid64):
         config = SolverConfig(tau=1e-3, newton_tol=1e-10)
-        y_prev = log_field(grid64, 1.0 + 0.2 * np.cos(grid64.nodes))
-        y, _ = dlss.step(y_prev, config)
-        m_prev = dlss.integrate(Field(grid64, np.exp(y_prev.values)))
-        m_new = dlss.integrate(Field(grid64, np.exp(y.values)))
+        y_prev = np.log(1.0 + 0.2 * np.cos(grid64.nodes))
+        y, _ = newton_step(y_prev, grid64, config)
+        m_prev = _integrate(grid64, np.exp(y_prev))
+        m_new = _integrate(grid64, np.exp(y))
         # mass defect per step is bounded by tau * L * ||F||_inf
         assert abs(m_new - m_prev) <= 2.0 * config.tau * grid64.length * config.newton_tol
 
     def test_exhausted_iterations_raise(self, grid64, monkeypatch):
         monkeypatch.setattr("dlss.solver._MAX_NEWTON", 1)
         config = SolverConfig(tau=0.05, newton_tol=1e-9)
-        y_prev = log_field(grid64, np.exp(1.5 * np.cos(grid64.nodes)))
+        y_prev = 1.5 * np.cos(grid64.nodes)
         with pytest.raises(dlss.NoConvergence) as excinfo:
-            dlss.step(y_prev, config)
+            newton_step(y_prev, grid64, config)
         assert excinfo.value.iterations == 1
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_trials_stay_silent(self, grid64):
-        # from 1 + 0.999 cos x the full Newton step overflows e^y; the
-        # failure is the step's own, not a floating-point warning
-        y_prev = log_field(grid64, 1.0 + 0.999 * np.cos(grid64.nodes))
-        with pytest.raises(dlss.NoConvergence):
-            dlss.step(y_prev, SolverConfig(tau=1e-3))
+    def test_overflowing_trials_stay_silent(self, grid64, monkeypatch):
+        # from 1 + 0.999 cos x the full Newton step overflows e^y; with no
+        # tau halving to rescue it, the failure is the step's own, not a
+        # floating-point warning
+        monkeypatch.setattr("dlss.solver._MAX_TAU_HALVINGS", 0)
+        with pytest.raises(dlss.NoConvergence) as excinfo:
+            dlss.solve(cosine_density(grid64, 0.999), 1e-3, SolverConfig(tau=1e-3))
+        assert excinfo.value.step_index == 1
 
 
 class TestSolve:
@@ -319,10 +331,10 @@ class TestSolve:
         u0 = dlss.random_log_density(grid64, 4, 7, amplitude=amplitude)
         n_steps = 20
         traj = dlss.solve(u0, n_steps * tau, config)
-        y = log_field(grid64, u0.values)
+        y = np.log(u0.values)
         for _ in range(n_steps):
-            y, _ = dlss.step(y, config)
-        u_step = np.exp(y.values)
+            y, _ = newton_step(y, grid64, config)
+        u_step = np.exp(y)
         u_solve = np.exp(traj.final_y.values)
         assert np.abs(u_solve - u_step).max() <= 1e-8 * np.abs(u_step).max()
 
@@ -349,7 +361,7 @@ class TestSolve:
                 y_k = dlss.solve(u0, k * config.tau, config).final_y.values
             u = Field(grid64, np.exp(y_k), FieldKind.DENSITY)
             rep = dlss.report(u, config.backend)
-            assert record.mass == dlss.integrate(u)
+            assert record.mass == _integrate(grid64, u.values)
             assert record.entropy_rel == pytest.approx(rep.entropy_rel, rel=1e-12)
             assert record.lyap == pytest.approx(rep.lyap_u_minus_logu, rel=1e-12)
             assert record.production == pytest.approx(rep.production, rel=1e-12)
