@@ -27,16 +27,17 @@ orders scale the spectrum's float view by a real symbol, each
 (i k)^order twice; that equals the complex product up to the sign of a
 zero.
 
-The two admissibility rules that every density and every time integration
-share live here too: ``_check_positive`` (the positivity floor) and
-``_lattice_steps`` (a horizon on the uniform time-step lattice).
+The admissibility rules that every grid, density and time integration
+share live here too: the size rule, checked only by ``PeriodicGrid``,
+``_check_positive`` (the positivity floor) and ``_lattice_steps`` (a
+horizon on the uniform time-step lattice).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -123,11 +124,26 @@ class PeriodicGrid:
     """Discretised circle of circumference ``length`` with ``n_points`` nodes.
 
     Nodes are x_j = j * spacing, j = 0..n_points-1; the right endpoint is
-    identified with the left one and carries no node of its own.
+    identified with the left one and carries no node of its own.  Here,
+    the one place it is checked, every grid (coarse ones included) meets
+    the size rule: ``length`` positive and finite, ``n_points`` even (an
+    unambiguous Nyquist mode) and at least 8 (room for fourth-order
+    operators), else ``ValidationError`` naming the argument.  Accepted
+    values are stored as a float and an int.
     """
 
     length: float
     n_points: int
+
+    def __post_init__(self):
+        if not np.isfinite(self.length) or self.length <= 0.0:
+            raise ValidationError("length", f"must be positive and finite, got {self.length!r}")
+        if self.n_points % 2 != 0:
+            raise ValidationError("n_points", f"must be even, got odd value {self.n_points}")
+        if self.n_points < 8:
+            raise ValidationError("n_points", f"must be at least 8, got {self.n_points}")
+        object.__setattr__(self, "length", float(self.length))
+        object.__setattr__(self, "n_points", int(self.n_points))
 
     @property
     def spacing(self) -> float:
@@ -146,20 +162,14 @@ def _nodes(length: float, n_points: int) -> np.ndarray:
 
 
 def make_grid(length: float, n_points: int) -> PeriodicGrid:
-    """Validated grid constructor.
+    """The ``PeriodicGrid``, which validates and coerces both arguments."""
+    return PeriodicGrid(length, n_points)
 
-    ``n_points`` must be even (the Fourier backend pairs modes +-k and
-    needs an unambiguous Nyquist mode) and at least 8 so that fourth-order
-    operators have room to act.  A rejected value raises ``ValidationError``
-    naming the argument.
-    """
-    if not np.isfinite(length) or length <= 0.0:
-        raise ValidationError("length", f"must be positive and finite, got {length!r}")
-    if n_points % 2 != 0:
-        raise ValidationError("n_points", f"must be even, got odd value {n_points}")
-    if n_points < 8:
-        raise ValidationError("n_points", f"must be at least 8, got {n_points}")
-    return PeriodicGrid(float(length), int(n_points))
+
+def _halvings(n: int) -> tuple[int, ...]:
+    """(n, n/2, ...) while the next size is even and at least 8: the grids
+    that both the solve's and the heat flow's grid rules choose from."""
+    return (n, *_halvings(n // 2)) if n % 4 == 0 and n >= 16 else (n,)
 
 
 class FieldKind(enum.Enum):
@@ -244,7 +254,7 @@ def _spectral_symbol(n: int, order: int, length: float) -> np.ndarray:
     grid of circumference ``length``; odd orders zero the Nyquist mode."""
     wave = (2.0 * np.pi / length) * np.arange(n // 2 + 1)
     symbol = (1j * wave) ** order
-    if order % 2 == 1 and n % 2 == 0:
+    if order % 2 == 1:
         symbol[-1] = 0.0
     symbol.setflags(write=False)
     return symbol
@@ -261,12 +271,10 @@ def _even_symbol(n: int, order: int, length: float) -> np.ndarray:
 
 def _rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``numpy.fft.rfft(values, axis=-1)``, bit for bit, written into ``out``
-    (allocated when None)."""
-    n = values.shape[-1]
+    (allocated when None); the last axis has a grid's even length."""
     if out is None:
-        out = np.empty(values.shape[:-1] + (n // 2 + 1,), dtype=complex)
-    kernel = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
-    return kernel(values, 1.0, out=out)
+        out = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
+    return _pocketfft.rfft_n_even(values, 1.0, out=out)
 
 
 def _irfft(hat: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:

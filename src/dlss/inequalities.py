@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,6 +57,7 @@ from .grid import (
     _check_finite,
     _check_positive,
     _derivative,
+    _halvings,
     _integrate,
     _irfft,
     _lattice_steps,
@@ -229,14 +231,12 @@ def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple
 @lru_cache(maxsize=None)
 def _preconditioner(n_points: int, order: int, length: float) -> np.ndarray:
     """Read-only inverse Hessian symbol of the derivation above on the rfft
-    modes of an n-point grid of the given length, 0 on the Nyquist mode of
-    an even one."""
+    modes of an n-point grid of the given length, 0 on the Nyquist mode."""
     m = np.arange(n_points // 2 + 1, dtype=float)
     shift = m ** (2 * order) - 1.0
     shift[:2] = (1.0, 2.0)
     damping = (length / (2.0 * math.pi)) ** (2 * order) / shift  # kappa^{-2o} / shift
-    if n_points % 2 == 0:
-        damping[-1] = 0.0
+    damping[-1] = 0.0
     damping.setflags(write=False)
     return damping
 
@@ -245,11 +245,10 @@ def _preconditioner(n_points: int, order: int, length: float) -> np.ndarray:
 def _parseval_weights(n_points: int, length: float) -> np.ndarray:
     """Read-only c with h sum(a b) = sum(c a_hat.view(float) b_hat.view(float))
     for real a, b on the grid: h / n times 1 on mode 0 and the Nyquist mode
-    of an even n and 2 on the others, once for each float of a mode."""
+    and 2 on the others, once for each float of a mode."""
     c = np.full(n_points // 2 + 1, 2.0 * length / n_points ** 2)
     c[0] /= 2.0
-    if n_points % 2 == 0:
-        c[-1] /= 2.0
+    c[-1] /= 2.0
     c = np.repeat(c, 2)
     c.setflags(write=False)
     return c
@@ -364,8 +363,7 @@ def _descend(spec: QuotientSpec, grid: PeriodicGrid, starts: np.ndarray) -> list
     """
     n = grid.n_points
     start = _rfft(starts)
-    if n % 2 == 0:
-        start[:, -1] = 0.0
+    start[:, -1] = 0.0
     vals = _normalize(spec, _irfft(start, n), grid)
     q, _, vhat, ghat = _evaluate(spec, vals, grid)
     damping = _preconditioner(n, spec.n if spec.kind is not QuotientKind.CONVEX_SOBOLEV else 1, grid.length)
@@ -533,12 +531,11 @@ def _sigma_integral(
 def _dissipation_symbol(n_points: int, length: float) -> np.ndarray:
     """Read-only c with h sum(w_xx^2 - k1^2 w_x^2) = sum(c w_hat.view(float)^2)
     for a real w on the grid: the Parseval weights times k^2 (k^2 - k1^2),
-    which is exactly 0 on mode 1, and times k^4 alone on the Nyquist mode of
-    an even n, where w_x has no coefficient."""
+    which is exactly 0 on mode 1, and times k^4 alone on the Nyquist mode,
+    where w_x has no coefficient."""
     k2 = ((2.0 * math.pi / length) * np.arange(n_points // 2 + 1)) ** 2
     quartic = k2 * (k2 - k2[1])
-    if n_points % 2 == 0:
-        quartic[-1] = k2[-1] * k2[-1]
+    quartic[-1] = k2[-1] * k2[-1]
     symbol = np.repeat(quartic, 2) * _parseval_weights(n_points, length)
     symbol.setflags(write=False)
     return symbol
@@ -733,19 +730,16 @@ def _admissible(v0_hat: np.ndarray, grid: PeriodicGrid, wave: np.ndarray):
 
 def _grid_schedule(v0_hat: np.ndarray, grid: PeriodicGrid, wave: np.ndarray, times: np.ndarray) -> list:
     """[(k, m), ...]: the flow states from lattice index k on run on the
-    coarsest halving m >= 8 of the N-point grid that _admissible admits at
-    their time, (0, N) first; each switch is a bisection over the lattice
-    and the size never grows.  Odd N has no halving."""
+    coarsest size m of _halvings(N) that _admissible admits at their time,
+    (0, N) first; each switch is a bisection over the lattice and the size
+    never grows."""
     n = grid.n_points
     admissible = _admissible(v0_hat, grid, wave)
-    schedule = [(0, n)]
-    m, first, last = n, 1, times.size - 1
-    while m % 2 == 0 and m // 2 >= 8 and admissible(m // 2, times[last]):
-        m //= 2
-        hi = last
-        while first < hi:
-            mid = (first + hi) // 2
-            first, hi = (first, mid) if admissible(m, times[mid]) else (mid + 1, hi)
+    schedule, first, last = [(0, n)], 1, times.size - 1
+    for m in _halvings(n)[1:]:
+        if not admissible(m, times[last]):
+            break
+        first = bisect_left(range(last), True, first, last, key=lambda k: admissible(m, times[k]))
         if schedule[-1][0] == first:
             schedule.pop()  # m is admissible as soon as 2m is
         schedule.append((first, m))
@@ -770,14 +764,14 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
     looked for only when that minimum is at or below the floor.  Each
     state costs three transforms: its inverse one, the rfft of w - W and
     the inverse one of w_x; the production's w_xx part comes from the
-    spectrum of w - W.  A state runs on the coarsest halving m of the grid
-    that _grid_schedule admits at its time: the spectrum's first m/2 + 1
-    entries times m/N give it at the m nodes but for a tail of modes that
-    the rule bounds, and every sum it feeds is within eps of its scale of
-    the full-grid value.  The rule
-    measures the state in the Wiener norm of one boundary line of a strip,
-    mode n weighted by cosh(kappa n s) (see the derivation above
-    _STRIP_X).  State 0 and odd N stay on the full grid.  A block holds _BLOCK_VALUES // m states of one size;
+    spectrum of w - W.  A state runs on the coarsest size m of
+    _halvings(N) that _grid_schedule admits at its time: the spectrum's
+    first m/2 + 1 entries times m/N give it at the m nodes but for a tail
+    of modes that the rule bounds, and every sum it feeds is within eps of
+    its scale of the full-grid value.  The rule measures the state in the
+    Wiener norm of one boundary line of a strip, mode n weighted by
+    cosh(kappa n s) (see the derivation above _STRIP_X).  State 0 stays on
+    the full grid.  A block holds _BLOCK_VALUES // m states of one size;
     the columns are allocated once, and so are flat work buffers that each
     size views as blocks (a short block uses leading rows), and each block
     fills its slice of the columns.

@@ -67,6 +67,7 @@ from .grid import (
     SPECTRAL,
     _derivative,
     _fd_taps,
+    _halvings,
     _irfft,
     _lattice_steps,
     _rfft,
@@ -405,19 +406,15 @@ _ROUNDOFF = 0.5 * np.finfo(float).eps
 
 @lru_cache(maxsize=None)
 def _tail_weights(m: int, length: float, tau: float) -> tuple[tuple[int, ...], Array, Array]:
-    """(sizes, weights, inverse) for an m-point grid: the sizes p = m, m/2,
-    ... of the rule above, each an even halving >= 8 of the one before;
-    read-only weights on the float view of the rfft of z, squared, that
-    give the mean squares of the rule: one row per size with sum (1/tau +
-    kappa^4 k^4)^2 a_k^2 / 2 from p/4 up, one per size with sum a_k^2 / 2
-    from p/4 up, and a last row with |z|_rms^2; and the read-only
-    1 / (1/tau + kappa^4 k^4) of each mode, also on the float view.  The
-    rows of m itself are quartered: the grid a step ran on is measured
-    against twice each bound."""
-    sizes = [m]
-    # every grid even, as make_grid asks, so that each has a Nyquist mode
-    while sizes[-1] % 4 == 0 and sizes[-1] // 2 >= 8:
-        sizes.append(sizes[-1] // 2)
+    """(sizes, weights, inverse) for an m-point grid: the sizes p of the
+    rule above, _halvings(m); read-only weights on the float view of the
+    rfft of z, squared, that give the mean squares of the rule: one row
+    per size with sum (1/tau + kappa^4 k^4)^2 a_k^2 / 2 from p/4 up, one
+    per size with sum a_k^2 / 2 from p/4 up, and a last row with
+    |z|_rms^2; and the read-only 1 / (1/tau + kappa^4 k^4) of each mode,
+    also on the float view.  The rows of m itself are quartered: the grid
+    a step ran on is measured against twice each bound."""
+    sizes = _halvings(m)
     modes = np.arange(m // 2 + 1)
     mean_square = np.full(m // 2 + 1, 2.0 / (m * m))
     mean_square[0] = mean_square[-1] = 1.0 / (m * m)
@@ -430,7 +427,7 @@ def _tail_weights(m: int, length: float, tau: float) -> tuple[tuple[int, ...], A
     inverse = np.repeat(1.0 / symbol, 2)
     weights.setflags(write=False)
     inverse.setflags(write=False)
-    return tuple(sizes), weights, inverse
+    return sizes, weights, inverse
 
 
 def _resolving_size(level: _Level, m: int, n: int, length: float, config: SolverConfig) -> int:

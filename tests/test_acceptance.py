@@ -17,7 +17,7 @@ import dlss
 from dlss import FD2, FD4, Field, FieldKind, LinearSolver, SolverConfig
 from dlss.grid import _integrate
 from dlss.inequalities import _evaluate, convex_sobolev, log_sobolev, poincare
-from dlss.rng import SplitMix64, random_log_density, random_smooth_field
+from dlss.rng import SplitMix64, random_log_density
 from dlss.runio import default_fit_window, emit_timeseries, fit_decay, identity_suite, read_timeseries
 
 TWO_PI = 2.0 * math.pi

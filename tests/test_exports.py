@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +16,38 @@ def test_every_exported_name_resolves(name):
     # fail on a name the module no longer defines
     module = importlib.import_module(name)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(
+    path.relative_to(ROOT).as_posix()
+    for folder in ("src/dlss", "tests", "scripts")
+    for path in (ROOT / folder).rglob("*.py")
+)
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """The names that the imports of ``tree`` bind and nothing in it
+    references, with their lines; a name listed in the module's
+    ``__all__`` counts as referenced, and ``__future__`` imports are
+    skipped."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES)
+def test_every_imported_name_is_used(path):
+    # an import that nothing references is dead code that hides what a
+    # module really depends on
+    assert unused_imports(ast.parse((ROOT / path).read_text(), filename=path)) == []

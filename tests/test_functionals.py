@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dlss
-from dlss import FD2, SPECTRAL, Field, FieldKind
+from dlss import FD2, Field, FieldKind
 from dlss.functionals import _sums
 from dlss.rng import random_log_density
 

@@ -8,7 +8,7 @@ from scipy.linalg import circulant
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind
 from dlss.grid import (
-    PeriodicGrid, _derivative, _fd_taps, _integrate, _irfft, _rfft, _spectral_symbol, diff_matrix,
+    PeriodicGrid, _derivative, _fd_taps, _halvings, _integrate, _irfft, _rfft, _spectral_symbol, diff_matrix,
 )
 from dlss.rng import random_smooth_field
 
@@ -47,6 +47,35 @@ class TestMakeGrid:
         g = dlss.make_grid(1.0, 8)
         with pytest.raises(ValueError):
             g.nodes[0] = 1.0
+
+
+class TestPeriodicGrid:
+    # the size rule is checked by PeriodicGrid itself, so the coarse grids
+    # that the solve and the heat flow build obey it as make_grid's do
+    @pytest.mark.parametrize(
+        "length, n_points, name",
+        [(TWO_PI, 63, "n_points"), (TWO_PI, 6, "n_points"), (0.0, 16, "length"), (math.nan, 16, "length")],
+    )
+    def test_rejects_inadmissible_sizes(self, length, n_points, name):
+        with pytest.raises(dlss.ValidationError) as info:
+            PeriodicGrid(length, n_points)
+        assert info.value.field == name
+
+    def test_make_grid_rejects_non_integral_n(self):
+        # checked before n_points is made an int, which would truncate 16.5 to 16
+        with pytest.raises(dlss.ValidationError, match="odd value 16.5"):
+            dlss.make_grid(TWO_PI, 16.5)
+
+    def test_accepted_values_are_float_and_int(self):
+        for g in (dlss.make_grid(np.float32(2.0), np.int64(16)), PeriodicGrid(2, 16.0)):
+            assert (type(g.length), type(g.n_points)) == (float, int)
+
+    @pytest.mark.parametrize(
+        "n, sizes",
+        [(8, (8,)), (12, (12,)), (36, (36, 18)), (100, (100, 50)), (256, (256, 128, 64, 32, 16, 8)), (48, (48, 24, 12))],
+    )
+    def test_halvings_stay_even_and_at_least_8(self, n, sizes):
+        assert _halvings(n) == sizes
 
 
 class TestField:
@@ -129,11 +158,11 @@ class TestSpectralDerivative:
         assert np.array_equal(dlss.derivative(Field(grid, values), order).values, want)
         assert not _spectral_symbol(n, order, grid.length).flags.writeable
 
-    @pytest.mark.parametrize("n", [9, 16, 256])
+    @pytest.mark.parametrize("n", [16, 100, 256])
     def test_transform_pair_matches_numpy_fft(self, n):
         # _rfft and _irfft call numpy's pocketfft kernels without its
         # wrapper; they must give its bits on rows, blocks and out= slices
-        grid = PeriodicGrid(TWO_PI, n)  # make_grid rejects the odd n = 9
+        grid = dlss.make_grid(TWO_PI, n)
         rng = np.random.default_rng(n)
         block = 1.0 + 0.3 * np.sin(grid.nodes) + 0.1 * rng.standard_normal((5, n))
         row = block[0]

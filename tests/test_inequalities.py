@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dlss
-from dlss import Field, FieldKind, QuotientKind, QuotientSpec, SPECTRAL
-from dlss.grid import POSITIVITY_FLOOR, PeriodicGrid, _integrate, _irfft, _rfft
+from dlss import Field, FieldKind, QuotientKind
+from dlss.grid import POSITIVITY_FLOOR, PeriodicGrid, _halvings, _integrate, _irfft, _rfft
 from dlss.inequalities import (
     _BLOCK_VALUES,
     _D_FLOOR,
@@ -1265,28 +1265,31 @@ class TestHeatFlow:
         xs = np.linspace(1.0, _STRIP_X, 1000)
         assert all(bound(a) > bound(b) for a, b in zip(xs, xs[1:]))
 
-    def test_odd_grid_stays_full(self):
-        # an odd N has no halving: every state on all 63 points, bit for bit
-        grid = PeriodicGrid(TWO_PI, 63)
-        x = grid.nodes
-        u = Field(grid, np.exp(0.3 * np.cos(x) + 0.2 * np.sin(3.0 * x)), FieldKind.DENSITY)
-        assert flow_schedule(u.values, grid, 60.0, 5e-2) == [(0, 63)]
-        for p in (1.0, 1.5, 2.0):
-            records = dlss.heatflow_verify(u, p, 60.0, 5e-2)
-            expected = flow_functionals_oracle(u.values ** (2.0 / p), grid, p, 60.0, 5e-2)
-            assert [(r.t, r.f_value, r.dissipation) for r in records] == expected
+    @pytest.mark.parametrize("n_points", [36, 72, 100])
+    def test_schedule_sizes_are_halvings(self, n_points):
+        # the heat flow halves through _halvings(N) alone, as the solve
+        # does: 36 and 72 stop at 18 and 100 at 50, never at 9 or 25
+        grid = dlss.make_grid(TWO_PI, n_points)
+        u = cosine_density(grid, 0.5)
+        sizes = [m for _, m in flow_schedule(u.values, grid, 10.0, 1e-3)]
+        assert len(sizes) > 1
+        assert all(m % 2 == 0 and m in _halvings(n_points) for m in sizes)
 
     def test_rows_below_half_the_mean_take_the_power(self):
         # at p = 1.5, w is W + (w - W) in a state with v >= vbar / 2 and the
-        # power v^{p/2} in one without; the 201 states of this flow are one
-        # block holding both kinds, and each row is bit for bit the oracle's
-        grid = PeriodicGrid(TWO_PI, 63)
+        # power v^{p/2} in one without; the states this flow keeps on the
+        # full grid are one block holding both kinds, and each row is bit
+        # for bit the oracle's
+        grid = dlss.make_grid(TWO_PI, 64)
         u = cosine_density(grid, 0.9)
         v0 = u.values ** (2.0 / 1.5)
-        assert v0.min() < 0.5 * v0.mean() < heat_state(v0, grid, 2.0).min()
+        n_states = 201
+        full = ([k for k, _ in flow_schedule(v0, grid, 2.0, 1e-2)[1:]] + [n_states])[0]
+        assert full <= _BLOCK_VALUES // 64
+        assert v0.min() < 0.5 * v0.mean() < heat_state(v0, grid, (full - 1) * 1e-2).min()
         records = dlss.heatflow_verify(u, 1.5, 2.0, 1e-2)
         expected = flow_functionals_oracle(v0, grid, 1.5, 2.0, 1e-2)
-        assert [(r.t, r.f_value, r.dissipation) for r in records] == expected
+        assert [(r.t, r.f_value, r.dissipation) for r in records][:full] == expected[:full]
 
     @pytest.mark.parametrize("first", [0, 100])
     def test_decay_table_zeroes_the_entries_past_the_cut(self, grid256, first):
@@ -1321,12 +1324,13 @@ class TestHeatFlow:
 
     @pytest.mark.parametrize(
         "datum",
-        ["certify256", "edge-cosine", "edge-six-mode", "odd", "near-zero"],
+        ["certify256", "edge-cosine", "edge-six-mode", "n100", "near-zero"],
     )
     def test_cut_leaves_every_bit(self, monkeypatch, datum):
         # every flow and R bit for bit against the table with no cut: the
         # eight certify256 data of seed 0 at p = 1 and 1.5; the data of
-        # test_edge_data_match_oracle at N = 64, 256 and 1024; N = 63; and
+        # test_edge_data_match_oracle at N = 64, 256 and 1024; N = 100,
+        # whose halvings stop at 50; and
         # 1 + (1 - 1e-12) cos x at N = 256, where min v0 / vbar = 1e-12
         # widens the cut to X = 107.3 from about 82
         if datum == "certify256":
@@ -1337,9 +1341,10 @@ class TestHeatFlow:
                 grid = dlss.make_grid(TWO_PI, n_points)
                 u = cosine_density(grid, 0.99) if datum == "edge-cosine" else random_log_density(grid, 6, 3, amplitude=1.0)
                 cases += [(u, p, 12.5, 1e-2) for p in (1.0, 2.0)]
-        elif datum == "odd":
-            grid = PeriodicGrid(TWO_PI, 63)
+        elif datum == "n100":
+            grid = dlss.make_grid(TWO_PI, 100)
             u = Field(grid, np.exp(0.3 * np.cos(grid.nodes) + 0.2 * np.sin(3.0 * grid.nodes)), FieldKind.DENSITY)
+            assert flow_schedule(u.values, grid, 60.0, 5e-2) == [(0, 100), (15, 50)]
             cases = [(u, p, 60.0, 5e-2) for p in (1.0, 1.5, 2.0)]
         else:
             grid = dlss.make_grid(TWO_PI, 256)

@@ -1,5 +1,4 @@
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
