@@ -21,14 +21,15 @@ output.  The results are the same bits as ``numpy.fft.rfft`` / ``irfft``;
 what the pair skips is the Python wrapper (dtype resolution, axis
 normalisation, output allocation), which costs more than an N = 256
 transform and was paid four times per Newton residual.  A derivative
-differentiates its spectrum in place, and a caller may pass the spectrum
-buffer, so both second derivatives of a Newton residual reuse one.  Even
-orders scale the spectrum's float view by a real symbol, each
-(i k)^order twice; that equals the complex product up to the sign of a
-zero.
+differentiates its spectrum in place or into a given buffer, so a Newton
+residual keeps the rfft of y and both its second derivatives fill one
+second buffer.  Even orders scale the spectrum's float view by a real
+symbol, each (i k)^order twice; that equals the complex product up to
+the sign of a zero.
 
 The admissibility rules that every grid, density and time integration
-share live here too: the size rule, checked only by ``PeriodicGrid``,
+share live here too: the size rule, checked only by ``PeriodicGrid``
+(its length rule ``_check_length`` also checks a decay fit's circumference),
 ``_check_positive`` (the positivity floor) and ``_lattice_steps`` (a
 horizon on the uniform time-step lattice).
 """
@@ -100,6 +101,13 @@ def _check_finite(values: np.ndarray, what: str = "field values") -> np.ndarray:
     return values
 
 
+def _check_length(length: float) -> None:
+    """``ValidationError`` naming ``length`` unless it is positive and
+    finite: the circumference rule of every grid and of a decay fit."""
+    if not np.isfinite(length) or length <= 0.0:
+        raise ValidationError("length", f"must be positive and finite, got {length!r}")
+
+
 def _lattice_steps(t_final: float, step: float, step_name: str) -> int:
     """Number of steps of size ``step`` that end exactly at ``t_final``.
 
@@ -136,8 +144,7 @@ class PeriodicGrid:
     n_points: int
 
     def __post_init__(self):
-        if not np.isfinite(self.length) or self.length <= 0.0:
-            raise ValidationError("length", f"must be positive and finite, got {self.length!r}")
+        _check_length(self.length)
         if self.n_points % 2 != 0:
             raise ValidationError("n_points", f"must be even, got odd value {self.n_points}")
         if self.n_points < 8:
@@ -261,11 +268,16 @@ def _spectral_symbol(n: int, order: int, length: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _even_symbol(n: int, order: int, length: float) -> np.ndarray:
-    """The real (i k)^order of an even ``order``, each value twice, to
-    multiply the float view of an rfft spectrum; read-only."""
-    symbol = np.repeat(_spectral_symbol(n, order, length).real, 2)
-    symbol.setflags(write=False)
+def _multiplier(n: int, order: int, length: float) -> np.ndarray:
+    """What ``_spectrum_derivative`` multiplies an rfft spectrum by for the
+    ``order``-th derivative on an n-point grid, read-only: the complex
+    _spectral_symbol of an odd order; the real (i k)^order of an even one,
+    each value twice, to scale the spectrum's float view, which equals the
+    complex product up to the sign of a zero."""
+    symbol = _spectral_symbol(n, order, length)
+    if order % 2 == 0:
+        symbol = np.repeat(symbol.real, 2)
+        symbol.setflags(write=False)
     return symbol
 
 
@@ -285,19 +297,22 @@ def _irfft(hat: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray
     return _pocketfft.irfft(hat, 1.0 / n, out=out)
 
 
-def _spectrum_derivative(grid: PeriodicGrid, fhat: np.ndarray, order: int) -> np.ndarray:
-    """``order``-th spectral derivative of the grid values whose rfft along
-    the last axis is ``fhat``, which becomes the differentiated spectrum; a
-    caller that needs ``fhat`` again passes a copy."""
-    n = grid.n_points
-    if order % 2:
-        fhat *= _spectral_symbol(n, order, grid.length)
+def _spectrum_derivative(
+    fhat: np.ndarray, multiplier: np.ndarray, n: int, out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The derivative, on n points, of the grid values whose rfft along the
+    last axis is ``fhat``, given its ``_multiplier``.  The differentiated
+    spectrum is written into ``out``, a complex array of fhat's shape, or
+    into ``fhat`` itself when None; a caller that needs ``fhat`` again
+    passes ``out`` or a copy."""
+    # a real multiplier scales the float views, a complex one the spectra
+    flat = fhat.view(multiplier.dtype)
+    if out is None:
+        flat *= multiplier
+        out = fhat
     else:
-        # (i k)^order is real: scaling both float halves of each mode equals
-        # the complex product, up to the sign of a zero
-        flat = fhat.view(float)
-        flat *= _even_symbol(n, order, grid.length)
-    return _irfft(fhat, n)
+        np.multiply(flat, multiplier, out.view(multiplier.dtype))
+    return _irfft(out, n)
 
 
 # Central periodic stencils on the unit-spacing grid, as {offset: weight}.
@@ -348,15 +363,11 @@ def _fd_derivative(values: np.ndarray, order: int, spacing: float, fd_order: int
     return out
 
 
-def _derivative(
-    grid: PeriodicGrid, values: np.ndarray, order: int, backend: DiffBackend,
-    spectrum: np.ndarray | None = None,
-) -> np.ndarray:
-    """Array core of ``derivative`` for order >= 1; no validation.  A
-    spectral derivative transforms into ``spectrum``, a complex work array
-    of n // 2 + 1 modes (allocated when None), and differentiates there."""
+def _derivative(grid: PeriodicGrid, values: np.ndarray, order: int, backend: DiffBackend) -> np.ndarray:
+    """Array core of ``derivative`` for order >= 1; no validation."""
     if backend.order == 0:
-        return _spectrum_derivative(grid, _rfft(values, out=spectrum), order)
+        n = grid.n_points
+        return _spectrum_derivative(_rfft(values), _multiplier(n, order, grid.length), n)
     return _fd_derivative(values, order, grid.spacing, backend.order)
 
 

@@ -61,6 +61,7 @@ from .grid import (
     _integrate,
     _irfft,
     _lattice_steps,
+    _multiplier,
     _rfft,
     _spectral_symbol,
     _spectrum_derivative,
@@ -168,12 +169,12 @@ def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple
     if spec.kind is QuotientKind.CONVEX_SOBOLEV:
         _check_positive(block)
         p = spec.p
-        dv = _spectrum_derivative(grid, vhat.copy(), 1)
+        dv = _spectrum_derivative(vhat.copy(), _multiplier(n, 1, grid.length), n)
         weight = block ** (p - 2.0)
         num = p * (h * np.add.reduce(weight * dv * dv, axis=-1))
         den = _sigma_integral(block, grid, p)
     else:
-        dn = _spectrum_derivative(grid, vhat.copy(), spec.n)
+        dn = _spectrum_derivative(vhat.copy(), _multiplier(n, spec.n, grid.length), n)
         num = h * np.add.reduce(dn * dn, axis=-1)
         if spec.kind is QuotientKind.POINCARE:
             dev = block - (np.add.reduce(block, axis=-1) / n)[:, None]

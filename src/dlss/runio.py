@@ -13,12 +13,13 @@ Structural problems raise ``ParseError`` with the offending line
 number; admissibility problems raise ``ValidationError`` with the
 offending key, and the objects built make those checks themselves.
 The time-series CSV has one column per ``TimeSeriesRecord`` field.
+Records are named tuples in CSV column order, so a record is its row's
+values and a row parses straight into a record.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import os
 import tempfile
 from dataclasses import dataclass, fields
@@ -40,6 +41,7 @@ from .grid import (
     FieldKind,
     PeriodicGrid,
     _check_finite,
+    _check_length,
     _derivative,
     _integrate,
     make_grid,
@@ -62,15 +64,12 @@ __all__ = [
     "TIMESERIES_HEADER",
 ]
 
-# One CSV column per TimeSeriesRecord field, in declaration order, with its type.
-_COLUMNS = tuple(
-    (f.name, get_type_hints(TimeSeriesRecord)[f.name]) for f in fields(TimeSeriesRecord)
-)
-TIMESERIES_HEADER = ",".join(name for name, _ in _COLUMNS)
-# A record's CSV row in one % call: "%.17g" (the bits of f"{v:.17g}") for
-# floats, "%d" for ints.
-_ROW_FORMAT = ",".join("%.17g" if kind is float else "%d" for _, kind in _COLUMNS)
-_row_values = operator.attrgetter(*(name for name, _ in _COLUMNS))
+# CSV column name -> type: one column per TimeSeriesRecord field, in field order.
+_COLUMNS = get_type_hints(TimeSeriesRecord)
+TIMESERIES_HEADER = ",".join(_COLUMNS)
+# A record, a tuple in column order, is its CSV row in one % call: "%.17g"
+# (the bits of f"{v:.17g}") for floats, "%d" for ints.
+_ROW_FORMAT = ",".join("%.17g" if kind is float else "%d" for kind in _COLUMNS.values())
 
 _U0_KINDS = ("constant", "cosine", "file")
 
@@ -240,7 +239,7 @@ def _initial_density(grid: PeriodicGrid, seen: dict) -> Field:
 def emit_timeseries(trajectory: Trajectory, path: str) -> None:
     """Write the trajectory's records as CSV: 17 significant digits, LF
     line endings, atomic replace so readers never see a partial file."""
-    rows = [_ROW_FORMAT % _row_values(r) for r in trajectory.records]
+    rows = [_ROW_FORMAT % record for record in trajectory.records]
     write_atomic(path, "\n".join([TIMESERIES_HEADER, *rows]) + "\n")
 
 
@@ -279,8 +278,8 @@ def read_timeseries(path: str) -> list[TimeSeriesRecord]:
         if len(parts) != len(_COLUMNS):
             raise ParseError(line_no, f"expected {len(_COLUMNS)} fields, found {len(parts)}")
         try:
-            values = [kind(part) for (_, kind), part in zip(_COLUMNS, parts)]
-            records.append(TimeSeriesRecord(*values))
+            # one pass: each field through its column's type into the record
+            records.append(TimeSeriesRecord._make(map(type.__call__, _COLUMNS.values(), parts)))
         except ValueError as exc:
             raise ParseError(line_no, f"malformed record: {exc}") from None
     return records
@@ -323,8 +322,7 @@ def default_fit_window(series) -> tuple[float, float]:
 def fit_decay(series, window: tuple[float, float], length: float) -> DecayReport:
     """Fit log E(t) = log E0 - rate * t on the samples inside ``window``
     and compare the rate against the sharp value 32 pi^4 / L^4."""
-    if not (math.isfinite(length) and length > 0.0):
-        raise ValidationError("length", f"must be positive and finite, got {length!r}")
+    _check_length(length)
     arr = _fit_pairs(series)
     t_lo, t_hi = window
     mask = (arr[:, 0] >= t_lo) & (arr[:, 0] <= t_hi)

@@ -35,15 +35,17 @@ per block.
 
 On the spectral backend ``solve`` runs each step on the coarsest halving
 of the requested grid that the grid rule admits (derived above
-``_tail_weights``).  The rule reads the rfft of D2 (e^y D2 y) that each
-evaluation keeps and takes the rfft of y.  It is read at t = 0, after
+``_tail_weights``).  The rule reads the rfft of y and that of
+D2 (e^y D2 y), both kept by the evaluation that made the level, so it
+takes no transform of its own.  It is read at t = 0, after
 every accepted step on a coarser grid and before steps 2, 4, 8, ... on
 the requested one, where it can only halve; the run halves when a
 coarser grid passes and doubles when its own grid fails.  A switch
-truncates or zero-pads the spectrum of y and is handled as a retry is:
+truncates or zero-pads the kept spectrum of y and is handled as a retry is:
 the chord LU is refreshed and the older levels are dropped.  Records are
 sums on the grid the step ran on, except min_u, which is taken at the
-requested nodes, where final_y is returned.  fd2 and fd4 runs and
+requested nodes, where final_y is returned, resampled from the kept
+spectrum of the last level.  fd2 and fd4 runs and
 ``jacobian`` stay on the grid they are given.
 """
 
@@ -53,6 +55,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +73,10 @@ from .grid import (
     _halvings,
     _irfft,
     _lattice_steps,
+    _multiplier,
     _rfft,
     _shifted,
+    _spectrum_derivative,
     diff_matrix,
 )
 from .functionals import _sums
@@ -145,9 +150,10 @@ class SolverConfig:
             )
 
 
-@dataclass(frozen=True)
-class TimeSeriesRecord:
-    """Monitored quantities at one accepted time level."""
+class TimeSeriesRecord(NamedTuple):
+    """Monitored quantities at one accepted time level; a named tuple, so
+    a run's thousands of records are cheap to build and one is its CSV
+    row in column order."""
 
     t: float
     mass: float
@@ -177,28 +183,39 @@ class Trajectory:
 
 class _Level:
     """One iterate y with e^y, F(y), D2 y, |F(y)|_inf and, on the spectral
-    backend, ``spectrum``, the rfft of D2 (e^y D2 y), all from one residual
-    evaluation; Newton, the next step's start, the grid rule and the
-    records read them."""
+    backend, ``y_hat``, the rfft of y, and ``spectrum``, the rfft of
+    D2 (e^y D2 y), all from one residual evaluation; Newton, the next
+    step's start, the grid rule, a grid switch and the records read them."""
 
-    __slots__ = ("y", "ey", "r", "d2y", "spectrum", "rnorm")
+    __slots__ = ("y", "ey", "r", "d2y", "spectrum", "y_hat", "rnorm")
 
-    def __init__(self, y: Array, ey: Array, r: Array, d2y: Array, spectrum: Array | None):
-        self.y, self.ey, self.r, self.d2y, self.spectrum = y, ey, r, d2y, spectrum
+    def __init__(
+        self, y: Array, ey: Array, r: Array, d2y: Array,
+        spectrum: Array | None, y_hat: Array | None,
+    ):
+        self.y, self.ey, self.r, self.d2y = y, ey, r, d2y
+        self.spectrum, self.y_hat = spectrum, y_hat
         self.rnorm = float(np.maximum.reduce(np.abs(r)))
 
 
 def _evaluate(y: Array, ey_prev: Array, grid: PeriodicGrid, config: SolverConfig) -> _Level:
-    """The level at y of the step from the level whose e^y is ey_prev; both
-    spectral derivatives transform into one spectrum buffer, which the
-    level keeps as the rfft of D2 (e^y D2 y)."""
+    """The level at y of the step from the level whose e^y is ey_prev.  On
+    the spectral backend the level keeps the rfft of y, and D2 y is
+    differentiated into a second buffer, where the rfft of e^y D2 y then
+    becomes that of D2 (e^y D2 y)."""
     ey = np.exp(y)
-    spectral = config.backend.order == 0
-    spectrum = np.empty(grid.n_points // 2 + 1, dtype=complex) if spectral else None
-    d2y = _derivative(grid, y, 2, config.backend, spectrum)
-    r = _derivative(grid, ey * d2y, 2, config.backend, spectrum)
+    if config.backend.order:
+        d2y = _derivative(grid, y, 2, config.backend)
+        r = _derivative(grid, ey * d2y, 2, config.backend)
+        y_hat = spectrum = None
+    else:
+        n = grid.n_points
+        d2 = _multiplier(n, 2, grid.length)
+        y_hat, spectrum = np.empty(n // 2 + 1, dtype=complex), np.empty(n // 2 + 1, dtype=complex)
+        d2y = _spectrum_derivative(_rfft(y, out=y_hat), d2, n, out=spectrum)
+        r = _spectrum_derivative(_rfft(ey * d2y, out=spectrum), d2, n)
     r += (ey - ey_prev) / config.tau
-    return _Level(y, ey, r, d2y, spectrum)
+    return _Level(y, ey, r, d2y, spectrum, y_hat)
 
 
 def jacobian(y: Field, config: SolverConfig) -> Array:
@@ -398,7 +415,7 @@ def _advance(
 # bound: once what the halving admitted, once what the step left.  Only
 # more than that, put there by the flow, doubles the grid; without the
 # margin the accepted residual alone flips the size from step to step.
-# The rule takes y_hat from the level's y and reads F_hat from the level;
+# The rule reads y_hat and F_hat from the level, as its evaluation kept them;
 # the sums grow as p falls, so the step runs on the coarsest halving
 # admitted.
 _ROUNDOFF = 0.5 * np.finfo(float).eps
@@ -436,7 +453,7 @@ def _resolving_size(level: _Level, m: int, n: int, length: float, config: Solver
     most) when m itself does not."""
     sizes, weights, inverse = _tail_weights(m, length, config.tau)
     # the float view of z_hat = y_hat - F_hat / (e^ybar (1/tau + kappa^4 k^4))
-    y_hat = _rfft(level.y).view(float)
+    y_hat = level.y_hat.view(float)
     flat = level.spectrum.view(float) * (inverse / -math.exp(y_hat[0] / m))
     flat += y_hat
     flat *= flat
@@ -487,13 +504,16 @@ class _Records:
         self.n, self.rows = n, min(max(1, _BLOCK_VALUES // n), n_records)
         self.flat = np.empty((3, self.rows * n))  # e^y, y and D2 y
         self.grid = self.block = None
+        self.m = 0  # points of the block's grid
         self.times, self.iters, self.records = [], [], []
 
     def add(self, t: float, level: _Level, iters: int, grid: PeriodicGrid) -> None:
-        if len(self.times) == self.rows or grid != self.grid:
+        # the grids of one solve share their length, so the points tell them apart
+        if len(self.times) == self.rows or grid.n_points != self.m:
             self._flush()
-            self.grid, m = grid, grid.n_points
-            self.block = self.flat[:, : self.rows * m].reshape(3, self.rows, m)
+            self.grid, self.m = grid, grid.n_points
+            # a tuple, which unpacks at each record for less than the array
+            self.block = tuple(self.flat[:, : self.rows * self.m].reshape(3, self.rows, self.m))
         row = len(self.times)
         ey, y, d2y = self.block
         ey[row], y[row], d2y[row] = level.ey, level.y, level.d2y
@@ -504,10 +524,10 @@ class _Records:
         count = len(self.times)
         if not count:
             return
-        ey, y, d2y = self.block[:, :count]
+        ey, y, d2y = (rows[:count] for rows in self.block)
         sums = _sums(self.grid, ey, y, d2y)
-        if self.grid.n_points != self.n:
-            ey = _resample(_rfft(y), self.grid.n_points, self.n)
+        if self.m != self.n:
+            ey = _resample(_rfft(y), self.m, self.n)
             np.exp(ey, out=ey)
         columns = (*sums, np.minimum.reduce(ey, axis=1))
         # positional, in field order: t, mass, entropy_rel, lyap, production,
@@ -573,7 +593,7 @@ def solve(
             if size != coarse.n_points:
                 # a switch is handled as a retry is: F(y_k; y_k) on the new
                 # grid, no older levels and a fresh factor
-                y = _resample(_rfft(level.y), coarse.n_points, size)
+                y = _resample(level.y_hat, coarse.n_points, size)
                 coarse = PeriodicGrid(grid.length, size)
                 level = _evaluate(y, np.exp(y), coarse, config)
                 older = old = None
@@ -583,7 +603,7 @@ def solve(
             # F(y_k; y_k) from the accepted F(y_k; y_{k-1}), FFT-free
             start = _Level(
                 level.y, level.ey, level.r - (level.ey - old.ey) / config.tau,
-                level.d2y, level.spectrum,
+                level.d2y, level.spectrum, level.y_hat,
             )
             if older is None:
                 y_pred = 2.0 * level.y - old.y
@@ -605,7 +625,7 @@ def solve(
         if k % record_every == 0 or k == n_steps:
             records.add(k * config.tau, level, iters, coarse)
 
-    final_y = level.y if coarse.n_points == n else _resample(_rfft(level.y), coarse.n_points, n)
+    final_y = level.y if coarse.n_points == n else _resample(level.y_hat, coarse.n_points, n)
     return Trajectory(
         grid=grid,
         config=config,

@@ -8,7 +8,8 @@ from scipy.linalg import circulant
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind
 from dlss.grid import (
-    PeriodicGrid, _derivative, _fd_taps, _halvings, _integrate, _irfft, _rfft, _spectral_symbol, diff_matrix,
+    PeriodicGrid, _derivative, _fd_taps, _halvings, _integrate, _irfft, _multiplier, _rfft,
+    _spectral_symbol, _spectrum_derivative, diff_matrix,
 )
 from dlss.rng import random_smooth_field
 
@@ -181,6 +182,21 @@ class TestSpectralDerivative:
         for order in (1, 2):
             want = np.fft.irfft(np.fft.rfft(row) * _spectral_symbol(n, order, TWO_PI), n=n)
             assert np.array_equal(_derivative(grid, row, order, SPECTRAL), want)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_spectrum_derivative_into_a_buffer(self, grid64, order):
+        # with out= the spectrum is kept and the result has the in-place
+        # bits, which are the derivative's
+        values = smooth_field(grid64, 5).values
+        fhat = np.fft.rfft(values)
+        kept, out = fhat.copy(), np.empty_like(fhat)
+        multiplier = _multiplier(64, order, grid64.length)
+        assert not multiplier.flags.writeable
+        got = _spectrum_derivative(fhat, multiplier, 64, out=out)
+        assert np.array_equal(fhat, kept)
+        assert np.array_equal(got, _spectrum_derivative(kept, multiplier, 64))
+        assert np.array_equal(out, kept)
+        assert np.array_equal(got, _derivative(grid64, values, order, SPECTRAL))
 
     def test_library_transforms_skip_numpy_fft_wrapper(self, grid64, monkeypatch):
         # the solver, the certificates and the heat flow transform through

@@ -81,16 +81,15 @@ def flow_functionals_oracle(v0, grid, p, t_final, dt):
     wave = (2.0 * math.pi / el) * np.arange(n // 2 + 1)
     ik = 1j * wave
     # h sum(wxx^2 - k1^2 wx^2) by Parseval: weights h / n times 1, 2, ..., 2
-    # on the rfft modes and k^2 (k^2 - k1^2); an even n's Nyquist mode has
-    # weight 1, k^4 alone and no odd derivative
+    # on the rfft modes and k^2 (k^2 - k1^2); the Nyquist mode of an n that
+    # is even, as every grid is, has weight 1, k^4 alone and no odd derivative
     k2 = wave * wave
     quartic = k2 * (k2 - k2[1])
     weights = np.full(n // 2 + 1, 2.0 * el / n ** 2)
     weights[0] /= 2.0
-    if n % 2 == 0:
-        ik[-1] = 0.0
-        quartic[-1] = k2[-1] * k2[-1]
-        weights[-1] /= 2.0
+    ik[-1] = 0.0
+    quartic[-1] = k2[-1] * k2[-1]
+    weights[-1] /= 2.0
     symbol = np.repeat(quartic, 2) * np.repeat(weights, 2)
     # every state has the datum's mean vbar; its deviation v - vbar comes
     # from the spectrum of v0 - vbar with entry 0 set to 0
@@ -195,10 +194,9 @@ def long_double_functionals(v0, grid, p, t, m):
     ik, quartic = 1j * wave, k2 * (k2 - k2[1])
     weights = np.full(m // 2 + 1, 2 * el / m ** 2)
     weights[0] /= 2
-    if m % 2 == 0:
-        ik[-1] = 0
-        quartic[-1] = k2[-1] * k2[-1]
-        weights[-1] /= 2
+    ik[-1] = 0
+    quartic[-1] = k2[-1] * k2[-1]
+    weights[-1] /= 2
     wx2 = np.fft.irfft(w_hat * ik, n=m) ** 2
     vbar = v.mean(axis=-1)
     ratio = v / vbar[:, None]
@@ -237,8 +235,7 @@ def oracle_descent(spec, u_init, evaluate=_evaluate):
     grid = u_init.grid
     n = grid.n_points
     start = _rfft(u_init.values)
-    if n % 2 == 0:
-        start[-1] = 0.0
+    start[-1] = 0.0
     vals = _normalize(spec, _irfft(start, n), grid)
     q, _, vhat, ghat = evaluate(spec, vals, grid)
     damping = _preconditioner(n, spec.n if spec.kind is not QuotientKind.CONVEX_SOBOLEV else 1, grid.length)

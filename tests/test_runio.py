@@ -257,8 +257,29 @@ class TestTimeseriesRoundTrip:
     def test_read_rejects_bad_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(TIMESERIES_HEADER + "\n0,1,2,3,4,5,six\n")
-        with pytest.raises(dlss.ParseError):
+        with pytest.raises(dlss.ParseError) as excinfo:
             read_timeseries(str(path))
+        assert excinfo.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "row",
+        ["0,1,2,x,4,5,6", "0,1,2,3,4,5,2.5", ",1,2,3,4,5,6"],
+        ids=["float-column", "fraction-in-newton_iters", "empty-t"],
+    )
+    def test_read_names_the_line_of_a_malformed_value(self, tmp_path, row):
+        # a good row, a blank line, then the bad one: line 4 of the file
+        path = tmp_path / "bad.csv"
+        path.write_text(TIMESERIES_HEADER + "\n0,1,2,3,4,5,6\n\n" + row + "\n")
+        with pytest.raises(dlss.ParseError, match="malformed record") as excinfo:
+            read_timeseries(str(path))
+        assert excinfo.value.line_no == 4
+
+    def test_read_gives_each_column_its_type(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text(TIMESERIES_HEADER + "\n0,1,2,3,4,5,6\n")
+        (record,) = read_timeseries(str(path))
+        assert type(record) is TimeSeriesRecord
+        assert [type(v) for v in record] == [float] * 6 + [int]
 
 
 class TestFitDecay:
@@ -310,6 +331,16 @@ class TestFitDecay:
             fit_decay(series, (0.0, 5.0), length=TWO_PI)
         with pytest.raises(ValueError, match="must be finite"):
             default_fit_window(series)
+
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_length_as_the_grid_does(self, length):
+        # one length rule: the field and message of PeriodicGrid
+        with pytest.raises(dlss.ValidationError) as grid_error:
+            dlss.PeriodicGrid(length, 16)
+        with pytest.raises(dlss.ValidationError) as fit_error:
+            fit_decay(self.synthetic(), (0.0, 5.0), length=length)
+        assert fit_error.value.field == grid_error.value.field == "length"
+        assert str(fit_error.value) == str(grid_error.value)
 
     def test_default_window_skips_transient(self):
         lo, hi = default_fit_window(self.synthetic(t_hi=10.0))

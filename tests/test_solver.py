@@ -1,6 +1,7 @@
 import math
 import tracemalloc
-from dataclasses import astuple, replace
+import typing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -423,14 +424,14 @@ def coarse_gap_bound(n_steps, config, u_min):
 def crafted_level(m, modes, flux=None):
     """A level on m points whose y = sum c cos(k x) over ``modes`` {k: c}
     and whose D2 (e^y D2 y) is the same sum over ``flux`` (none when
-    None); y, e^y and the rfft of D2 (e^y D2 y) are all the grid rule
-    reads."""
+    None); e^y and the kept rffts of y and of D2 (e^y D2 y) are all the
+    grid rule reads, the first rfft as an evaluation keeps it."""
     spectra = np.zeros((2, m // 2 + 1), dtype=complex)
     for row, terms in enumerate((modes, flux or {})):
         for k, c in terms.items():
             spectra[row, k] = c * m / (1 if k == m // 2 else 2)
     y = np.fft.irfft(spectra[0], m)
-    return _Level(y, np.exp(y), y, y, spectra[1])
+    return _Level(y, np.exp(y), y, y, spectra[1], _rfft(y))
 
 
 COARSE_DATA = {
@@ -478,8 +479,8 @@ class TestCoarseGrid:
         assert coarse.final_y.grid == grid
         u_min = min(r.min_u for r in oracle.records)
         bound = coarse_gap_bound(len(oracle.records) - 1, self.CONFIG, u_min)
-        columns = np.array([r[1:6] for r in map(astuple, coarse.records)])
-        reference = np.array([r[1:6] for r in map(astuple, oracle.records)])
+        columns = np.array([r[1:6] for r in coarse.records])
+        reference = np.array([r[1:6] for r in oracle.records])
         gap = np.abs(columns - reference).max(axis=0)
         assert (gap <= bound * np.abs(reference).max(axis=0)).all()
         u_coarse, u_oracle = np.exp(coarse.final_y.values), np.exp(oracle.final_y.values)
@@ -533,6 +534,19 @@ class TestCoarseGrid:
         config = SolverConfig(tau=1e-4)
         level = crafted_level(64, {1: 0.1}, flux)
         assert _resolving_size(level, 64, 256, TWO_PI, config) == size
+
+    def test_rule_reads_the_kept_spectrum_of_y(self, grid256, monkeypatch):
+        # every level the rule reads carries the rfft of its y bit for bit,
+        # and a switch resamples that level; this run halves to 128 points
+        # at t = 0
+        def checked(level, m, n, length, config):
+            assert np.array_equal(level.y_hat, _rfft(level.y))
+            return _resolving_size(level, m, n, length, config)
+
+        calls = spy_grid_rule(monkeypatch, checked)
+        traj = dlss.solve(cosine_density(grid256, 0.5), 0.03, self.CONFIG)
+        assert len(traj.records) == 301
+        assert any(m != size for m, size in calls)
 
     def test_resample_pads_and_truncates_the_spectrum(self):
         eps = np.finfo(float).eps
@@ -744,6 +758,44 @@ class TestRecordBlocks:
         # rows are capped at the records of the run, not only by the block
         monkeypatch.setattr("dlss.solver._BLOCK_VALUES", 2 ** 30)
         assert peak(1) <= every + allowance
+
+
+class TestTimeSeriesRecord:
+    """Records are named tuples in CSV column order: cheap to build, and
+    equal, hashed and printed as the frozen records they replaced."""
+
+    FIELDS = {
+        "t": float, "mass": float, "entropy_rel": float, "lyap": float,
+        "production": float, "min_u": float, "newton_iters": int,
+    }
+
+    def test_fields_keep_their_names_order_and_types(self):
+        assert TimeSeriesRecord._fields == tuple(self.FIELDS)
+        assert typing.get_type_hints(TimeSeriesRecord) == self.FIELDS
+        assert list(typing.get_type_hints(TimeSeriesRecord)) == list(self.FIELDS)
+
+    def test_constructor_repr_equality_and_hash(self):
+        values = (0.5, TWO_PI, 1e-3, 2.0, 3.0, 0.9, 4)
+        record = TimeSeriesRecord(*values)
+        assert record == TimeSeriesRecord(**dict(zip(self.FIELDS, values)))
+        assert record != TimeSeriesRecord(*values[:-1], 5)
+        assert [getattr(record, name) for name in self.FIELDS] == list(values)
+        assert repr(record) == (
+            "TimeSeriesRecord(t=0.5, mass=6.283185307179586, entropy_rel=0.001, "
+            "lyap=2.0, production=3.0, min_u=0.9, newton_iters=4)"
+        )
+        # the hash of the field values, as a frozen dataclass hashes
+        assert hash(record) == hash(values)
+        assert len({record, TimeSeriesRecord(*values)}) == 1
+        with pytest.raises(TypeError):
+            TimeSeriesRecord(*values[:-1])
+
+    def test_immutable(self):
+        record = TimeSeriesRecord(0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0)
+        with pytest.raises(AttributeError):
+            record.mass = 2.0
+        with pytest.raises(TypeError):
+            record[1] = 2.0
 
 
 class TestLyapunovCheck:
