@@ -14,6 +14,8 @@ import json
 import math
 import time
 
+import numpy as np
+
 import dlss
 from dlss import SolverConfig
 from dlss.runio import cosine_density, default_fit_window, fit_decay, write_atomic
@@ -27,7 +29,8 @@ def run_once(length, n_points, amplitude, tau, t_final, newton_tol):
     t0 = time.perf_counter()
     trajectory = dlss.solve(u0, t_final, config, record_every=record_every)
     elapsed = time.perf_counter() - t0
-    series = [(r.t, r.entropy_rel) for r in trajectory.records]
+    # one array for both fit calls, each of which would convert a list
+    series = np.array([(r.t, r.entropy_rel) for r in trajectory.records])
     report = fit_decay(series, default_fit_window(series), length)
     masses = [r.mass for r in trajectory.records]
     return {

@@ -9,8 +9,9 @@ polynomials up to the aliasing limit exactly and is therefore spectrally
 accurate for smooth periodic integrands.
 
 Both derivative backends are linear circulant operators; ``diff_matrix``
-materialises any of them as a dense matrix for dense Jacobians, and banded
-ones are filled from the same taps and shifted slices.  All of it is
+returns any of them as an O(N) read-only strided view of the dense
+matrix, which a dense Jacobian copies once per refresh, and banded ones
+are filled from the same taps and shifted slices.  All of it is
 numpy, so ``import dlss`` loads no scipy.
 
 Every library FFT goes through one private pair, ``_rfft`` and
@@ -385,14 +386,17 @@ def _diff_matrix_cached(length: float, n_points: int, order: int, backend: DiffB
     delta = np.zeros(n_points)
     delta[0] = 1.0
     col = _derivative(PeriodicGrid(length, n_points), delta, order, backend)
-    # mat[i, j] = col[(i - j) mod n] = weight tying f_j to (Df)_i
-    mat = sliding_window_view(np.tile(col[::-1], 2)[:-1], n_points)[::-1].copy()
-    mat.setflags(write=False)
-    return mat
+    # mat[i, j] = col[(i - j) mod n] = weight tying f_j to (Df)_i; the
+    # windows over one (2n - 1)-vector are read-only and share its memory
+    return sliding_window_view(np.tile(col[::-1], 2)[:-1], n_points)[::-1]
 
 
 def diff_matrix(grid: PeriodicGrid, order: int, backend: DiffBackend = SPECTRAL) -> np.ndarray:
-    """Dense circulant matrix of the chosen derivative; read-only and cached.
+    """Circulant matrix of the chosen derivative; read-only and cached.
+
+    An N x N strided view over one (2N - 1)-vector, so it holds O(N)
+    memory.  Its rows run at a negative stride, on which numpy's matmul
+    leaves BLAS: take ``np.array(...)`` before matrix products.
 
     Agrees with ``derivative`` to rounding for every field, which keeps
     Jacobians consistent with the residuals they linearise.

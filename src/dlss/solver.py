@@ -228,7 +228,8 @@ def jacobian(y: Field, config: SolverConfig) -> Array:
     grid, order = y.grid, config.backend.order
     ey = np.exp(y.values)
     if config.linear_solver is LinearSolver.DENSE:
-        d2 = diff_matrix(grid, 2, config.backend)
+        # a contiguous copy keeps the products below on BLAS
+        d2 = np.array(diff_matrix(grid, 2, config.backend))
         # D2 diag(b) is column scaling; avoids a second matrix product.
         jac = d2 @ (ey[:, None] * d2)
         jac += d2 * (ey * (d2 @ y.values))[None, :]

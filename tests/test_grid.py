@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from scipy.linalg import circulant
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind
 from dlss.grid import (
-    PeriodicGrid, _derivative, _fd_taps, _halvings, _integrate, _irfft, _multiplier, _rfft,
-    _spectral_symbol, _spectrum_derivative, diff_matrix,
+    PeriodicGrid, _derivative, _diff_matrix_cached, _fd_taps, _halvings, _integrate, _irfft,
+    _multiplier, _rfft, _spectral_symbol, _spectrum_derivative, diff_matrix,
 )
 from dlss.rng import random_smooth_field
 
@@ -298,7 +299,7 @@ class TestDiffMatrix:
         mat = diff_matrix(grid64, 2, backend)
         assert np.abs(mat - mat.T).max() < 1e-10
 
-    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("n", [8, 64, 2048])
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_equals_scipy_circulant(self, n, backend, order):
@@ -314,6 +315,20 @@ class TestDiffMatrix:
         assert a is b
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
+
+    def test_holds_linear_memory(self):
+        # an N x N copy would take 32 MiB here; the view holds one
+        # (2N - 1)-vector next to the derivative's O(N) work arrays
+        grid = dlss.make_grid(TWO_PI, 2048)
+        _diff_matrix_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            mat = diff_matrix(grid, 2, FD4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mat.shape == (2048, 2048)
+        assert peak < 1 << 20
 
 
 class TestQuadrature:

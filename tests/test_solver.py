@@ -139,6 +139,19 @@ class TestJacobian:
         assert np.abs(fd - exact).max() / scale < 1e-4
 
 
+    @pytest.mark.parametrize("backend", [SPECTRAL, FD2, FD4])
+    def test_dense_form_is_products_on_contiguous_copy(self, grid64, backend):
+        # diff_matrix is a negative-stride view; products on it leave BLAS
+        # and round differently, so the dense Jacobian must copy it first
+        y = log_field(grid64, np.exp(0.5 * np.sin(grid64.nodes) + 0.2 * np.cos(2 * grid64.nodes)))
+        config = SolverConfig(tau=1e-3, backend=backend)
+        ey = np.exp(y.values)
+        d2 = np.array(dlss.diff_matrix(grid64, 2, backend))
+        want = d2 @ (ey[:, None] * d2)
+        want += d2 * (ey * (d2 @ y.values))[None, :]
+        want[np.diag_indices_from(want)] += ey / config.tau
+        assert np.array_equal(jacobian(y, config), want)
+
     @pytest.mark.parametrize("backend", [FD2, FD4])
     @pytest.mark.parametrize("n_points", [8, 10, 64])
     def test_banded_form_matches_dense(self, backend, n_points):
