@@ -164,14 +164,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    grid = make_grid(args.L, args.N)
-    result = identity_suite(
-        grid,
-        backend=DiffBackend.from_name(args.backend),
-        trials=args.trials,
-        seed=args.seed,
-        n_modes=args.n_modes,
-    )
+    options = {k: v for k, v in vars(args).items() if k in ("trials", "seed", "backend", "n_modes")}
+    if "backend" in options:
+        options["backend"] = DiffBackend.from_name(options["backend"])
+    result = identity_suite(make_grid(args.L, args.N), **options)
     _emit_json(result, args.output)
     return 0
 
@@ -218,13 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--output", default=None)
     p_fit.set_defaults(func=_cmd_fit)
 
-    p_id = sub.add_parser("identity", help="randomised integral identity checks")
-    p_id.add_argument("--trials", type=int, default=100)
-    p_id.add_argument("--seed", type=int, default=0)
+    # options left out are not passed, so identity_suite holds their defaults
+    p_id = sub.add_parser("identity", help="randomised integral identity checks", argument_default=argparse.SUPPRESS)
+    p_id.add_argument("--trials", type=int)
+    p_id.add_argument("--seed", type=int)
     p_id.add_argument("--L", type=float, default=2.0 * math.pi)
     p_id.add_argument("--N", type=int, default=256)
-    p_id.add_argument("--backend", default="spectral", choices=list(BACKENDS))
-    p_id.add_argument("--n-modes", type=int, default=None)
+    p_id.add_argument("--backend", choices=list(BACKENDS))
+    p_id.add_argument("--n-modes", type=int)
     p_id.add_argument("--output", default=None)
     p_id.set_defaults(func=_cmd_identity)
 

@@ -159,14 +159,9 @@ class PeriodicGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        return _nodes(self.length, self.n_points)
-
-
-@lru_cache(maxsize=None)
-def _nodes(length: float, n_points: int) -> np.ndarray:
-    x = np.arange(n_points) * (length / n_points)
-    x.setflags(write=False)
-    return x
+        x = np.arange(self.n_points) * (self.length / self.n_points)
+        x.setflags(write=False)
+        return x
 
 
 def make_grid(length: float, n_points: int) -> PeriodicGrid:
@@ -381,18 +376,8 @@ def derivative(f: Field, order: int, backend: DiffBackend = SPECTRAL) -> Field:
     return Field(f.grid, _derivative(f.grid, f.values, order, backend), FieldKind.GENERIC)
 
 
-@lru_cache(maxsize=None)
-def _diff_matrix_cached(length: float, n_points: int, order: int, backend: DiffBackend) -> np.ndarray:
-    delta = np.zeros(n_points)
-    delta[0] = 1.0
-    col = _derivative(PeriodicGrid(length, n_points), delta, order, backend)
-    # mat[i, j] = col[(i - j) mod n] = weight tying f_j to (Df)_i; the
-    # windows over one (2n - 1)-vector are read-only and share its memory
-    return sliding_window_view(np.tile(col[::-1], 2)[:-1], n_points)[::-1]
-
-
 def diff_matrix(grid: PeriodicGrid, order: int, backend: DiffBackend = SPECTRAL) -> np.ndarray:
-    """Circulant matrix of the chosen derivative; read-only and cached.
+    """Circulant matrix of the chosen derivative; read-only.
 
     An N x N strided view over one (2N - 1)-vector, so it holds O(N)
     memory.  Its rows run at a negative stride, on which numpy's matmul
@@ -401,7 +386,12 @@ def diff_matrix(grid: PeriodicGrid, order: int, backend: DiffBackend = SPECTRAL)
     Agrees with ``derivative`` to rounding for every field, which keeps
     Jacobians consistent with the residuals they linearise.
     """
-    return _diff_matrix_cached(grid.length, grid.n_points, order, backend)
+    delta = np.zeros(grid.n_points)
+    delta[0] = 1.0
+    col = _derivative(grid, delta, order, backend)
+    # mat[i, j] = col[(i - j) mod n] = weight tying f_j to (Df)_i; the
+    # windows over one (2n - 1)-vector are read-only and share its memory
+    return sliding_window_view(np.tile(col[::-1], 2)[:-1], grid.n_points)[::-1]
 
 
 def _integrate(grid: PeriodicGrid, values: np.ndarray) -> float:

@@ -229,16 +229,14 @@ def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple
 # keep the weights 1 and 1/2 of the shift-free symbol, in units of kappa^{2o}.
 # A normalised Poincare field has D = 1, so the first trial length 0.5 is the
 # Newton length at every L.
-@lru_cache(maxsize=None)
 def _preconditioner(n_points: int, order: int, length: float) -> np.ndarray:
-    """Read-only inverse Hessian symbol of the derivation above on the rfft
+    """Inverse Hessian symbol of the derivation above on the rfft
     modes of an n-point grid of the given length, 0 on the Nyquist mode."""
     m = np.arange(n_points // 2 + 1, dtype=float)
     shift = m ** (2 * order) - 1.0
     shift[:2] = (1.0, 2.0)
     damping = (length / (2.0 * math.pi)) ** (2 * order) / shift  # kappa^{-2o} / shift
     damping[-1] = 0.0
-    damping.setflags(write=False)
     return damping
 
 
@@ -450,14 +448,16 @@ def _descend(spec: QuotientSpec, grid: PeriodicGrid, starts: np.ndarray) -> list
     ]
 
 
-def _initial_guess(spec: QuotientSpec, grid: PeriodicGrid, seed: int) -> Field:
+def _initial_guess(spec: QuotientSpec, grid: PeriodicGrid, seed: int) -> np.ndarray:
+    """The admissible start of ``seed``, as grid values: a mean-zero random
+    field g for Poincare, 1 + g/2 for log-Sobolev and exp(g/2) for convex."""
     n_modes = max(2, min(8, grid.n_points // 4))
-    g = random_smooth_field(grid, n_modes, seed, amplitude=1.0, mean_zero=True)
+    g = random_smooth_field(grid, n_modes, seed, amplitude=1.0, mean_zero=True).values
     if spec.kind is QuotientKind.POINCARE:
         return g
     if spec.kind is QuotientKind.LOG_SOBOLEV:
-        return Field(grid, 1.0 + 0.5 * g.values)
-    return Field(grid, np.exp(0.5 * g.values), FieldKind.DENSITY)
+        return 1.0 + 0.5 * g
+    return np.exp(0.5 * g)
 
 
 def certify_constant(
@@ -471,7 +471,7 @@ def certify_constant(
     result it gives alone.  At least one seed is required."""
     if not seeds:
         raise ValueError("seeds must name at least one start")
-    starts = np.array([_initial_guess(spec, grid, seed).values for seed in seeds])
+    starts = np.array([_initial_guess(spec, grid, seed) for seed in seeds])
     best = None
     for res in _descend(spec, grid, starts):
         if best is None or (res.converged, -res.value) > (best.converged, -best.value):

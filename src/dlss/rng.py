@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, FieldKind, PeriodicGrid, _nodes
+from .grid import Field, FieldKind, PeriodicGrid
 
 __all__ = ["SplitMix64", "random_smooth_field", "random_log_density"]
 
@@ -64,7 +64,7 @@ def _mode_table(length: float, n_points: int, n_modes: int) -> tuple[np.ndarray,
     """Read-only cos(m theta) and sin(m theta), one row per mode m = 1 ..
     n_modes, at the nodes theta of the grid in radians: every seed of one
     grid and mode count shares them."""
-    theta = (2.0 * np.pi / length) * _nodes(length, n_points)
+    theta = (2.0 * np.pi / length) * (np.arange(n_points) * (length / n_points))
     phases = np.outer(np.arange(1, n_modes + 1), theta)
     table = np.cos(phases), np.sin(phases)
     for part in table:

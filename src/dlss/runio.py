@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, fields
 from typing import get_type_hints
@@ -246,14 +247,23 @@ def emit_timeseries(trajectory: Trajectory, path: str) -> None:
 def write_atomic(path: str, text: str) -> None:
     """Write ``text`` with LF line endings through a temporary file in the
     target directory and an atomic replace, so readers never see a partial
-    file and a failed write leaves nothing behind.  An ``OSError`` names
-    ``path``, not the temporary file."""
+    file and a failed write leaves nothing behind.  A replaced file keeps
+    its mode and a new one gets what ``open(path, "w")`` would give it,
+    0o666 less the umask.  An ``OSError`` names ``path``, not the
+    temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = None
     try:
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)  # the one way to read it; restored at once
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".dlss-", suffix=".tmp")
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
+        os.chmod(tmp_path, mode)  # mkstemp makes it 0o600
         os.replace(tmp_path, path)
     except BaseException as exc:
         if tmp_path is not None and os.path.exists(tmp_path):

@@ -470,23 +470,15 @@ def _resolving_size(level: _Level, m: int, n: int, length: float, config: Solver
     return size
 
 
-@lru_cache(maxsize=None)
-def _resample_weights(m: int, size: int) -> Array:
-    """Read-only size/m on the rfft modes that an m-point spectrum keeps on
-    a size-point grid: the m-point Nyquist mode is split between +-m/2
-    (halved) when size > m, the size-point one dropped when size < m."""
-    weights = np.full(min(m, size) // 2 + 1, size / m)  # a power of two: exact
-    weights[-1] = 0.5 * weights[-1] if size > m else 0.0
-    weights.setflags(write=False)
-    return weights
-
-
 def _resample(y_hat: Array, m: int, size: int) -> Array:
     """At the nodes of a size-point grid, size = m 2^j with j != 0, the
     trigonometric interpolant of the m-point values whose rfft along the
     last axis is ``y_hat``, without its modes from size/2 up when size <
-    m; the inverse transform pads the spectrum with zeros."""
-    weights = _resample_weights(m, size)
+    m; the inverse transform pads the spectrum with zeros.  The modes kept
+    are scaled by size/m; the m-point Nyquist mode is split between +-m/2
+    (halved) when size > m, the size-point one dropped when size < m."""
+    weights = np.full(min(m, size) // 2 + 1, size / m)  # a power of two: exact
+    weights[-1] = 0.5 * weights[-1] if size > m else 0.0
     return _irfft(y_hat[..., : weights.size] * weights, size)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dlss
 from dlss import cli, errors
 from dlss.cli import main
 from dlss.runio import TIMESERIES_HEADER, read_timeseries
@@ -520,6 +521,13 @@ class TestFit:
 
 
 class TestIdentity:
+    def test_defaults_are_the_library_defaults(self, capsys):
+        # the command passes no option it was not given; L and N are its own
+        code, out, _ = run_cli(capsys, ["identity"])
+        assert code == 0
+        expected = dlss.identity_suite(dlss.make_grid(TWO_PI, 256))
+        assert out == json.dumps(expected, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
     def test_small_spectral_run(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -51,3 +51,38 @@ def test_every_imported_name_is_used(path):
     # an import that nothing references is dead code that hides what a
     # module really depends on
     assert unused_imports(ast.parse((ROOT / path).read_text(), filename=path)) == []
+
+
+# The process-wide caches, each kept because a measured benchmark loop
+# reads it: calls per operation (seed 0) of the workload that reads it
+# most, against one uncached call of a few microseconds or more.
+KEPT_CACHES = {
+    "grid._spectral_symbol",  # certify256: 120 calls / op
+    "grid._multiplier",  # decay256: 2 292 calls / op, certify256: 69
+    "grid._fd_taps",  # banded2048: 64.5 calls / op
+    "linalg._fold",  # banded2048: 2.2 calls / op, 48 us each
+    "linalg._band_slots",  # banded2048: 2.2 calls / op, 168 us each
+    "solver._tail_weights",  # decay256: 1 000 calls / op
+    "inequalities._parseval_weights",  # certify256: 169 calls / op
+    "inequalities._dissipation_symbol",  # certify256: 52 calls / op
+    "rng._mode_table",  # certify256: 21 calls / op, 71 us each
+}
+
+
+def cached_functions() -> set[str]:
+    """``module.function`` of every function under src/dlss decorated with
+    ``lru_cache`` or ``cache``, called or not, bare or through functools."""
+    found = set()
+    for path in sorted((ROOT / "src/dlss").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            for decorator in getattr(node, "decorator_list", []):
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if ast.unparse(target).rpartition(".")[2] in ("lru_cache", "cache"):
+                    found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_every_cache_is_one_the_benchmark_pays_for():
+    # an unbounded cache holds its values for the life of the process; a
+    # new one must be measured and added above on purpose
+    assert cached_functions() == KEPT_CACHES

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from scipy.linalg import circulant
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind
 from dlss.grid import (
-    PeriodicGrid, _derivative, _diff_matrix_cached, _fd_taps, _halvings, _integrate, _irfft,
+    PeriodicGrid, _derivative, _fd_taps, _halvings, _integrate, _irfft,
     _multiplier, _rfft, _spectral_symbol, _spectrum_derivative, diff_matrix,
 )
 from dlss.rng import random_smooth_field
@@ -309,18 +311,21 @@ class TestDiffMatrix:
         column = dlss.derivative(impulse, order, backend).values
         assert np.array_equal(diff_matrix(grid, order, backend), circulant(column))
 
-    def test_cached_and_read_only(self, grid64):
-        a = diff_matrix(grid64, 2, SPECTRAL)
-        b = diff_matrix(grid64, 2, SPECTRAL)
-        assert a is b
+    def test_read_only(self, grid64):
+        mat = diff_matrix(grid64, 2, SPECTRAL)
         with pytest.raises(ValueError):
-            a[0, 0] = 1.0
+            mat[0, 0] = 1.0
+
+    def test_keeps_nothing_alive(self, grid64):
+        # each call builds its view; no process-wide table holds it
+        ref = weakref.ref(diff_matrix(grid64, 2, FD4))
+        gc.collect()
+        assert ref() is None
 
     def test_holds_linear_memory(self):
         # an N x N copy would take 32 MiB here; the view holds one
         # (2N - 1)-vector next to the derivative's O(N) work arrays
         grid = dlss.make_grid(TWO_PI, 2048)
-        _diff_matrix_cached.cache_clear()
         tracemalloc.start()
         try:
             mat = diff_matrix(grid, 2, FD4)

@@ -225,16 +225,15 @@ def long_double_flow(v0, grid, p, times):
     return scheduled, full
 
 
-def oracle_descent(spec, u_init, evaluate=_evaluate):
+def oracle_descent(spec, grid, u_init, evaluate=_evaluate):
     """The descent of one start as it was before the starts of a certificate
     descended as one block: the loop of one start, each helper called on
     one field.  Returns (value, iterations, evaluations, residual,
     converged, minimizer bytes), then (trials, accepted) of each iteration,
     the number of Barzilai-Borwein lengths that were not positive and
     finite, and the bytes of every candidate."""
-    grid = u_init.grid
     n = grid.n_points
-    start = _rfft(u_init.values)
+    start = _rfft(u_init)
     start[-1] = 0.0
     vals = _normalize(spec, _irfft(start, n), grid)
     q, _, vhat, ghat = evaluate(spec, vals, grid)
@@ -433,7 +432,7 @@ class TestMinimizeQuotient:
     def test_iteration_budget_reported_honestly(self, grid64, monkeypatch):
         # unbudgeted, this start converges in 8 iterations
         monkeypatch.setattr("dlss.inequalities._MAX_ITERS", 3)
-        res = _descend(log_sobolev(1), grid64, _initial_guess(log_sobolev(1), grid64, seed=0).values[None])[0]
+        res = _descend(log_sobolev(1), grid64, _initial_guess(log_sobolev(1), grid64, seed=0)[None])[0]
         assert not res.converged
         assert res.iterations == 3
 
@@ -448,7 +447,7 @@ class TestMinimizeQuotient:
         # the descent evaluates each candidate once and reuses the arrays;
         # a stale evaluation would show as a value of some other iterate
         grid = dlss.make_grid(TWO_PI, n_points)
-        res = _descend(spec, grid, _initial_guess(spec, grid, seed=4).values[None])[0]
+        res = _descend(spec, grid, _initial_guess(spec, grid, seed=4)[None])[0]
         assert res.value == _evaluate(spec, res.minimizer.values, grid)[0]
 
     @pytest.mark.parametrize("spec", ALL_KINDS, ids=spec_id)
@@ -460,13 +459,13 @@ class TestMinimizeQuotient:
             return _evaluate(spec, vals, grid)
 
         monkeypatch.setattr("dlss.inequalities._evaluate", counted)
-        res = _descend(spec, grid64, _initial_guess(spec, grid64, seed=4).values[None])[0]
+        res = _descend(spec, grid64, _initial_guess(spec, grid64, seed=4)[None])[0]
         # every iteration evaluates at least one candidate; with Barzilai-
         # Borwein lengths some starts never backtrack
         assert res.evaluations == len(rows) == sum(rows) >= res.iterations
         # in a block, every evaluated row is one evaluation of its start
         rows.clear()
-        starts = np.array([_initial_guess(spec, grid64, seed).values for seed in (4, 5, 6)])
+        starts = np.array([_initial_guess(spec, grid64, seed) for seed in (4, 5, 6)])
         results = _descend(spec, grid64, starts)
         assert sum(res.evaluations for res in results) == sum(rows)
         assert all(res.evaluations >= res.iterations for res in results)
@@ -486,7 +485,7 @@ class TestMinimizeQuotient:
 
         monkeypatch.setattr("dlss.inequalities._spectral_dot", recorded)
         grid = dlss.make_grid(TWO_PI, 16)
-        res = _descend(poincare(1), grid, _initial_guess(poincare(1), grid, seed).values[None])[0]
+        res = _descend(poincare(1), grid, _initial_guess(poincare(1), grid, seed)[None])[0]
         assert min(dots) < 0.0
         assert res.converged
         assert res.rel_error <= 1e-12
@@ -503,7 +502,7 @@ class TestMinimizeQuotient:
             grid = dlss.make_grid(TWO_PI, n_points)
             for spec in specs:
                 for seed in (0, 1, 2):
-                    res = _descend(spec, grid, _initial_guess(spec, grid, seed).values[None])[0]
+                    res = _descend(spec, grid, _initial_guess(spec, grid, seed)[None])[0]
                     assert res.converged
                     total += res.evaluations
         assert total <= 360
@@ -533,7 +532,7 @@ class TestMinimizeQuotient:
 
         def exit_of(grid, seed):
             values.clear()
-            res = _descend(spec, grid, _initial_guess(spec, grid, seed).values[None])[0]
+            res = _descend(spec, grid, _initial_guess(spec, grid, seed)[None])[0]
             ghat = _evaluate(spec, res.minimizer.values, grid)[3]
             damping = _preconditioner(grid.n_points, order, grid.length)
             assert res.residual == float(np.abs(np.fft.irfft(damping * ghat, grid.n_points)).max())
@@ -582,7 +581,7 @@ class TestQuotientGradient:
         # a start shifted off the descent's normalisation (mean zero for
         # Poincare), in directions with a mean, so every term of the
         # gradient shows
-        u = _initial_guess(spec, grid64, seed=2).values + 0.25
+        u = _initial_guess(spec, grid64, seed=2) + 0.25
         grad = np.fft.irfft(_evaluate(spec, u, grid64)[3], n=64)
         # truncation error ~eps^2 against rounding amplified by the
         # difference quotient
@@ -690,7 +689,7 @@ class TestCertifyConstant:
         # rounding at |e| ~ 2e-3
         spec = log_sobolev(1)
         grid = dlss.make_grid(TWO_PI, n_points)
-        v = _normalize(spec, _initial_guess(spec, grid, seed).values, grid)
+        v = _normalize(spec, _initial_guess(spec, grid, seed), grid)
         den = _evaluate(spec, v, grid)[1]
         m = float(np.mean(v * v))
         e = v * v / m - 1.0
@@ -710,7 +709,7 @@ class TestCertifyConstant:
         # iterations on any circle; with the symbol in mode numbers alone,
         # Poincare n = 3 took 647 iterations at L = 100 on 256 points
         grid = dlss.make_grid(length, n_points)
-        starts = np.array([_initial_guess(spec, grid, seed).values for seed in (0, 1, 2)])
+        starts = np.array([_initial_guess(spec, grid, seed) for seed in (0, 1, 2)])
         for res in _descend(spec, grid, starts):
             assert res.converged
             assert res.rel_error < 1e-6
@@ -735,8 +734,8 @@ class TestBlockDescent:
     def run(spec, grid, seeds, evaluate=_evaluate):
         """(block results, oracle runs) of the starts of these seeds."""
         starts = [_initial_guess(spec, grid, seed) for seed in seeds]
-        oracles = [oracle_descent(spec, u, evaluate) for u in starts]
-        results = _descend(spec, grid, np.array([u.values for u in starts]))
+        oracles = [oracle_descent(spec, grid, u, evaluate) for u in starts]
+        results = _descend(spec, grid, np.array(starts))
         assert [summary(res) for res in results] == [oracle[0] for oracle in oracles]
         return results, oracles
 
@@ -749,7 +748,7 @@ class TestBlockDescent:
         best = max(results, key=lambda res: (res.converged, -res.value))
         assert summary(dlss.certify_constant(spec, grid)) == summary(best)
         # one start is a block of one
-        assert summary(_descend(spec, grid, _initial_guess(spec, grid, 1).values[None])[0]) == oracles[1][0]
+        assert summary(_descend(spec, grid, _initial_guess(spec, grid, 1)[None])[0]) == oracles[1][0]
 
     def test_rows_stop_at_different_iterations(self):
         # the middle row descends 4 iterations after the first has left
@@ -786,7 +785,7 @@ class TestBlockDescent:
         assert all(res.converged and res.rel_error <= 1e-12 for res in results)
 
     def test_degenerate_start_raises(self, grid64):
-        starts = np.array([_initial_guess(poincare(1), grid64, seed).values for seed in (0, 1)])
+        starts = np.array([_initial_guess(poincare(1), grid64, seed) for seed in (0, 1)])
         starts = np.insert(starts, 1, 2.0, axis=0)  # a constant middle row
         with pytest.raises(dlss.DegenerateDenominator):
             _descend(poincare(1), grid64, starts)
@@ -796,7 +795,7 @@ class TestBlockDescent:
         # oracle and the library alike; the block that holds the first is
         # redone a row at a time
         spec = log_sobolev(1)
-        plain = [oracle_descent(spec, _initial_guess(spec, grid256, seed))[3] for seed in (0, 1, 2)]
+        plain = [oracle_descent(spec, grid256, _initial_guess(spec, grid256, seed))[3] for seed in (0, 1, 2)]
         marked = {plain[0][1], plain[2][3]}
         blocks = []
 
@@ -814,7 +813,7 @@ class TestBlockDescent:
 
     def test_trial_that_cannot_be_normalised(self, grid64):
         spec = poincare(1)
-        raw = np.array([_initial_guess(spec, grid64, seed).values for seed in (0, 1, 2)])
+        raw = np.array([_initial_guess(spec, grid64, seed) for seed in (0, 1, 2)])
         raw[1] = 2.0
         cand, q, vhat, ghat, counted = _trials(spec, raw, grid64)
         assert counted.tolist() == [1, 0, 1]

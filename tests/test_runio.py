@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +18,7 @@ from dlss.runio import (
     identity_suite,
     parse_config,
     read_timeseries,
+    write_atomic,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -233,6 +236,33 @@ class TestTimeseriesRoundTrip:
     def test_no_temporary_files_left_behind(self, short_trajectory, tmp_path):
         emit_timeseries(short_trajectory, str(tmp_path / "run.csv"))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+
+    @pytest.fixture(params=[0o022, 0o077], ids=oct)
+    def umask(self, request):
+        previous = os.umask(request.param)
+        try:
+            yield request.param
+        finally:
+            os.umask(previous)
+
+    def test_new_file_takes_the_mode_open_gives(self, umask, tmp_path):
+        # mkstemp's 0o600 would hide the file from group and others
+        write_atomic(str(tmp_path / "new.json"), "{}\n")
+        with open(tmp_path / "plain.json", "w") as handle:
+            handle.write("{}\n")
+        mode = stat.S_IMODE(os.stat(tmp_path / "new.json").st_mode)
+        assert mode == stat.S_IMODE(os.stat(tmp_path / "plain.json").st_mode) == 0o666 & ~umask
+        assert os.umask(umask) == umask  # reading the umask left it as it was
+
+    @pytest.mark.parametrize("mode", [0o644, 0o640, 0o604], ids=oct)
+    def test_replaced_file_keeps_its_mode(self, umask, tmp_path, mode):
+        path = tmp_path / "run.json"
+        path.write_text("old\n")
+        os.chmod(path, mode)
+        write_atomic(str(path), "new\n")
+        assert path.read_text() == "new\n"
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
     def test_write_failure_cleans_up(self, short_trajectory, tmp_path):
         target = tmp_path / "no_such_dir" / "run.csv"
