@@ -24,9 +24,9 @@ each step at the quadratic extrapolation 3 y_k - 3 y_{k-1} + y_{k-2}
 through the last three levels, or at the secant 2 y_k - y_{k-1} while
 only two are known, if its residual is below that of y_k, which is free:
 F(y_k; y_k) is the previous step's accepted residual minus
-(e^{y_k} - e^{y_{k-1}}) / tau.  A retry or a tau halving drops the older
-levels, so the step after it starts at y_k, as the first step and the
-retry and halving paths do.  Every accepted iterate passes the
+(e^{y_k} - e^{y_{k-1}}) / tau.  A tau halving drops the older levels,
+so the step after it starts at y_k, as the first step and the halved
+steps do.  Every accepted iterate passes the
 same residual tolerance.  Records copy e^y, y and D2 y of the accepted
 level and are reduced a block at a time (``_Records``): they take no
 logarithm of u and no derivative, and only min_u on a coarse grid takes
@@ -41,7 +41,7 @@ takes no transform of its own.  It is read at t = 0, after
 every accepted step on a coarser grid and before steps 2, 4, 8, ... on
 the requested one, where it can only halve; the run halves when a
 coarser grid passes and doubles when its own grid fails.  A switch
-truncates or zero-pads the kept spectrum of y and is handled as a retry is:
+truncates or zero-pads the kept spectrum of y and is handled as a halving is:
 the chord LU is refreshed and the older levels are dropped.  Records are
 sums on the grid the step ran on, except min_u, which is taken at the
 requested nodes, where final_y is returned, resampled from the kept
@@ -295,10 +295,9 @@ def _newton_loop(
     grid: PeriodicGrid, config: SolverConfig, workspace: _NewtonWorkspace,
 ) -> tuple[_Level, int]:
     """Damped chord Newton on one step from ``level``; returns the accepted
-    level and the iteration count.  The workspace factor is kept until
-    either the line search fails or an iteration that stays above the
-    tolerance has a contraction factor |F_new| / |F_old| above
-    _REFRESH_CONTRACTION."""
+    level and the iteration count.  The workspace factor is refreshed after
+    an iteration that stays above the tolerance with |F_new| / |F_old|
+    above _REFRESH_CONTRACTION, and within one whose stale factor fails."""
     iters = 0
     while level.rnorm > config.newton_tol:
         if iters >= _MAX_NEWTON:
@@ -310,17 +309,17 @@ def _newton_loop(
             )
         if workspace.factor is None:
             workspace.refresh(level.y, grid, config)
-        delta = workspace.factor.solve(-level.r)
         try:
+            delta = workspace.factor.solve(-level.r)
             trial = _line_search(level, delta, ey_prev, grid, config, iters)
-        except NoConvergence:
+        except (NoConvergence, SingularJacobian):
             if workspace.stale:
-                # the stale factor pointed uphill; retry iteration with a fresh one
+                # a reused factor's step was not finite or went uphill; redo with a fresh one
                 workspace.invalidate()
                 continue
             raise
 
-        contraction = trial.rnorm / level.rnorm if level.rnorm > 0.0 else 0.0
+        contraction = trial.rnorm / level.rnorm
         level = trial
         iters += 1
         # a trial that meets the tolerance ends the loop; its ratio may be
@@ -339,19 +338,9 @@ def _advance(
     """One macro step of size config.tau from the accepted level ``base``,
     Newton entering at ``start``, recursively halving tau on failure.
     Returns the accepted level, the iterations and ``clean``, which is
-    False when the step needed a retry or a halving."""
-    entered_with_factor = workspace.factor is not None
+    False when the step needed a halving."""
     try:
-        try:
-            return (*_newton_loop(start, base.ey, grid, config, workspace), True)
-        except (NoConvergence, SingularJacobian):
-            if not entered_with_factor:
-                raise
-            # the factor recycled from the previous step may just be too
-            # stale; one clean retry from y before touching tau
-            workspace.invalidate()
-            plain = _evaluate(base.y, base.ey, grid, config)
-            return (*_newton_loop(plain, base.ey, grid, config, workspace), False)
+        return (*_newton_loop(start, base.ey, grid, config, workspace), True)
     except (NoConvergence, SingularJacobian) as exc:
         if depth >= _MAX_TAU_HALVINGS:
             raise NoConvergence(
@@ -584,7 +573,7 @@ def solve(
         if config.backend.order == 0 and (coarse.n_points < n or k & (k - 1) == 0):
             size = _resolving_size(level, coarse.n_points, n, grid.length, config)
             if size != coarse.n_points:
-                # a switch is handled as a retry is: F(y_k; y_k) on the new
+                # a switch is handled as a halving is: F(y_k; y_k) on the new
                 # grid, no older levels and a fresh factor
                 y = _resample(level.y_hat, coarse.n_points, size)
                 coarse = PeriodicGrid(grid.length, size)
@@ -611,7 +600,7 @@ def solve(
         if clean:
             older, old, level = old, level, new
         else:
-            # a retry or a halving drops the older levels; the next step
+            # a halving drops the older levels; the next step
             # starts at F(y_k; y_k)
             older = old = None
             level = _evaluate(new.y, new.ey, coarse, config)
