@@ -7,13 +7,21 @@ diagonals as an array, numbers the nodes 0, n-1, 1, n-2, ..., which makes
 them an ordinary band of twice the halfwidth, and factorises it with
 LAPACK's band LU (``dgbtrf``), so for a fixed halfwidth its storage and
 its factor-once / solve-many work grow like N instead of N^2 / N^3.
-``import dlss`` loads no scipy: ``scipy.linalg`` loads with the first
-factorisation.
+``import dlss`` loads no scipy.  The first factorisation loads scipy's
+LAPACK extension ``scipy.linalg._flapack`` on its own (about 0.02 s and
+3 MB resident), not the ``scipy.linalg`` package (about 0.2 s and 26 MB):
+the four routines used here are the very objects ``scipy.linalg.lapack``
+re-exports, so the results keep their bits.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import sys
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -21,23 +29,57 @@ from .errors import SingularJacobian
 
 __all__ = ["DenseLU", "CyclicBandedLU"]
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack():
+    """scipy's f2py LAPACK module, loaded without the ``scipy.linalg`` package.
+
+    ``sys.modules`` is the one cache: an entry made by an earlier
+    ``import scipy.linalg`` is used as it is, and a module loaded here is
+    registered under its own name, so a later ``import scipy.linalg``
+    reuses it instead of loading the extension a second time.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    import scipy  # cheap, and runs scipy's platform library set-up
+
+    for folder in scipy.__path__:
+        loaders = (ExtensionFileLoader, EXTENSION_SUFFIXES)
+        spec = FileFinder(os.path.join(folder, "linalg"), loaders).find_spec(_FLAPACK)
+        if spec is not None:
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return sys.modules.setdefault(_FLAPACK, module)
+    raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension {_FLAPACK}")
+
+
+def _all_finite(out: np.ndarray) -> bool:
+    """Whether every entry of the vector ``out`` is finite.  A finite sum of
+    squares says so at a third of the cost of ``np.isfinite``; only an
+    overflowing or non-finite one takes the exact test."""
+    return math.isfinite(out.dot(out)) or bool(np.isfinite(out).all())
+
 
 class DenseLU:
     """LAPACK's dense LU (``dgetrf`` / ``dgetrs``) with the package's error type."""
 
     def __init__(self, mat: np.ndarray):
-        from scipy.linalg.lapack import dgetrf, dgetrs
-
-        lu, piv, info = dgetrf(mat)
+        lapack = _flapack()
+        lu, piv, info = lapack.dgetrf(mat)
         # info > 0 is an exactly zero pivot: singular, whatever the right-hand side
         if info != 0 or not np.isfinite(lu).all():
             raise SingularJacobian(f"dense LU failed (getrf info {info}) or was non-finite")
         self._lu = (lu, piv)
-        self._getrs = dgetrs
+        self._getrs = lapack.dgetrs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for one right-hand side vector.  A finite solution whose sum
+        of squares overflows emits numpy's overflow warning, outside
+        ``dlss.solve``'s ``np.errstate``, but is returned."""
         out, info = self._getrs(*self._lu, rhs)
-        if info != 0 or not np.isfinite(out).all():
+        if info != 0 or not _all_finite(out):
             raise SingularJacobian(f"dense solve failed (getrs info {info}) or was non-finite")
         return out
 
@@ -79,8 +121,6 @@ class CyclicBandedLU:
     """
 
     def __init__(self, diagonals: np.ndarray, halfwidth: int):
-        from scipy.linalg.lapack import dgbtrf, dgbtrs
-
         if halfwidth < 1:
             raise ValueError(f"halfwidth must be positive, got {halfwidth}")
         if diagonals.ndim != 2 or diagonals.shape[0] != 2 * halfwidth + 1:
@@ -93,16 +133,18 @@ class CyclicBandedLU:
         ab = np.bincount(
             _band_slots(n, halfwidth), diagonals.ravel(), minlength=(3 * width + 1) * n
         ).reshape((3 * width + 1, n), order="F")
-        self._lu, self._piv, info = dgbtrf(ab, width, width, overwrite_ab=True)
+        lapack = _flapack()
+        self._lu, self._piv, info = lapack.dgbtrf(ab, width, width, overwrite_ab=True)
         if info != 0 or not np.isfinite(self._lu).all():
             raise SingularJacobian(f"banded LU failed (gbtrf info {info}) or was non-finite")
         self._width = width
-        self._gbtrs = dgbtrs
+        self._gbtrs = lapack.dgbtrs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for one right-hand side vector; overflow as in ``DenseLU.solve``."""
         folded, info = self._gbtrs(
             self._lu, self._width, self._width, rhs[self._order], self._piv, overwrite_b=True
         )
-        if info != 0 or not np.isfinite(folded).all():
+        if info != 0 or not _all_finite(folded):
             raise SingularJacobian(f"banded solve failed (gbtrs info {info}) or was non-finite")
         return folded[self._place]

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -5,12 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 from conftest import cyclic_dense
 from scipy.linalg import lu_factor, lu_solve
 
 import dlss
 from dlss import FD2, FD4, Field, FieldKind, LinearSolver, SolverConfig
-from dlss.linalg import CyclicBandedLU, DenseLU, _fold
+from dlss.linalg import CyclicBandedLU, DenseLU, _flapack, _fold
 from dlss.rng import SplitMix64
 from dlss.solver import jacobian
 
@@ -52,6 +54,22 @@ class TestDenseLU:
         mat = np.ones((8, 8))
         with pytest.raises(dlss.SingularJacobian):
             DenseLU(mat)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_on_diagonal_matrix(self, entry):
+        rhs = np.ones(8)
+        rhs[3] = entry
+        with pytest.raises(dlss.SingularJacobian, match="non-finite"):
+            DenseLU(np.eye(8)).solve(rhs)
+
+    def test_finite_solution_whose_square_sum_overflows_is_returned(self):
+        # the cheap check (a finite sum of squares) fails here, and the
+        # exact one must find every entry finite
+        rhs = np.ones(8)
+        rhs[3] = 1e200
+        with np.errstate(over="ignore"):
+            out = DenseLU(np.diag(np.full(8, 2.0))).solve(rhs)
+        assert np.array_equal(out, rhs / 2.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_solution_raises(self, bad):
@@ -168,44 +186,102 @@ class TestCyclicBandedLU:
             assert np.allclose(mat @ lu.solve(rhs), rhs, atol=1e-11)
 
 
+def _run(code, env):
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+# scipy.linalg and scipy.sparse modules in a process
+_SCIPY_PARTS = (
+    "def scipy_parts():\n"
+    "    return sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse')))\n"
+)
+
+
 def test_import_leaves_scipy_sparse_unloaded(package_env):
-    # import dlss loads numpy only; scipy.linalg loads with the first dense
-    # factorisation, which must still work in the same process
+    # import dlss loads numpy only; the first dense factorisation loads
+    # scipy's LAPACK extension, and not the scipy.linalg package
     code = (
         "import sys, numpy as np, dlss, dlss.cli\n"
-        "def scipy_parts():\n"
-        "    return sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse')))\n"
-        "print(scipy_parts())\n"
+        + _SCIPY_PARTS
+        + "print(scipy_parts())\n"
         "grid = dlss.make_grid(2.0 * np.pi, 16)\n"
         "u0 = dlss.Field(grid, np.exp(0.3 * np.sin(grid.nodes)), dlss.FieldKind.DENSITY)\n"
         "traj = dlss.solve(u0, 1e-3, dlss.SolverConfig(tau=1e-3))\n"
-        "print(traj.records[-1].newton_iters > 0, np.isfinite(traj.final_y.values).all(),\n"
-        "      'scipy.linalg' in scipy_parts())"
+        "print(traj.records[-1].newton_iters > 0, np.isfinite(traj.final_y.values).all())\n"
+        "print(scipy_parts())"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=package_env
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["[]", "True True True"]
+    assert _run(code, package_env).splitlines() == [
+        "[]",
+        "True True",
+        "['scipy.linalg._flapack']",
+    ]
 
 
 def test_banded_solve_leaves_scipy_sparse_unloaded(package_env):
-    # scipy < 1.17 loads scipy.sparse with scipy.linalg itself, so only the
-    # modules a banded solve adds beyond a bare LAPACK import are dlss's
     code = (
-        "import sys, numpy as np, dlss, scipy.linalg.lapack\n"
-        "def sparse_parts():\n"
-        "    return {m for m in sys.modules if m.startswith('scipy.sparse')}\n"
-        "baseline = sparse_parts()\n"
-        "grid = dlss.make_grid(2.0 * np.pi, 64)\n"
+        "import sys, numpy as np, dlss\n"
+        + _SCIPY_PARTS
+        + "grid = dlss.make_grid(2.0 * np.pi, 64)\n"
         "u0 = dlss.Field(grid, 1.0 + 0.3 * np.sin(grid.nodes), dlss.FieldKind.DENSITY)\n"
         "config = dlss.SolverConfig(tau=1e-3, backend=dlss.FD4, "
         "linear_solver=dlss.LinearSolver.BANDED)\n"
         "traj = dlss.solve(u0, 0.005, config)\n"
-        "print(len(traj.records), sorted(sparse_parts() - baseline))"
+        "print(len(traj.records), scipy_parts())"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=package_env
+    assert _run(code, package_env) == "6 ['scipy.linalg._flapack']\n"
+
+
+def test_missing_lapack_extension_names_the_scipy_version(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no"):
+        _flapack()
+
+
+# a spectral/dense and an fd4/banded solve; ``finals`` holds their final_y bytes
+_TWO_SOLVES = (
+    "grid = dlss.make_grid(2.0 * np.pi, 64)\n"
+    "u0 = dlss.Field(grid, 1.0 + 0.3 * np.sin(grid.nodes), dlss.FieldKind.DENSITY)\n"
+    "banded = dlss.SolverConfig(tau=1e-3, backend=dlss.FD4, "
+    "linear_solver=dlss.LinearSolver.BANDED)\n"
+    "finals = [dlss.solve(u0, 0.005, config).final_y.values.tobytes().hex()\n"
+    "          for config in (dlss.SolverConfig(tau=1e-3), banded)]\n"
+)
+
+
+@pytest.mark.parametrize("scipy_linalg_first", [False, True])
+def test_scipy_linalg_shares_the_lapack_extension(package_env, scipy_linalg_first):
+    # only a fresh process reaches the loader's cold path: this module
+    # imports scipy.linalg at collection
+    code = (
+        "import json, sys, numpy as np, dlss\n"
+        + ("import scipy.linalg\n" if scipy_linalg_first else "")
+        + _TWO_SOLVES
+        + "package_before = 'scipy.linalg' in sys.modules\n"
+        "import scipy.linalg\n"
+        "from dlss.linalg import _flapack\n"
+        "lapack = _flapack()\n"
+        "a = np.array([[1.0, 2.0], [3.0, 4.0]])\n"
+        "ab = np.array([[0.0, 1.0], [4.0, 4.0], [1.0, 0.0]])\n"
+        "print(json.dumps({\n"
+        "    'package_before': package_before,\n"
+        "    'registered': sys.modules['scipy.linalg._flapack'] is lapack,\n"
+        "    'same_routines': [getattr(scipy.linalg.lapack, name) is getattr(lapack, name)\n"
+        "                      for name in ('dgetrf', 'dgetrs', 'dgbtrf', 'dgbtrs')],\n"
+        "    'lu_factor': scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), [1.0, 1.0]).tolist(),\n"
+        "    'solve_banded': scipy.linalg.solve_banded((1, 1), ab, [5.0, 5.0]).tolist(),\n"
+        "    'finals': finals,\n"
+        "}))"
     )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["6", "[]"]
+    got = json.loads(_run(code, package_env))
+    here = {"np": np, "dlss": dlss}
+    exec(_TWO_SOLVES, here)
+    assert got["package_before"] is scipy_linalg_first
+    assert got["registered"]
+    assert got["same_routines"] == [True] * 4
+    assert np.allclose(got["lu_factor"], [-1.0, 1.0], rtol=0.0, atol=1e-15)
+    assert np.allclose(got["solve_banded"], [1.0, 1.0], rtol=0.0, atol=1e-15)
+    # bit-equal to this process, which took scipy.linalg's own module
+    assert got["finals"] == here["finals"]
