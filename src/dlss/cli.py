@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import DlssError, ParseError, ValidationError
-from .grid import BACKENDS, DiffBackend, make_grid
+from .grid import DiffBackend, make_grid
 from .inequalities import QuotientKind, QuotientSpec, certify_constant, heatflow_verify
 from .runio import (
     _fit_pairs,
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--seed", type=int)
     p_id.add_argument("--L", type=float, default=2.0 * math.pi)
     p_id.add_argument("--N", type=int, default=256)
-    p_id.add_argument("--backend", choices=list(BACKENDS))
+    p_id.add_argument("--backend", choices=list(DiffBackend.__members__))
     p_id.add_argument("--n-modes", type=int)
     p_id.add_argument("--output", default=None)
     p_id.set_defaults(func=_cmd_identity)

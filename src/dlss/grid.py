@@ -29,10 +29,11 @@ symbol, each (i k)^order twice; that equals the complex product up to
 the sign of a zero.
 
 The admissibility rules that every grid, density and time integration
-share live here too: the size rule, checked only by ``PeriodicGrid``
-(its length rule ``_check_length`` also checks a decay fit's circumference),
-``_check_positive`` (the positivity floor) and ``_lattice_steps`` (a
-horizon on the uniform time-step lattice).
+share live here too: the size rule, checked only by ``PeriodicGrid``;
+``_check_positive_finite``, the one rule for a scalar that must be
+positive and finite (a grid's or a decay fit's circumference, a time step,
+a horizon and the Newton tolerance); ``_check_positive`` (the positivity
+floor) and ``_lattice_steps`` (a horizon on the uniform time-step lattice).
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "FieldKind",
     "Field",
     "DiffBackend",
-    "BACKENDS",
     "SPECTRAL",
     "FD2",
     "FD4",
@@ -102,24 +102,22 @@ def _check_finite(values: np.ndarray, what: str = "field values") -> np.ndarray:
     return values
 
 
-def _check_length(length: float) -> None:
-    """``ValidationError`` naming ``length`` unless it is positive and
-    finite: the circumference rule of every grid and of a decay fit."""
-    if not np.isfinite(length) or length <= 0.0:
-        raise ValidationError("length", f"must be positive and finite, got {length!r}")
+def _check_positive_finite(name: str, value: float) -> None:
+    """``ValidationError`` naming ``name`` unless ``value`` is positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(name, f"must be positive and finite, got {value!r}")
 
 
 def _lattice_steps(t_final: float, step: float, step_name: str) -> int:
     """Number of steps of size ``step`` that end exactly at ``t_final``.
 
-    ``step`` must be positive and finite, ``t_final`` positive, finite and
-    an integer multiple of ``step`` to within one part in 1e-8; otherwise
-    ``ValueError`` naming ``step_name``.
+    ``step`` and ``t_final`` must be positive and finite, else
+    ``ValidationError`` naming ``step_name`` or ``t_final``, and
+    ``t_final`` an integer multiple of ``step`` to within one part in
+    1e-8, else ``ValueError``.
     """
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"{step_name} must be positive and finite, got {step!r}")
-    if not (math.isfinite(t_final) and t_final > 0.0):
-        raise ValueError(f"t_final must be positive and finite, got {t_final!r}")
+    _check_positive_finite(step_name, step)
+    _check_positive_finite("t_final", t_final)
     n_steps = int(round(t_final / step))
     if n_steps < 1 or abs(n_steps * step - t_final) > 1e-8 * max(1.0, t_final):
         raise ValueError(
@@ -145,7 +143,7 @@ class PeriodicGrid:
     n_points: int
 
     def __post_init__(self):
-        _check_length(self.length)
+        _check_positive_finite("length", self.length)
         if self.n_points % 2 != 0:
             raise ValidationError("n_points", f"must be even, got odd value {self.n_points}")
         if self.n_points < 8:
@@ -210,70 +208,55 @@ class Field:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class DiffBackend:
-    """Choice of discrete differentiation rule.
+class DiffBackend(enum.Enum):
+    """Choice of discrete differentiation rule; each member's name is its
+    command-line and run-file name, and its value its consistency
+    ``order``, 0 for spectral (exact).
 
-    ``SPECTRAL`` differentiates in Fourier space; odd derivatives zero the
+    ``spectral`` differentiates in Fourier space; odd derivatives zero the
     Nyquist mode (its sawtooth has no well-defined odd derivative on the
-    collocation grid).  ``DiffBackend(order)`` with order 2 or 4 composes
-    the classical periodic central stencils of that consistency order;
-    higher derivatives are built by stencil convolution, so
-    D^(4) = D^(2) o D^(2) holds exactly, matching the operator products
-    used by the time stepper.
+    collocation grid).  ``fd2`` and ``fd4`` compose the classical periodic
+    central stencils of that consistency order; higher derivatives are
+    built by stencil convolution, so D^(4) = D^(2) o D^(2) holds exactly,
+    matching the operator products used by the time stepper.
     """
 
-    order: int  # consistency order; 0 for spectral (exact)
+    spectral = 0
+    fd2 = 2
+    fd4 = 4
 
-    def __post_init__(self):
-        if self.order not in (0, 2, 4):
-            raise ValueError(f"backend order must be 0 (spectral), 2 or 4, got {self.order}")
+    def __init__(self, order: int):
+        # a plain attribute, read by every residual evaluation
+        self.order = order
 
-    @property
-    def name(self) -> str:
-        return f"fd{self.order}" if self.order else "spectral"
-
-    @staticmethod
-    def from_name(name: str) -> "DiffBackend":
+    @classmethod
+    def from_name(cls, name: str) -> "DiffBackend":
         try:
-            return BACKENDS[name.lower()]
+            return cls[name.lower()]
         except KeyError:
             raise ValueError(
-                f"unknown backend {name!r}; expected one of {sorted(BACKENDS)}"
+                f"unknown backend {name!r}; expected one of {sorted(cls.__members__)}"
             ) from None
 
 
-SPECTRAL = DiffBackend(0)
-FD2 = DiffBackend(2)
-FD4 = DiffBackend(4)
-
-# Backends by name, the one table behind ``from_name`` and the command line.
-BACKENDS = {"spectral": SPECTRAL, "fd2": FD2, "fd4": FD4}
-
-
-@lru_cache(maxsize=None)
-def _spectral_symbol(n: int, order: int, length: float) -> np.ndarray:
-    """Read-only multiplier (i k)^order on the rfft modes of an n-point
-    grid of circumference ``length``; odd orders zero the Nyquist mode."""
-    wave = (2.0 * np.pi / length) * np.arange(n // 2 + 1)
-    symbol = (1j * wave) ** order
-    if order % 2 == 1:
-        symbol[-1] = 0.0
-    symbol.setflags(write=False)
-    return symbol
+SPECTRAL, FD2, FD4 = DiffBackend.spectral, DiffBackend.fd2, DiffBackend.fd4
 
 
 @lru_cache(maxsize=None)
 def _multiplier(n: int, order: int, length: float) -> np.ndarray:
     """What ``_spectrum_derivative`` multiplies an rfft spectrum by for the
-    ``order``-th derivative on an n-point grid, read-only: the complex
-    _spectral_symbol of an odd order; the real (i k)^order of an even one,
-    each value twice, to scale the spectrum's float view, which equals the
+    ``order``-th derivative on an n-point grid of circumference
+    ``length``, read-only: the complex symbol (i k)^order of an odd order,
+    with the Nyquist mode zeroed; the real (i k)^order of an even one, each
+    value twice, to scale the spectrum's float view, which equals the
     complex product up to the sign of a zero."""
-    symbol = _spectral_symbol(n, order, length)
-    if order % 2 == 0:
+    wave = (2.0 * np.pi / length) * np.arange(n // 2 + 1)
+    symbol = (1j * wave) ** order
+    if order % 2 == 1:
+        symbol[-1] = 0.0
+    else:
         symbol = np.repeat(symbol.real, 2)
-        symbol.setflags(write=False)
+    symbol.setflags(write=False)
     return symbol
 
 

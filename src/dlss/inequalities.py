@@ -63,7 +63,6 @@ from .grid import (
     _lattice_steps,
     _multiplier,
     _rfft,
-    _spectral_symbol,
     _spectrum_derivative,
 )
 from .rng import random_smooth_field
@@ -196,16 +195,20 @@ def _evaluate(spec: QuotientSpec, vals: np.ndarray, grid: PeriodicGrid) -> tuple
         shift = np.array([m ** (p - 1.0) for m in vbar.tolist()])[:, None]
         d_den = p * (block ** (p - 1.0) - shift) / (p - 1.0)
         ghat = _rfft(p * (p - 2.0) * block ** (p - 3.0) * dv * dv - q[:, None] * d_den)
-        ghat -= 2.0 * _spectral_symbol(n, 1, grid.length) * _rfft(p * weight * dv)
+        ghat -= 2.0 * _multiplier(n, 1, grid.length) * _rfft(p * weight * dv)
     else:
         sign = -1.0 if spec.n % 2 else 1.0
-        d_num = (2.0 * sign) * _spectral_symbol(n, 2 * spec.n, grid.length)
+        # the real symbol of an even order scales the spectrum's float view
+        d_num = (2.0 * sign) * _multiplier(n, 2 * spec.n, grid.length)
+        floats = vhat.view(float)
         if spec.kind is QuotientKind.POINCARE:
-            ghat = (d_num - (2.0 * q)[:, None]) * vhat  # d of the denominator: 2 (v - vbar)
+            ghat = ((d_num - (2.0 * q)[:, None]) * floats).view(complex)  # d of the denominator: 2 (v - vbar)
             ghat[:, 0] = 0.0
         else:
             e = sq / (np.add.reduce(sq, axis=-1) / n)[:, None] - 1.0  # d of sigma_1(v^2)
-            ghat = d_num * vhat - _rfft((2.0 * q)[:, None] * block * np.log1p(np.maximum(e, _D_FLOOR)))
+            ghat = (d_num * floats).view(complex) - _rfft(
+                (2.0 * q)[:, None] * block * np.log1p(np.maximum(e, _D_FLOOR))
+            )
     ghat /= den[:, None]
     if vals.ndim == 1:
         return float(q[0]), float(den[0]), vhat[0], ghat[0]
@@ -581,7 +584,7 @@ def _flow_dissipation(
             far = np.flatnonzero(deviation.min(axis=-1) < -0.5 * vbar)
             w[far] = np.power(v[far], p / 2.0)
     _rfft(y, out=w_hat)
-    np.multiply(w_hat, _spectral_symbol(n, 1, grid.length), out=spectrum)
+    np.multiply(w_hat, _multiplier(n, 1, grid.length), out=spectrum)
     wx2 = _irfft(spectrum, n, out=wx)
     np.multiply(wx2, wx2, out=wx2)
     wx2_sum = np.add.reduce(wx2, axis=-1) if with_sum else None

@@ -30,19 +30,27 @@ from .errors import SingularJacobian
 __all__ = ["DenseLU", "CyclicBandedLU"]
 
 _FLAPACK = "scipy.linalg._flapack"
+# The module _flapack returns, once it has been found or loaded.
+_lapack = None
 
 
 def _flapack():
     """scipy's f2py LAPACK module, loaded without the ``scipy.linalg`` package.
 
-    ``sys.modules`` is the one cache: an entry made by an earlier
-    ``import scipy.linalg`` is used as it is, and a module loaded here is
-    registered under its own name, so a later ``import scipy.linalg``
-    reuses it instead of loading the extension a second time.
+    An entry made by an earlier ``import scipy.linalg`` is used as it is.
+    A module loaded here is kept in ``_lapack`` and taken out of
+    ``sys.modules``, where the extension's own initialisation puts it:
+    a later ``import scipy.linalg`` that found it there would never set the
+    package's ``_flapack`` attribute.  That import builds its own module
+    over the same routine objects, so both share every LAPACK call.
     """
-    module = sys.modules.get(_FLAPACK)
-    if module is not None:
-        return module
+    global _lapack
+    if _lapack is None:
+        _lapack = sys.modules.get(_FLAPACK) or _load_flapack()
+    return _lapack
+
+
+def _load_flapack():
     import scipy  # cheap, and runs scipy's platform library set-up
 
     for folder in scipy.__path__:
@@ -51,7 +59,8 @@ def _flapack():
         if spec is not None:
             module = module_from_spec(spec)
             spec.loader.exec_module(module)
-            return sys.modules.setdefault(_FLAPACK, module)
+            sys.modules.pop(_FLAPACK, None)
+            return module
     raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension {_FLAPACK}")
 
 

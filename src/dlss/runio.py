@@ -42,7 +42,7 @@ from .grid import (
     FieldKind,
     PeriodicGrid,
     _check_finite,
-    _check_length,
+    _check_positive_finite,
     _derivative,
     _integrate,
     make_grid,
@@ -332,7 +332,7 @@ def default_fit_window(series) -> tuple[float, float]:
 def fit_decay(series, window: tuple[float, float], length: float) -> DecayReport:
     """Fit log E(t) = log E0 - rate * t on the samples inside ``window``
     and compare the rate against the sharp value 32 pi^4 / L^4."""
-    _check_length(length)
+    _check_positive_finite("length", length)
     arr = _fit_pairs(series)
     t_lo, t_hi = window
     mask = (arr[:, 0] >= t_lo) & (arr[:, 0] <= t_hi)

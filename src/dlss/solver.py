@@ -68,6 +68,7 @@ from .grid import (
     FieldKind,
     PeriodicGrid,
     SPECTRAL,
+    _check_positive_finite,
     _derivative,
     _fd_taps,
     _halvings,
@@ -136,12 +137,8 @@ class SolverConfig:
     linear_solver: LinearSolver = LinearSolver.DENSE
 
     def __post_init__(self):
-        for name in ("tau", "newton_tol"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValidationError(name, f"must be positive, got {value}")
-            if value == np.inf:
-                raise ValidationError(name, f"must be finite, got {value}")
+        _check_positive_finite("tau", self.tau)
+        _check_positive_finite("newton_tol", self.newton_tol)
         if self.linear_solver is LinearSolver.BANDED and self.backend.order == 0:
             raise ValidationError(
                 "linear_solver",

@@ -16,6 +16,8 @@ settings.register_profile(
 settings.load_profile("suite")
 
 TWO_PI = 2.0 * math.pi
+# What every positive-finite rule rejects, as a ValidationError naming the value.
+NOT_POSITIVE_FINITE = (0.0, -1.0, math.nan, math.inf, -math.inf)
 
 
 def cyclic_dense(diagonals):

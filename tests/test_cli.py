@@ -230,6 +230,55 @@ class TestSolve:
 
 
 class TestCertify:
+    def test_readme_command_output(self, capsys):
+        # the README's three certify commands, as they stand there, print
+        # these bits
+        commands = re.findall(r"^dlss (certify .*)$", README.read_text(), flags=re.M)
+        assert len(commands) == 3
+        payloads = []
+        for command in commands:
+            code, out, _ = run_cli(capsys, command.split())
+            assert code == 0
+            payloads.append(json.loads(out))
+        assert payloads == [
+            {
+                "L": 6.283185307179586,
+                "N": 256,
+                "analytic": 1.0,
+                "converged": True,
+                "iterations": 8,
+                "kind": "poincare",
+                "n": 1,
+                "rel_error": 2.220446049250313e-16,
+                "residual": 1.8590853388465196e-12,
+                "value": 0.9999999999999998,
+            },
+            {
+                "L": 6.283185307179586,
+                "N": 256,
+                "analytic": 0.5,
+                "converged": True,
+                "iterations": 8,
+                "kind": "logsob",
+                "n": 2,
+                "rel_error": 1.8332927576025781e-07,
+                "residual": 2.9207012485986376e-05,
+                "value": 0.5000000916646379,
+            },
+            {
+                "L": 6.283185307179586,
+                "N": 256,
+                "analytic": 2.0,
+                "converged": True,
+                "iterations": 9,
+                "kind": "convex",
+                "p": 1.5,
+                "rel_error": 2.60375738747598e-08,
+                "residual": 1.6553832154738515e-05,
+                "value": 2.0000000520751477,
+            },
+        ]
+
     def test_poincare_certificate(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -521,6 +570,27 @@ class TestFit:
 
 
 class TestIdentity:
+    def test_readme_command_output(self, capsys):
+        # the README's identity command, as it stands there, prints these bits
+        command = re.findall(r"^dlss (identity .*)$", README.read_text(), flags=re.M)
+        assert len(command) == 1
+        code, out, _ = run_cli(capsys, command[0].split())
+        assert code == 0
+        assert json.loads(out) == {
+            "L": 6.283185307179586,
+            "N": 256,
+            "backend": "spectral",
+            "max_rel_err": {
+                "production_decomposition": 2.1433364870617685e-15,
+                "quartic_identity": 5.995321527667513e-16,
+                "summation_by_parts": 6.407455990196749e-16,
+            },
+            "n_modes": 32,
+            "overall_max_rel_err": 2.1433364870617685e-15,
+            "seed": 0,
+            "trials": 100,
+        }
+
     def test_defaults_are_the_library_defaults(self, capsys):
         # the command passes no option it was not given; L and N are its own
         code, out, _ = run_cli(capsys, ["identity"])

@@ -57,8 +57,7 @@ def test_every_imported_name_is_used(path):
 # reads it: calls per operation (seed 0) of the workload that reads it
 # most, against one uncached call of a few microseconds or more.
 KEPT_CACHES = {
-    "grid._spectral_symbol",  # certify256: 120 calls / op
-    "grid._multiplier",  # decay256: 2 292 calls / op, certify256: 69
+    "grid._multiplier",  # decay256: 2 292 calls / op, certify256: 190 with its gradients
     "grid._fd_taps",  # banded2048: 64.5 calls / op
     "linalg._fold",  # banded2048: 2.2 calls / op, 48 us each
     "linalg._band_slots",  # banded2048: 2.2 calls / op, 168 us each

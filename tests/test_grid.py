@@ -6,18 +6,19 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from conftest import NOT_POSITIVE_FINITE
 from scipy.linalg import circulant
 
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind
 from dlss.grid import (
     PeriodicGrid, _derivative, _fd_taps, _halvings, _integrate, _irfft,
-    _multiplier, _rfft, _spectral_symbol, _spectrum_derivative, diff_matrix,
+    _multiplier, _rfft, _spectrum_derivative, diff_matrix,
 )
 from dlss.rng import random_smooth_field
 
 TWO_PI = 2.0 * math.pi
-BACKENDS = [SPECTRAL, FD2, FD4]
+EVERY_BACKEND = list(dlss.DiffBackend)
 
 
 def smooth_field(grid, seed, amplitude=0.8):
@@ -42,10 +43,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="at least 8"):
             dlss.make_grid(TWO_PI, 6)
 
-    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("length", NOT_POSITIVE_FINITE)
     def test_rejects_bad_length(self, length):
-        with pytest.raises(ValueError):
+        with pytest.raises(dlss.ValidationError) as info:
             dlss.make_grid(length, 16)
+        assert info.value.field == "length"
 
     def test_nodes_read_only(self):
         g = dlss.make_grid(1.0, 8)
@@ -114,14 +116,20 @@ class TestField:
 
 class TestBackends:
     def test_names_round_trip(self):
-        for backend in BACKENDS:
+        # the member names are the command-line, run-file and JSON names
+        assert [backend.name for backend in EVERY_BACKEND] == ["spectral", "fd2", "fd4"]
+        assert EVERY_BACKEND == [SPECTRAL, FD2, FD4]
+        for backend in EVERY_BACKEND:
             assert dlss.DiffBackend.from_name(backend.name) is backend
+        assert dlss.DiffBackend.from_name("FD4") is FD4
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown backend"):
             dlss.DiffBackend.from_name("fd6")
 
     def test_fd_order_validated(self):
+        assert dlss.DiffBackend(2) is FD2
+        assert [backend.order for backend in EVERY_BACKEND] == [0, 2, 4]
         with pytest.raises(ValueError):
             dlss.DiffBackend(3)
 
@@ -160,7 +168,7 @@ class TestSpectralDerivative:
             fhat[-1] = 0.0
         want = np.fft.irfft(fhat, n=n)
         assert np.array_equal(dlss.derivative(Field(grid, values), order).values, want)
-        assert not _spectral_symbol(n, order, grid.length).flags.writeable
+        assert not _multiplier(n, order, grid.length).flags.writeable
 
     @pytest.mark.parametrize("n", [16, 100, 256])
     def test_transform_pair_matches_numpy_fft(self, n):
@@ -182,8 +190,12 @@ class TestSpectralDerivative:
         assert np.array_equal(spectrum, np.fft.rfft(block, axis=-1))
         assert _irfft(hat, n, out=states) is states
         assert np.array_equal(states, np.fft.irfft(hat, n=n, axis=-1))
+        wave = np.arange(n // 2 + 1)  # 2 pi / L = 1
         for order in (1, 2):
-            want = np.fft.irfft(np.fft.rfft(row) * _spectral_symbol(n, order, TWO_PI), n=n)
+            symbol = (1j * wave) ** order
+            if order == 1:
+                symbol[-1] = 0.0  # an odd derivative zeroes the Nyquist mode
+            want = np.fft.irfft(np.fft.rfft(row) * symbol, n=n)
             assert np.array_equal(_derivative(grid, row, order, SPECTRAL), want)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -282,7 +294,7 @@ class TestFiniteDifferences:
 
 
 class TestDiffMatrix:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", EVERY_BACKEND)
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_matches_derivative_op(self, grid64, backend, order):
         f = smooth_field(grid64, 11)
@@ -291,18 +303,18 @@ class TestDiffMatrix:
         scale = max(np.abs(via_op).max(), 1.0)
         assert np.abs(via_op - via_mat).max() < 1e-10 * scale
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", EVERY_BACKEND)
     def test_annihilates_constants(self, grid64, backend):
         mat = diff_matrix(grid64, 2, backend)
         assert np.abs(mat.sum(axis=1)).max() < 1e-10
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", EVERY_BACKEND)
     def test_second_derivative_symmetric(self, grid64, backend):
         mat = diff_matrix(grid64, 2, backend)
         assert np.abs(mat - mat.T).max() < 1e-10
 
     @pytest.mark.parametrize("n", [8, 64, 2048])
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", EVERY_BACKEND)
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_equals_scipy_circulant(self, n, backend, order):
         # the first column is the derivative of the unit impulse at node 0
@@ -350,7 +362,7 @@ class TestQuadrature:
 class TestStructure:
     """Discrete analogues of the integration-by-parts toolbox."""
 
-    @given(seed=st.integers(0, 2 ** 32), backend=st.sampled_from(BACKENDS))
+    @given(seed=st.integers(0, 2 ** 32), backend=st.sampled_from(EVERY_BACKEND))
     def test_summation_by_parts_self_adjoint(self, grid64, seed, backend):
         u = smooth_field(grid64, seed)
         v = smooth_field(grid64, seed + 12345)
@@ -361,7 +373,7 @@ class TestStructure:
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) < 1e-10 * scale
 
-    @given(seed=st.integers(0, 2 ** 32), backend=st.sampled_from(BACKENDS))
+    @given(seed=st.integers(0, 2 ** 32), backend=st.sampled_from(EVERY_BACKEND))
     def test_derivative_integrates_to_zero(self, grid64, seed, backend):
         u = smooth_field(grid64, seed)
         for order in (1, 2):
@@ -372,7 +384,7 @@ class TestStructure:
         seed=st.integers(0, 2 ** 32),
         a=st.floats(-3.0, 3.0),
         b=st.floats(-3.0, 3.0),
-        backend=st.sampled_from(BACKENDS),
+        backend=st.sampled_from(EVERY_BACKEND),
     )
     def test_linearity(self, grid64, seed, a, b, backend):
         u = smooth_field(grid64, seed)

@@ -201,7 +201,8 @@ _SCIPY_PARTS = (
 
 def test_import_leaves_scipy_sparse_unloaded(package_env):
     # import dlss loads numpy only; the first dense factorisation loads
-    # scipy's LAPACK extension, and not the scipy.linalg package
+    # scipy's LAPACK extension, not the scipy.linalg package, and keeps it
+    # out of sys.modules
     code = (
         "import sys, numpy as np, dlss, dlss.cli\n"
         + _SCIPY_PARTS
@@ -215,7 +216,7 @@ def test_import_leaves_scipy_sparse_unloaded(package_env):
     assert _run(code, package_env).splitlines() == [
         "[]",
         "True True",
-        "['scipy.linalg._flapack']",
+        "[]",
     ]
 
 
@@ -230,10 +231,11 @@ def test_banded_solve_leaves_scipy_sparse_unloaded(package_env):
         "traj = dlss.solve(u0, 0.005, config)\n"
         "print(len(traj.records), scipy_parts())"
     )
-    assert _run(code, package_env) == "6 ['scipy.linalg._flapack']\n"
+    assert _run(code, package_env) == "6 []\n"
 
 
 def test_missing_lapack_extension_names_the_scipy_version(monkeypatch, tmp_path):
+    monkeypatch.setattr("dlss.linalg._lapack", None)
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
     with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no"):
@@ -254,7 +256,9 @@ _TWO_SOLVES = (
 @pytest.mark.parametrize("scipy_linalg_first", [False, True])
 def test_scipy_linalg_shares_the_lapack_extension(package_env, scipy_linalg_first):
     # only a fresh process reaches the loader's cold path: this module
-    # imports scipy.linalg at collection
+    # imports scipy.linalg at collection.  In either import order the
+    # package's _flapack attribute resolves, to its sys.modules entry, and
+    # holds the routines dlss calls
     code = (
         "import json, sys, numpy as np, dlss\n"
         + ("import scipy.linalg\n" if scipy_linalg_first else "")
@@ -267,8 +271,9 @@ def test_scipy_linalg_shares_the_lapack_extension(package_env, scipy_linalg_firs
         "ab = np.array([[0.0, 1.0], [4.0, 4.0], [1.0, 0.0]])\n"
         "print(json.dumps({\n"
         "    'package_before': package_before,\n"
-        "    'registered': sys.modules['scipy.linalg._flapack'] is lapack,\n"
-        "    'same_routines': [getattr(scipy.linalg.lapack, name) is getattr(lapack, name)\n"
+        "    'registered': sys.modules['scipy.linalg._flapack'] is scipy.linalg._flapack,\n"
+        "    'same_routines': [getattr(module, name) is getattr(lapack, name)\n"
+        "                      for module in (scipy.linalg.lapack, scipy.linalg._flapack)\n"
         "                      for name in ('dgetrf', 'dgetrs', 'dgbtrf', 'dgbtrs')],\n"
         "    'lu_factor': scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), [1.0, 1.0]).tolist(),\n"
         "    'solve_banded': scipy.linalg.solve_banded((1, 1), ab, [5.0, 5.0]).tolist(),\n"
@@ -280,7 +285,7 @@ def test_scipy_linalg_shares_the_lapack_extension(package_env, scipy_linalg_firs
     exec(_TWO_SOLVES, here)
     assert got["package_before"] is scipy_linalg_first
     assert got["registered"]
-    assert got["same_routines"] == [True] * 4
+    assert got["same_routines"] == [True] * 8
     assert np.allclose(got["lu_factor"], [-1.0, 1.0], rtol=0.0, atol=1e-15)
     assert np.allclose(got["solve_banded"], [1.0, 1.0], rtol=0.0, atol=1e-15)
     # bit-equal to this process, which took scipy.linalg's own module

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import NOT_POSITIVE_FINITE
 
 import dlss
 from dlss import Field, FieldKind, SolverConfig, TimeSeriesRecord
@@ -362,7 +363,7 @@ class TestFitDecay:
         with pytest.raises(ValueError, match="must be finite"):
             default_fit_window(series)
 
-    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("length", NOT_POSITIVE_FINITE)
     def test_rejects_bad_length_as_the_grid_does(self, length):
         # one length rule: the field and message of PeriodicGrid
         with pytest.raises(dlss.ValidationError) as grid_error:
