@@ -20,7 +20,6 @@ from .errors import (
     NonPositiveDensity,
     NonPositiveEntropy,
     ParseError,
-    PositivityLost,
     SingularJacobian,
     ValidationError,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "NonPositiveDensity",
     "NonPositiveEntropy",
     "ParseError",
-    "PositivityLost",
     "SingularJacobian",
     "ValidationError",
     "FD2",

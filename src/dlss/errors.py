@@ -6,7 +6,8 @@ class DlssError(Exception):
 
 
 class NonPositiveDensity(DlssError):
-    """A density field contains values at or below the positivity floor."""
+    """A density field, or a state of a heat flow, has a value at or below
+    the positivity floor."""
 
 
 class SingularJacobian(DlssError):
@@ -29,10 +30,6 @@ class NoConvergence(DlssError):
 
 class DegenerateDenominator(DlssError):
     """Quotient evaluated on a field whose denominator functional vanishes."""
-
-
-class PositivityLost(DlssError):
-    """A heat-flow iterate dropped to (or below) the positivity floor."""
 
 
 class InsufficientData(DlssError):

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateDenominator, PositivityLost
+from .errors import DegenerateDenominator, NonPositiveDensity
 from .grid import (
     POSITIVITY_FLOOR,
     _BLOCK_VALUES,
@@ -830,7 +830,7 @@ def _heat_flow(v0: np.ndarray, grid: PeriodicGrid, p: float, t_final: float, dt:
                 v[0] = v0
             if v.min() <= POSITIVITY_FLOOR:
                 low = np.flatnonzero(v.min(axis=-1) <= POSITIVITY_FLOOR)[0]
-                raise PositivityLost(f"flow state touched the positivity floor at t = {t[low]:.6g}")
+                raise NonPositiveDensity(f"flow state touched the positivity floor at t = {t[low]:.6g}")
             work = tuple(a[:r] for a in (spectrum, w_hat, w, wx, scratch))
             wx2_sum, dissipation[block] = _flow_dissipation(v, deviation, vbar, coarse, p, work, with_f)
             if with_f:

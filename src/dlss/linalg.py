@@ -94,30 +94,24 @@ class DenseLU:
 
 
 @lru_cache(maxsize=None)
-def _fold(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The folded node order 0, n-1, 1, n-2, ... and each node's place in
-    it, read-only.  Nodes at cyclic distance d sit at most 2d places apart."""
+def _band_layout(n: int, halfwidth: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """The folded node order 0, n-1, 1, n-2, ..., each node's place in it,
+    the width kl = ku of the folded band and the slots, read-only.  Nodes
+    at cyclic distance d sit at most 2d places apart.  The slots are the
+    flat column-major index, in the ``dgbtrf`` band storage of the folded
+    matrix, of each entry of the (2 halfwidth + 1, n) diagonals array.
+    Diagonals c and c +- n of a tiny grid share a slot."""
     node = np.arange(n)
     place = np.minimum(2 * node, 2 * (n - 1 - node) + 1)
     order = np.argsort(place)
-    for part in (order, place):
-        part.setflags(write=False)
-    return order, place
-
-
-@lru_cache(maxsize=None)
-def _band_slots(n: int, halfwidth: int) -> np.ndarray:
-    """Flat column-major index, in the ``dgbtrf`` band storage of the
-    folded matrix, of each entry of the (2 halfwidth + 1, n) diagonals
-    array, read-only.  Diagonals c and c +- n of a tiny grid share a slot."""
-    place = _fold(n)[1]
     width = min(2 * halfwidth, n - 1)
-    j = place[(np.arange(n) + np.arange(-halfwidth, halfwidth + 1)[:, None]) % n]
+    j = place[(node + np.arange(-halfwidth, halfwidth + 1)[:, None]) % n]
     # gbtrf keeps entry (i, j) of the folded band matrix, kl = ku = width,
     # at ab[2 width + i - j, j]: flat index 2 width + i - j + j ldab
     slots = (place - j + 2 * width + j * (3 * width + 1)).ravel()
-    slots.setflags(write=False)
-    return slots
+    for part in (order, place, slots):
+        part.setflags(write=False)
+    return order, place, width, slots
 
 
 class CyclicBandedLU:
@@ -137,10 +131,9 @@ class CyclicBandedLU:
                 f"diagonals need shape ({2 * halfwidth + 1}, n), got {diagonals.shape}"
             )
         n = diagonals.shape[1]
-        self._order, self._place = _fold(n)
-        width = min(2 * halfwidth, n - 1)
+        self._order, self._place, width, slots = _band_layout(n, halfwidth)
         ab = np.bincount(
-            _band_slots(n, halfwidth), diagonals.ravel(), minlength=(3 * width + 1) * n
+            slots, diagonals.ravel(), minlength=(3 * width + 1) * n
         ).reshape((3 * width + 1, n), order="F")
         lapack = _flapack()
         self._lu, self._piv, info = lapack.dgbtrf(ab, width, width, overwrite_ab=True)

@@ -59,8 +59,7 @@ def test_every_imported_name_is_used(path):
 KEPT_CACHES = {
     "grid._multiplier",  # decay256: 2 292 calls / op, certify256: 190 with its gradients
     "grid._fd_taps",  # banded2048: 64.5 calls / op
-    "linalg._fold",  # banded2048: 2.2 calls / op, 48 us each
-    "linalg._band_slots",  # banded2048: 2.2 calls / op, 168 us each
+    "linalg._band_layout",  # banded2048: 2.2 calls / op, 48 + 168 us each
     "solver._tail_weights",  # decay256: 1 000 calls / op
     "inequalities._parseval_weights",  # certify256: 169 calls / op
     "inequalities._dissipation_symbol",  # certify256: 52 calls / op

@@ -990,7 +990,7 @@ class TestHeatFlow:
         vals = np.full(256, 1e-9)
         vals[128] = 1.0
         u = Field(grid256, vals, FieldKind.DENSITY)
-        with pytest.raises(dlss.PositivityLost):
+        with pytest.raises(dlss.NonPositiveDensity):
             dlss.heatflow_verify(u, 2.0, 1e-4, 1e-5)
 
     def test_positivity_loss_at_start(self, grid64):
@@ -998,7 +998,7 @@ class TestHeatFlow:
         vals = np.ones(64)
         vals[5] = 1e-200
         u = Field(grid64, vals, FieldKind.DENSITY)
-        with pytest.raises(dlss.PositivityLost, match="at t = 0$"):
+        with pytest.raises(dlss.NonPositiveDensity, match="at t = 0$"):
             dlss.heatflow_verify(u, 1.0, 0.01, 1e-3)
 
     def test_positivity_loss_named_beyond_first_block(self, grid256):
@@ -1012,7 +1012,7 @@ class TestHeatFlow:
             k += 1
         assert k > _BLOCK_VALUES // 256
         u = Field(grid256, vals, FieldKind.DENSITY)
-        with pytest.raises(dlss.PositivityLost, match=f"at t = {k * dt:.6g}$"):
+        with pytest.raises(dlss.NonPositiveDensity, match=f"at t = {k * dt:.6g}$"):
             dlss.heatflow_verify(u, 2.0, 1e-4, dt)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])

@@ -12,7 +12,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 import dlss
 from dlss import FD2, FD4, Field, FieldKind, LinearSolver, SolverConfig
-from dlss.linalg import CyclicBandedLU, DenseLU, _flapack, _fold
+from dlss.linalg import CyclicBandedLU, DenseLU, _band_layout, _flapack
 from dlss.rng import SplitMix64
 from dlss.solver import jacobian
 
@@ -144,7 +144,9 @@ class TestCyclicBandedLU:
         # an entry farther out than kl = ku = 2 halfwidth would land in a
         # band row that numpy wraps to silently, so check every in-band pair
         for n in range(3, 65):
-            order, place = _fold(n)
+            order, place, _, slots = _band_layout(n, 1)
+            # cached for the life of the process, so no caller may write them
+            assert not any(part.flags.writeable for part in (order, place, slots))
             assert np.array_equal(order[place], np.arange(n))
             gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
             cyclic = np.minimum(gap, n - gap)
