@@ -19,6 +19,7 @@ from .errors import DlssError, ParseError, ValidationError
 from .grid import DiffBackend, make_grid
 from .inequalities import QuotientKind, QuotientSpec, certify_constant, heatflow_verify
 from .runio import (
+    _NAME_OF,
     _fit_pairs,
     cosine_density,
     default_fit_window,
@@ -233,6 +234,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ValidationError as exc:
+        # named by what the user wrote: the option, or the run-file key
+        print(f"error: {_NAME_OF.get(exc.field, exc.field)}: {exc.reason}", file=sys.stderr)
+        return 2
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -114,14 +114,14 @@ def _lattice_steps(t_final: float, step: float, step_name: str) -> int:
     ``step`` and ``t_final`` must be positive and finite, else
     ``ValidationError`` naming ``step_name`` or ``t_final``, and
     ``t_final`` an integer multiple of ``step`` to within one part in
-    1e-8, else ``ValueError``.
+    1e-8, else ``ValidationError`` naming ``t_final``.
     """
     _check_positive_finite(step_name, step)
     _check_positive_finite("t_final", t_final)
     n_steps = int(round(t_final / step))
     if n_steps < 1 or abs(n_steps * step - t_final) > 1e-8 * max(1.0, t_final):
-        raise ValueError(
-            f"t_final = {t_final} is not an integer multiple of {step_name} = {step}"
+        raise ValidationError(
+            "t_final", f"{t_final} is not an integer multiple of {step_name} = {step}"
         )
     return n_steps
 

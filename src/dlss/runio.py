@@ -45,6 +45,7 @@ from .grid import (
     _check_positive_finite,
     _derivative,
     _integrate,
+    _lattice_steps,
     make_grid,
 )
 from .rng import SplitMix64, random_log_density
@@ -138,8 +139,11 @@ _DEFAULTS = dict(
 )
 # Each SolverConfig field is the run-file key of the same name.
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
-# The library names what it rejects by argument; these are the run-file keys.
-_KEY_OF = dict(length="L", n_points="N", base="u0_base", amplitude="u0_amplitude", mode="u0_mode")
+# The library names what it rejects by argument; the run file and the CLI
+# options name these arguments alike.
+_NAME_OF = dict(length="L", n_points="N", t_final="T")
+# The run-file keys, which also name the density's arguments.
+_KEY_OF = dict(_NAME_OF, base="u0_base", amplitude="u0_amplitude", mode="u0_mode")
 
 
 def _built(build, *args, key: str | None = None, **kwargs):
@@ -202,6 +206,7 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError("output", f"{output!r} is a directory")
     grid = _built(make_grid, seen["L"], seen["N"])
     solver_config = _built(SolverConfig, **{k: seen[k] for k in _SOLVER_KEYS if k in seen})
+    _built(_lattice_steps, seen["T"], solver_config.tau, "tau")  # T on the tau lattice
     return RunConfig(
         grid, solver_config, seen["T"], _initial_density(grid, seen),
         seen["output"], seen["record_every"],

@@ -228,6 +228,21 @@ class TestSolve:
         assert code == 3
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize(
+        "changes, reason",
+        [
+            (dict(T=0), "must be positive and finite, got 0.0"),
+            (dict(T=0.0105, tau=0.001), "0.0105 is not an integer multiple of tau = 0.001"),
+        ],
+    )
+    def test_rejected_horizon_is_named_by_its_key(self, tmp_path, monkeypatch, capsys, changes, reason):
+        # the run file has no key t_final: a bad T is named T, before any step runs
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(readme_run_file(**changes))
+        code, out, err = run_cli(capsys, ["solve", "--config", "run.cfg"])
+        assert (code, out, err) == (2, "", f"error: T: {reason}\n")
+        assert not (tmp_path / "run.csv").exists()
+
 
 class TestCertify:
     def test_readme_command_output(self, capsys):
@@ -549,9 +564,10 @@ class TestFit:
     @pytest.mark.parametrize("length", ["0", str(-TWO_PI), "nan"])
     def test_rejects_bad_length(self, csv_file, capsys, length):
         code, out, err = run_cli(capsys, ["fit", "--input", str(csv_file), "--L", length])
+        # the library's argument is length; the option is --L
         assert code == 2
         assert out == ""
-        assert "length" in err
+        assert err.startswith("error: L: ")
 
     def test_nonfinite_entropy_exits_2(self, csv_file, capsys):
         lines = csv_file.read_text().splitlines()
@@ -640,6 +656,25 @@ class TestParser:
             with pytest.raises(ValueError):
                 cli._emit_json({"value": value}, None)
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["heatflow", "--L", "0", "--N", "64", "--p", "1", "--T", "0.01", "--dt", "1e-3"], "L"),
+            (["heatflow", "--L", "1", "--N", "64", "--p", "1", "--T", "0", "--dt", "1e-3"], "T"),
+            (["heatflow", "--L", "1", "--N", "64", "--p", "1", "--T", "0.0105", "--dt", "1e-3"], "T"),
+            (["certify", "--kind", "poincare", "--L", "nan", "--N", "64"], "L"),
+            (["certify", "--kind", "logsob", "--L", "1", "--N", "7"], "N"),
+            (["identity", "--L", "-1"], "L"),
+            (["identity", "--N", "7"], "N"),
+        ],
+    )
+    def test_rejected_option_is_named_as_written(self, capsys, argv, name):
+        # the library names its argument (length, n_points, t_final); the
+        # message names the option that set it, as TestFit does for fit --L
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {name}: "), err
 
     @pytest.mark.parametrize(
         "cls",

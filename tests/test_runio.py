@@ -124,6 +124,10 @@ class TestParseConfig:
             (MINIMAL + "u0 = file\n", "u0_path"),
             (MINIMAL + "u0 = constant\nu0_value = 1e-310\n", "u0_value"),
             (MINIMAL.replace("T = 0.01\n", ""), "T"),
+            # the horizon is checked against the tau lattice before any step runs
+            (MINIMAL.replace("T = 0.01", "T = 0"), "T"),
+            (MINIMAL.replace("T = 0.01", "T = nan"), "T"),
+            (MINIMAL.replace("T = 0.01", "T = 0.0105"), "T"),
             (MINIMAL.replace("tau = 0.001\n", ""), "tau"),
         ],
     )
