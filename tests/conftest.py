@@ -20,6 +20,13 @@ TWO_PI = 2.0 * math.pi
 NOT_POSITIVE_FINITE = (0.0, -1.0, math.nan, math.inf, -math.inf)
 
 
+def spec_id(spec):
+    """Test id of a quotient spec: its kind with its order or exponent."""
+    if spec.kind is dlss.QuotientKind.CONVEX_SOBOLEV:
+        return f"convex-p{spec.p:g}"
+    return f"{spec.kind.name.lower()}-n{spec.n}"
+
+
 def cyclic_dense(diagonals):
     """Dense matrix of the cyclic diagonals: row c + h gives (i, (i + c) mod n);
     diagonals that land on one entry of a tiny grid add up."""

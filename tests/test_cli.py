@@ -276,9 +276,9 @@ class TestCertify:
                 "iterations": 8,
                 "kind": "logsob",
                 "n": 2,
-                "rel_error": 1.8332927576025781e-07,
-                "residual": 2.9207012485986376e-05,
-                "value": 0.5000000916646379,
+                "rel_error": 1.8332927220754414e-07,
+                "residual": 2.9206771361548502e-05,
+                "value": 0.5000000916646361,
             },
             {
                 "L": 6.283185307179586,

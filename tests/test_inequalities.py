@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import NOT_POSITIVE_FINITE
+from conftest import NOT_POSITIVE_FINITE, spec_id
 from hypothesis import assume, given, settings, strategies as st
 
 import dlss
@@ -51,12 +51,6 @@ CERTIFIED_KINDS = [
     *(log_sobolev(n) for n in (1, 2, 3)),
     *(convex_sobolev(p) for p in (1.2, 1.5, 1.8, 2.0)),
 ]
-
-
-def spec_id(spec):
-    if spec.kind is QuotientKind.CONVEX_SOBOLEV:
-        return f"convex-p{spec.p:g}"
-    return f"{spec.kind.name.lower()}-n{spec.n}"
 
 
 # u = 1 + 0.5 cos x, p = 1, L = 2 pi: f(0) = int u_x^2 - (1/2) int u^2 log(u^2 / mean)
@@ -244,7 +238,7 @@ def oracle_descent(spec, grid, u_init, evaluate=_evaluate):
     for iters in range(1, dlss.inequalities._MAX_ITERS + 1):
         gphat = ghat * damping
         slope = float(_spectral_dot(grid, ghat, gphat))
-        floor = _DESCENT_TOL * max(abs(q), 1.0)
+        floor = _DESCENT_TOL * abs(q)
         current = (vhat, ghat, gphat)
         if last is not None:
             dx, dg, dgp = (now - before for now, before in zip(current, last))
@@ -699,7 +693,7 @@ class TestCertifyConstant:
         assert abs(den - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize("n_points", [16, 256])
-    @pytest.mark.parametrize("length", [1.0, TWO_PI, 10.0, 100.0])
+    @pytest.mark.parametrize("length", [1.0, TWO_PI, 10.0, 100.0, 1000.0])
     @pytest.mark.parametrize(
         "spec",
         [poincare(1), poincare(3), log_sobolev(1), log_sobolev(2), convex_sobolev(1.2), convex_sobolev(2.0)],

@@ -33,7 +33,7 @@ CERTIFY_ALL_N64 = [
     ("poincare", 1, 2.0, 0.9999999999999996, 1.0, 4.440892098500626e-16, 7, True),
     ("poincare", 2, 2.0, 0.9999999999999998, 1.0, 2.220446049250313e-16, 7, True),
     ("poincare", 3, 2.0, 0.9999999999999996, 1.0, 4.440892098500626e-16, 7, True),
-    ("logsob", 1, 2.0, 0.5000000833203746, 0.5, 1.6664074919958693e-07, 8, True),
+    ("logsob", 1, 2.0, 0.5000000833203746, 0.5, 1.6664074919958693e-07, 9, True),
     ("logsob", 2, 2.0, 0.5000000916646231, 0.5, 1.8332924622832536e-07, 8, True),
     ("logsob", 3, 2.0, 0.5000000932542626, 0.5, 1.8650852529056294e-07, 7, True),
     ("convex", 1, 1.2, 2.0000000733156464, 2.0, 3.665782322137545e-08, 9, True),
