@@ -334,8 +334,9 @@ def _descend(spec: QuotientSpec, grid: PeriodicGrid, starts: np.ndarray) -> list
     converged, as soon as one accepted step lowers the quotient q by at
     most floor, or when backtracking reaches a step s whose first-order
     decrease s h sum(g gp) is at most floor (g the gradient, gp its
-    preconditioned form): no step that still counts decreases q.  A row that runs out of its 4 000 iterations (_MAX_ITERS)
-    returns the best iterate with ``converged`` set to False.
+    preconditioned form): no step that still counts decreases q.  A row
+    that runs out of its 4 000 iterations (_MAX_ITERS) returns the best
+    iterate with ``converged`` set to False.
 
     The log-Sobolev and convex constants are reached only in the linear
     limit v -> vbar (1 + eps phi), so the value is the infimum over fields

@@ -139,10 +139,9 @@ _DEFAULTS = dict(
 )
 # Each SolverConfig field is the run-file key of the same name.
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
-# The library names what it rejects by argument; the run file and the CLI
-# options name these arguments alike.
+# The library names what it rejects by argument: the names the run file and
+# the CLI options share for those arguments, then the run file's u0_* keys.
 _NAME_OF = dict(length="L", n_points="N", t_final="T")
-# The run-file keys, which also name the density's arguments.
 _KEY_OF = dict(_NAME_OF, base="u0_base", amplitude="u0_amplitude", mode="u0_mode")
 
 
