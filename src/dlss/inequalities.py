@@ -78,8 +78,8 @@ __all__ = [
 ]
 
 _DEGENERACY_FLOOR = 1e-14
-# Descent budget of one minimisation; every measured start converges in 4 to 13
-# iterations at L = 0.01 to 1000, so only a descent gone wrong reaches it.
+# Descent budget of one minimisation; every measured start converges in at most
+# 13 iterations at L = 0.01 to 1000, so only a descent gone wrong reaches it.
 _MAX_ITERS = 4000
 # Relative change of the quotient under which one accepted step ends a descent.
 _DESCENT_TOL = 1e-14
@@ -343,8 +343,8 @@ def _descend(spec: QuotientSpec, grid: PeriodicGrid, starts: np.ndarray) -> list
     of amplitude eps = _PIN: the constant C times 1 + O(eps^2), a relative
     excess of ~2e-7 for log-Sobolev and below 4e-8 for convex p < 2
     (rounding level at p = 2, where the quotient is quadratic).  Pinned,
-    every landscape is nearly quadratic and a start converges in 4 to 13
-    iterations at any circle length, most of them without a backtrack.
+    every landscape is nearly quadratic and a start converges in at most
+    13 iterations at any circle length, most of them without a backtrack.
 
     Iterates and candidates are plain arrays.  One evaluation of each
     (``_evaluate``) checks it finite (and, for convex Sobolev, positive)
