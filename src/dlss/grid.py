@@ -10,9 +10,11 @@ accurate for smooth periodic integrands.
 
 Both derivative backends are linear circulant operators; ``diff_matrix``
 returns any of them as an O(N) read-only strided view of the dense
-matrix, which a dense Jacobian copies once per refresh, and banded ones
-are filled from the same taps and shifted slices.  All of it is
-numpy, so ``import dlss`` loads no scipy.
+matrix, which a solve copies once per grid size into the contiguous
+matrix that its dense Jacobians and its residuals on small spectral
+grids multiply by, and banded Jacobians are filled from the same taps
+and shifted slices.  All of it is numpy, so ``import dlss`` loads no
+scipy.
 
 Every library FFT goes through one private pair, ``_rfft`` and
 ``_irfft``: real transforms along the last axis that call numpy's
@@ -21,12 +23,14 @@ passes on numpy >= 2.0, and write into a given or freshly allocated
 output.  The results are the same bits as ``numpy.fft.rfft`` / ``irfft``;
 what the pair skips is the Python wrapper (dtype resolution, axis
 normalisation, output allocation), which costs more than an N = 256
-transform and was paid four times per Newton residual.  A derivative
-differentiates its spectrum in place or into a given buffer, so a Newton
-residual keeps the rfft of y and both its second derivatives fill one
-second buffer.  Even orders scale the spectrum's float view by a real
-symbol, each (i k)^order twice; that equals the complex product up to
-the sign of a zero.
+transform.  A spectral Newton residual on more than 128 points takes
+four transforms; on fewer, two products with the D2 matrix cost less
+(``solver._PRODUCT_POINTS``).  A derivative differentiates its spectrum
+in place or into a given buffer, so a four-transform residual keeps the
+rfft of y and both its second derivatives fill one second buffer.  Even
+orders scale the spectrum's float view by a real symbol, each
+(i k)^order twice; that equals the complex product up to the sign of a
+zero.
 
 The admissibility rules that every grid, density and time integration
 share live here too: the size rule, checked only by ``PeriodicGrid``;
@@ -113,13 +117,13 @@ def _lattice_steps(t_final: float, step: float, step_name: str) -> int:
 
     ``step`` and ``t_final`` must be positive and finite, else
     ``ValidationError`` naming ``step_name`` or ``t_final``, and
-    ``t_final`` an integer multiple of ``step`` to within one part in
-    1e-8, else ``ValidationError`` naming ``t_final``.
+    ``t_final`` an integer multiple of ``step`` to within 1e-8 t_final,
+    at every scale alike, else ``ValidationError`` naming ``t_final``.
     """
     _check_positive_finite(step_name, step)
     _check_positive_finite("t_final", t_final)
     n_steps = int(round(t_final / step))
-    if n_steps < 1 or abs(n_steps * step - t_final) > 1e-8 * max(1.0, t_final):
+    if n_steps < 1 or abs(n_steps * step - t_final) > 1e-8 * t_final:
         raise ValidationError(
             "t_final", f"{t_final} is not an integer multiple of {step_name} = {step}"
         )

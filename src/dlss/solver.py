@@ -35,18 +35,24 @@ per block.
 
 On the spectral backend ``solve`` runs each step on the coarsest halving
 of the requested grid that the grid rule admits (derived above
-``_tail_weights``).  The rule reads the rfft of y and that of
-D2 (e^y D2 y), both kept by the evaluation that made the level, so it
-takes no transform of its own.  It is read at t = 0, after
+``_tail_weights``).  On a grid of at most ``_PRODUCT_POINTS`` points a
+residual takes D2 y and D2 (e^y D2 y) as two products with the grid's
+contiguous D2 matrix, the one the dense chord Jacobian is assembled
+from; ``solve`` holds one such matrix per grid size while it runs.  On
+a larger grid it takes four transforms.  The rule reads the rfft of y
+and that of D2 (e^y D2 y): on a larger grid both kept by the evaluation
+that made the level, on a product grid taken by three transforms of its
+own per read, so it reads the same bits for the same y on either.  It
+is read at t = 0, after
 every accepted step on a coarser grid and before steps 2, 4, 8, ... on
 the requested one, where it can only halve; the run halves when a
 coarser grid passes and doubles when its own grid fails.  A switch
-truncates or zero-pads the kept spectrum of y and is handled as a halving is:
+truncates or zero-pads the spectrum of y and is handled as a halving is:
 the chord LU is refreshed and the older levels are dropped.  Records are
 sums on the grid the step ran on, except min_u, which is taken at the
-requested nodes, where final_y is returned, resampled from the kept
-spectrum of the last level.  fd2 and fd4 runs and
-``jacobian`` stay on the grid they are given.
+requested nodes, where final_y is returned, resampled from the spectrum
+of the last level.  fd2 and fd4 runs and ``jacobian`` stay on the grid
+they are given.
 """
 
 from __future__ import annotations
@@ -118,11 +124,14 @@ class SolverConfig:
     double precision has a noise floor of roughly eps * (pi N / L)^4 *
     |u''| on the N points the steps run on, because high-mode rounding
     debris passes through two second derivatives: about 1e-11 at N = 64
-    and 3e-9 at N = 256 on the unit circle scale.  Tolerances below that
-    floor cannot converge.  A spectral ``solve`` steps on the coarsest
-    grid that resolves y, so the default 1e-8 meets that grid's floor:
-    five steps of tau = 1e-4 from 1 + a cos x on L = 2 pi converge at
-    a = 0.1 and 0.5 up to N = 1024, on 64 and 128 points.  At a = 0.9, y
+    and 3e-9 at N = 256 on the unit circle scale.  A spectral grid of at
+    most 128 points forms F by products with the D2 matrix, which round
+    about twice as coarsely as transforms (``_PRODUCT_POINTS`` has the
+    table).  Tolerances below that floor cannot converge.  A spectral
+    ``solve`` steps on the coarsest grid that resolves y, so the default
+    1e-8 meets that grid's floor: five steps of tau = 1e-4 from
+    1 + a cos x on L = 2 pi converge at a = 0.1 and 0.5 up to N = 1024,
+    on 64 and 128 points.  At a = 0.9, y
     needs 256 points or more at t = 0, and the residual stalls at 5.7e-8
     (N = 256) or 1.1e-6 and above (N >= 512), raising ``NoConvergence``.
     fd2 and fd4 runs keep the full grid and its floor (ROADMAP.md,
@@ -178,11 +187,50 @@ class Trajectory:
     clamped_nodes: int = 0
 
 
+# The largest grid on which a spectral residual takes D2 y and
+# D2 (e^y D2 y) as products with the held matrix rather than as two
+# transform pairs.  There is no option for it: below it the product is
+# faster, above it the product is both slower and rounds worse.
+# - Speed.  One _evaluate (timeit, best of 7, BLAS on one thread, 2-core
+#   Xeon) costs, transforms vs product, 13.5 vs 8.2 us at m = 32, 14.1 vs
+#   7.4 at 64, 16.8 vs 10.1 at 128, 19.6 vs 24.8 at 256, 26 vs 113 at 512
+#   and 37 vs 657 at 1024.
+# - Rounding.  For y = log(1 + 0.1 cos x) on L = 2 pi, against the same
+#   formula in long double (numpy's complex256 FFT), D2 (e^y D2 y) errs
+#   by, transforms vs product, 3.3e-13 vs 5.1e-13 at m = 32, 9.7e-12 vs
+#   1.7e-11 at 64, 1.6e-10 vs 2.9e-10 at 128, 3.2e-9 vs 1.2e-8 at 256
+#   and 7.3e-8 vs 1.8e-7 at 512.
+# With the product on every grid, 300 steps from 1 + 0.1 cos x held on
+# 256 points refreshed the chord LU 4 times instead of once, and the
+# residuals at which the full-grid cells of ROADMAP item 2 stall moved.
+_PRODUCT_POINTS = 128
+
+
+class _Matrices(dict):
+    """Points -> the contiguous D2 matrix np.array(diff_matrix(grid, 2,
+    backend)) of that grid, built on first use.  A solve holds one for
+    as long as it runs, so its residuals and its dense refreshes share
+    one matrix per grid size and none outlives it."""
+
+    __slots__ = ("length", "backend")
+
+    def __init__(self, length: float, backend: DiffBackend):
+        super().__init__()
+        self.length, self.backend = length, backend
+
+    def __missing__(self, n: int) -> Array:
+        # a contiguous copy keeps the products on BLAS
+        matrix = self[n] = np.array(diff_matrix(PeriodicGrid(self.length, n), 2, self.backend))
+        return matrix
+
+
 class _Level:
-    """One iterate y with e^y, F(y), D2 y, |F(y)|_inf and, on the spectral
-    backend, ``y_hat``, the rfft of y, and ``spectrum``, the rfft of
-    D2 (e^y D2 y), all from one residual evaluation; Newton, the next
-    step's start, the grid rule, a grid switch and the records read them."""
+    """One iterate y with e^y, F(y), D2 y, |F(y)|_inf and, when four
+    transforms made F, ``y_hat``, the rfft of y, and ``spectrum``, the
+    rfft of D2 (e^y D2 y), all from one residual evaluation; both are
+    None on fd2 and fd4 and where products made F, on a spectral grid of
+    at most _PRODUCT_POINTS points.  Newton, the next step's start, the
+    grid rule and the records read them."""
 
     __slots__ = ("y", "ey", "r", "d2y", "spectrum", "y_hat", "rnorm")
 
@@ -195,22 +243,42 @@ class _Level:
         self.rnorm = float(np.maximum.reduce(np.abs(r)))
 
 
-def _evaluate(y: Array, ey_prev: Array, grid: PeriodicGrid, config: SolverConfig) -> _Level:
-    """The level at y of the step from the level whose e^y is ey_prev.  On
-    the spectral backend the level keeps the rfft of y, and D2 y is
-    differentiated into a second buffer, where the rfft of e^y D2 y then
-    becomes that of D2 (e^y D2 y)."""
+def _transforms(y: Array, ey: Array, n: int, length: float) -> tuple[Array, Array, Array]:
+    """The rfft of y, the rfft of D2 (e^y D2 y) and D2 y on n spectral
+    points, by three transforms: D2 y is differentiated into a second
+    buffer, where the rfft of e^y D2 y then becomes that of
+    D2 (e^y D2 y)."""
+    d2 = _multiplier(n, 2, length)
+    y_hat, spectrum = np.empty(n // 2 + 1, dtype=complex), np.empty(n // 2 + 1, dtype=complex)
+    d2y = _spectrum_derivative(_rfft(y, out=y_hat), d2, n, out=spectrum)
+    flat = _rfft(ey * d2y, out=spectrum).view(float)
+    flat *= d2
+    return y_hat, spectrum, d2y
+
+
+def _evaluate(
+    y: Array, ey_prev: Array, grid: PeriodicGrid, config: SolverConfig, matrices: _Matrices,
+) -> _Level:
+    """The level at y of the step from the level whose e^y is ey_prev.  A
+    spectral grid of at most _PRODUCT_POINTS points takes both second
+    derivatives as products with its matrix from ``matrices``, a larger
+    one by ``_transforms`` and one inverse transform, and its level keeps
+    both spectra."""
     ey = np.exp(y)
+    n = grid.n_points
+    y_hat = spectrum = None
     if config.backend.order:
         d2y = _derivative(grid, y, 2, config.backend)
         r = _derivative(grid, ey * d2y, 2, config.backend)
-        y_hat = spectrum = None
+    elif n <= _PRODUCT_POINTS:
+        d2 = matrices[n]
+        # the rows of D2 sum to rounding, not to 0: a constant y must give
+        # a D2 y of exact zeros
+        d2y = d2 @ (y - y[0])
+        r = d2 @ (ey * d2y)
     else:
-        n = grid.n_points
-        d2 = _multiplier(n, 2, grid.length)
-        y_hat, spectrum = np.empty(n // 2 + 1, dtype=complex), np.empty(n // 2 + 1, dtype=complex)
-        d2y = _spectrum_derivative(_rfft(y, out=y_hat), d2, n, out=spectrum)
-        r = _spectrum_derivative(_rfft(ey * d2y, out=spectrum), d2, n)
+        y_hat, spectrum, d2y = _transforms(y, ey, n, grid.length)
+        r = _irfft(spectrum, n)
     r += (ey - ey_prev) / config.tau
     return _Level(y, ey, r, d2y, spectrum, y_hat)
 
@@ -222,19 +290,24 @@ def jacobian(y: Field, config: SolverConfig) -> Array:
     c + order holding the entries (i, (i + c) mod N), filled straight from
     the D2 taps w_a: J(i, i+a+b) gets w_a w_b e^y at i + a, J(i, i+a) gets
     w_a (e^y D2 y) at i + a and J(i, i) gets e^y / tau."""
-    grid, order = y.grid, config.backend.order
-    ey = np.exp(y.values)
+    return _jacobian(y.values, y.grid, config, _Matrices(y.grid.length, config.backend))
+
+
+def _jacobian(y: Array, grid: PeriodicGrid, config: SolverConfig, matrices: _Matrices) -> Array:
+    """Array core of ``jacobian``; the dense form reads grid's D2 matrix
+    from ``matrices``."""
+    order = config.backend.order
+    ey = np.exp(y)
     if config.linear_solver is LinearSolver.DENSE:
-        # a contiguous copy keeps the products below on BLAS
-        d2 = np.array(diff_matrix(grid, 2, config.backend))
+        d2 = matrices[grid.n_points]
         # D2 diag(b) is column scaling; avoids a second matrix product.
         jac = d2 @ (ey[:, None] * d2)
-        jac += d2 * (ey * (d2 @ y.values))[None, :]
+        jac += d2 * (ey * (d2 @ y))[None, :]
         jac[np.diag_indices_from(jac)] += ey / config.tau
         return jac
     offsets, weights = _fd_taps(2, order)
     taps = [w * grid.spacing ** (-2) for w in weights]
-    g = ey * _derivative(grid, y.values, 2, config.backend)
+    g = ey * _derivative(grid, y, 2, config.backend)
     jac = np.zeros((2 * order + 1, grid.n_points))
     jac[order] = ey / config.tau
     for a, w_a, ey_a, g_a in zip(offsets, taps, _shifted(ey, offsets), _shifted(g, offsets)):
@@ -245,16 +318,18 @@ def jacobian(y: Field, config: SolverConfig) -> Array:
 
 
 class _NewtonWorkspace:
-    """Shared LU and bookkeeping for chord Newton across steps."""
+    """Shared LU and bookkeeping for chord Newton across steps, and the
+    D2 matrices of the solve that it serves."""
 
-    __slots__ = ("factor", "stale")
+    __slots__ = ("factor", "stale", "matrices")
 
-    def __init__(self):
+    def __init__(self, matrices: _Matrices):
         self.factor = None
         self.stale = False
+        self.matrices = matrices
 
     def refresh(self, y: Array, grid: PeriodicGrid, config: SolverConfig) -> None:
-        jac = jacobian(Field(grid, y, FieldKind.LOG_DENSITY), config)
+        jac = _jacobian(y, grid, config, self.matrices)
         if config.linear_solver is LinearSolver.BANDED:
             # two stacked D2 stencils of halfwidth order/2
             self.factor = CyclicBandedLU(jac, config.backend.order)
@@ -268,14 +343,16 @@ class _NewtonWorkspace:
 
 def _line_search(
     level: _Level, delta: Array, ey_prev: Array,
-    grid: PeriodicGrid, config: SolverConfig, iterations: int,
+    grid: PeriodicGrid, config: SolverConfig, iterations: int, matrices: _Matrices,
 ) -> _Level:
     """Damped backtracking from ``level`` along ``delta``; returns the first
     trial level that lowers the residual or meets the tolerance."""
     lam = 1.0
     for _ in range(_MAX_BACKTRACKS + 1):
         # the full step needs no exact 1.0 * delta product
-        trial = _evaluate(level.y + (delta if lam == 1.0 else lam * delta), ey_prev, grid, config)
+        trial = _evaluate(
+            level.y + (delta if lam == 1.0 else lam * delta), ey_prev, grid, config, matrices
+        )
         if trial.rnorm < level.rnorm or trial.rnorm <= config.newton_tol:
             return trial
         lam *= _DAMPING
@@ -308,7 +385,7 @@ def _newton_loop(
             workspace.refresh(level.y, grid, config)
         try:
             delta = workspace.factor.solve(-level.r)
-            trial = _line_search(level, delta, ey_prev, grid, config, iters)
+            trial = _line_search(level, delta, ey_prev, grid, config, iters, workspace.matrices)
         except (NoConvergence, SingularJacobian):
             if workspace.stale:
                 # a reused factor's step was not finite or went uphill; redo with a fresh one
@@ -348,10 +425,10 @@ def _advance(
                 step_index=step_index,
             ) from exc
         half = replace(config, tau=0.5 * config.tau)
-        sub_workspace = _NewtonWorkspace()  # factor depends on tau
+        sub_workspace = _NewtonWorkspace(workspace.matrices)  # factor depends on tau
         level, total = base, 0
         for _ in range(2):
-            start = _evaluate(level.y, level.ey, grid, half)
+            start = _evaluate(level.y, level.ey, grid, half, workspace.matrices)
             level, iters, _ = _advance(
                 level, start, grid, half, sub_workspace, depth + 1, step_index
             )
@@ -402,8 +479,9 @@ def _advance(
 # bound: once what the halving admitted, once what the step left.  Only
 # more than that, put there by the flow, doubles the grid; without the
 # margin the accepted residual alone flips the size from step to step.
-# The rule reads y_hat and F_hat from the level, as its evaluation kept them;
-# the sums grow as p falls, so the step runs on the coarsest halving
+# The rule reads y_hat and F_hat as four transforms make them, kept by the
+# level or taken again for a level that products made (_spectra); the
+# sums grow as p falls, so the step runs on the coarsest halving
 # admitted.
 _ROUNDOFF = 0.5 * np.finfo(float).eps
 
@@ -434,14 +512,25 @@ def _tail_weights(m: int, length: float, tau: float) -> tuple[tuple[int, ...], A
     return sizes, weights, inverse
 
 
+def _spectra(level: _Level, m: int, length: float) -> tuple[Array, Array]:
+    """The rfft of y and that of D2 (e^y D2 y) at ``level``, on m points:
+    those its evaluation kept or, for a level that products made, those
+    of ``_transforms``, the same bits as a four-transform evaluation of
+    that y keeps."""
+    if level.y_hat is not None:
+        return level.y_hat, level.spectrum
+    return _transforms(level.y, level.ey, m, length)[:2]
+
+
 def _resolving_size(level: _Level, m: int, n: int, length: float, config: SolverConfig) -> int:
     """Points of the grid the next step runs on, by the rule above: the
     coarsest size of _tail_weights that resolves ``level``, or 2m (n at
     most) when m itself does not."""
     sizes, weights, inverse = _tail_weights(m, length, config.tau)
+    y_hat, spectrum = _spectra(level, m, length)
     # the float view of z_hat = y_hat - F_hat / (e^ybar (1/tau + kappa^4 k^4))
-    y_hat = level.y_hat.view(float)
-    flat = level.spectrum.view(float) * (inverse / -math.exp(y_hat[0] / m))
+    y_hat = y_hat.view(float)
+    flat = spectrum.view(float) * (inverse / -math.exp(y_hat[0] / m))
     flat += y_hat
     flat *= flat
     *tails, z_square = (weights @ flat).tolist()
@@ -534,7 +623,7 @@ def solve(
     """Run the scheme from density ``u0`` to time ``t_final``.
 
     The number of steps is round(t_final / tau); t_final must sit on the
-    step lattice to within one part in 1e-8.  Initial values at or below
+    step lattice to within 1e-8 t_final.  Initial values at or below
     the clamp 1e-12 * max(u0) are lifted to it before taking logs; the
     count of lifted nodes is reported on the trajectory.  Individual steps
     that fail to converge are retried with halved tau (recursively, at
@@ -554,11 +643,12 @@ def solve(
     n = grid.n_points
     # the grid the steps run on; only spectral runs leave the requested one
     coarse = grid
-    level = _evaluate(y, np.exp(y), coarse, config)
+    matrices = _Matrices(grid.length, config.backend)
+    level = _evaluate(y, np.exp(y), coarse, config, matrices)
     records = _Records(n, 1 + -(-n_steps // record_every))
     records.add(0.0, level, 0, coarse)
 
-    workspace = _NewtonWorkspace()
+    workspace = _NewtonWorkspace(matrices)
     # the two accepted levels before ``level``; None while no clean step
     # links them to it, and then level.r is F(y_k; y_k)
     old = older = None
@@ -572,9 +662,9 @@ def solve(
             if size != coarse.n_points:
                 # a switch is handled as a halving is: F(y_k; y_k) on the new
                 # grid, no older levels and a fresh factor
-                y = _resample(level.y_hat, coarse.n_points, size)
+                y = _resample(_rfft(level.y), coarse.n_points, size)
                 coarse = PeriodicGrid(grid.length, size)
-                level = _evaluate(y, np.exp(y), coarse, config)
+                level = _evaluate(y, np.exp(y), coarse, config, matrices)
                 older = old = None
                 workspace.invalidate()
         start = level
@@ -588,7 +678,7 @@ def solve(
                 y_pred = 2.0 * level.y - old.y
             else:
                 y_pred = 3.0 * (level.y - old.y) + older.y
-            pred = _evaluate(y_pred, level.ey, coarse, config)
+            pred = _evaluate(y_pred, level.ey, coarse, config, matrices)
             if pred.rnorm < start.rnorm:
                 start = pred
         new, iters, clean = _advance(
@@ -600,11 +690,11 @@ def solve(
             # a halving drops the older levels; the next step
             # starts at F(y_k; y_k)
             older = old = None
-            level = _evaluate(new.y, new.ey, coarse, config)
+            level = _evaluate(new.y, new.ey, coarse, config, matrices)
         if k % record_every == 0 or k == n_steps:
             records.add(k * config.tau, level, iters, coarse)
 
-    final_y = level.y if coarse.n_points == n else _resample(level.y_hat, coarse.n_points, n)
+    final_y = level.y if coarse.n_points == n else _resample(_rfft(level.y), coarse.n_points, n)
     return Trajectory(
         grid=grid,
         config=config,

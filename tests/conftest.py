@@ -18,6 +18,10 @@ settings.load_profile("suite")
 TWO_PI = 2.0 * math.pi
 # What every positive-finite rule rejects, as a ValidationError naming the value.
 NOT_POSITIVE_FINITE = (0.0, -1.0, math.nan, math.inf, -math.inf)
+# (horizon, step) pairs half a step off the step lattice below t = 1, where
+# a tolerance absolute there once let them through; the same ratio 100.5
+# at T = 1.5075 was always rejected.
+SMALL_OFF_LATTICE = ((1.5075e-6, 1.5e-8), (1.5075e-6 * 2.0**-40, 1.5e-8 * 2.0**-40))
 
 
 def spec_id(spec):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import SMALL_OFF_LATTICE
 
 import dlss
 from dlss import cli, errors
@@ -233,6 +234,10 @@ class TestSolve:
         [
             (dict(T=0), "must be positive and finite, got 0.0"),
             (dict(T=0.0105, tau=0.001), "0.0105 is not an integer multiple of tau = 0.001"),
+            *(
+                (dict(T=t, tau=tau), f"{t!r} is not an integer multiple of tau = {tau!r}")
+                for t, tau in SMALL_OFF_LATTICE
+            ),
         ],
     )
     def test_rejected_horizon_is_named_by_its_key(self, tmp_path, monkeypatch, capsys, changes, reason):
@@ -663,6 +668,11 @@ class TestParser:
             (["heatflow", "--L", "0", "--N", "64", "--p", "1", "--T", "0.01", "--dt", "1e-3"], "L"),
             (["heatflow", "--L", "1", "--N", "64", "--p", "1", "--T", "0", "--dt", "1e-3"], "T"),
             (["heatflow", "--L", "1", "--N", "64", "--p", "1", "--T", "0.0105", "--dt", "1e-3"], "T"),
+            *(
+                (["heatflow", "--L", "1", "--N", "64", "--p", "1", "--T", repr(t), "--dt", repr(dt)],
+                 "T")
+                for t, dt in SMALL_OFF_LATTICE
+            ),
             (["certify", "--kind", "poincare", "--L", "nan", "--N", "64"], "L"),
             (["certify", "--kind", "logsob", "--L", "1", "--N", "7"], "N"),
             (["identity", "--L", "-1"], "L"),
@@ -703,16 +713,22 @@ class TestParser:
             (["solve", "--config", "run.cfg"], {"T": "0.05"}),
             (["solve", "--config", "run.cfg"], {"T": "0.05", "backend": "fd4", "linear_solver": "banded"}),
             (["solve", "--config", "run.cfg"], {"N": "1024", "u0_amplitude": "0.3", "T": "0.05"}),
+            (["solve", "--config", "run.cfg"], {"N": "128", "u0_amplitude": "0.9", "T": "0.05"}),
         ],
-        ids=["logsob-n1", "convex-p1.5", "heatflow-p1.5", "solve-readme", "solve-fd4-banded", "solve-spectral-1024"],
+        ids=[
+            "logsob-n1", "convex-p1.5", "heatflow-p1.5", "solve-readme", "solve-fd4-banded",
+            "solve-spectral-1024", "solve-spectral-128",
+        ],
     )
     def test_output_independent_of_blas_threads(self, tmp_path, package_env, argv, run_file):
         # output on one and on two OpenBLAS threads, byte for byte.
         # certify and heatflow factorise nothing and reduce without BLAS
         # (most of the T = 10 heat flow runs on 32 and 16 points); solve
         # runs the README's run file, T shortened, as it stands (it steps on
-        # coarse grids), with fd4 and the banded LU, and spectral at
-        # N = 1024 from 1 + 0.3 cos x
+        # coarse grids), with fd4 and the banded LU, spectral at N = 1024
+        # from 1 + 0.3 cos x, and spectral at N = 128 from 1 + 0.9 cos x,
+        # all 500 steps on 128 points, the largest grid whose residuals are
+        # products with the D2 matrix
         if run_file:
             (tmp_path / "run.cfg").write_text(readme_run_file(output="run.csv", **run_file))
         outputs = []

@@ -1,8 +1,14 @@
 import ast
 import importlib
+import math
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import dlss
+from dlss.inequalities import poincare
 
 MODULES = ["dlss"] + [
     f"dlss.{name}"
@@ -84,3 +90,49 @@ def test_every_cache_is_one_the_benchmark_pays_for():
     # an unbounded cache holds its values for the life of the process; a
     # new one must be measured and added above on purpose
     assert cached_functions() == KEPT_CACHES
+
+
+def module_tables() -> dict[tuple[str, str], int | None]:
+    """(module, name) -> length of every global of every loaded dlss
+    module; None for a value that has no length."""
+    tables = {}
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "dlss" or module_name.startswith("dlss."):
+            for name, value in vars(module).items():
+                try:
+                    tables[module_name, name] = len(value)
+                except TypeError:
+                    tables[module_name, name] = None
+    return tables
+
+
+def run_every_kind(n_points: int, length: float) -> None:
+    """A spectral solve, a banded fd4 solve, a certificate and a heat flow
+    on an n-point grid of circumference ``length``."""
+    grid = dlss.make_grid(length, n_points)
+    u0 = dlss.Field(
+        grid, 1.0 + 0.3 * np.cos(2.0 * np.pi * grid.nodes / length), dlss.FieldKind.DENSITY
+    )
+    dlss.solve(u0, 1e-3, dlss.SolverConfig(tau=1e-4))
+    banded = dlss.SolverConfig(
+        tau=1e-3, newton_tol=1e-4, backend=dlss.FD4, linear_solver=dlss.LinearSolver.BANDED
+    )
+    dlss.solve(u0, 2e-3, banded)
+    dlss.certify_constant(poincare(1), grid)
+    dlss.heatflow_verify(u0, 1.5, 0.1, 1e-2)
+
+
+def test_no_module_table_grows():
+    # the lru_cache tables are counted above; a plain global container
+    # (a dict of matrices, a list of results) would hold its values for
+    # the life of the process unseen.  After a warm-up, which loads what
+    # is loaded once, every kind of run on another grid size and length
+    # must add no global and lengthen none, so a table keyed by either
+    # would show.
+    run_every_kind(64, 2.0 * math.pi)
+    before = module_tables()
+    run_every_kind(256, 3.0)
+    after = module_tables()
+    assert after.keys() == before.keys()
+    grown = {key: (before[key], after[key]) for key in before if before[key] != after[key]}
+    assert grown == {}

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import NOT_POSITIVE_FINITE, spec_id
+from conftest import NOT_POSITIVE_FINITE, SMALL_OFF_LATTICE, spec_id
 from hypothesis import assume, given, settings, strategies as st
 
 import dlss
@@ -965,6 +965,11 @@ class TestHeatFlow:
     def test_rejects_off_lattice_horizon(self, grid64):
         with pytest.raises(ValueError):
             dlss.heatflow_verify(cosine_density(grid64), 1.0, 0.0105, 1e-3)
+        for t_final, dt in SMALL_OFF_LATTICE:
+            for flow in (dlss.heatflow_verify, dlss.remainder_R):
+                with pytest.raises(dlss.ValidationError) as info:
+                    flow(cosine_density(grid64), 1.0, t_final, dt)
+                assert info.value.field == "t_final"
         # a step that is not positive and finite has no lattice at all, nor
         # does a horizon that is not
         for bad in NOT_POSITIVE_FINITE:

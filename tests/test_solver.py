@@ -5,22 +5,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import NOT_POSITIVE_FINITE, cyclic_dense
+from conftest import NOT_POSITIVE_FINITE, SMALL_OFF_LATTICE, cyclic_dense
 
 import dlss
 from dlss import FD2, FD4, SPECTRAL, Field, FieldKind, LinearSolver, SolverConfig
 from dlss.grid import _integrate, _rfft
 from dlss.solver import (
     _MAX_NEWTON,
+    _PRODUCT_POINTS,
     TimeSeriesRecord,
     Trajectory,
     _evaluate,
+    _jacobian,
     _Level,
+    _Matrices,
     _newton_loop,
     _NewtonWorkspace,
     _Records,
     _resample,
     _resolving_size,
+    _spectra,
     jacobian,
 )
 
@@ -35,13 +39,23 @@ def log_field(grid, u_values):
     return Field(grid, np.log(u_values), FieldKind.LOG_DENSITY)
 
 
+def evaluate(y, ey_prev, grid, config):
+    """``_evaluate`` with D2 matrices of its own, as a fresh solve holds them."""
+    return _evaluate(y, ey_prev, grid, config, _Matrices(grid.length, config.backend))
+
+
+def workspace_for(grid, config):
+    """A chord workspace with D2 matrices of its own."""
+    return _NewtonWorkspace(_Matrices(grid.length, config.backend))
+
+
 def newton_step(y_prev, grid, config):
     """One backward Euler step from the log-density values y_prev by the
     solver's Newton loop from a fresh factor; the accepted y and its
     iteration count."""
     ey_prev = np.exp(y_prev)
     level, iters = _newton_loop(
-        _evaluate(y_prev, ey_prev, grid, config), ey_prev, grid, config, _NewtonWorkspace()
+        evaluate(y_prev, ey_prev, grid, config), ey_prev, grid, config, workspace_for(grid, config)
     )
     return level.y, iters
 
@@ -75,24 +89,27 @@ class TestSolverConfig:
 class TestResidual:
     def test_constant_state_is_stationary_without_regularization(self, grid64):
         y = np.log(np.full(64, 2.0))
-        r = _evaluate(y, np.exp(y), grid64, SolverConfig(tau=1e-2)).r
+        r = evaluate(y, np.exp(y), grid64, SolverConfig(tau=1e-2)).r
         assert np.abs(r).max() < 1e-13
 
     def test_time_derivative_term(self, grid64):
         y_prev = np.log(np.full(64, 1.0))
         y = np.log(np.full(64, 1.0 + 1e-6))
         tau = 1e-2
-        r = _evaluate(y, np.exp(y_prev), grid64, SolverConfig(tau=tau)).r
+        r = evaluate(y, np.exp(y_prev), grid64, SolverConfig(tau=tau)).r
         expected = (math.exp(math.log(1.0 + 1e-6)) - 1.0) / tau
         assert np.allclose(r, expected, rtol=1e-9)
 
-    @pytest.mark.parametrize("n", [8, 64, 256, 2048])
+    @pytest.mark.parametrize("n", [8, 64, 128, 256, 2048])
     def test_spectral_residual_is_the_numpy_fft_formula(self, n):
-        # both second derivatives share one spectrum buffer and scale its
-        # float view by the real symbol; r must equal, element for element,
-        # the complex products (1j k)^2 through numpy.fft, Nyquist mode
-        # included.  L = 5 makes the wave numbers inexact, so a symbol
-        # rounded differently shows.
+        # above _PRODUCT_POINTS both second derivatives share one spectrum
+        # buffer and scale its float view by the real symbol; r must
+        # equal, element for element, the complex products (1j k)^2
+        # through numpy.fft, Nyquist mode included.  L = 5 makes the wave
+        # numbers inexact, so a symbol rounded differently shows.  Up to
+        # _PRODUCT_POINTS r is, element for element, the two products with
+        # the contiguous D2 matrix, and within 32 eps |F| of the numpy.fft
+        # formula (6 eps at n = 128 here).
         grid = dlss.make_grid(5.0, n)
         x = (2.0 * math.pi / grid.length) * grid.nodes
         rng = np.random.default_rng(n)
@@ -105,8 +122,14 @@ class TestResidual:
             return np.fft.irfft(np.fft.rfft(f) * symbol, n=n)
 
         want = (np.exp(y) - np.exp(y_prev)) / tau + d2(np.exp(y) * d2(y))
-        got = _evaluate(y, np.exp(y_prev), grid, SolverConfig(tau=tau)).r
-        assert np.array_equal(got, want)
+        got = evaluate(y, np.exp(y_prev), grid, SolverConfig(tau=tau)).r
+        if n > _PRODUCT_POINTS:
+            assert np.array_equal(got, want)
+            return
+        matrix = np.array(dlss.diff_matrix(grid, 2))
+        product = (np.exp(y) - np.exp(y_prev)) / tau + matrix @ (np.exp(y) * (matrix @ (y - y[0])))
+        assert np.array_equal(got, product)
+        assert np.abs(got - want).max() <= 32 * np.finfo(float).eps * np.abs(want).max()
 
 
 class TestJacobian:
@@ -122,8 +145,8 @@ class TestJacobian:
         direction /= np.abs(direction).max()
         h = 1e-6
         ey_prev = np.exp(y_prev.values)
-        r_plus = _evaluate(y.values + h * direction, ey_prev, grid64, config).r
-        r_minus = _evaluate(y.values - h * direction, ey_prev, grid64, config).r
+        r_plus = evaluate(y.values + h * direction, ey_prev, grid64, config).r
+        r_minus = evaluate(y.values - h * direction, ey_prev, grid64, config).r
         fd = (r_plus - r_minus) / (2.0 * h)
         exact = jac @ direction
         scale = np.abs(exact).max()
@@ -142,6 +165,22 @@ class TestJacobian:
         want += d2 * (ey * (d2 @ y.values))[None, :]
         want[np.diag_indices_from(want)] += ey / config.tau
         assert np.array_equal(jacobian(y, config), want)
+
+    @pytest.mark.parametrize(
+        "backend,solver",
+        [(SPECTRAL, LinearSolver.DENSE), (FD2, LinearSolver.DENSE), (FD2, LinearSolver.BANDED),
+         (FD4, LinearSolver.DENSE), (FD4, LinearSolver.BANDED)],
+    )
+    def test_refresh_assembles_the_public_jacobian(self, grid64, backend, solver):
+        # the chord refresh assembles from plain arrays and the matrices its
+        # solve holds, which a second refresh reuses; both are jacobian's bits
+        y = log_field(grid64, np.exp(0.5 * np.sin(grid64.nodes) + 0.2 * np.cos(2 * grid64.nodes)))
+        config = SolverConfig(tau=1e-3, backend=backend, linear_solver=solver)
+        matrices = _Matrices(grid64.length, backend)
+        want = jacobian(y, config)
+        for _ in range(2):
+            assert np.array_equal(_jacobian(y.values, grid64, config, matrices), want)
+        assert len(matrices) == (solver is LinearSolver.DENSE)
 
     @pytest.mark.parametrize("backend", [FD2, FD4])
     @pytest.mark.parametrize("n_points", [8, 10, 64])
@@ -163,7 +202,7 @@ class TestStep:
         config = SolverConfig(tau=1e-3, newton_tol=1e-10)
         y_prev = np.log(1.0 + 0.1 * np.cos(grid64.nodes))
         y, iters = newton_step(y_prev, grid64, config)
-        r = _evaluate(y, np.exp(y_prev), grid64, config).r
+        r = evaluate(y, np.exp(y_prev), grid64, config).r
         assert np.abs(r).max() <= config.newton_tol
         assert 1 <= iters <= _MAX_NEWTON
 
@@ -190,16 +229,18 @@ class TestStep:
         # propagates to the caller, which halves tau
         config = SolverConfig(tau=1e-3, newton_tol=1e-10)
         ey_prev = 1.0 + 0.1 * np.cos(grid64.nodes)
-        level = _evaluate(np.log(ey_prev), ey_prev, grid64, config)
+        level = evaluate(np.log(ey_prev), ey_prev, grid64, config)
 
         class SingularFactor:
             def solve(self, rhs):
                 raise dlss.SingularJacobian("back-solve was non-finite")
 
-        workspace = _NewtonWorkspace()
+        workspace = workspace_for(grid64, config)
         workspace.factor, workspace.stale = SingularFactor(), True
         accepted, iters = _newton_loop(level, ey_prev, grid64, config, workspace)
-        fresh, fresh_iters = _newton_loop(level, ey_prev, grid64, config, _NewtonWorkspace())
+        fresh, fresh_iters = _newton_loop(
+            level, ey_prev, grid64, config, workspace_for(grid64, config)
+        )
         assert accepted.rnorm <= config.newton_tol
         assert np.array_equal(accepted.y, fresh.y) and iters == fresh_iters
         assert not isinstance(workspace.factor, SingularFactor)
@@ -283,6 +324,10 @@ class TestSolve:
         config = SolverConfig(tau=1e-3)
         with pytest.raises(ValueError):
             dlss.solve(cosine_density(grid64), 0.0105, config)
+        for t_final, tau in SMALL_OFF_LATTICE:
+            with pytest.raises(dlss.ValidationError) as excinfo:
+                dlss.solve(cosine_density(grid64), t_final, SolverConfig(tau=tau))
+            assert excinfo.value.field == "t_final"
 
     def test_nonpositive_horizon_rejected(self, grid64):
         config = SolverConfig(tau=1e-3)
@@ -335,17 +380,18 @@ class TestSolve:
         # at N = 256 the iteration that meets newton_tol lands on the
         # residual floor, so its contraction ratio is noise; refreshing on
         # it cost 23 to 26 Jacobians here, depending on the BLAS threads.
-        # The steps stay on all 256 points, where that floor is.
+        # The steps stay on all 256 points, where that floor is.  Every
+        # refresh assembles through _jacobian.
         assembled = []
 
-        def counting(y, config):
+        def counting(y, grid, config, matrices):
             assembled.append(y)
-            return jacobian(y, config)
+            return _jacobian(y, grid, config, matrices)
 
-        monkeypatch.setattr("dlss.solver.jacobian", counting)
+        monkeypatch.setattr("dlss.solver._jacobian", counting)
         monkeypatch.setattr("dlss.solver._resolving_size", full_grid)
         dlss.solve(cosine_density(grid256), 0.03, SolverConfig(tau=1e-4))
-        assert len(assembled) <= 3
+        assert 1 <= len(assembled) <= 3
 
     @pytest.mark.parametrize(
         "backend,solver,tau,tol,amplitude",
@@ -565,17 +611,28 @@ class TestCoarseGrid:
         assert _resolving_size(level, 64, 256, TWO_PI, config) == size
 
     def test_rule_reads_the_kept_spectrum_of_y(self, grid256, monkeypatch):
-        # every level the rule reads carries the rfft of its y bit for bit,
-        # and a switch resamples that level; this run halves to 128 points
-        # at t = 0
-        def checked(level, m, n, length, config):
-            assert np.array_equal(level.y_hat, _rfft(level.y))
-            return _resolving_size(level, m, n, length, config)
+        # the rule reads the rfft of y and the spectrum of D2 (e^y D2 y)
+        # that four transforms make, bit for bit: kept by a 256-point
+        # level, taken again for a level that products made.  This run
+        # halves to 128 points at t = 0, the largest product grid.
+        kept = []
 
-        calls = spy_grid_rule(monkeypatch, checked)
+        def checked(level, m, length):
+            y_hat, spectrum = _spectra(level, m, length)
+            symbol = (1j * (2.0 * math.pi / length) * np.arange(m // 2 + 1)) ** 2
+            d2y = np.fft.irfft(np.fft.rfft(level.y) * symbol, n=m)
+            assert np.array_equal(y_hat, _rfft(level.y))
+            assert np.array_equal(spectrum, np.fft.rfft(level.ey * d2y) * symbol)
+            kept.append(level.y_hat is not None)
+            return y_hat, spectrum
+
+        monkeypatch.setattr("dlss.solver._spectra", checked)
+        calls = spy_grid_rule(monkeypatch)
         traj = dlss.solve(cosine_density(grid256, 0.5), 0.03, self.CONFIG)
         assert len(traj.records) == 301
-        assert any(m != size for m, size in calls)
+        assert calls[0] == (256, 128)
+        # one read before each step, the first on 256 points
+        assert kept[0] and not any(kept[1:]) and len(kept) == 300
 
     def test_resample_pads_and_truncates_the_spectrum(self):
         eps = np.finfo(float).eps
