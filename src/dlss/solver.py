@@ -43,12 +43,18 @@ a larger grid it takes four transforms.  The rule reads the rfft of y
 and that of D2 (e^y D2 y): on a larger grid both kept by the evaluation
 that made the level, on a product grid taken by three transforms of its
 own per read, so it reads the same bits for the same y on either.  It
-is read at t = 0, after
-every accepted step on a coarser grid and before steps 2, 4, 8, ... on
-the requested one, where it can only halve; the run halves when a
-coarser grid passes and doubles when its own grid fails.  A switch
-truncates or zero-pads the spectrum of y and is handled as a halving is:
-the chord LU is refreshed and the older levels are dropped.  Records are
+is read before steps 1, 2, 4, 8, ... on every grid.  Between those
+steps a coarser grid of at most ``_PRODUCT_POINTS`` points asks the
+guard (derived above ``_Guard``: two products with rows of the real DFT
+that the solve holds next to the D2 matrix) whether the rule could
+double the accepted level, and reads the rule on each step that the
+guard cannot clear; a coarser grid of more points, whose levels keep
+both spectra, or of points other than 2^j reads the rule after every
+step.  The run halves when a
+coarser grid passes and doubles when its own grid fails, on a read of
+the rule alone.  A switch truncates or zero-pads the spectrum of y and
+is handled as a halving is: the chord LU is refreshed and the older
+levels are dropped.  Records are
 sums on the grid the step ran on, except min_u, which is taken at the
 requested nodes, where final_y is returned, resampled from the spectrum
 of the last level.  fd2 and fd4 runs and ``jacobian`` stay on the grid
@@ -208,20 +214,36 @@ _PRODUCT_POINTS = 128
 
 class _Matrices(dict):
     """Points -> the contiguous D2 matrix np.array(diff_matrix(grid, 2,
-    backend)) of that grid, built on first use.  A solve holds one for
-    as long as it runs, so its residuals and its dense refreshes share
-    one matrix per grid size and none outlives it."""
+    backend)) of that grid, built on first use, and ``guards``, points ->
+    the grid's ``_Guard``, built on first use by ``cleared``.  A solve
+    holds one for as long as it runs, so its residuals and its dense
+    refreshes share one matrix per grid size, its steps one guard, and
+    none outlives it."""
 
-    __slots__ = ("length", "backend")
+    __slots__ = ("length", "backend", "guards")
 
     def __init__(self, length: float, backend: DiffBackend):
         super().__init__()
         self.length, self.backend = length, backend
+        self.guards: dict[int, _Guard] = {}
 
     def __missing__(self, n: int) -> Array:
         # a contiguous copy keeps the products on BLAS
         matrix = self[n] = np.array(diff_matrix(PeriodicGrid(self.length, n), 2, self.backend))
         return matrix
+
+    def cleared(self, level: _Level, config: SolverConfig) -> bool:
+        """True when the guard of the level's grid clears ``level``.  Only
+        a level of products on 2^j points has a guard: a level of four
+        transforms keeps the spectra the rule reads, and the margin bounds
+        the FFTs of radix 2."""
+        n = level.y.size
+        if level.y_hat is not None or n & (n - 1):
+            return False
+        guard = self.guards.get(n)
+        if guard is None:
+            guard = self.guards[n] = _Guard(self.length, n)
+        return guard.clears(level, config)
 
 
 class _Level:
@@ -545,6 +567,122 @@ def _resolving_size(level: _Level, m: int, n: int, length: float, config: Solver
     return size
 
 
+# The guard.  Between the reads of the rule before steps 2^j, a step on a
+# coarse grid of m <= _PRODUCT_POINTS points asks the guard whether the
+# rule could double the accepted level; the rule is read on that step only
+# when the guard cannot rule that out.  The rule doubles only when the
+# step sense fails on m itself: the 2-norm |sigma z| over the float view
+# of sigma_k z_hat_k from mode m/4 up, each term times the root of its
+# mean-square weight, exceeds 2 newton_tol / u_max (the row is quartered).
+# With F_hat = -kappa^2 k^2 g_hat, g = e^y D2 y, and kappa^4 k^4 y_hat =
+# -kappa^2 k^2 times the rfft of D2 y,
+#     sigma_k z_hat_k = y_hat_k / tau + kappa^2 k^2 h_hat_k,
+#     h = q D2 y,  q = e^y / e^ybar - 1,
+# so k^4 meets only D2 y scaled by the small q.  The guard forms this from
+# the level's y, e^y and D2 y by two products with rows of the real DFT
+# (cos and sin, modes m/4 to m/2) scaled by the root weights, the second
+# also by kappa^2 k^2, and clears the level when its norm plus a margin is
+# within the bound.  The margin bounds how far the guard's value and the
+# rule's, each as computed, lie from the exact one.
+#
+# Margin, to first order in u = 2^-53.  An m-term product errs by at most
+# gamma = m u / (1 - m u) times the product of the absolute values; an
+# m-point FFT, m = 2^j, in the 2-norm, by at most eta = log2(m) (u + gamma_4 (sqrt2
+# + u)) times the exact transform's norm, sqrt(m) times its input's
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
+# 3.1 and thm. 24.2, twiddles within u).  Write s, l and w for the rms of
+# y, q and h, t = |ybar - y[0]|, so that |y - y[0]| <= sqrt(m) (s + t) in
+# the 2-norm, and rho = u_max / e^ybar; d = kappa^2 m^2 / 4, the largest
+# |symbol| of D2, so that |D2 y|_rms <= d s; nu the 2-norm of a row of its
+# matrix; S the 2-norm of kappa^2 k^2 over the r rows.  A root weight is
+# at most sqrt2 / m and a row has 2-norm 1 / sqrt(m), so the flux rows
+# carry an error vector into at most S times its rms, the rows of y into
+# sqrt(r) times.  The gap is at most the sum of:
+# - the rule's rfft of y and its symbols (15 u), through sigma <= 1/tau +
+#   d^2: sqrt2 (eta + 15 u) (1/tau + d^2) s;
+# - the rule's flux: D2 y by an rfft, a product with the symbol and an
+#   inverse rfft, e^y times it, an rfft, another product, and e^ybar from
+#   the first rfft: rho d^2 s (6 eta + 36 u + 2 (eta + u) s);
+# - the guard's product with y, its entries within 24 u (angles, cos or
+#   sin, weights) and 24 sqrt2 u <= 5 gamma (m >= 8): 6 gamma sqrt(r) s / tau;
+# - h: e^ybar from a sum of m terms and q, within (gamma + u) s + 5 u
+#   times 1 + |q|, and the guard's product with h, its entries within 31 u:
+#   S (((gamma + u) s + 5 u) (d s + w) + 7 gamma w);
+# - the level's D2 y, a product of the held matrix with y - y[0]: the
+#   matrix is the inverse rfft of the symbol times the rfft of a unit
+#   impulse, so a row is within dev = sqrt2 (d eta + (eta + 8 u) nu) in
+#   the 2-norm, and a node of D2 y within (dev + (gamma + u) nu) sqrt(m)
+#   (s + t), which q scales: S (dev + (gamma + u) nu) sqrt(m) l (s + t).
+# Sums of squares, the rule's weights and the bound round to within
+# gamma_(2m + 20) relatively, which ``shrink`` takes off the bound.  The
+# margin is far below the bound on 32 and 64 points; on 128 it exceeds
+# the default bound for 1 + 0.1 cos x, so such a level is read by the
+# rule after every step there, as on a grid above _PRODUCT_POINTS, whose
+# levels keep both spectra: there the rule is as cheap as a guard.
+class _Guard:
+    """The guard of an m-point grid, m <= _PRODUCT_POINTS: ``rows`` and
+    ``flux_rows``, which multiply y and tau h, each with a last row that
+    sums y, and the grid's factors of the margin's five terms, in order:
+    ``rfft``, ``flux`` and ``flux_s``, ``y_rows``, ``h`` with ``h_s`` and
+    ``h_rows``, and ``held``."""
+
+    __slots__ = (
+        "rows", "flux_rows", "m", "d", "rfft", "flux", "flux_s", "y_rows", "h", "h_s", "h_rows",
+        "held", "shrink",
+    )
+
+    def __init__(self, length: float, m: int):
+        u, kappa = _ROUNDOFF, 2.0 * math.pi / length
+        modes = np.arange(m // 4, m // 2 + 1)
+        phase = np.outer(modes, np.arange(m)) % m
+        angles = [2.0 * math.pi * r / m for r in range(m)]
+        cos, sin = (np.array([f(a) for a in angles]) for f in (math.cos, math.sin))
+        # cos rows, then sin rows: the Nyquist mode has only a cos row
+        trig = np.vstack([cos[phase], sin[phase[:-1]]])
+        root = np.full(trig.shape[0], math.sqrt(2.0) / m)
+        root[modes.size - 1] = 1.0 / m
+        symbol = (kappa * np.concatenate([modes, modes[:-1]])) ** 2
+        self.rows = np.vstack([trig * root[:, None], np.ones(m)])
+        self.flux_rows = np.vstack([trig * (root * symbol)[:, None], np.zeros(m)])
+        gamma = m * u / (1.0 - m * u)
+        eta = math.log2(m) * (u + 4.0 * u / (1.0 - 4.0 * u) * (math.sqrt(2.0) + u))
+        d = self.d = (kappa * m / 2.0) ** 2
+        norm = math.sqrt(float(symbol @ symbol))  # S
+        nu = kappa * kappa * math.sqrt(float(np.add.reduce(np.arange(1 - m // 2, m // 2 + 1) ** 4)) / m)
+        dev = math.sqrt(2.0) * (d * eta + (eta + 8.0 * u) * nu)
+        self.m, self.rfft = m, math.sqrt(2.0) * (eta + 15.0 * u)
+        self.flux, self.flux_s = d * d * (6.0 * eta + 36.0 * u), 2.0 * d * d * (eta + u)
+        self.y_rows = 6.0 * gamma * math.sqrt(trig.shape[0])
+        self.h, self.h_s, self.h_rows = 5.0 * u * norm, (gamma + u) * norm, 7.0 * gamma * norm
+        self.held = norm * (dev + (gamma + u) * nu) * math.sqrt(m)
+        rel = (2 * m + 20) * u / (1.0 - (2 * m + 20) * u)
+        self.shrink = (1.0 - rel) / (1.0 + rel)
+
+    def clears(self, level: _Level, config: SolverConfig) -> bool:
+        """True when the rule, read on ``level``, would not double its grid."""
+        y, ey, tau, m, d = level.y, level.ey, config.tau, self.m, self.d
+        # .dot, not @: the same products for less overhead on these sizes
+        v = self.rows.dot(y)
+        mean = float(v[-1]) / m
+        scale = tau / math.exp(mean)
+        h = ey * scale  # tau (q + 1)
+        h -= tau
+        l = math.sqrt(h.dot(h) / m) / tau
+        h *= level.d2y
+        w = math.sqrt(h.dot(h) / m) / tau
+        v += self.flux_rows.dot(h)
+        v[-1] = 0.0
+        s = math.sqrt(y.dot(y) / m)
+        u_max = float(ey[ey.argmax()])  # argmax costs less than max
+        margin = (
+            s * (self.rfft * (1.0 / tau + d * d) + u_max * scale / tau * (self.flux + self.flux_s * s))
+            + self.y_rows * s / tau
+            + (self.h + self.h_s * s) * (d * s + w) + self.h_rows * w
+            + self.held * l * (s + abs(mean - float(y[0])))
+        )
+        return math.sqrt(v.dot(v)) / tau + margin <= self.shrink * 2.0 * config.newton_tol / u_max
+
+
 def _resample(y_hat: Array, m: int, size: int) -> Array:
     """At the nodes of a size-point grid, size = m 2^j with j != 0, the
     trigonometric interpolant of the m-point values whose rfft along the
@@ -653,11 +791,14 @@ def solve(
     # links them to it, and then level.r is F(y_k; y_k)
     old = older = None
     for k in range(1, n_steps + 1):
-        # on the requested grid the rule can only halve, and a late halving
-        # costs time, not accuracy, so there it is read before steps 2^j:
-        # log2 of the steps in all, and a grid the rule would halve from
-        # step k on is halved by step 2k
-        if config.backend.order == 0 and (coarse.n_points < n or k & (k - 1) == 0):
+        # a late halving costs time, not accuracy, so the rule is read
+        # before steps 2^j: log2 of the steps in all, and a grid the rule
+        # would halve from step k on is halved by step 2k.  A missed
+        # doubling costs accuracy, so between those steps a coarse grid
+        # reads the rule whenever the guard cannot clear the level
+        if config.backend.order == 0 and (
+            k & (k - 1) == 0 or coarse.n_points < n and not matrices.cleared(level, config)
+        ):
             size = _resolving_size(level, coarse.n_points, n, grid.length, config)
             if size != coarse.n_points:
                 # a switch is handled as a halving is: F(y_k; y_k) on the new

@@ -15,7 +15,9 @@ from dlss.solver import (
     _PRODUCT_POINTS,
     TimeSeriesRecord,
     Trajectory,
+    _advance,
     _evaluate,
+    _Guard,
     _jacobian,
     _Level,
     _Matrices,
@@ -477,6 +479,54 @@ def spy_grid_rule(monkeypatch, rule=_resolving_size):
     return calls
 
 
+def spy_steps(monkeypatch):
+    """Route the steps of solve through a spy of ``_advance`` as it is now
+    and return the list of the points of the grid that each step, 1, 2,
+    ..., ran on."""
+    steps = []
+    advance = dlss.solver._advance
+
+    def spy(base, start, grid, config, workspace, depth, step_index):
+        if depth == 0:
+            steps.append(grid.n_points)
+        return advance(base, start, grid, config, workspace, depth, step_index)
+
+    monkeypatch.setattr("dlss.solver._advance", spy)
+    return steps
+
+
+def spy_guard(monkeypatch):
+    """Route the guard through a spy and return the list of (level, grid
+    points, verdict) of its calls."""
+    verdicts = []
+    clears = _Guard.clears
+
+    def spy(self, level, config):
+        verdict = clears(self, level, config)
+        verdicts.append((level, level.y.size, verdict))
+        return verdict
+
+    monkeypatch.setattr(_Guard, "clears", spy)
+    return verdicts
+
+
+def force_doubling_after(step, monkeypatch):
+    """Report the level accepted at ``step`` unresolved, as no datum does
+    since the flow only smooths: the guard does not clear it and the rule
+    doubles its grid.  Returns the list of spy_steps and that of
+    spy_grid_rule."""
+    steps = spy_steps(monkeypatch)
+    clears = _Guard.clears
+    monkeypatch.setattr(
+        _Guard, "clears", lambda self, level, config: len(steps) != step and clears(self, level, config)
+    )
+
+    def unresolved_once(level, m, n, length, config):
+        return min(2 * m, n) if len(steps) == step else _resolving_size(level, m, n, length, config)
+
+    return steps, spy_grid_rule(monkeypatch, unresolved_once)
+
+
 def full_grid(level, m, n, length, config):
     """A grid rule that admits no halving."""
     return m
@@ -566,13 +616,13 @@ class TestCoarseGrid:
         # that level on the 256 requested nodes; the minimum over the nodes
         # of the grid the step ran on is larger
         u0 = Field(grid256, COARSE_DATA["decay-1"](grid256), FieldKind.DENSITY)
-        calls = spy_grid_rule(monkeypatch)
+        steps = spy_steps(monkeypatch)
         traj = dlss.solve(u0, 0.06, self.CONFIG)
         for k in (1, 100, 600):
             run = dlss.solve(u0, k * self.CONFIG.tau, self.CONFIG)
             assert run.final_y.grid == grid256
             u = np.exp(run.final_y.values)
-            step_grid = calls[k - 1][1]
+            step_grid = steps[k - 1]
             assert step_grid < 256
             assert traj.records[k].min_u == u.min()
             assert traj.records[k].min_u < u[:: 256 // step_grid].min()
@@ -614,7 +664,8 @@ class TestCoarseGrid:
         # the rule reads the rfft of y and the spectrum of D2 (e^y D2 y)
         # that four transforms make, bit for bit: kept by a 256-point
         # level, taken again for a level that products made.  This run
-        # halves to 128 points at t = 0, the largest product grid.
+        # halves to 128 points at t = 0, the largest product grid, and the
+        # guard sends it to the rule after most steps.
         kept = []
 
         def checked(level, m, length):
@@ -628,11 +679,14 @@ class TestCoarseGrid:
 
         monkeypatch.setattr("dlss.solver._spectra", checked)
         calls = spy_grid_rule(monkeypatch)
+        verdicts = spy_guard(monkeypatch)
         traj = dlss.solve(cosine_density(grid256, 0.5), 0.03, self.CONFIG)
         assert len(traj.records) == 301
         assert calls[0] == (256, 128)
-        # one read before each step, the first on 256 points
-        assert kept[0] and not any(kept[1:]) and len(kept) == 300
+        # one read before each of steps 1, 2, 4, ..., 256 and one after each
+        # step that the guard does not clear, the first on 256 points
+        fallbacks = sum(not verdict for _, _, verdict in verdicts)
+        assert kept[0] and not any(kept[1:]) and len(kept) == 9 + fallbacks
 
     def test_resample_pads_and_truncates_the_spectrum(self):
         eps = np.finfo(float).eps
@@ -652,16 +706,12 @@ class TestCoarseGrid:
         assert np.abs(coarse - np.fft.irfft(kept, 32)).max() <= 4 * eps
 
     def test_run_doubles_when_its_grid_stops_resolving(self, grid128, monkeypatch):
-        # no datum fills the top band of a coarse grid, since the flow only
-        # smooths; here the rule reports one level unresolved
-        def unresolved_once(level, m, n, length, config):
-            return min(2 * m, n) if len(calls) == 300 else _resolving_size(level, m, n, length, config)
-
-        calls = spy_grid_rule(monkeypatch, unresolved_once)
+        # between the reads before steps 256 and 512, on 32 points
+        steps, calls = force_doubling_after(300, monkeypatch)
         u0 = cosine_density(grid128)
         coarse = dlss.solve(u0, 0.05, self.CONFIG)
-        assert calls[300] == (32, 64)
-        assert calls[301][0] == 64
+        assert (32, 64) in calls
+        assert steps[299] == 32 and steps[300] == 64
         monkeypatch.setattr("dlss.solver._resolving_size", full_grid)
         oracle = dlss.solve(u0, 0.05, self.CONFIG)
         bound = coarse_gap_bound(500, self.CONFIG, min(r.min_u for r in oracle.records))
@@ -713,6 +763,85 @@ class TestCoarseGrid:
         assert dlss.lyapunov_check(traj)
 
 
+class TestGuard:
+    """Between the reads of the grid rule before steps 2^j, the guard
+    sends a coarse grid's level to the rule whenever it cannot clear it."""
+
+    CONFIG = SolverConfig(tau=1e-4)
+
+    def test_filled_top_band_doubles_at_the_next_step(self, grid256, monkeypatch):
+        # decay-1 steps on 64 points until the read before step 512; mode 20
+        # is in the top band [16, 32) of 64 points, and step 300 is between
+        # the reads before steps 256 and 512
+        def filled(base, start, grid, config, workspace, depth, step_index):
+            level, iters, clean = _advance(base, start, grid, config, workspace, depth, step_index)
+            if depth == 0 and step_index == 300:
+                y = level.y + 1e-6 * np.cos(20.0 * grid.nodes)
+                level = _evaluate(y, base.ey, grid, config, workspace.matrices)
+            return level, iters, clean
+
+        monkeypatch.setattr("dlss.solver._advance", filled)
+        steps = spy_steps(monkeypatch)
+        calls = spy_grid_rule(monkeypatch)
+        u0 = Field(grid256, COARSE_DATA["decay-1"](grid256), FieldKind.DENSITY)
+        dlss.solve(u0, 0.0302, self.CONFIG)
+        assert steps[1:300] == [64] * 299
+        assert steps[300:] == [128, 128]
+        assert (64, 128) in calls
+
+    def test_other_grid_sizes_read_the_rule_after_every_step(self, monkeypatch):
+        # the margin bounds FFTs of radix 2; 200 points halve to 100 and 50
+        grid = dlss.make_grid(TWO_PI, 200)
+        calls, verdicts = spy_grid_rule(monkeypatch), spy_guard(monkeypatch)
+        dlss.solve(cosine_density(grid), 0.003, self.CONFIG)
+        assert calls[0][1] < 200
+        assert verdicts == [] and len(calls) == 30
+
+    @staticmethod
+    def assert_sound(level, m, n, config, verdicts, cleared=None):
+        """The guard clears ``level``, or has ``cleared`` it, only when the
+        rule would not double it; appends (cleared, doubled) to
+        ``verdicts``."""
+        if cleared is None:
+            cleared = _Guard(TWO_PI, m).clears(level, config)
+        doubled = _resolving_size(level, m, n, TWO_PI, config) > m
+        assert not (cleared and doubled)
+        verdicts.append((cleared, doubled))
+
+    def test_crafted_levels(self):
+        # the y of the crafted levels of TestCoarseGrid on grids of products,
+        # evaluated as a solve makes a level: the guard forms the flux from
+        # y, so the crafted flux of the level the step will make enters as
+        # its y, and each top-band mode is swept through both verdicts
+        cases = [
+            (64, {1: 0.1}, 1e-8), (64, {1: 0.1, 12: 1e-6}, 1e-8), (64, {1: 0.1, 20: 1e-6}, 1e-8),
+            (64, {1: 0.1, 12: 1e-11}, 1e-6), (64, {1: 0.1, 12: 1e-11}, 1e-8),
+            (64, {1: 0.1, 12: 1e-3 / (1e4 + 12 ** 4)}, 1e-8),
+            (64, {1: 0.1, 20: 1e-3 / (1e4 + 20 ** 4)}, 1e-8),
+        ]
+        for m, mode in [(32, 6), (32, 10), (64, 12), (64, 20), (128, 40), (128, 60)]:
+            for amplitude in 10.0 ** -np.arange(4, 18):
+                cases.append((m, {1: 0.1, mode: amplitude}, 1e-8))
+        verdicts = []
+        for m, modes, tol in cases:
+            config = SolverConfig(tau=1e-4, newton_tol=tol)
+            y = crafted_level(m, modes).y
+            grid = dlss.make_grid(TWO_PI, m)
+            self.assert_sound(evaluate(y, np.exp(y), grid, config), m, 2 * m, config, verdicts)
+        assert (True, False) in verdicts and (False, True) in verdicts
+
+    @pytest.mark.parametrize("n_points", [128, 256])
+    def test_levels_of_coarse_solves(self, monkeypatch, n_points):
+        grid = dlss.make_grid(TWO_PI, n_points)
+        seen, verdicts = spy_guard(monkeypatch), []
+        for datum in sorted(COARSE_DATA):
+            dlss.solve(Field(grid, COARSE_DATA[datum](grid), FieldKind.DENSITY), 0.1, self.CONFIG)
+        monkeypatch.undo()
+        for level, m, cleared in seen:
+            self.assert_sound(level, m, n_points, self.CONFIG, verdicts, cleared)
+        assert (True, False) in verdicts
+
+
 def oracle_record(t, level, iters, grid, n):
     """The record of one accepted level, reduced on its own: the formula
     solve used before it reduced its records a block at a time."""
@@ -755,19 +884,15 @@ def record_case(name, monkeypatch):
         return 256, lambda: dlss.solve(u0, 22e-4, SolverConfig(tau=1e-4), record_every=every)
     if name == "doubling":
         # the forced doubling of TestCoarseGrid: 32 points back to 64
-        def unresolved_once(level, m, n, length, config):
-            if len(calls) == 300:
-                return min(2 * m, n)
-            return _resolving_size(level, m, n, length, config)
-
         def run():
+            steps.clear()
             calls.clear()
             traj = dlss.solve(cosine_density(grid128), 0.05, SolverConfig(tau=1e-4))
-            assert calls[300] == (32, 64)
+            assert steps[299:301] == [32, 64]
             return traj
 
         grid128 = dlss.make_grid(TWO_PI, 128)
-        calls = spy_grid_rule(monkeypatch, unresolved_once)
+        steps, calls = force_doubling_after(300, monkeypatch)
         return 128, run
     if name == "tau-halving":
         # as in TestSolve: six Newton iterations cannot take tau = 0.05
